@@ -22,42 +22,17 @@ from .hilbert import (
     relative_entropy,
     shannon_entropy,
 )
+from .measures import StateMeasure, barycenter
 from .rotation import apply_closed_form, rotation_phases
 
 UPPER_BOUND_SLACK = 1e-9  # optimizer and chi values may exceed the closed form by at most this
 
 
-class InputEnsemble:
+class InputEnsemble(StateMeasure):
     """Finite ensemble of input states with positive weights summing to one."""
 
-    def __init__(self, atoms):
-        atoms = [(float(w), s) for w, s in atoms]
-        weights = np.array([w for w, _ in atoms])
-        if weights.size == 0:
-            raise InvariantViolationError("ensemble needs at least one atom")
-        if np.any(weights <= 0.0):
-            raise InvariantViolationError("ensemble weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise InvariantViolationError(
-                f"ensemble weights sum to {float(weights.sum())!r}, not 1")
-        window = atoms[0][1].window
-        for _, s in atoms:
-            if s.window != window:
-                raise WindowMismatchError("all ensemble states share one window")
-        self._atoms = tuple(atoms)
-        self._window = window
-
-    @property
-    def atoms(self):
-        return self._atoms
-
-    @property
-    def window(self):
-        return self._window
-
     def average(self):
-        total = sum(w * s.entries for w, s in self._atoms)
-        return StateOperator(self._window, total)
+        return barycenter(self)
 
 
 @dataclass(frozen=True)

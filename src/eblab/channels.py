@@ -30,6 +30,7 @@ from .hilbert import (
     partial_transpose,
     trace_norm_distance,
 )
+from .measures import _check_weights
 
 CHOI_RANK_TOL = 1e-8      # reference states below this eigenvalue floor are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
@@ -251,12 +252,7 @@ class SeparableChoiDecomposition:
     def __init__(self, reference, atoms, target):
         lam, basis = _reference_eigensystem(reference)
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
-        weights = np.array([w for w, _, _ in atoms])
-        if np.any(weights <= 0.0):
-            raise InvariantViolationError("decomposition weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-10:
-            raise InvariantViolationError(
-                f"decomposition weights sum to {float(weights.sum())!r}, not 1")
+        _check_weights([w for w, _, _ in atoms], tol=1e-10)
         self._reference = reference
         self._lam = lam
         self._basis = basis

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,27 +25,6 @@ from .hilbert import StateOperator, min_eigenvalue, tensor, trace_norm_distance
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    half_widths: list
-    nodes: int | None = None
-    phi: str | None = None
-    phi2: str | None = None
-    sigma: str = "mixed"
-    base: str = "e"
-    out: str | None = None
-    grid: list = field(default_factory=list)
-    tol: float = 1e-9
-    state_path: str | None = None
-    channel_path: str | None = None
-    method: str = "both"
-    n_sweep: list = field(default_factory=list)
-    candidates: list = field(default_factory=list)
-    probe: bool = False
-    max_iter: int = 10000
 
 
 def _parse_int_list(text, flag):
@@ -92,15 +70,15 @@ def _resolve_sigma(spec, window):
     return jsonio.state_from_json(jsonio.read_json(spec), context=spec)
 
 
-def _check_config(config):
-    for half in config.half_widths:
+def _check_windows(half_widths, nodes):
+    for half in half_widths:
         if half < 1:
             raise SchemaError(f"--k values must be >= 1, got {half}")
-    if config.nodes is not None:
-        for half in config.half_widths:
-            if config.nodes < 4 * half + 1:
+    if nodes is not None:
+        for half in half_widths:
+            if nodes < 4 * half + 1:
                 raise SchemaError(
-                    f"--nodes {config.nodes} below the exactness floor {4 * half + 1} for K={half}")
+                    f"--nodes {nodes} below the exactness floor {4 * half + 1} for K={half}")
 
 
 def _emit(text, out_path):
@@ -115,18 +93,18 @@ def _sibling_path(out_path, suffix):
     return f"{stem}.{suffix}"
 
 
-def cmd_channel_apply(config):
-    half = config.half_widths[0]
-    phi = _resolve_phi(config.phi, half)
-    channel = rot.RotationChannel(phi, config.nodes)
-    if config.state_path is None:
+def cmd_channel_apply(args):
+    half = args.k[0]
+    phi = _resolve_phi(args.phi, half)
+    channel = rot.RotationChannel(phi, args.nodes)
+    if args.state is None:
         raise SchemaError("channel-apply needs --state <file>")
-    rho = jsonio.state_from_json(jsonio.read_json(config.state_path), context=config.state_path)
+    rho = jsonio.state_from_json(jsonio.read_json(args.state), context=args.state)
     if rho.window != channel.window:
         raise WindowMismatchError(
             f"input state window {rho.window} differs from the channel window {channel.window}")
-    closed = rot.apply_closed_form(channel, rho) if config.method in ("both", "closed-form") else None
-    quad = rot.apply_quadrature(channel, rho) if config.method in ("both", "quadrature") else None
+    closed = rot.apply_closed_form(channel, rho) if args.method in ("both", "closed-form") else None
+    quad = rot.apply_quadrature(channel, rho) if args.method in ("both", "quadrature") else None
     result = closed if closed is not None else quad
     metadata = {
         "trace": float(result.trace().real),
@@ -135,29 +113,29 @@ def cmd_channel_apply(config):
     }
     if closed is not None and quad is not None:
         metadata["agreement_residual"] = float(np.abs(closed.entries - quad.entries).max())
-    _emit(jsonio.dumps(jsonio.operator_to_json(result, extra={"metadata": metadata})), config.out)
+    _emit(jsonio.dumps(jsonio.operator_to_json(result, extra={"metadata": metadata})), args.out)
     return EXIT_OK
 
 
-def cmd_eb_report(config):
-    if config.channel_path is not None:
-        raw = jsonio.read_json(config.channel_path)
+def cmd_eb_report(args):
+    if args.channel is not None:
+        raw = jsonio.read_json(args.channel)
         if isinstance(raw, dict) and "blocks" in raw:
-            channel = jsonio.channel_from_json(raw, context=config.channel_path)
+            channel = jsonio.channel_from_json(raw, context=args.channel)
             form = None
         elif isinstance(raw, dict) and "atoms" in raw:
-            form = jsonio.holevo_from_json(raw, context=config.channel_path)
+            form = jsonio.holevo_from_json(raw, context=args.channel)
             channel = ch.blocks_from_holevo(form)
         else:
-            raise SchemaError(f"{config.channel_path}: expected 'blocks' or 'atoms'")
-    elif config.phi is not None:
-        half = config.half_widths[0]
-        channel_obj = rot.RotationChannel(_resolve_phi(config.phi, half), config.nodes)
+            raise SchemaError(f"{args.channel}: expected 'blocks' or 'atoms'")
+    elif args.phi is not None:
+        half = args.k[0]
+        channel_obj = rot.RotationChannel(_resolve_phi(args.phi, half), args.nodes)
         channel = rot.channel_blocks(channel_obj)
         form = rot.holevo_form(channel_obj)
     else:
         raise SchemaError("eb-report needs --channel <file> or --phi <profile>")
-    sigma = _resolve_sigma(config.sigma, channel.in_window)
+    sigma = _resolve_sigma(args.sigma, channel.in_window)
     is_cp, min_eig_stacked = ch.cp_check(channel)
     ppt, min_eig_pt = ch.eb_necessary_test(channel, sigma)
     report = {
@@ -171,66 +149,66 @@ def cmd_eb_report(config):
         extracted = ch.eb_extract(decomposition, channel)
         report["extraction_residual"] = float(
             np.abs(ch.blocks_from_holevo(extracted).blocks - channel.blocks).max())
-    _emit(jsonio.dumps(report), config.out)
+    _emit(jsonio.dumps(report), args.out)
     return EXIT_OK
 
 
-def cmd_capacity(config):
+def cmd_capacity(args):
     header = ["K", "n", "closed_form_nats", "optimizer_nats", "gap", "iterations", "converged"]
-    if config.base == "2":
+    if args.base == "2":
         header += ["closed_form_bits", "optimizer_bits"]
-    grids = config.grid or [2]
+    grids = args.grid or [2]
     rows = []
-    for half in config.half_widths:
-        phi = _resolve_phi(config.phi, half)
-        channel = rot.RotationChannel(phi, config.nodes)
+    for half in args.k:
+        phi = _resolve_phi(args.phi, half)
+        channel = rot.RotationChannel(phi, args.nodes)
         for n in grids:
-            report = cap.ba_optimize(channel, n, max_iter=config.max_iter, tol=config.tol)
+            report = cap.ba_optimize(channel, n, max_iter=args.max_iter, tol=args.tol)
             row = [half, n, report.closed_form, report.optimizer_value, report.gap,
                    report.iterations, report.converged]
-            if config.base == "2":
+            if args.base == "2":
                 row += [report.closed_form / math.log(2.0),
                         report.optimizer_value / math.log(2.0)]
             rows.append(row)
-    _emit(jsonio.csv_text(header, rows), config.out)
+    _emit(jsonio.csv_text(header, rows), args.out)
     return EXIT_OK
 
 
-def cmd_rho12(config):
-    half = config.half_widths[0]
-    phi1 = _resolve_phi(config.phi, half)
-    phi2 = _resolve_phi(config.phi2, half) if config.phi2 else phi1
+def cmd_rho12(args):
+    half = args.k[0]
+    phi1 = _resolve_phi(args.phi, half)
+    phi2 = _resolve_phi(args.phi2, half) if args.phi2 else phi1
     state = rot.rho12(phi1, phi2)
-    _emit(jsonio.dumps(jsonio.operator_to_json(state)), config.out)
-    if config.n_sweep:
-        if config.out is None:
+    _emit(jsonio.dumps(jsonio.operator_to_json(state)), args.out)
+    if args.n_sweep:
+        if args.out is None:
             raise SchemaError("--n-sweep needs --out to place the CSV next to the JSON")
         product = StateOperator.from_operator(tensor(phi1.projector(), phi2.projector()))
         rows = []
-        for n in config.n_sweep:
+        for n in args.n_sweep:
             approx = rot.rho12_n(phi1, phi2, n)
             rows.append([n, trace_norm_distance(approx, product)])
-        jsonio.write_text(_sibling_path(config.out, "n_sweep.csv"),
+        jsonio.write_text(_sibling_path(args.out, "n_sweep.csv"),
                           jsonio.csv_text(["n", "trace_distance_to_product"], rows))
-    if config.probe:
-        if config.out is None:
+    if args.probe:
+        if args.out is None:
             raise SchemaError("--probe needs --out to place the CSV next to the JSON")
-        candidates = config.candidates or [("mode(0)", "mode(0)")]
+        candidates = args.candidates or [("mode(0)", "mode(0)")]
         rows = rot.decomposability_probe_sweep(
-            config.phi, config.phi2 or config.phi, config.half_widths, candidates)
-        jsonio.write_text(_sibling_path(config.out, "probe.csv"),
+            args.phi, args.phi2 or args.phi, args.k, candidates)
+        jsonio.write_text(_sibling_path(args.out, "probe.csv"),
                           jsonio.csv_text(["K", "candidate_id", "eps_max"],
                                           [[r.half_width, r.candidate, r.eps_max] for r in rows]))
     return EXIT_OK
 
 
-def cmd_probe(config):
-    candidates = config.candidates or [("mode(0)", "mode(0)")]
+def cmd_probe(args):
+    candidates = args.candidates or [("mode(0)", "mode(0)")]
     rows = rot.decomposability_probe_sweep(
-        config.phi, config.phi2 or config.phi, config.half_widths, candidates)
+        args.phi, args.phi2 or args.phi, args.k, candidates)
     _emit(jsonio.csv_text(["K", "candidate_id", "eps_max"],
                           [[r.half_width, r.candidate, r.eps_max] for r in rows]),
-          config.out)
+          args.out)
     return EXIT_OK
 
 
@@ -289,38 +267,18 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    config = RunConfig(
-        command=args.command,
-        half_widths=_parse_int_list(args.k, "--k"),
-        nodes=args.nodes,
-        phi=args.phi,
-        sigma=args.sigma,
-        base=args.base,
-        out=args.out,
-        tol=args.tol,
-    )
-    if args.grid is not None:
-        config.grid = _parse_int_list(args.grid, "--grid")
-    config.phi2 = getattr(args, "phi2", None)
-    config.state_path = getattr(args, "state", None)
-    config.channel_path = getattr(args, "channel", None)
-    config.method = getattr(args, "method", "both")
-    config.max_iter = getattr(args, "max_iter", 10000)
-    config.probe = getattr(args, "probe", False)
-    if getattr(args, "n_sweep", None):
-        config.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
-    if getattr(args, "candidates", None):
-        config.candidates = _parse_candidates(args.candidates)
-    return config
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        _check_config(config)
-        return _COMMANDS[config.command](config)
+        args.k = _parse_int_list(args.k, "--k")
+        if args.grid is not None:
+            args.grid = _parse_int_list(args.grid, "--grid")
+        if args.command == "rho12" and args.n_sweep:
+            args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
+        if args.command in ("rho12", "probe") and args.candidates:
+            args.candidates = _parse_candidates(args.candidates)
+        _check_windows(args.k, args.nodes)
+        return _COMMANDS[args.command](args)
     except (SchemaError, WindowMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantViolationError, WindowMismatchError
 
@@ -83,11 +82,11 @@ def _require_product(op):
 
 
 def min_eigenvalue(matrix):
-    """Smallest eigenvalue of a Hermitian matrix (partial solve)."""
+    """Smallest eigenvalue of a Hermitian matrix; non-finite entries are rejected."""
     m = np.asarray(matrix)
-    if m.shape[0] == 1:
-        return float(m[0, 0].real)
-    return float(scipy.linalg.eigh(m, subset_by_index=(0, 0), eigvals_only=True)[0])
+    if not np.isfinite(m).all():
+        raise InvariantViolationError("matrix has non-finite entries")
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 class MatrixOperator:
@@ -175,8 +174,8 @@ class PureVector:
             raise WindowMismatchError(
                 f"amplitude length {v.shape[0]} does not match window dimension {window.dimension}")
         norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise InvariantViolationError("pure vector must be nonzero")
+        if norm == 0.0 or not np.isfinite(norm):
+            raise InvariantViolationError(f"pure vector needs a finite nonzero norm, got {norm!r}")
         v = v / norm
         v.setflags(write=False)
         self._window = window

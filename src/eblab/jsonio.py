@@ -97,6 +97,19 @@ def _entries_to_json(entries):
     return [[[float(z.real), float(z.imag)] for z in row] for row in entries]
 
 
+def _complex_from_json(cell, context):
+    """One [re, im] cell; anything but two finite numbers (bools excluded) is a SchemaError."""
+    if isinstance(cell, list) and len(cell) == 2 and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in cell):
+        try:
+            re_part, im_part = float(cell[0]), float(cell[1])
+        except OverflowError:  # an integer literal beyond the float range
+            re_part = im_part = math.inf
+        if math.isfinite(re_part) and math.isfinite(im_part):
+            return complex(re_part, im_part)
+    raise SchemaError(f"{context}: each cell must be a [re, im] pair of finite numbers")
+
+
 def _entries_from_json(raw, context):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{context}: 'entries' must be a non-empty array of rows")
@@ -104,13 +117,7 @@ def _entries_from_json(raw, context):
     for row in raw:
         if not isinstance(row, list) or len(row) != len(raw):
             raise SchemaError(f"{context}: entries must be square")
-        parsed = []
-        for cell in row:
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(c, (int, float)) for c in cell)):
-                raise SchemaError(f"{context}: each entry must be a [re, im] pair")
-            parsed.append(complex(cell[0], cell[1]))
-        rows.append(parsed)
+        rows.append([_complex_from_json(cell, context) for cell in row])
     return np.array(rows, dtype=complex)
 
 
@@ -168,12 +175,9 @@ def pure_vector_from_json(raw, context="pure vector"):
     if not isinstance(raw, dict) or "amplitudes" not in raw:
         raise SchemaError(f"{context}: missing 'amplitudes'")
     window = window_from_json(raw, context)
-    amps = []
-    for cell in raw["amplitudes"]:
-        if not isinstance(cell, list) or len(cell) != 2:
-            raise SchemaError(f"{context}: each amplitude must be a [re, im] pair")
-        amps.append(complex(cell[0], cell[1]))
-    return PureVector(window, amps)
+    if not isinstance(raw["amplitudes"], list):
+        raise SchemaError(f"{context}: 'amplitudes' must be an array of [re, im] pairs")
+    return PureVector(window, [_complex_from_json(cell, context) for cell in raw["amplitudes"]])
 
 
 def measure_to_json(measure):
@@ -232,7 +236,8 @@ def channel_from_json(raw, context="channel"):
     out_window = window_from_json(raw["out"], context + ".out")
     rows = raw["blocks"]
     d = in_window.dimension
-    if not isinstance(rows, list) or len(rows) != d or any(len(r) != d for r in rows):
+    if not isinstance(rows, list) or len(rows) != d or any(
+            not isinstance(r, list) or len(r) != d for r in rows):
         raise SchemaError(f"{context}: blocks must form a {d} x {d} grid")
     blocks = np.empty((d, d, out_window.dimension, out_window.dimension), dtype=complex)
     for i in range(d):

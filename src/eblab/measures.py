@@ -20,16 +20,16 @@ from .hilbert import (
 WEIGHT_TOL = 1e-12
 
 
-def _check_weights(weights):
+def _check_weights(weights, tol=WEIGHT_TOL):
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise InvariantViolationError("measure needs at least one atom")
     if np.any(w <= 0.0):
         raise InvariantViolationError("measure weights must be positive")
     total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= tol:  # also rejects NaN weights, which compare false
         raise InvariantViolationError(
-            f"measure weights sum to {total!r}, off unity beyond {WEIGHT_TOL}")
+            f"measure weights sum to {total!r}, off unity beyond {tol}")
     return w
 
 

@@ -28,7 +28,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantViolationError, SchemaError, WindowMismatchError
 from .hilbert import (
@@ -121,25 +120,31 @@ def mu_density(channel, rho):
     return np.clip(p, 0.0, None)
 
 
-def _diagonal_sums(entries):
-    """D_t = sum_m entries[m, m-t] for t = -(d-1) .. d-1, as a Toeplitz table."""
+def _charge_gap(window):
+    """Charge table q[k, l] = k - l: rotations scale entry (k, l) by e^{iu q[k, l]}."""
+    modes = window.modes()
+    return np.subtract.outer(modes, modes)
+
+
+def _total_charge(phi1, phi2):
+    """k1 + k2 over the product modes, in np.kron row order."""
+    return np.add.outer(phi1.window.modes(), phi2.window.modes()).reshape(-1)
+
+
+def _diagonal_sums(entries, gap):
+    """Table of D_{k-l} over the charge table gap, with D_t = sum_m entries[m, m-t]."""
     d = entries.shape[0]
     sums = np.array([np.trace(entries, offset=-t) for t in range(-(d - 1), d)])
-    # table[k, l] = D_{k-l}
-    return scipy.linalg.toeplitz(sums[d - 1:], sums[d - 1::-1])
-
-
-def apply_closed_form_matrix(channel, entries):
-    """Selection-rule action on raw entries (linear, no state validation)."""
-    phi = channel.phi.amplitudes
-    return np.outer(phi, phi.conj()) * _diagonal_sums(entries)
+    return sums[gap + (d - 1)]
 
 
 def apply_closed_form(channel, rho):
     """Channel action via the diagonal-sum selection rule."""
     if rho.window != channel.window:
         raise WindowMismatchError("state window differs from the channel window")
-    return StateOperator(channel.window, apply_closed_form_matrix(channel, rho.entries))
+    phi = channel.phi.amplitudes
+    sums = _diagonal_sums(rho.entries, _charge_gap(channel.window))
+    return StateOperator(channel.window, np.outer(phi, phi.conj()) * sums)
 
 
 def apply_quadrature(channel, rho):
@@ -163,8 +168,10 @@ def covariance_residual(channel, rho, u):
 
 def channel_blocks(channel):
     """Block family of the channel: B[i,j]_{kl} = phi_k conj(phi_l) delta_{k-l, i-j}."""
-    return ChannelBlocks.from_map(lambda m: apply_closed_form_matrix(channel, m),
-                                  channel.window, channel.window)
+    phi = channel.phi.amplitudes
+    gap = _charge_gap(channel.window)
+    blocks = (gap[:, :, None, None] == gap[None, None, :, :]) * np.outer(phi, phi.conj())
+    return ChannelBlocks(channel.window, channel.window, blocks)
 
 
 def holevo_form(channel):
@@ -192,9 +199,7 @@ def rho12(phi1, phi2):
     phi1_{k1} conj(phi1_{l1}) phi2_{k2} conj(phi2_{l2}) delta_{k1+k2, l1+l2};
     the result is separable by construction and passes the PPT screen.
     """
-    k1 = phi1.window.modes()
-    k2 = phi2.window.modes()
-    sums = np.add.outer(k1, k2).reshape(-1)
+    sums = _total_charge(phi1, phi2)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     entries = np.outer(v, v.conj()) * (sums[:, None] == sums[None, :])
     return StateOperator(ProductWindow(phi1.window, phi2.window), entries)
@@ -216,14 +221,10 @@ def rho12_n(phi1, phi2, n, subinterval_nodes=None):
         raise InvariantViolationError("n must be a positive integer")
     half = max(phi1.window.k_max, phi2.window.k_max)
     nodes = default_subinterval_nodes(half, n) if subinterval_nodes is None else int(subinterval_nodes)
-    k1 = phi1.window.modes()
-    k2 = phi2.window.modes()
-    out = 0.0
-    for s in range(nodes):
-        x = (2.0 * np.pi / n) * s / nodes
-        v = np.kron(np.exp(1j * x * k1) * phi1.amplitudes,
-                    np.exp(1j * x * k2) * phi2.amplitudes)
-        out = out + np.outer(v, v.conj()) / nodes
+    xs = (2.0 * np.pi / n) * np.arange(nodes) / nodes
+    v = np.kron(phi1.amplitudes, phi2.amplitudes)
+    rotated = np.exp(1j * np.outer(xs, _total_charge(phi1, phi2))) * v  # row s: V_{x_s} x V_{x_s} v
+    out = rotated.T @ rotated.conj() / nodes
     return StateOperator(ProductWindow(phi1.window, phi2.window), out)
 
 

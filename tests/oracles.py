@@ -13,14 +13,18 @@ def rotation_matrix(modes, x):
 
 
 def grid_channel_apply(phi_amps, modes, rho, nodes):
-    """Channel action summed node by node with dense rotation matrices."""
+    """Channel action summed node by node with dense rotation matrices.
+
+    The readout weight is kept complex, so the sum is linear on any matrix
+    (matrix units included), not only on Hermitian ones.
+    """
     proj = np.outer(phi_amps, phi_amps.conj())
     out = np.zeros_like(proj)
     for g in range(nodes):
         x = 2.0 * np.pi * g / nodes
         v = rotation_matrix(modes, x)
         chi = np.diag(v)  # <x|k> conj: p(x) = chi^dag rho chi
-        p = float(np.real(chi.conj() @ rho @ chi))
+        p = complex(chi.conj() @ rho @ chi)
         out = out + p * (v @ proj @ v.conj().T) / nodes
     return out
 
@@ -53,6 +57,17 @@ def grid_rho12(phi1, modes1, phi2, modes2, nodes):
         a = np.exp(1j * x * np.asarray(modes1)) * phi1
         b = np.exp(1j * x * np.asarray(modes2)) * phi2
         v = np.kron(a, b)
+        out = out + np.outer(v, v.conj()) / nodes
+    return out
+
+
+def rho12_n_loop(phi1, modes1, phi2, modes2, n, nodes):
+    """Partial-orbit average over [0, 2pi/n), one rotated product vector per node."""
+    out = 0.0
+    for s in range(nodes):
+        x = (2.0 * np.pi / n) * s / nodes
+        v = np.kron(np.exp(1j * x * np.asarray(modes1)) * phi1,
+                    np.exp(1j * x * np.asarray(modes2)) * phi2)
         out = out + np.outer(v, v.conj()) / nodes
     return out
 

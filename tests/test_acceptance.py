@@ -185,7 +185,7 @@ def test_criterion_6_rho12_n_distances_strictly_decreasing():
     # the pure product state strictly decreases over n in (1, 2, 4, 8).
     # The approximant integrates over [0, 2pi/n), so its orbit-center sits
     # at pi/n away from the product state's phase; at n = 2 that offset
-    # dominates and the distance RISES (0.6404 -> 0.6842) before the
+    # dominates and the distance RISES (0.6404 -> 0.6545) before the
     # shrinking interval takes over. The assertion is kept as stated and
     # fails honestly; see the n >= 2 tail checks in test_rotation.py for
     # the part of the trend that does hold.

@@ -257,3 +257,13 @@ def test_ensemble_validation(rng):
         InputEnsemble([(0.5, rho)])
     with pytest.raises(InvariantViolationError):
         InputEnsemble([])
+
+
+def test_ensemble_is_a_state_measure(rng):
+    window = ModeWindow.symmetric(1)
+    atoms = [(w, random_state_on(rng, window)) for w in rng.dirichlet(np.ones(3))]
+    ensemble = InputEnsemble(atoms)
+    assert isinstance(ensemble, StateMeasure)
+    assert np.array_equal(ensemble.average().entries, barycenter(StateMeasure(atoms)).entries)
+    with pytest.raises(InvariantViolationError):
+        InputEnsemble([(0.5 + 1e-11, atoms[0][1]), (0.5, atoms[1][1])])

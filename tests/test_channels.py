@@ -417,3 +417,21 @@ def test_extension_by_identity_on_product_inputs(rng):
     out = apply_with_identity(chan, joint)
     want = tensor(holevo_apply(form, rho), anc)
     assert np.abs(out.entries - want.entries).max() < 1e-12
+
+
+def test_decomposition_weights_use_their_own_tolerance():
+    # a decomposition's weights may miss unity by up to 1e-10, a looser
+    # bound than the 1e-12 of state measures
+    w = window(2)
+    sigma = StateOperator.maximally_mixed(w)
+    form = HolevoForm([(MatrixOperator(w, np.diag([1.0, 0.0])), basis_vector(w, 0).projector()),
+                       (MatrixOperator(w, np.diag([0.0, 1.0])), basis_vector(w, 1).projector())])
+    exact = separable_choi_from_holevo(form, sigma)
+    target = choi(blocks_from_holevo(form), sigma)
+    for scale, accepted in ((1.0 + 5e-11, True), (1.0 + 1e-9, False)):
+        atoms = [(scale * weight, phi, psi) for weight, phi, psi in exact.atoms]
+        if accepted:
+            SeparableChoiDecomposition(sigma, atoms, target)
+        else:
+            with pytest.raises(InvariantViolationError):
+                SeparableChoiDecomposition(sigma, atoms, target)

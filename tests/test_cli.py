@@ -231,3 +231,41 @@ def test_cli_stdout_mode():
     result = run_cli("capacity", "--phi", "two-mode", "--k", "1", "--grid", "2")
     assert result.returncode == 0
     assert result.stdout.startswith("K,n,")
+
+
+def assert_clean_schema_exit(result):
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_nan_state_file_exits_2_without_traceback(tmp_path):
+    state = tmp_path / "nan_state.json"
+    state.write_text('{"k_min": -1, "k_max": 1, "entries": ['
+                     '[[NaN, 0], [0, 0], [0, 0]], '
+                     '[[0, 0], [0.5, 0], [0, 0]], '
+                     '[[0, 0], [0, 0], [0.5, 0]]]}\n')
+    assert_clean_schema_exit(run_cli("channel-apply", "--k", "1", "--phi", "two-mode",
+                                     "--state", str(state)))
+
+
+def test_bad_phi_cells_exit_2_without_traceback(tmp_path):
+    for name, cell in (("string", '["a", 0]'), ("infinity", "[Infinity, 0]")):
+        phi = tmp_path / f"phi_{name}.json"
+        phi.write_text('{"k_min": -1, "k_max": 1, "amplitudes": [%s, [1, 0], [0, 0]]}\n' % cell)
+        assert_clean_schema_exit(run_cli("rho12", "--phi", str(phi), "--k", "1"))
+
+
+def test_bad_lists_exit_2():
+    assert main(["capacity", "--phi", "two-mode", "--k", "1,x"]) == 2
+    assert main(["capacity", "--phi", "two-mode", "--k", "1", "--grid", ","]) == 2
+    assert main(["rho12", "--phi", "two-mode", "--k", "1", "--n-sweep", "2;4"]) == 2
+    assert main(["probe", "--phi", "two-mode", "--k", "1", "--candidates", "mode(0)"]) == 2
+
+
+def test_import_does_not_load_scipy():
+    result = subprocess.run([sys.executable, "-c",
+                             "import eblab, sys; print('scipy' in sys.modules)"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from eblab import (
     WindowMismatchError,
     basis_vector,
     eig_hermitian,
+    min_eigenvalue,
     partial_trace,
     partial_transpose,
     relative_entropy,
@@ -271,3 +272,24 @@ def test_basis_vector():
     assert np.array_equal(e0.amplitudes, [0.0, 1.0, 0.0])
     with pytest.raises(WindowMismatchError):
         basis_vector(W3, 5)
+
+
+def test_state_rejects_non_finite_diagonal():
+    # NaN survives the Hermiticity and trace checks, since every comparison
+    # with it is false; the eigenvalue check has to catch it
+    entries = np.diag([complex(1.0, np.nan), 0.0])
+    with pytest.raises(InvariantViolationError):
+        StateOperator(W2, entries)
+
+
+def test_min_eigenvalue_rejects_non_finite():
+    with pytest.raises(InvariantViolationError):
+        min_eigenvalue(np.array([[np.inf]]))
+    assert min_eigenvalue(np.array([[0.25]])) == 0.25
+
+
+def test_pure_vector_rejects_non_finite_norm():
+    with pytest.raises(InvariantViolationError):
+        PureVector(W3, [np.nan, 1.0, 0.0])
+    with pytest.raises(InvariantViolationError):
+        PureVector(W3, [np.inf, 1.0, 0.0])

@@ -111,6 +111,31 @@ def test_schema_errors_are_informative():
                                    "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]})
 
 
+@pytest.mark.parametrize("cell", [
+    [True, 0.0], ["1", 0.0], [0.0, None], [1.0], 1.0,
+    [float("nan"), 0.0], [0.0, float("inf")], [10 ** 400, 0],
+])
+def test_non_numeric_or_non_finite_cells_are_schema_errors(cell):
+    entries = [[cell, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(SchemaError):
+        jsonio.state_from_json({"k_min": 0, "k_max": 1, "entries": entries})
+    with pytest.raises(SchemaError):
+        jsonio.pure_vector_from_json({"k_min": 0, "k_max": 1, "amplitudes": [cell, [1.0, 0.0]]})
+
+
+def test_amplitudes_must_be_an_array():
+    with pytest.raises(SchemaError):
+        jsonio.pure_vector_from_json({"k_min": 0, "k_max": 1, "amplitudes": 3})
+    back = jsonio.pure_vector_from_json({"k_min": 0, "k_max": 1, "amplitudes": [[3, 0], [0, 4]]})
+    assert np.abs(back.amplitudes - [0.6, 0.8j]).max() < 1e-15
+
+
+def test_channel_block_rows_must_be_arrays():
+    window = {"k_min": 0, "k_max": 1}
+    with pytest.raises(SchemaError):
+        jsonio.channel_from_json({"in": window, "out": window, "blocks": [1, 2]})
+
+
 def test_csv_text_formatting():
     text = jsonio.csv_text(["a", "b", "c"], [[1, 0.5, True], [2, 1e-3, False]])
     lines = text.splitlines()

@@ -42,6 +42,12 @@ def test_measure_weight_validation(rng):
         StateMeasure([])
 
 
+def test_measure_rejects_nan_weight(rng):
+    rho = StateOperator(W2, random_density(rng, 2))
+    with pytest.raises(InvariantViolationError):
+        StateMeasure([(float("nan"), rho)])
+
+
 def test_barycenter_single_atom(rng):
     rho = StateOperator(W2, random_density(rng, 2))
     out = barycenter(StateMeasure([(1.0, rho)]))

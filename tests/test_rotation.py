@@ -28,9 +28,15 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
-from conftest import random_density
+from conftest import random_density, random_pure
 
-from oracles import grid_channel_apply, grid_mu_density, grid_orbit_average, grid_rho12
+from oracles import (
+    grid_channel_apply,
+    grid_mu_density,
+    grid_orbit_average,
+    grid_rho12,
+    rho12_n_loop,
+)
 
 
 def random_state_on(rng, window):
@@ -173,6 +179,23 @@ def test_channel_blocks_pass_cp_and_match_apply(rng):
                   - apply_closed_form(channel, rho).entries).max() < 1e-12
 
 
+def test_channel_blocks_match_grid_oracle_on_matrix_units(rng):
+    window = ModeWindow.symmetric(3)
+    phi = PureVector(window, random_pure(rng, window.dimension))
+    channel = RotationChannel(phi)
+    blocks = channel_blocks(channel).blocks
+    d = window.dimension
+    worst = 0.0
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            want = grid_channel_apply(phi.amplitudes, window.modes(), unit,
+                                      channel.quadrature_nodes)
+            worst = max(worst, float(np.abs(blocks[i, j] - want).max()))
+    assert worst < 1e-12
+
+
 def test_rotation_choi_is_ppt():
     for half in (1, 2, 4):
         phi = phi_profile("geometric(0.7)", half)
@@ -259,6 +282,17 @@ def test_rho12_invariant_under_simultaneous_rotation(rng):
 def test_rho12_n_reduces_to_rho12():
     phi = phi_profile("two-mode", 1)
     assert np.abs(rho12_n(phi, phi, 1).entries - rho12(phi, phi).entries).max() < 1e-12
+
+
+def test_rho12_n_matches_node_loop(rng):
+    window = ModeWindow.symmetric(3)
+    phi1 = PureVector(window, random_pure(rng, window.dimension))
+    phi2 = PureVector(window, random_pure(rng, window.dimension))
+    modes = window.modes()
+    for n in (1, 2, 3, 5):
+        nodes = int(np.ceil(32 / n))  # max(4K + 1, 32) = 32 at K = 3
+        want = rho12_n_loop(phi1.amplitudes, modes, phi2.amplitudes, modes, n, nodes)
+        assert np.abs(rho12_n(phi1, phi2, n).entries - want).max() < 1e-12, n
 
 
 def test_rho12_n_group_average_identity():
