@@ -13,6 +13,7 @@ from eblab import (
     phi_profile,
     product_bound_probe,
     rho12,
+    rho12_probe,
     separable_from_measure,
 )
 
@@ -48,6 +49,13 @@ for half in (2, 4, 8):
     state = rho12(geo, geo)
     eps = product_bound_probe(state, geo, geo)
     print(f"K={half}: probe(rho12, phi, phi) = {eps:.6f}  (analytic 1/(4K+1) = {1/(4*half+1):.6f})")
+
+# rho12 is rank one in each sector of total charge k1 + k2, so the same
+# bound has an O(K^2) sector form that reaches windows far past the dense one.
+for half in (16, 64, 256):
+    geo = phi_profile("geometric(0.7)", half)
+    eps = rho12_probe(geo, geo, geo, geo)
+    print(f"K={half}: rho12_probe(phi, phi, phi, phi) = {eps:.3e}  (1/(4K+1) = {1/(4*half+1):.3e})")
 
 # A cheap necessary screen: domination forces coefficient-wise domination
 # of the Fourier profiles.

@@ -16,6 +16,7 @@ from .errors import (
 from .hilbert import (
     EPS_HERM,
     EPS_PSD,
+    EPS_RANGE,
     EPS_SUPPORT,
     EPS_TRACE,
     MatrixOperator,
@@ -78,6 +79,7 @@ from .rotation import (
     phi_profile,
     rho12,
     rho12_n,
+    rho12_probe,
     rotate_state,
     rotate_vector,
     sweep_maxima,

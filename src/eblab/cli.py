@@ -25,6 +25,7 @@ from .hilbert import StateOperator, min_eigenvalue, tensor, trace_norm_distance
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
+MAX_DENSE_BYTES = 2 ** 30  # largest dense complex array a request may need
 
 
 def _parse_int_list(text, flag):
@@ -79,6 +80,23 @@ def _check_windows(half_widths, nodes):
             if nodes < 4 * half + 1:
                 raise SchemaError(
                     f"--nodes {nodes} below the exactness floor {4 * half + 1} for K={half}")
+
+
+def _check_size(command, half_widths):
+    """Refuse a --k whose largest dense complex array would exceed MAX_DENSE_BYTES.
+
+    rho12 and eb-report build (2K+1)^2-square matrices on the product
+    window at the first K; every subcommand, the O(K^2) probe included,
+    holds (2K+1)^2 entries at the largest K.
+    """
+    dims = [2 * half + 1 for half in half_widths]
+    entries = max(dims) ** 2
+    if command in ("rho12", "eb-report"):
+        entries = max(entries, dims[0] ** 4)
+    need = 16 * entries
+    if need > MAX_DENSE_BYTES:
+        raise SchemaError(f"--k {','.join(map(str, half_widths))} needs a {need / 2 ** 30:.3g} GiB "
+                          f"array for {command}, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
 
 
 def _emit(text, out_path):
@@ -278,6 +296,7 @@ def main(argv=None):
         if args.command in ("rho12", "probe") and args.candidates:
             args.candidates = _parse_candidates(args.candidates)
         _check_windows(args.k, args.nodes)
+        _check_size(args.command, args.k)
         return _COMMANDS[args.command](args)
     except (SchemaError, WindowMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,7 +18,9 @@ from .errors import InvariantViolationError, WindowMismatchError
 EPS_PSD = 1e-10      # slack on minimum eigenvalues of nominally PSD matrices
 EPS_HERM = 1e-12     # max-entry slack for Hermiticity checks
 EPS_TRACE = 1e-10    # slack for unit-trace checks
-EPS_SUPPORT = 1e-12  # eigenvalues at or below this count as zero support
+EPS_SUPPORT = 1e-12  # eigenvalues at or below this count as zero support; the dense
+                     # domination probe scales it by the largest eigenvalue
+EPS_RANGE = 1e-10    # a unit vector whose part off a support has a larger norm is out of range
 
 
 @dataclass(frozen=True)

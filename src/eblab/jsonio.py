@@ -137,7 +137,7 @@ def window_from_json(raw, context="window"):
         return ProductWindow(window_from_json(raw["left_window"], context + ".left"),
                              window_from_json(raw["right_window"], context + ".right"))
     for key in ("k_min", "k_max"):
-        if key not in raw or not isinstance(raw[key], int):
+        if key not in raw or not isinstance(raw[key], int) or isinstance(raw[key], bool):
             raise SchemaError(f"{context}: missing integer field {key!r}")
     return ModeWindow(raw["k_min"], raw["k_max"])
 

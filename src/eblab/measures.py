@@ -11,6 +11,8 @@ import numpy as np
 from .errors import InvariantViolationError, WindowMismatchError
 from .hilbert import (
     EPS_PSD,
+    EPS_RANGE,
+    EPS_SUPPORT,
     ProductWindow,
     StateOperator,
     min_eigenvalue,
@@ -99,14 +101,19 @@ def separable_from_measure(measure):
     return StateOperator(window, total)
 
 
-def product_bound_probe(rho, alpha, beta, tol=1e-10):
+def product_bound_probe(rho, alpha, beta):
     """Largest eps with rho - eps |alpha><alpha| x |beta><beta| positive.
 
-    Positivity means minimum eigenvalue >= -EPS_PSD; the answer is located
-    by bisection on [0, 1] to absolute tolerance tol, and results at the
-    tolerance floor report as 0 (no domination). This is a necessary-
+    Exact Lewenstein-Sanpera bound on a dense state: with v = alpha x beta,
+    eps = 1 / <v| rho^+ |v> when v lies in the range of rho, and 0 when
+    the part of v off the support of rho has norm above EPS_RANGE. The
+    support is the eigenvalues above EPS_SUPPORT times the largest one,
+    from one eigendecomposition of rho. When rho - |v><v| is already
+    positive within EPS_PSD the answer is exactly 1. This is a necessary-
     condition diagnostic only: a positive value certifies domination by
-    the given pure product state, a zero proves nothing beyond it.
+    the given pure product state, a zero proves nothing beyond it. For
+    rho12 states, rotation.rho12_probe evaluates the same bound sector by
+    sector without the dense matrix.
     """
     w = rho.window
     if not isinstance(w, ProductWindow):
@@ -114,22 +121,14 @@ def product_bound_probe(rho, alpha, beta, tol=1e-10):
     if w.left != alpha.window or w.right != beta.window:
         raise WindowMismatchError("candidate vectors must match the product factors")
     v = np.kron(alpha.amplitudes, beta.amplitudes)
-    projector = np.outer(v, v.conj())
-    m = rho.entries
-
-    def feasible(eps):
-        return min_eigenvalue(m - eps * projector) >= -EPS_PSD
-
-    if feasible(1.0):
+    if min_eigenvalue(rho.entries - np.outer(v, v.conj())) >= -EPS_PSD:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo > 1.5 * tol else 0.0
+    vals, vecs = np.linalg.eigh(rho.entries)
+    support = vals > EPS_SUPPORT * vals[-1]
+    coords = vecs.conj().T @ v
+    if np.linalg.norm(coords[~support]) > EPS_RANGE:
+        return 0.0
+    return 1.0 / float(np.sum(np.abs(coords[support]) ** 2 / vals[support]))
 
 
 def fourier_necessary_check(phi, alpha, tol=1e-12):

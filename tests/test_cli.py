@@ -256,6 +256,36 @@ def test_bad_phi_cells_exit_2_without_traceback(tmp_path):
         assert_clean_schema_exit(run_cli("rho12", "--phi", str(phi), "--k", "1"))
 
 
+def test_boolean_window_state_file_exits_2_without_traceback(tmp_path):
+    # true == 1, so without the check this file would load on the window [-1, 1]
+    state = tmp_path / "bool_window.json"
+    zero = "[[0, 0], [0, 0], [0, 0]]"
+    state.write_text('{"k_min": -1, "k_max": true, "entries": '
+                     f'[[[1, 0], [0, 0], [0, 0]], {zero}, {zero}]}}\n')
+    assert_clean_schema_exit(run_cli("channel-apply", "--k", "1", "--phi", "two-mode",
+                                     "--state", str(state)))
+
+
+def test_oversized_k_exits_2_before_allocating():
+    # requests far beyond any address space: (2K+1)^2 entries for capacity,
+    # (2K+1)^4 for rho12; the guard refuses them before numpy is asked
+    for args in (("capacity", "--phi", "two-mode", "--k", "100000", "--grid", "2"),
+                 ("rho12", "--phi", "two-mode", "--k", "2000")):
+        result = run_cli(*args)
+        assert_clean_schema_exit(result)
+        assert "GiB" in result.stderr
+
+
+def test_probe_runs_at_large_k(tmp_path):
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--phi", "geometric(0.7)", "--k", "200",
+                 "--candidates", "geometric(0.7),geometric(0.7);mode(0),mode(0)",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert abs(float(lines[1].split(",")[2]) * 801 - 1.0) < 1e-14
+    assert lines[2] == "200,mode(0)|mode(0),0"
+
+
 def test_bad_lists_exit_2():
     assert main(["capacity", "--phi", "two-mode", "--k", "1,x"]) == 2
     assert main(["capacity", "--phi", "two-mode", "--k", "1", "--grid", ","]) == 2

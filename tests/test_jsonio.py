@@ -123,6 +123,14 @@ def test_non_numeric_or_non_finite_cells_are_schema_errors(cell):
         jsonio.pure_vector_from_json({"k_min": 0, "k_max": 1, "amplitudes": [cell, [1.0, 0.0]]})
 
 
+def test_boolean_mode_indices_are_schema_errors():
+    with pytest.raises(SchemaError):
+        jsonio.window_from_json({"k_min": False, "k_max": True})
+    with pytest.raises(SchemaError):
+        jsonio.state_from_json({"k_min": False, "k_max": True,
+                                "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+
+
 def test_amplitudes_must_be_an_array():
     with pytest.raises(SchemaError):
         jsonio.pure_vector_from_json({"k_min": 0, "k_max": 1, "amplitudes": 3})

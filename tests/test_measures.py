@@ -139,7 +139,7 @@ def test_probe_on_two_mode_rho12():
     state = rho12(phi, phi)
     e0 = basis_vector(W3, 0)
     eps = product_bound_probe(state, e0, e0)
-    assert abs(eps - 0.25) < 1e-9
+    assert abs(eps - 0.25) < 1e-12
 
 
 def test_probe_orthogonal_support_gives_zero():
@@ -157,8 +157,8 @@ def test_probe_matches_pseudoinverse_oracle(rng):
     v = np.kron(phi.amplitudes, phi.amplitudes)
     want = domination_bound(state.entries, v)
     got = product_bound_probe(state, phi, phi)
-    assert abs(got - want) < 1e-8
-    assert abs(got - 1.0 / (4 * 2 + 1)) < 1e-8  # rank-one sector structure
+    assert abs(got - want) < 1e-12
+    assert abs(got - 1.0 / (4 * 2 + 1)) < 1e-12  # rank-one sector structure
 
 
 def test_probe_monotone_under_scaling():

@@ -24,6 +24,9 @@ from eblab import (
     phi_profile,
     rho12,
     rho12_n,
+    rho12_probe,
+    product_bound_probe,
+    rotate_vector,
     sweep_maxima,
     tensor,
     trace_norm_distance,
@@ -31,6 +34,7 @@ from eblab import (
 from conftest import random_density, random_pure
 
 from oracles import (
+    domination_bound,
     grid_channel_apply,
     grid_mu_density,
     grid_orbit_average,
@@ -335,11 +339,8 @@ def test_probe_sweep_geometric_trend():
     maxima = sweep_maxima(rows)
     values = [maxima[k] for k in (2, 4, 8)]
     assert values[0] >= values[1] >= values[2]
-    # analytic values 1/(4K+1) from the rank-one sector structure; the
-    # PSD slack floor shifts the bisection boundary by slack/slope, which
-    # grows mildly with K
     for k, want in zip((2, 4, 8), (1 / 9, 1 / 17, 1 / 33)):
-        assert abs(maxima[k] - want) < 1e-5
+        assert abs(maxima[k] - want) < 1e-12
 
 
 def test_probe_sweep_failed_fourier_check_gives_zero():
@@ -348,3 +349,52 @@ def test_probe_sweep_failed_fourier_check_gives_zero():
     rows = decomposability_probe_sweep("two-mode", "two-mode", (1,),
                                        [("mode(-1)", "mode(0)")])
     assert rows[0].eps_max == 0.0
+
+
+def _random_fiducial(rng, half, zero_modes=()):
+    window = ModeWindow.symmetric(half)
+    amps = rng.normal(size=window.dimension) + 1j * rng.normal(size=window.dimension)
+    for k in zero_modes:
+        amps[window.index(k)] = 0.0
+    return PureVector(window, amps)
+
+
+def _sector_probe_cases(rng):
+    """(phi1, phi2, alpha, beta, kind) over K in {1, 2, 3, 4, 6}; phi2 has zero modes."""
+    for half in (1, 2, 3, 4, 6):
+        phi1 = _random_fiducial(rng, half)
+        phi2 = _random_fiducial(rng, half, zero_modes={half, 0} if half > 1 else {half})
+        e0 = phi_profile("mode(0)", half)
+        yield phi1, phi2, phi1, phi2, "own"
+        yield phi1, phi2, rotate_vector(phi1, 0.7), rotate_vector(phi2, 0.7), "shared angle"
+        yield phi1, phi2, rotate_vector(phi1, 0.4), rotate_vector(phi2, 1.9), "two angles"
+        yield phi1, phi2, e0, e0, "mode(0)"
+
+
+def test_rho12_probe_matches_pseudoinverse_oracle(rng):
+    for phi1, phi2, alpha, beta, kind in _sector_probe_cases(rng):
+        state = rho12(phi1, phi2)
+        want = domination_bound(state.entries, np.kron(alpha.amplitudes, beta.amplitudes))
+        if kind in ("own", "shared angle"):
+            assert want > 0.0  # in range: the orbit average is invariant under V_u x V_u
+        if kind == "two angles":
+            assert want == 0.0
+        assert abs(rho12_probe(phi1, phi2, alpha, beta) - want) < 1e-12
+        assert abs(product_bound_probe(state, alpha, beta) - want) < 1e-12
+
+
+@pytest.mark.parametrize("half", [16, 64, 200])
+def test_rho12_probe_geometric_is_exact_at_large_k(half):
+    # one unit coefficient per occupied sector: eps = 1 / (number of sectors),
+    # although the outermost sector weights fall to about 0.7^(4K)
+    phi = phi_profile("geometric(0.7)", half)
+    eps = rho12_probe(phi, phi, phi, phi)
+    assert abs(eps * (4 * half + 1) - 1.0) < 1e-14
+    e0 = phi_profile("mode(0)", half)
+    assert rho12_probe(phi, phi, e0, e0) == 0.0
+
+
+def test_rho12_probe_window_mismatch():
+    phi = phi_profile("two-mode", 1)
+    with pytest.raises(WindowMismatchError):
+        rho12_probe(phi, phi, phi_profile("mode(0)", 2), phi)
