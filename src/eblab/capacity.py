@@ -23,7 +23,7 @@ from .hilbert import (
     shannon_entropy,
 )
 from .measures import StateMeasure, barycenter
-from .rotation import apply_closed_form, rotation_phases
+from .rotation import _grid, apply_closed_form
 
 UPPER_BOUND_SLACK = 1e-9  # optimizer and chi values may exceed the closed form by at most this
 
@@ -123,8 +123,7 @@ def ba_optimize(channel, grid, max_iter=10000, tol=1e-9):
     if grid < 1:
         raise InvariantViolationError("grid must hold at least one phase")
     phi = channel.phi
-    phases = 2.0 * np.pi * np.arange(grid) / grid
-    outputs = np.stack([rotation_phases(phi.window, x) * phi.amplitudes for x in phases])
+    outputs = _grid(phi.window, grid)[1] * phi.amplitudes  # row j is V_{2 pi j / grid} phi
     value, iterations, converged, values = _ba_pure_outputs(outputs, max_iter, tol)
     closed = closed_form_capacity(phi)
     return CapacityReport(

@@ -182,13 +182,9 @@ class HolevoForm:
 
 
 def holevo_apply(form, rho):
-    """sum_b Tr(rho M_b) rho'_b; trace preserving by POVM completeness."""
+    """sum_b Tr(rho M_b) rho'_b; trace preserving by the POVM completeness HolevoForm checks."""
     if rho.window != form.in_window:
         raise WindowMismatchError("state window differs from the form input window")
-    total = sum(m_op.entries for m_op, _ in form.atoms)
-    defect = float(np.abs(total - np.eye(form.in_window.dimension)).max())
-    if defect > EPS_TRACE:
-        raise InvariantViolationError(f"POVM incomplete: max |sum M - I| = {defect:.3e}")
     out = sum(float(np.trace(rho.entries @ m_op.entries).real) * rho_out.entries
               for m_op, rho_out in form.atoms)
     return StateOperator(form.out_window, out)
@@ -221,10 +217,10 @@ def choi(channel, sigma):
     if sigma.window != channel.in_window:
         raise WindowMismatchError("reference state window differs from the channel input window")
     lam, basis = _reference_eigensystem(sigma)
-    rotated = np.einsum("ma,nb,mnkl->abkl", basis, basis.conj(), channel.blocks)
-    root = np.sqrt(lam)
+    w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
     d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
-    entries = np.einsum("a,b,abkl->akbl", root, root, rotated).reshape(d_in * d_out, d_in * d_out)
+    entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
+                        optimize=True).reshape(d_in * d_out, d_in * d_out)
     return StateOperator(ProductWindow(channel.in_window, channel.out_window), entries)
 
 
@@ -252,23 +248,18 @@ class SeparableChoiDecomposition:
     def __init__(self, reference, atoms, target):
         lam, basis = _reference_eigensystem(reference)
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
-        _check_weights([w for w, _, _ in atoms], tol=1e-10)
+        weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
+        vectors = np.stack([np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms])
+        self._reconstruction = StateOperator(target.window,
+                                             (vectors.T * weights) @ vectors.conj())
         self._reference = reference
         self._lam = lam
         self._basis = basis
         self._atoms = tuple(atoms)
-        self._target = target
-        residual = trace_norm_distance(self._reconstruct(), target)
+        residual = trace_norm_distance(self._reconstruction, target)
         if residual > EXTRACT_TOL:
             raise InvariantViolationError(
                 f"decomposition misses the Choi target by {residual:.3e} > {EXTRACT_TOL}")
-
-    def _reconstruct(self):
-        total = 0.0
-        for w, phi, psi in self._atoms:
-            v = np.kron(phi.amplitudes, psi.amplitudes)
-            total = total + w * np.outer(v, v.conj())
-        return StateOperator(self._target.window, total)
 
     @property
     def reference(self):
@@ -287,7 +278,7 @@ class SeparableChoiDecomposition:
         return self._basis
 
     def reconstruction(self):
-        return self._reconstruct()
+        return self._reconstruction
 
 
 def separable_choi_from_holevo(form, sigma):
@@ -307,12 +298,8 @@ def separable_choi_from_holevo(form, sigma):
         left = (root[:, None] * m_eig.conj()) * root[None, :]
         c_vals, c_vecs = eig_hermitian(MatrixOperator(form.in_window, left))
         d_vals, d_vecs = eig_hermitian(rho_out)
-        for r in range(len(c_vals)):
-            if c_vals[r] <= ATOM_DROP_TOL:
-                continue
-            for s in range(len(d_vals)):
-                if d_vals[s] <= ATOM_DROP_TOL:
-                    continue
+        for r in np.flatnonzero(c_vals > ATOM_DROP_TOL):
+            for s in np.flatnonzero(d_vals > ATOM_DROP_TOL):
                 atoms.append((c_vals[r] * d_vals[s],
                               PureVector(form.in_window, c_vecs[:, r]),
                               PureVector(form.out_window, d_vecs[:, s])))
@@ -417,18 +404,14 @@ def kraus_rank_one(form):
     pure_atoms = []
     for m_op, rho_out in form.atoms:
         d_vals, d_vecs = eig_hermitian(rho_out)
-        for s in range(len(d_vals)):
-            if d_vals[s] <= ATOM_DROP_TOL:
-                continue
+        for s in np.flatnonzero(d_vals > ATOM_DROP_TOL):
             pure_atoms.append((d_vals[s] * m_op.entries, d_vecs[:, s]))
     operators = []
     for m_entries, psi in pure_atoms:
         if float(np.abs(m_entries).max()) <= ATOM_DROP_TOL:
             continue
         m_vals, m_vecs = eig_hermitian(MatrixOperator(form.in_window, m_entries))
-        for r in range(len(m_vals)):
-            if m_vals[r] <= ATOM_DROP_TOL:
-                continue
+        for r in np.flatnonzero(m_vals > ATOM_DROP_TOL):
             factor = np.sqrt(m_vals[r]) * m_vecs[:, r]
             operators.append(np.outer(psi, factor.conj()))
     return KrausRankOne(operators, form.in_window, form.out_window)

@@ -175,12 +175,11 @@ def cmd_capacity(args):
     header = ["K", "n", "closed_form_nats", "optimizer_nats", "gap", "iterations", "converged"]
     if args.base == "2":
         header += ["closed_form_bits", "optimizer_bits"]
-    grids = args.grid or [2]
     rows = []
     for half in args.k:
         phi = _resolve_phi(args.phi, half)
-        channel = rot.RotationChannel(phi, args.nodes)
-        for n in grids:
+        channel = rot.RotationChannel(phi)
+        for n in args.grid:
             report = cap.ba_optimize(channel, n, max_iter=args.max_iter, tol=args.tol)
             row = [half, n, report.closed_form, report.optimizer_value, report.gap,
                    report.iterations, report.converged]
@@ -211,22 +210,20 @@ def cmd_rho12(args):
     if args.probe:
         if args.out is None:
             raise SchemaError("--probe needs --out to place the CSV next to the JSON")
-        candidates = args.candidates or [("mode(0)", "mode(0)")]
-        rows = rot.decomposability_probe_sweep(
-            args.phi, args.phi2 or args.phi, args.k, candidates)
-        jsonio.write_text(_sibling_path(args.out, "probe.csv"),
-                          jsonio.csv_text(["K", "candidate_id", "eps_max"],
-                                          [[r.half_width, r.candidate, r.eps_max] for r in rows]))
+        jsonio.write_text(_sibling_path(args.out, "probe.csv"), _probe_csv(args))
     return EXIT_OK
 
 
+def _probe_csv(args):
+    """Probe-sweep CSV shared by `probe` and `rho12 --probe`; mode(0)|mode(0) by default."""
+    rows = rot.decomposability_probe_sweep(args.phi, args.phi2 or args.phi, args.k,
+                                           args.candidates or [("mode(0)", "mode(0)")])
+    return jsonio.csv_text(["K", "candidate_id", "eps_max"],
+                           [[r.half_width, r.candidate, r.eps_max] for r in rows])
+
+
 def cmd_probe(args):
-    candidates = args.candidates or [("mode(0)", "mode(0)")]
-    rows = rot.decomposability_probe_sweep(
-        args.phi, args.phi2 or args.phi, args.k, candidates)
-    _emit(jsonio.csv_text(["K", "candidate_id", "eps_max"],
-                          [[r.half_width, r.candidate, r.eps_max] for r in rows]),
-          args.out)
+    _emit(_probe_csv(args), args.out)
     return EXIT_OK
 
 
@@ -245,28 +242,29 @@ def build_parser():
         description="Desk-scale numerics for separable states and entanglement-breaking channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, nodes=False):
         p.add_argument("--k", default="4", help="window half-width K, or comma list for sweeps")
-        p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (>= 4K+1)")
         p.add_argument("--phi", default=None, help="fiducial profile name or pure-vector JSON file")
-        p.add_argument("--sigma", default="mixed", help="'mixed' or a state JSON file")
-        p.add_argument("--base", choices=("e", "2"), default="e", help="entropy display base")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument("--grid", default=None, help="orbit grid size(s), comma list")
-        p.add_argument("--tol", type=float, default=1e-9, help="optimizer stopping tolerance")
+        if nodes:
+            p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (>= 4K+1)")
 
     p_apply = sub.add_parser("channel-apply", help="apply the rotation channel to a state file")
-    add_common(p_apply)
+    add_common(p_apply, nodes=True)
     p_apply.add_argument("--state", required=True, help="input state JSON file")
     p_apply.add_argument("--method", choices=("both", "closed-form", "quadrature"),
                          default="both")
 
     p_eb = sub.add_parser("eb-report", help="CP / PPT / extraction report for a channel")
-    add_common(p_eb)
+    add_common(p_eb, nodes=True)
     p_eb.add_argument("--channel", default=None, help="channel JSON file (blocks or Holevo atoms)")
+    p_eb.add_argument("--sigma", default="mixed", help="'mixed' or a state JSON file")
 
     p_cap = sub.add_parser("capacity", help="closed-form capacity vs orbit-grid optimizer")
     add_common(p_cap)
+    p_cap.add_argument("--base", choices=("e", "2"), default="e", help="entropy display base")
+    p_cap.add_argument("--grid", default="2", help="orbit grid size(s), comma list")
+    p_cap.add_argument("--tol", type=float, default=1e-9, help="optimizer stopping tolerance")
     p_cap.add_argument("--max-iter", type=int, default=10000)
 
     p_rho = sub.add_parser("rho12", help="orbit-averaged product state and its diagnostics")
@@ -289,13 +287,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
-        if args.grid is not None:
+        if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
         if args.command == "rho12" and args.n_sweep:
             args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
         if args.command in ("rho12", "probe") and args.candidates:
             args.candidates = _parse_candidates(args.candidates)
-        _check_windows(args.k, args.nodes)
+        _check_windows(args.k, getattr(args, "nodes", None))
         _check_size(args.command, args.k)
         return _COMMANDS[args.command](args)
     except (SchemaError, WindowMismatchError, OSError) as err:

@@ -116,9 +116,6 @@ class MatrixOperator:
     def trace(self):
         return complex(np.trace(self._entries))
 
-    def dagger(self):
-        return MatrixOperator(self._window, self._entries.conj().T)
-
     def __repr__(self):
         return f"{type(self).__name__}(window={self._window}, dim={self._window.dimension})"
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvariantViolationError, SchemaError
 from .hilbert import (
     MatrixOperator,
     ModeWindow,
@@ -29,10 +29,10 @@ from .measures import ProductMeasure, StateMeasure
 
 
 def format_float(value):
-    """Canonical decimal text for a float (17 significant digits)."""
+    """Canonical decimal text for a float (17 significant digits); NaN and +-inf raise."""
     v = float(value)
-    if math.isnan(v) or math.isinf(v):
-        return '"inf"' if v > 0 else ('"-inf"' if v < 0 else '"nan"')
+    if not math.isfinite(v):
+        raise InvariantViolationError(f"refusing to write the non-finite number {v!r}")
     return format(v, ".17g")
 
 
@@ -277,7 +277,7 @@ def csv_text(header, rows):
             elif isinstance(value, (int, np.integer)):
                 cells.append(str(int(value)))
             elif isinstance(value, (float, np.floating)):
-                cells.append(format(float(value), ".17g"))
+                cells.append(format_float(value))
             else:
                 cells.append(str(value))
         lines.append(",".join(cells))

@@ -213,24 +213,38 @@ def rho12_probe(phi1, phi2, alpha, beta):
     c_s = <v_s|w_s> / |v_s|^2: w lies in the range of rho12 exactly when
     every residual |w_s - c_s v_s| is at most EPS_RANGE, and then the
     Lewenstein-Sanpera bound 1 / <w| rho12^+ |w> is 1 / sum_s |c_s|^2;
-    otherwise it is 0. The residual depends only on the direction of v_s,
-    so sectors of tiny weight are judged as exactly as heavy ones. Runs in
-    O(K^2) time and memory; the dense matrix is never built.
+    otherwise it is 0. Each sector is scaled by the power of two just above
+    its largest |v| before any square is formed; that scaling is exact, so
+    nothing underflows and sectors of tiny weight are judged as exactly as
+    heavy ones. If sum_s |c_s|^2 overflows, the bound is below the smallest
+    double and 0.0 is returned. A fiducial pair with a nonzero |phi1_k phi2_l|
+    below the smallest normal double, or a non-finite intermediate, raises
+    InvariantViolationError. Runs in O(K^2); the dense matrix is never built.
     """
     if alpha.window != phi1.window or beta.window != phi2.window:
         raise WindowMismatchError("candidate vectors must match the fiducial windows")
+    smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
+    if smallest[0] * smallest[1] < np.finfo(float).tiny:
+        raise InvariantViolationError("fiducial amplitude products leave the normal double range")
     charge = _total_charge(phi1, phi2)
     sector = charge - charge.min()
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     w = np.kron(alpha.amplitudes, beta.amplitudes)
-    weight = np.bincount(sector, np.abs(v) ** 2)
-    products = v.conj() * w
+    peak = np.zeros(sector.max() + 1)
+    np.maximum.at(peak, sector, np.abs(v))
+    inv_scale = np.ldexp(1.0, -np.frexp(peak)[1])  # a power of two, so scaling is exact
+    u = v * inv_scale[sector]
+    weight = np.bincount(sector, np.abs(u) ** 2)
+    products = u.conj() * w
     overlap = np.bincount(sector, products.real) + 1j * np.bincount(sector, products.imag)
     coeff = np.divide(overlap, weight, out=np.zeros_like(overlap), where=weight > 0.0)
-    residual = np.bincount(sector, np.abs(w - coeff[sector] * v) ** 2)
+    residual = np.bincount(sector, np.abs(w - coeff[sector] * u) ** 2)
+    if not (np.isfinite(coeff).all() and np.isfinite(residual).all()):
+        raise InvariantViolationError("sector probe produced a non-finite intermediate")
     if np.sqrt(residual.max()) > EPS_RANGE:
         return 0.0
-    return 1.0 / float(np.sum(np.abs(coeff) ** 2))
+    with np.errstate(over="ignore"):  # an overflow to inf returns 1 / inf = 0.0
+        return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))  # 1 / sum_s |c_s|^2
 
 
 def default_subinterval_nodes(half_width, n):

@@ -435,3 +435,25 @@ def test_decomposition_weights_use_their_own_tolerance():
         else:
             with pytest.raises(InvariantViolationError):
                 SeparableChoiDecomposition(sigma, atoms, target)
+
+
+def test_holevo_apply_takes_forms_checked_at_their_own_tolerance():
+    # a form accepted at the extraction tolerance may miss completeness by more
+    # than 1e-10; the check belongs to HolevoForm, not to every application
+    w = window(2)
+    out = StateOperator(w, np.eye(2) / 2)
+    m_op = MatrixOperator(w, [[1.0, 5e-10], [5e-10, 1.0]])
+    form = HolevoForm([(m_op, out)], povm_tol=1e-8)
+    rho = StateOperator(w, np.diag([0.25, 0.75]))
+    assert np.abs(holevo_apply(form, rho).entries - out.entries).max() < 1e-12
+
+
+def test_decomposition_reconstruction_is_the_weighted_atom_sum(rng):
+    form = random_holevo_form(rng, 3, 2, 3)
+    sigma = random_full_rank_state(rng, 3)
+    decomposition = separable_choi_from_holevo(form, sigma)
+    want = sum(w * np.outer(np.kron(phi.amplitudes, psi.amplitudes),
+                            np.kron(phi.amplitudes, psi.amplitudes).conj())
+               for w, phi, psi in decomposition.atoms)
+    assert decomposition.reconstruction() is decomposition.reconstruction()
+    assert np.abs(decomposition.reconstruction().entries - want).max() < 1e-14

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from eblab import MatrixOperator, ModeWindow, StateOperator, jsonio, phi_profile
 from eblab.cli import main
@@ -299,3 +300,24 @@ def test_import_does_not_load_scipy():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
+    # --sigma belongs to eb-report; --base, --grid and --tol to capacity;
+    # --nodes to channel-apply and eb-report
+    for args in (("probe", "--phi", "two-mode", "--k", "1", "--sigma", "mixed"),
+                 ("capacity", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
+                 ("rho12", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
+                 ("probe", "--phi", "two-mode", "--k", "1", "--grid", "8"),
+                 ("eb-report", "--phi", "two-mode", "--k", "1", "--tol", "1e-6"),
+                 ("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "s.json",
+                  "--base", "2")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(args))
+        assert exit_info.value.code == 2, args
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for args in (("probe", "--phi", "two-mode", "--k", "1", "--sigma", "mixed"),
+                 ("capacity", "--phi", "two-mode", "--k", "1", "--nodes", "9")):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr

@@ -3,6 +3,7 @@ import pytest
 
 from eblab import (
     HolevoForm,
+    InvariantViolationError,
     MatrixOperator,
     ModeWindow,
     ProductMeasure,
@@ -150,3 +151,18 @@ def test_csv_text_formatting():
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.5,true"
     assert lines[2].startswith("2,0.001")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_non_finite_floats_are_never_written(value):
+    with pytest.raises(InvariantViolationError):
+        jsonio.format_float(value)
+    with pytest.raises(InvariantViolationError):
+        jsonio.dumps({"x": [1.0, value]})
+    with pytest.raises(InvariantViolationError):
+        jsonio.csv_text(["a", "b"], [[1, value]])
+
+
+def test_csv_and_json_share_the_float_text():
+    for value in (0.1, 1.0 / 3.0, 1e-300, 2.5e17, -0.0):
+        assert jsonio.csv_text(["x"], [[value]]).splitlines()[1] == jsonio.dumps(value)

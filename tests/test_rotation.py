@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,12 @@ from eblab import (
     apply_closed_form,
     apply_quadrature,
     channel_blocks,
+    choi,
     covariance_residual,
     cp_check,
     decomposability_probe_sweep,
     eb_necessary_test,
+    eig_hermitian,
     holevo_apply,
     holevo_form,
     mu_density,
@@ -398,3 +403,84 @@ def test_rho12_probe_window_mismatch():
     phi = phi_profile("two-mode", 1)
     with pytest.raises(WindowMismatchError):
         rho12_probe(phi, phi, phi_profile("mode(0)", 2), phi)
+
+
+# Largest K at which each geometric(r) fiducial pair still has every nonzero
+# |phi_k phi_l| above the smallest normal double; beyond it the probe must refuse.
+GEOMETRIC_NORMAL = {(0.3, 200), (0.5, 200), (0.5, 496), (0.7, 200), (0.7, 496),
+                    (0.9, 200), (0.9, 496), (0.9, 1000)}
+
+
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("half", [200, 496, 1000])
+def test_rho12_probe_sector_scaling_survives_underflow(ratio, half):
+    # |phi_k phi_l|^2 underflows long before |phi_k phi_l| does (0.3 at K=200,
+    # 0.7 near K=496); the per-sector scaling keeps the bound exact until the
+    # products themselves leave the normal range, and refuses from there on
+    phi = phi_profile(f"geometric({ratio})", half)
+    e0 = phi_profile("mode(0)", half)
+    smallest = np.abs(phi.amplitudes)[phi.amplitudes != 0].min()
+    normal = smallest * smallest >= np.finfo(float).tiny
+    assert normal == ((ratio, half) in GEOMETRIC_NORMAL)
+    if normal:
+        assert abs(rho12_probe(phi, phi, phi, phi) * (4 * half + 1) - 1.0) < 1e-14
+        assert rho12_probe(phi, phi, e0, e0) == 0.0
+    else:
+        with pytest.raises(InvariantViolationError):
+            rho12_probe(phi, phi, phi, phi)
+        with pytest.raises(InvariantViolationError):
+            rho12_probe(phi, phi, e0, e0)
+
+
+def _run_probe(*args):
+    return subprocess.run([sys.executable, "-W", "error", "-m", "eblab", "probe", *args],
+                          capture_output=True, text=True)
+
+
+def test_probe_cli_geometric_03_at_k200_is_exact_without_warnings(tmp_path):
+    out = tmp_path / "probe.csv"
+    result = _run_probe("--phi", "geometric(0.3)", "--k", "200", "--candidates",
+                        "mode(0),mode(0);geometric(0.3),geometric(0.3)", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = out.read_text().splitlines()
+    assert lines[1] == "200,mode(0)|mode(0),0"
+    assert abs(float(lines[2].split(",")[2]) * 801 - 1.0) < 1e-14
+
+
+def test_probe_cli_past_the_normal_range_exits_3_and_writes_nothing(tmp_path):
+    out = tmp_path / "probe.csv"
+    result = _run_probe("--phi", "geometric(0.3)", "--k", "200,496", "--out", str(out))
+    assert result.returncode == 3
+    assert result.stderr.startswith("invariant violation:")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("half, zero_modes", [(1, ()), (2, (1,)), (3, ())])
+def test_rotation_choi_is_a_rho12(rng, half, zero_modes):
+    # With sigma = diag(lam), choi(B)[(i,k),(j,l)] = sqrt(lam_i lam_j) phi_k conj(phi_l)
+    # delta_{k-l, i-j}; reflecting the first factor (i -> -i) turns the selection
+    # rule into delta_{i+k, j+l}, the rule of rho12(a, phi) with a_i = sqrt(lam_{-i})
+    window = ModeWindow.symmetric(half)
+    d = window.dimension
+    phi = _random_fiducial(rng, half, zero_modes=zero_modes)
+    lam = rng.uniform(0.2, 1.0, size=d)
+    sigma = StateOperator(window, np.diag(lam / lam.sum()))
+    state = choi(channel_blocks(RotationChannel(phi)), sigma)
+    _, basis = eig_hermitian(sigma)  # choi's first factor: sigma's eigenbasis, descending
+    lift = np.kron(basis, np.eye(d))
+    modes = (lift @ state.entries @ lift.conj().T).reshape(d, d, d, d)[::-1, :, ::-1, :]
+    a = PureVector(window, np.sqrt(np.diag(sigma.entries).real[::-1]))
+    want = rho12(a, phi).entries
+    assert np.abs(modes.reshape(d * d, d * d) - want).max() < 1e-14
+
+
+def test_rho12_probe_bound_below_the_double_range_is_zero():
+    # |-2>|-2> is alone in the corner sector, so eps = |v_{-4}|^2 = e^4 / (3 + 2e^2)^2
+    # for edge amplitudes e: about 1.1e-201 at e = 1e-50, below every double at 1e-150
+    corner = phi_profile("mode(-2)", 2)
+    phi = PureVector(ModeWindow.symmetric(2), [1e-50, 1, 1, 1, 1e-50])
+    assert abs(rho12_probe(phi, phi, corner, corner) / (1e-200 / 9.0) - 1.0) < 1e-14
+    phi = PureVector(ModeWindow.symmetric(2), [1e-150, 1, 1, 1, 1e-150])
+    assert rho12_probe(phi, phi, corner, corner) == 0.0
