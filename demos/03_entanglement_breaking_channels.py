@@ -8,6 +8,7 @@ from eblab import (
     ModeWindow,
     StateOperator,
     blocks_from_holevo,
+    choi,
     constant_channel,
     cp_check,
     eb_extract,
@@ -33,9 +34,9 @@ print("transposition map cp:", cp_check(transpose_channel(w)), "(swap spectrum: 
 # breaking candidates from the rest: the identity fails PPT, a constant
 # channel passes.
 sigma = StateOperator.maximally_mixed(w)
-print("\nidentity channel PPT:", eb_necessary_test(identity_channel(w), sigma))
+print("\nidentity channel PPT:", eb_necessary_test(choi(identity_channel(w), sigma)))
 target = StateOperator(w, np.diag([0.5, 0.3, 0.2]))
-print("constant channel PPT:", eb_necessary_test(constant_channel(w, target), sigma))
+print("constant channel PPT:", eb_necessary_test(choi(constant_channel(w, target), sigma)))
 
 # A measure-and-prepare form: measure a POVM, prepare a state per outcome.
 form = HolevoForm([
@@ -48,12 +49,13 @@ print("\nmeasure-and-prepare output diag:",
 
 # Round trip: the Choi state of a measure-and-prepare channel decomposes
 # into pure products, and the decomposition extracts back to an equivalent
-# form (a different atom list, the same channel).
-chan = blocks_from_holevo(form)
+# form (a different atom list, the same channel). The Choi state carries its
+# channel and the reference's eigensystem through both steps.
 sigma_full = StateOperator(w, 0.5 * np.eye(3) / 3 + 0.5 * np.diag([0.5, 0.3, 0.2]))
-decomposition = separable_choi_from_holevo(form, sigma_full)
-extracted = eb_extract(decomposition, chan)
-residual = np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()
+state = choi(blocks_from_holevo(form), sigma_full)
+print("\nreference eigenvalues (descending):", np.round(state.eigenvalues, 6))
+decomposition = separable_choi_from_holevo(form, state)
+extracted, residual = eb_extract(decomposition)
 print("extraction block residual:", residual)
 print("extracted atom count:", len(extracted.atoms), "(grouping by spectral branch)")
 

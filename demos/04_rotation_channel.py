@@ -9,6 +9,7 @@ from eblab import (
     apply_closed_form,
     apply_quadrature,
     channel_blocks,
+    choi,
     covariance_residual,
     eb_necessary_test,
     mu_density,
@@ -45,7 +46,7 @@ print("covariance residuals:", [format(r, ".2e") for r in residuals])
 # The channel is entanglement breaking; its Choi state passes the PPT screen.
 blocks = channel_blocks(channel)
 sigma = StateOperator.maximally_mixed(channel.window)
-print("rotation channel Choi PPT:", eb_necessary_test(blocks, sigma))
+print("rotation channel Choi PPT:", eb_necessary_test(choi(blocks, sigma)))
 
 # Simultaneous orbit averaging of a pure product state: the result keeps
 # only coherences with matched total mode, and partial-interval averages

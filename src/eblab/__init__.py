@@ -45,6 +45,7 @@ from .measures import (
 )
 from .channels import (
     ChannelBlocks,
+    ChoiState,
     HolevoForm,
     KrausRankOne,
     SeparableChoiDecomposition,

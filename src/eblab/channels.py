@@ -198,76 +198,37 @@ def blocks_from_holevo(form):
     return ChannelBlocks(form.in_window, form.out_window, blocks)
 
 
-def _reference_eigensystem(sigma):
-    vals, vecs = eig_hermitian(sigma)
-    if vals[-1] < CHOI_RANK_TOL:
-        raise InvariantViolationError(
-            f"reference state is rank deficient: min eigenvalue {vals[-1]:.3e} < {CHOI_RANK_TOL}")
-    return vals, vecs
+class ChoiState(StateOperator):
+    """Choi state sum_ij sqrt(l_i l_j) |i><j| x Phi(|i><j|) for a full-rank reference.
 
-
-def choi(channel, sigma):
-    """Choi state sum_ij sqrt(l_i l_j) |i><j| x Phi(|i><j|) for full-rank sigma.
-
-    The first tensor factor is expressed in the eigenbasis of sigma
-    (descending eigenvalues); the marginal over the output factor is then
-    diag(l_i). Pass sigma=StateOperator.maximally_mixed(window) for the
-    default reference.
-    """
-    if sigma.window != channel.in_window:
-        raise WindowMismatchError("reference state window differs from the channel input window")
-    lam, basis = _reference_eigensystem(sigma)
-    w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
-    d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
-    entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
-                        optimize=True).reshape(d_in * d_out, d_in * d_out)
-    return StateOperator(ProductWindow(channel.in_window, channel.out_window), entries)
-
-
-def eb_necessary_test(channel, sigma):
-    """(ppt, min_eig_pt) of the Choi state's partial transpose.
-
-    ppt=False certifies the channel is not entanglement breaking;
-    ppt=True is necessary-only evidence.
-    """
-    pt = partial_transpose(choi(channel, sigma))
-    low = min_eigenvalue(pt.entries)
-    return low >= -EPS_PSD, low
-
-
-class SeparableChoiDecomposition:
-    """Pure-product decomposition of a Choi state over a full-rank reference.
-
-    Atoms are (weight, phi, psi) with phi a PureVector whose amplitudes are
-    coordinates in the reference eigenbasis (descending eigenvalues, the
-    same basis choi() uses) and psi a PureVector on the output window. The
-    weighted pure-product sum must reproduce the target Choi state within
-    EXTRACT_TOL in trace distance; this is validated at construction.
+    The first tensor factor is expressed in the reference's eigenbasis
+    (descending eigenvalues, kept as eigenvalues/eigenbasis with the channel
+    and the reference); the marginal over the output factor is diag(l_i).
     """
 
-    def __init__(self, reference, atoms, target):
-        lam, basis = _reference_eigensystem(reference)
-        atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
-        weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
-        vectors = np.stack([np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms])
-        self._reconstruction = StateOperator(target.window,
-                                             (vectors.T * weights) @ vectors.conj())
-        self._reference = reference
-        self._lam = lam
-        self._basis = basis
-        self._atoms = tuple(atoms)
-        residual = trace_norm_distance(self._reconstruction, target)
-        if residual > EXTRACT_TOL:
+    def __init__(self, channel, reference):
+        if reference.window != channel.in_window:
+            raise WindowMismatchError("reference state window differs from the channel input window")
+        lam, basis = eig_hermitian(reference)
+        if lam[-1] < CHOI_RANK_TOL:
             raise InvariantViolationError(
-                f"decomposition misses the Choi target by {residual:.3e} > {EXTRACT_TOL}")
+                f"reference state is rank deficient: min eigenvalue {lam[-1]:.3e} < {CHOI_RANK_TOL}")
+        w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
+        d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
+        entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
+                            optimize=True).reshape(d_in * d_out, d_in * d_out)
+        super().__init__(ProductWindow(channel.in_window, channel.out_window), entries)
+        lam.setflags(write=False)
+        basis.setflags(write=False)
+        self._channel, self._reference, self._lam, self._basis = channel, reference, lam, basis
+
+    @property
+    def channel(self):
+        return self._channel
 
     @property
     def reference(self):
         return self._reference
-
-    @property
-    def atoms(self):
-        return self._atoms
 
     @property
     def eigenvalues(self):
@@ -277,21 +238,67 @@ class SeparableChoiDecomposition:
     def eigenbasis(self):
         return self._basis
 
+
+def choi(channel, sigma):
+    """The ChoiState of channel over sigma; StateOperator.maximally_mixed is the usual reference."""
+    return ChoiState(channel, sigma)
+
+
+def eb_necessary_test(state):
+    """(ppt, min_eig_pt) of a Choi state's partial transpose.
+
+    ppt=False certifies the channel is not entanglement breaking;
+    ppt=True is necessary-only evidence.
+    """
+    low = min_eigenvalue(partial_transpose(state).entries)
+    return low >= -EPS_PSD, low
+
+
+class SeparableChoiDecomposition:
+    """Pure-product decomposition of a ChoiState target.
+
+    Atoms are (weight, phi, psi) with phi a PureVector whose amplitudes are
+    coordinates in the target's reference eigenbasis and psi a PureVector on
+    the output window. The weighted sum must reproduce the target within
+    EXTRACT_TOL in trace distance; this is validated at construction.
+    """
+
+    def __init__(self, target, atoms):
+        atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
+        weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
+        vectors = np.stack([np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms])
+        self._reconstruction = StateOperator(target.window,
+                                             (vectors.T * weights) @ vectors.conj())
+        self._target = target
+        self._atoms = tuple(atoms)
+        residual = trace_norm_distance(self._reconstruction, target)
+        if residual > EXTRACT_TOL:
+            raise InvariantViolationError(
+                f"decomposition misses the Choi target by {residual:.3e} > {EXTRACT_TOL}")
+
+    @property
+    def target(self):
+        return self._target
+
+    @property
+    def atoms(self):
+        return self._atoms
+
     def reconstruction(self):
         return self._reconstruction
 
 
-def separable_choi_from_holevo(form, sigma):
-    """Known product decomposition of the Choi state of a Holevo-form channel.
+def separable_choi_from_holevo(form, target):
+    """Known product decomposition of the ChoiState target from a Holevo form of its channel.
 
     Each POVM atom contributes the left factor sqrt(sigma) conj(M_b) sqrt(sigma)
     (in the reference eigenbasis); spectral branches of both factors become
-    pure-product atoms.
+    pure-product atoms. A form of another channel fails validation.
     """
-    channel = blocks_from_holevo(form)
-    target = choi(channel, sigma)
-    lam, basis = _reference_eigensystem(sigma)
-    root = np.sqrt(lam)
+    if target.window != ProductWindow(form.in_window, form.out_window):
+        raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
+    basis = target.eigenbasis
+    root = np.sqrt(target.eigenvalues)
     atoms = []
     for m_op, rho_out in form.atoms:
         m_eig = basis.conj().T @ m_op.entries @ basis
@@ -303,48 +310,34 @@ def separable_choi_from_holevo(form, sigma):
                 atoms.append((c_vals[r] * d_vals[s],
                               PureVector(form.in_window, c_vecs[:, r]),
                               PureVector(form.out_window, d_vecs[:, s])))
-    return SeparableChoiDecomposition(sigma, atoms, target)
+    return SeparableChoiDecomposition(target, atoms)
 
 
-def eb_extract(decomposition, channel):
-    """Holevo form from a separable Choi decomposition of the channel.
+def eb_extract(decomposition):
+    """(form, block_residual): the Holevo form of a separable Choi decomposition's channel.
 
     Each decomposition atom yields the POVM element
     w * sigma^{-1/2} |conj(phi)><conj(phi)| sigma^{-1/2} (conjugation taken
     in the reference eigenbasis, then rotated back to the mode basis) paired
-    with the prepared output |psi><psi|. The result is verified against the
-    channel on every matrix unit; failure raises ExtractionInconsistentError
-    with the worst block residual.
+    with the prepared output |psi><psi|. The form is verified against the
+    target's channel on every matrix unit; failure raises
+    ExtractionInconsistentError with the worst block residual.
     """
-    sigma = decomposition.reference
-    if sigma.window != channel.in_window:
-        raise WindowMismatchError("decomposition reference and channel input windows differ")
-    target = choi(channel, sigma)
-    residual = trace_norm_distance(decomposition.reconstruction(), target)
-    if residual > EXTRACT_TOL:
-        raise InvariantViolationError(
-            f"decomposition does not match this channel's Choi state: "
-            f"trace distance {residual:.3e} > {EXTRACT_TOL}")
-    lam = decomposition.eigenvalues
-    basis = decomposition.eigenbasis
-    inv_root = lam ** -0.5
+    target = decomposition.target
+    channel = target.channel
+    basis = target.eigenbasis
+    inv_root = target.eigenvalues ** -0.5
     atoms = []
     for w, phi, psi in decomposition.atoms:
         v = inv_root * phi.amplitudes.conj()
-        m_eig = w * np.outer(v, v.conj())
-        m_win = basis @ m_eig @ basis.conj().T
+        m_win = basis @ (w * np.outer(v, v.conj())) @ basis.conj().T
         atoms.append((MatrixOperator(channel.in_window, m_win), psi.projector()))
-    total = sum(m_op.entries for m_op, _ in atoms)
-    povm_defect = float(np.abs(total - np.eye(channel.in_window.dimension)).max())
-    if povm_defect > EXTRACT_TOL:
-        raise ExtractionInconsistentError("extracted POVM does not resolve the identity",
-                                          povm_defect)
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
     block_residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
     if block_residual > EXTRACT_TOL:
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel on matrix units", block_residual)
-    return form
+    return form, block_residual
 
 
 class KrausRankOne:

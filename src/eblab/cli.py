@@ -35,6 +35,9 @@ def _parse_int_list(text, flag):
         raise SchemaError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
     if not values:
         raise SchemaError(f"{flag} received an empty list")
+    below = [value for value in values if value < 1]
+    if below:
+        raise SchemaError(f"{flag} values must be >= 1, got {below[0]}")
     return values
 
 
@@ -72,9 +75,6 @@ def _resolve_sigma(spec, window):
 
 
 def _check_windows(half_widths, nodes):
-    for half in half_widths:
-        if half < 1:
-            raise SchemaError(f"--k values must be >= 1, got {half}")
     if nodes is not None:
         for half in half_widths:
             if nodes < 4 * half + 1:
@@ -82,21 +82,25 @@ def _check_windows(half_widths, nodes):
                     f"--nodes {nodes} below the exactness floor {4 * half + 1} for K={half}")
 
 
-def _check_size(command, half_widths):
-    """Refuse a --k whose largest dense complex array would exceed MAX_DENSE_BYTES.
+def _check_size(args):
+    """Refuse a request whose largest dense complex array would exceed MAX_DENSE_BYTES.
 
-    rho12 and eb-report build (2K+1)^2-square matrices on the product
-    window at the first K; every subcommand, the O(K^2) probe included,
-    holds (2K+1)^2 entries at the largest K.
+    Every subcommand, the O(K^2) probe included, holds (2K+1)^2 entries at
+    the largest K; rho12 and eb-report build (2K+1)^2-square matrices on the
+    product window at the first K. Quadrature holds nodes x (2K+1) phases in
+    channel-apply and one (2K+1)-square atom per node in eb-report; capacity
+    holds grid x (2K+1) orbit outputs.
     """
-    dims = [2 * half + 1 for half in half_widths]
-    entries = max(dims) ** 2
-    if command in ("rho12", "eb-report"):
-        entries = max(entries, dims[0] ** 4)
-    need = 16 * entries
+    d_first, d_max = 2 * args.k[0] + 1, 2 * max(args.k) + 1
+    eb_report = args.command == "eb-report"
+    need = 16 * max(d_max ** 2,
+                    d_first ** 4 if eb_report or args.command == "rho12" else 0,
+                    (getattr(args, "nodes", None) or 0) * d_first ** (2 if eb_report else 1),
+                    max(getattr(args, "grid", [0])) * d_max)
     if need > MAX_DENSE_BYTES:
-        raise SchemaError(f"--k {','.join(map(str, half_widths))} needs a {need / 2 ** 30:.3g} GiB "
-                          f"array for {command}, above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
+        raise SchemaError(f"{args.command} needs a {need / 2 ** 30:.3g} GiB array for this "
+                          f"--k/--nodes/--grid request, above the {MAX_DENSE_BYTES / 2 ** 30:g} "
+                          "GiB limit")
 
 
 def _emit(text, out_path):
@@ -155,7 +159,8 @@ def cmd_eb_report(args):
         raise SchemaError("eb-report needs --channel <file> or --phi <profile>")
     sigma = _resolve_sigma(args.sigma, channel.in_window)
     is_cp, min_eig_stacked = ch.cp_check(channel)
-    ppt, min_eig_pt = ch.eb_necessary_test(channel, sigma)
+    state = ch.choi(channel, sigma)
+    ppt, min_eig_pt = ch.eb_necessary_test(state)
     report = {
         "cp": bool(is_cp),
         "min_eig_stacked": float(min_eig_stacked),
@@ -163,10 +168,7 @@ def cmd_eb_report(args):
         "min_eig_pt": float(min_eig_pt),
     }
     if form is not None:
-        decomposition = ch.separable_choi_from_holevo(form, sigma)
-        extracted = ch.eb_extract(decomposition, channel)
-        report["extraction_residual"] = float(
-            np.abs(ch.blocks_from_holevo(extracted).blocks - channel.blocks).max())
+        _, report["extraction_residual"] = ch.eb_extract(ch.separable_choi_from_holevo(form, state))
     _emit(jsonio.dumps(report), args.out)
     return EXIT_OK
 
@@ -192,25 +194,26 @@ def cmd_capacity(args):
 
 
 def cmd_rho12(args):
+    """rho12 JSON plus the --n-sweep and --probe CSVs; every output is computed before any is written."""
+    for flag, wanted in (("--n-sweep", args.n_sweep), ("--probe", args.probe)):
+        if wanted and args.out is None:
+            raise SchemaError(f"{flag} needs --out to place the CSV next to the JSON")
     half = args.k[0]
     phi1 = _resolve_phi(args.phi, half)
     phi2 = _resolve_phi(args.phi2, half) if args.phi2 else phi1
-    state = rot.rho12(phi1, phi2)
-    _emit(jsonio.dumps(jsonio.operator_to_json(state)), args.out)
+    # serialized before the sweeps, whose freed temporaries would add to its peak memory
+    text = jsonio.dumps(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
+    siblings = {}
     if args.n_sweep:
-        if args.out is None:
-            raise SchemaError("--n-sweep needs --out to place the CSV next to the JSON")
         product = StateOperator.from_operator(tensor(phi1.projector(), phi2.projector()))
-        rows = []
-        for n in args.n_sweep:
-            approx = rot.rho12_n(phi1, phi2, n)
-            rows.append([n, trace_norm_distance(approx, product)])
-        jsonio.write_text(_sibling_path(args.out, "n_sweep.csv"),
-                          jsonio.csv_text(["n", "trace_distance_to_product"], rows))
+        rows = [[n, trace_norm_distance(rot.rho12_n(phi1, phi2, n), product)]
+                for n in args.n_sweep]
+        siblings["n_sweep.csv"] = jsonio.csv_text(["n", "trace_distance_to_product"], rows)
     if args.probe:
-        if args.out is None:
-            raise SchemaError("--probe needs --out to place the CSV next to the JSON")
-        jsonio.write_text(_sibling_path(args.out, "probe.csv"), _probe_csv(args))
+        siblings["probe.csv"] = _probe_csv(args)
+    _emit(text, args.out)
+    for suffix, csv in siblings.items():
+        jsonio.write_text(_sibling_path(args.out, suffix), csv)
     return EXIT_OK
 
 
@@ -294,7 +297,7 @@ def main(argv=None):
         if args.command in ("rho12", "probe") and args.candidates:
             args.candidates = _parse_candidates(args.candidates)
         _check_windows(args.k, getattr(args, "nodes", None))
-        _check_size(args.command, args.k)
+        _check_size(args)
         return _COMMANDS[args.command](args)
     except (SchemaError, WindowMismatchError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

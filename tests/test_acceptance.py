@@ -20,6 +20,7 @@ from eblab import (
     blocks_from_holevo,
     channel_blocks,
     chi_quantity,
+    choi,
     closed_form_capacity,
     covariance_residual,
     cp_check,
@@ -109,10 +110,10 @@ def test_criterion_4_eb_necessary_test():
         phi = phi_profile("geometric(0.7)", half)
         blocks = channel_blocks(RotationChannel(phi))
         sigma = StateOperator.maximally_mixed(phi.window)
-        ppt, _ = eb_necessary_test(blocks, sigma)
+        ppt, _ = eb_necessary_test(choi(blocks, sigma))
         ppt_ok = ppt_ok and ppt
     w2 = ModeWindow(0, 1)
-    _, low = eb_necessary_test(identity_channel(w2), StateOperator.maximally_mixed(w2))
+    _, low = eb_necessary_test(choi(identity_channel(w2), StateOperator.maximally_mixed(w2)))
     identity_ok = abs(low + 0.5) <= 1e-10
     ok = ppt_ok and identity_ok
     assert _report(4, ok, f"rotation Choi PPT for K<=6: {ppt_ok}; identity channel "
@@ -131,8 +132,8 @@ def test_criterion_5_extraction_round_trip():
         form = random_holevo_form(rng, d_in, d_out, atom_count)
         chan = blocks_from_holevo(form)
         sigma = random_full_rank_state(rng, d_in)
-        decomposition = separable_choi_from_holevo(form, sigma)
-        extracted = eb_extract(decomposition, chan)
+        decomposition = separable_choi_from_holevo(form, choi(chan, sigma))
+        extracted, _ = eb_extract(decomposition)
         worst_block = max(worst_block, float(
             np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()))
         kraus = kraus_rank_one(form)

@@ -3,6 +3,7 @@ import pytest
 
 from eblab import (
     ChannelBlocks,
+    ChoiState,
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
@@ -11,6 +12,7 @@ from eblab import (
     ProductWindow,
     PureVector,
     StateOperator,
+    WindowMismatchError,
     apply,
     apply_matrix,
     apply_with_identity,
@@ -22,6 +24,7 @@ from eblab import (
     dephasing_channel,
     eb_extract,
     eb_necessary_test,
+    eig_hermitian,
     holevo_apply,
     identity_channel,
     kraus_apply,
@@ -246,9 +249,9 @@ def test_npt_choi_admits_no_valid_decomposition(rng):
     w = window(2)
     chan = identity_channel(w)
     sigma = StateOperator.maximally_mixed(w)
-    ppt, _ = eb_necessary_test(chan, sigma)
-    assert not ppt
     target = choi(chan, sigma)
+    ppt, _ = eb_necessary_test(target)
+    assert not ppt
     candidates = []
     # basis products
     candidates.append([(0.25, PureVector(w, np.eye(2)[i]), PureVector(w, np.eye(2)[j]))
@@ -263,26 +266,26 @@ def test_npt_choi_admits_no_valid_decomposition(rng):
     candidates.append(atoms)
     for atom_list in candidates:
         with pytest.raises(InvariantViolationError):
-            SeparableChoiDecomposition(sigma, atom_list, target)
+            SeparableChoiDecomposition(target, atom_list)
 
 
 def test_eb_necessary_test_identity_vs_constant(rng):
     w = window(2)
     sigma = StateOperator.maximally_mixed(w)
-    ppt, low = eb_necessary_test(identity_channel(w), sigma)
+    ppt, low = eb_necessary_test(choi(identity_channel(w), sigma))
     assert not ppt
     assert abs(low + 0.5) < 1e-10
     target = StateOperator(w, random_density(rng, 2))
-    ppt, _ = eb_necessary_test(constant_channel(w, target), sigma)
+    ppt, _ = eb_necessary_test(choi(constant_channel(w, target), sigma))
     assert ppt
 
 
 def test_separable_choi_decomposition_validates(rng):
     form = random_holevo_form(rng, 3, 2, 3)
     sigma = random_full_rank_state(rng, 3)
-    decomposition = separable_choi_from_holevo(form, sigma)
     chan = blocks_from_holevo(form)
     target = choi(chan, sigma)
+    decomposition = separable_choi_from_holevo(form, target)
     recon = decomposition.reconstruction()
     assert np.abs(recon.entries - target.entries).max() < 1e-10
 
@@ -298,8 +301,8 @@ def test_eb_extract_constant_channel(rng):
     chan = constant_channel(w, psi0.projector())
     atoms = [(lam[i], basis_vector(w, i), psi0) for i in range(dim)]
     decomposition = SeparableChoiDecomposition(
-        sigma, atoms, choi(chan, sigma))
-    form = eb_extract(decomposition, chan)
+        choi(chan, sigma), atoms)
+    form, _ = eb_extract(decomposition)
     total = sum(m.entries for m, _ in form.atoms)
     assert np.abs(total - np.eye(dim)).max() < 1e-10
     for m_op, out in form.atoms:
@@ -314,8 +317,8 @@ def test_eb_extract_dephasing_channel():
     chan = dephasing_channel(w)
     atoms = [(lam[i], basis_vector(w, i), basis_vector(w, i)) for i in range(dim)]
     decomposition = SeparableChoiDecomposition(
-        sigma, atoms, choi(chan, sigma))
-    form = eb_extract(decomposition, chan)
+        choi(chan, sigma), atoms)
+    form, _ = eb_extract(decomposition)
     # POVM elements are the basis projectors, outputs the basis states
     got = sorted(form.atoms, key=lambda a: int(np.argmax(np.abs(np.diag(a[0].entries)))))
     for i, (m_op, out) in enumerate(got):
@@ -332,8 +335,8 @@ def test_eb_extract_round_trip_random_forms(rng):
         form = random_holevo_form(rng, d_in, d_out, int(rng.integers(2, 6)))
         chan = blocks_from_holevo(form)
         sigma = random_full_rank_state(rng, d_in)
-        decomposition = separable_choi_from_holevo(form, sigma)
-        extracted = eb_extract(decomposition, chan)
+        decomposition = separable_choi_from_holevo(form, choi(chan, sigma))
+        extracted, _ = eb_extract(decomposition)
         residual = np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()
         assert residual < 1e-8
         for _ in range(3):
@@ -345,10 +348,9 @@ def test_eb_extract_round_trip_random_forms(rng):
 def test_eb_extract_rejects_foreign_decomposition(rng):
     form = random_holevo_form(rng, 3, 2, 3)
     sigma = random_full_rank_state(rng, 3)
-    decomposition = separable_choi_from_holevo(form, sigma)
     other = blocks_from_holevo(random_holevo_form(rng, 3, 2, 3))
     with pytest.raises(InvariantViolationError):
-        eb_extract(decomposition, other)
+        separable_choi_from_holevo(form, choi(other, sigma))
 
 
 def test_kraus_rank_one_dephasing():
@@ -426,15 +428,15 @@ def test_decomposition_weights_use_their_own_tolerance():
     sigma = StateOperator.maximally_mixed(w)
     form = HolevoForm([(MatrixOperator(w, np.diag([1.0, 0.0])), basis_vector(w, 0).projector()),
                        (MatrixOperator(w, np.diag([0.0, 1.0])), basis_vector(w, 1).projector())])
-    exact = separable_choi_from_holevo(form, sigma)
     target = choi(blocks_from_holevo(form), sigma)
+    exact = separable_choi_from_holevo(form, target)
     for scale, accepted in ((1.0 + 5e-11, True), (1.0 + 1e-9, False)):
         atoms = [(scale * weight, phi, psi) for weight, phi, psi in exact.atoms]
         if accepted:
-            SeparableChoiDecomposition(sigma, atoms, target)
+            SeparableChoiDecomposition(target, atoms)
         else:
             with pytest.raises(InvariantViolationError):
-                SeparableChoiDecomposition(sigma, atoms, target)
+                SeparableChoiDecomposition(target, atoms)
 
 
 def test_holevo_apply_takes_forms_checked_at_their_own_tolerance():
@@ -451,9 +453,48 @@ def test_holevo_apply_takes_forms_checked_at_their_own_tolerance():
 def test_decomposition_reconstruction_is_the_weighted_atom_sum(rng):
     form = random_holevo_form(rng, 3, 2, 3)
     sigma = random_full_rank_state(rng, 3)
-    decomposition = separable_choi_from_holevo(form, sigma)
+    decomposition = separable_choi_from_holevo(form, choi(blocks_from_holevo(form), sigma))
     want = sum(w * np.outer(np.kron(phi.amplitudes, psi.amplitudes),
                             np.kron(phi.amplitudes, psi.amplitudes).conj())
                for w, phi, psi in decomposition.atoms)
     assert decomposition.reconstruction() is decomposition.reconstruction()
     assert np.abs(decomposition.reconstruction().entries - want).max() < 1e-14
+
+
+def test_choi_state_carries_its_channel_and_reference(rng):
+    form = random_holevo_form(rng, 3, 2, 3)
+    chan = blocks_from_holevo(form)
+    sigma = random_full_rank_state(rng, 3)
+    state = choi(chan, sigma)
+    assert isinstance(state, ChoiState) and isinstance(state, StateOperator)
+    assert state.channel is chan and state.reference is sigma
+    lam, basis = eig_hermitian(sigma)
+    assert np.array_equal(state.eigenvalues, lam) and np.array_equal(state.eigenbasis, basis)
+    assert np.all(np.diff(state.eigenvalues) <= 0.0)
+
+
+def test_choi_state_attributes_are_read_only(rng):
+    w = window(3)
+    state = choi(identity_channel(w), random_full_rank_state(rng, 3))
+    for name in ("channel", "reference", "eigenvalues", "eigenbasis"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, None)
+    for array in (state.eigenvalues, state.eigenbasis, state.entries):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_eb_extract_returns_the_block_residual_it_checked(rng):
+    for _ in range(3):
+        form = random_holevo_form(rng, 3, 2, 3)
+        chan = blocks_from_holevo(form)
+        decomposition = separable_choi_from_holevo(form, choi(chan, random_full_rank_state(rng, 3)))
+        extracted, residual = eb_extract(decomposition)
+        assert residual == np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()
+
+
+def test_separable_choi_from_holevo_rejects_a_form_on_other_windows(rng):
+    form = random_holevo_form(rng, 3, 2, 3)
+    other = choi(identity_channel(window(2)), StateOperator.maximally_mixed(window(2)))
+    with pytest.raises(WindowMismatchError):
+        separable_choi_from_holevo(form, other)

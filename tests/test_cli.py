@@ -321,3 +321,62 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
         result = run_cli(*args)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("capacity", "--phi", "two-mode", "--k", "1", "--grid", str(10 ** 15)),
+    ("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "unread.json",
+     "--nodes", str(10 ** 15)),
+    ("eb-report", "--phi", "two-mode", "--k", "1", "--nodes", str(10 ** 15)),
+])
+def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
+    # grid x (2K+1) orbit outputs, nodes x (2K+1) phases, one (2K+1)-square atom per node
+    result = run_cli(*args)
+    assert_clean_schema_exit(result)
+    assert "GiB" in result.stderr
+
+
+def test_list_values_below_one_exit_2(capsys):
+    # ba_optimize and rho12_n refuse these too, but with exit 3, as if the numbers had failed
+    for args, flag in ((("capacity", "--grid", "4,0"), "--grid"),
+                       (("rho12", "--n-sweep", "1,0", "--out", "unwritten.json"), "--n-sweep"),
+                       (("probe", "--k", "2,-1"), "--k")):
+        assert main([args[0], "--phi", "two-mode", *args[1:]]) == 2
+        assert f"{flag} values must be >= 1" in capsys.readouterr().err
+
+
+def test_eb_report_builds_one_choi_state(tmp_path, monkeypatch):
+    from eblab import channels
+    calls = []
+    real_choi, real_init = channels.choi, channels.ChoiState.__init__
+
+    def counting_choi(*args):
+        calls.append("choi")
+        return real_choi(*args)
+
+    def counting_init(self, *args):
+        calls.append("ChoiState")
+        real_init(self, *args)
+
+    monkeypatch.setattr(channels, "choi", counting_choi)
+    monkeypatch.setattr(channels.ChoiState, "__init__", counting_init)
+    out = tmp_path / "report.json"
+    assert main(["eb-report", "--phi", "two-mode", "--k", "2", "--out", str(out)]) == 0
+    assert calls == ["choi", "ChoiState"]
+    assert "extraction_residual" in jsonio.read_json(str(out))
+
+
+def test_rho12_failed_probe_writes_nothing(tmp_path, capsys):
+    # the probe fails past the double range at K=496; the JSON for K=2 must not be left behind
+    out = tmp_path / "x.json"
+    assert main(["rho12", "--phi", "geometric(0.3)", "--k", "2,496", "--probe",
+                 "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+def test_rho12_sweep_without_out_prints_nothing(capsys):
+    assert main(["rho12", "--phi", "two-mode", "--k", "1", "--n-sweep", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n-sweep needs --out" in captured.err

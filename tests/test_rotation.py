@@ -210,7 +210,7 @@ def test_rotation_choi_is_ppt():
         phi = phi_profile("geometric(0.7)", half)
         blocks = channel_blocks(RotationChannel(phi))
         sigma = StateOperator.maximally_mixed(phi.window)
-        ppt, low = eb_necessary_test(blocks, sigma)
+        ppt, low = eb_necessary_test(choi(blocks, sigma))
         assert ppt, f"K={half}: min PT eigenvalue {low}"
 
 
