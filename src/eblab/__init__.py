@@ -26,6 +26,7 @@ from .hilbert import (
     StateOperator,
     basis_vector,
     eig_hermitian,
+    factored_state,
     min_eigenvalue,
     partial_trace,
     partial_transpose,

@@ -26,6 +26,7 @@ from .hilbert import (
     PureVector,
     StateOperator,
     eig_hermitian,
+    factored_state,
     min_eigenvalue,
     partial_transpose,
     trace_norm_distance,
@@ -259,16 +260,16 @@ class SeparableChoiDecomposition:
 
     Atoms are (weight, phi, psi) with phi a PureVector whose amplitudes are
     coordinates in the target's reference eigenbasis and psi a PureVector on
-    the output window. The weighted sum must reproduce the target within
-    EXTRACT_TOL in trace distance; this is validated at construction.
+    the output window. The weighted sum, kept as a factored state, must
+    reproduce the target within EXTRACT_TOL in trace distance; this is
+    validated at construction.
     """
 
     def __init__(self, target, atoms):
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
         weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
         vectors = np.stack([np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms])
-        self._reconstruction = StateOperator(target.window,
-                                             (vectors.T * weights) @ vectors.conj())
+        self._reconstruction = factored_state(target.window, vectors.T * np.sqrt(weights))
         self._target = target
         self._atoms = tuple(atoms)
         residual = trace_norm_distance(self._reconstruction, target)

@@ -20,7 +20,13 @@ from . import channels as ch
 from . import jsonio
 from . import rotation as rot
 from .errors import InvariantViolationError, SchemaError, WindowMismatchError
-from .hilbert import StateOperator, min_eigenvalue, tensor, trace_norm_distance
+from .hilbert import (
+    ProductWindow,
+    StateOperator,
+    factored_state,
+    min_eigenvalue,
+    trace_norm_distance,
+)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -205,7 +211,8 @@ def cmd_rho12(args):
     text = jsonio.dumps(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
     siblings = {}
     if args.n_sweep:
-        product = StateOperator.from_operator(tensor(phi1.projector(), phi2.projector()))
+        product = factored_state(ProductWindow(phi1.window, phi2.window),
+                                 np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
         rows = [[n, trace_norm_distance(rot.rho12_n(phi1, phi2, n), product)]
                 for n in args.n_sweep]
         siblings["n_sweep.csv"] = jsonio.csv_text(["n", "trace_distance_to_product"], rows)

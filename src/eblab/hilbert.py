@@ -16,11 +16,16 @@ import numpy as np
 from .errors import InvariantViolationError, WindowMismatchError
 
 EPS_PSD = 1e-10      # slack on minimum eigenvalues of nominally PSD matrices
+                     # absolute: not scaled by the matrix norm
 EPS_HERM = 1e-12     # max-entry slack for Hermiticity checks
+                     # absolute: not scaled by the largest entry
 EPS_TRACE = 1e-10    # slack for unit-trace checks
-EPS_SUPPORT = 1e-12  # eigenvalues at or below this count as zero support; the dense
-                     # domination probe scales it by the largest eigenvalue
+                     # absolute, on a trace whose target is 1
+EPS_SUPPORT = 1e-12  # eigenvalues at or below this count as zero support
+                     # absolute in relative_entropy and the BA optimizer; the dense
+                     # domination probe makes it relative to the largest eigenvalue
 EPS_RANGE = 1e-10    # a unit vector whose part off a support has a larger norm is out of range
+                     # absolute, on unit vectors, so relative to the vector norm
 
 
 @dataclass(frozen=True)
@@ -126,25 +131,17 @@ class StateOperator(MatrixOperator):
     Construction symmetrizes the entries, rejects matrices whose minimum
     eigenvalue is below -EPS_PSD, clips eigenvalues in [-EPS_PSD, 0) to
     zero and renormalizes the trace, so round-off from quadrature never
-    invalidates a state.
+    invalidates a state. factored_state builds a low-rank state from a
+    factor instead, without the dense eigensolve.
     """
+
+    _factor = None
 
     def __init__(self, window, entries):
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolationError(f"state entries must be square, got {m.shape}")
-        herm_defect = float(np.abs(m - m.conj().T).max())
-        if herm_defect > EPS_HERM:
-            raise InvariantViolationError(
-                f"state not Hermitian: max |A - A^dag| = {herm_defect:.3e} > {EPS_HERM}")
-        m = 0.5 * (m + m.conj().T)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > EPS_TRACE:
-            raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
-        low = min_eigenvalue(m)
-        if low < -EPS_PSD:
-            raise InvariantViolationError(
-                f"state not positive: min eigenvalue {low:.3e} < -{EPS_PSD}")
+        m, low = _checked_state(m)
         if low < 0.0:
             vals, vecs = np.linalg.eigh(m)
             vals = np.clip(vals, 0.0, None)
@@ -153,15 +150,65 @@ class StateOperator(MatrixOperator):
             m = m / np.trace(m).real
         super().__init__(window, m)
 
-    @classmethod
-    def maximally_mixed(cls, window):
-        d = window.dimension
-        return cls(window, np.eye(d) / d)
+    @property
+    def factor(self):
+        """The d x m factor X with entries X X^dag if factored_state built the state, else None."""
+        return self._factor
 
-    @classmethod
-    def from_operator(cls, op):
+    @staticmethod
+    def maximally_mixed(window):
+        d = window.dimension
+        return StateOperator(window, np.eye(d) / d)
+
+    @staticmethod
+    def from_operator(op):
         """Promote a MatrixOperator that already satisfies the state invariants."""
-        return cls(op.window, op.entries)
+        return StateOperator(op.window, op.entries)
+
+
+def _checked_state(m, gram=None):
+    """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks.
+
+    A Gram matrix X^dag X of a factor with m = X X^dag stands in for m in
+    the eigensolve; the two share their nonzero eigenvalues.
+    """
+    herm_defect = float(np.abs(m - m.conj().T).max())
+    if herm_defect > EPS_HERM:
+        raise InvariantViolationError(
+            f"state not Hermitian: max |A - A^dag| = {herm_defect:.3e} > {EPS_HERM}")
+    m = 0.5 * (m + m.conj().T)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > EPS_TRACE:
+        raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
+    low = min_eigenvalue(m if gram is None else gram)
+    if low < -EPS_PSD:
+        raise InvariantViolationError(
+            f"state not positive: min eigenvalue {low:.3e} < -{EPS_PSD}")
+    return m, low
+
+
+def factored_state(window, factor):
+    """The state X X^dag of a d x m factor X, which it keeps as its factor.
+
+    It makes the checks of the StateOperator constructor without a d x d
+    eigensolve when m < d: the minimum eigenvalue is taken on the m x m
+    Gram matrix X^dag X, whose eigenvalues are the state's nonzero ones
+    (the state adds the eigenvalue 0). Non-finite factor entries raise
+    InvariantViolationError. The state is positive by construction, so no
+    clipping runs; entries that are exactly zero are stored as +0.0.
+    """
+    x = np.array(factor, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != window.dimension:
+        raise WindowMismatchError(
+            f"factor shape {x.shape} does not match window dimension {window.dimension}")
+    if not np.isfinite(x).all():
+        raise InvariantViolationError("state factor has non-finite entries")
+    m, _ = _checked_state(x @ x.conj().T, x.conj().T @ x if x.shape[1] < x.shape[0] else None)
+    state = StateOperator.__new__(StateOperator)
+    MatrixOperator.__init__(state, window, m + 0.0)  # -0.0 + 0.0 is +0.0
+    x.setflags(write=False)
+    state._factor = x
+    return state
 
 
 class PureVector:
@@ -252,9 +299,20 @@ def eig_hermitian(op):
 
 
 def trace_norm_distance(a, b):
-    """Half the trace norm of a - b (both Hermitian on the same window)."""
+    """Half the trace norm of a - b (both Hermitian on the same window).
+
+    When both are factored states, a - b = W J W^dag with W = [X_a, X_b] and
+    J = diag(+1, ..., -1, ...). With W = QR its nonzero eigenvalues are
+    those of R J R^dag, which is at most (m_a + m_b)-square.
+    """
     _require_same_window(a, b)
-    diff = a.entries - b.entries
+    fa, fb = getattr(a, "factor", None), getattr(b, "factor", None)
+    if fa is not None and fb is not None:
+        r = np.linalg.qr(np.hstack([fa, fb]), mode="r")
+        signs = np.concatenate([np.ones(fa.shape[1]), -np.ones(fb.shape[1])])
+        diff = (r * signs) @ r.conj().T
+    else:
+        diff = a.entries - b.entries
     diff = 0.5 * (diff + diff.conj().T)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 

@@ -5,6 +5,8 @@ Operator format (simple window):
 Product-window operators replace the flat window fields by
     {"left_window": {...}, "right_window": {...}, "entries": ...}
 where each side is either a flat window or another product descriptor.
+operator_to_json keeps the entries as the complex array, and dumps writes
+such an array a row at a time.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
 """
@@ -60,6 +62,8 @@ def _write(obj, pieces):
                 pieces.append(",")
             _write(value, pieces)
         pieces.append("]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
+        _write_complex_rows(obj, pieces)
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         pieces.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -72,6 +76,21 @@ def _write(obj, pieces):
         pieces.append("null")
     else:
         raise SchemaError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def _write_complex_rows(matrix, pieces):
+    """A complex matrix as rows of [re, im] cells, one "%.17g" template per row.
+
+    "%.17g" % v and format_float(v) give the same bytes for every finite
+    double, so this writes what a per-cell walk would, without building
+    one Python object per number.
+    """
+    floats = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    bad = floats[~np.isfinite(floats)]
+    if bad.size:
+        raise InvariantViolationError(f"refusing to write the non-finite number {float(bad[0])!r}")
+    template = "[" + ",".join(["[%.17g,%.17g]"] * matrix.shape[1]) + "]"
+    pieces.append("[" + ",".join(template % tuple(row.tolist()) for row in floats) + "]")
 
 
 def write_text(path, text):
@@ -91,10 +110,6 @@ def loads(text):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def _entries_to_json(entries):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in entries]
 
 
 def _complex_from_json(cell, context):
@@ -144,7 +159,7 @@ def window_from_json(raw, context="window"):
 
 def operator_to_json(op, extra=None):
     doc = window_to_json(op.window)
-    doc["entries"] = _entries_to_json(op.entries)
+    doc["entries"] = op.entries
     if extra:
         doc.update(extra)
     return doc

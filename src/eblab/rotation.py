@@ -38,6 +38,7 @@ from .hilbert import (
     PureVector,
     StateOperator,
     basis_vector,
+    factored_state,
     trace_norm_distance,
 )
 from .channels import ChannelBlocks, HolevoForm
@@ -131,6 +132,12 @@ def _total_charge(phi1, phi2):
     return np.add.outer(phi1.window.modes(), phi2.window.modes()).reshape(-1)
 
 
+def _sector(phi1, phi2):
+    """Sector index of each product mode: its total charge minus the smallest one."""
+    charge = _total_charge(phi1, phi2)
+    return charge - charge.min()
+
+
 def _diagonal_sums(entries, gap):
     """Table of D_{k-l} over the charge table gap, with D_t = sum_m entries[m, m-t]."""
     d = entries.shape[0]
@@ -197,12 +204,16 @@ def rho12(phi1, phi2):
 
     Entries obey the selection rule
     phi1_{k1} conj(phi1_{l1}) phi2_{k2} conj(phi2_{l2}) delta_{k1+k2, l1+l2};
-    the result is separable by construction and passes the PPT screen.
+    the result is separable by construction and passes the PPT screen. It
+    is the factored state whose column s is v = phi1 x phi2 restricted to
+    the sector of total charge k1 + k2 = s, so every entry off the rule is
+    exactly 0.
     """
-    sums = _total_charge(phi1, phi2)
+    sector = _sector(phi1, phi2)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
-    entries = np.outer(v, v.conj()) * (sums[:, None] == sums[None, :])
-    return StateOperator(ProductWindow(phi1.window, phi2.window), entries)
+    factor = np.zeros((v.size, sector.max() + 1), dtype=complex)
+    factor[np.arange(v.size), sector] = v
+    return factored_state(ProductWindow(phi1.window, phi2.window), factor)
 
 
 def rho12_probe(phi1, phi2, alpha, beta):
@@ -226,8 +237,7 @@ def rho12_probe(phi1, phi2, alpha, beta):
     smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
     if smallest[0] * smallest[1] < np.finfo(float).tiny:
         raise InvariantViolationError("fiducial amplitude products leave the normal double range")
-    charge = _total_charge(phi1, phi2)
-    sector = charge - charge.min()
+    sector = _sector(phi1, phi2)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     w = np.kron(alpha.amplitudes, beta.amplitudes)
     peak = np.zeros(sector.max() + 1)
@@ -257,7 +267,8 @@ def rho12_n(phi1, phi2, n, subinterval_nodes=None):
 
     Uses a uniform rectangle rule with subinterval_nodes points; n = 1 with
     at least 4K + 1 nodes reproduces rho12 exactly. The n rotated copies of
-    this state average back to rho12 (grid union argument).
+    this state average back to rho12 (grid union argument). The state is
+    factored, one column per node.
     """
     if n < 1:
         raise InvariantViolationError("n must be a positive integer")
@@ -266,8 +277,7 @@ def rho12_n(phi1, phi2, n, subinterval_nodes=None):
     xs = (2.0 * np.pi / n) * np.arange(nodes) / nodes
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     rotated = np.exp(1j * np.outer(xs, _total_charge(phi1, phi2))) * v  # row s: V_{x_s} x V_{x_s} v
-    out = rotated.T @ rotated.conj() / nodes
-    return StateOperator(ProductWindow(phi1.window, phi2.window), out)
+    return factored_state(ProductWindow(phi1.window, phi2.window), rotated.T / np.sqrt(nodes))
 
 
 _PROFILE_RE = re.compile(r"^([a-z-]+)(?:\(([^()]*)\))?$")

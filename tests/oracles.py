@@ -4,6 +4,8 @@ Everything here is written with explicit loops and raw numpy, on purpose:
 these routines must not share code paths with the library they check.
 """
 
+import json
+
 import numpy as np
 
 
@@ -123,3 +125,40 @@ def scalar_relative_entropy(p, q):
         if a > 0.0:
             total += a * (np.log(a) - np.log(b))
     return total
+
+
+def selection_rule_rho12(phi1, modes1, phi2, modes2):
+    """rho12 entry by entry: v_i conj(v_j) where the total charges agree, else 0."""
+    v = np.kron(phi1, phi2)
+    charge = [k1 + k2 for k1 in modes1 for k2 in modes2]
+    out = np.zeros((len(v), len(v)), dtype=complex)
+    for i in range(len(v)):
+        for j in range(len(v)):
+            if charge[i] == charge[j]:
+                out[i, j] = v[i] * np.conj(v[j])
+    return out
+
+
+def per_cell_json(obj):
+    """Canonical JSON text written one number at a time with format(v, ".17g").
+
+    A complex 2-D array is walked cell by cell as [re, im] pairs; keys and
+    strings go through json.dumps. Non-finite numbers raise ValueError.
+    """
+    if isinstance(obj, dict):
+        return "{" + ",".join(json.dumps(k) + ":" + per_cell_json(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, np.ndarray):
+        obj = [[[z.real, z.imag] for z in row] for row in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(per_cell_json(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not np.isfinite(obj):
+            raise ValueError(f"non-finite number {obj!r}")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot write {type(obj).__name__}")

@@ -473,6 +473,25 @@ def test_choi_state_carries_its_channel_and_reference(rng):
     assert np.all(np.diff(state.eigenvalues) <= 0.0)
 
 
+def test_state_constructors_on_choi_state_build_plain_states():
+    w = window(3)
+    mixed = ChoiState.maximally_mixed(w)
+    assert type(mixed) is StateOperator and np.allclose(mixed.entries, np.eye(3) / 3)
+    promoted = ChoiState.from_operator(MatrixOperator(w, np.diag([0.5, 0.25, 0.25])))
+    assert type(promoted) is StateOperator
+    assert np.array_equal(promoted.entries, np.diag([0.5, 0.25, 0.25]).astype(complex))
+
+
+def test_reconstruction_is_a_factored_state(rng):
+    form = random_holevo_form(rng, 3, 2, 3)
+    decomposition = separable_choi_from_holevo(form, choi(blocks_from_holevo(form),
+                                                          random_full_rank_state(rng, 3)))
+    weights = np.array([w for w, _, _ in decomposition.atoms])
+    factor = decomposition.reconstruction().factor
+    assert factor.shape == (decomposition.target.window.dimension, len(weights))
+    assert np.allclose(np.linalg.norm(factor, axis=0) ** 2, weights, rtol=0.0, atol=1e-15)
+
+
 def test_choi_state_attributes_are_read_only(rng):
     w = window(3)
     state = choi(identity_channel(w), random_full_rank_state(rng, 3))

@@ -4,7 +4,15 @@ import sys
 import numpy as np
 import pytest
 
-from eblab import MatrixOperator, ModeWindow, StateOperator, jsonio, phi_profile
+from eblab import (
+    MatrixOperator,
+    ModeWindow,
+    ProductWindow,
+    StateOperator,
+    jsonio,
+    phi_profile,
+    rotation,
+)
 from eblab.cli import main
 from conftest import random_density
 
@@ -193,6 +201,36 @@ def test_rho12_two_mode_json_and_sweeps(tmp_path):
     probe_lines = (tmp_path / "rho12.probe.csv").read_text().splitlines()
     assert probe_lines[0] == "K,candidate_id,eps_max"
     assert abs(float(probe_lines[1].split(",")[2]) - 0.25) < 1e-9
+
+
+def test_rho12_n_sweep_runs_no_dense_eigensolve(tmp_path, monkeypatch):
+    sizes = []
+
+    def counted(solver):
+        def wrapper(matrix, *args, **kwargs):
+            sizes.append(np.shape(matrix)[-1])
+            return solver(matrix, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    half = 4
+    assert main(["rho12", "--phi", "geometric(0.7)", "--phi2", "uniform(3)", "--k", str(half),
+                 "--n-sweep", "1,2,4,8", "--out", str(tmp_path / "rho12.json")]) == 0
+    nodes = max(4 * half + 1, 32)
+    assert sizes and max(sizes) == nodes + 1 < (2 * half + 1) ** 2
+
+
+def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    w = ModeWindow.symmetric(1)
+    entries = np.eye(9, dtype=complex) / 9
+    entries[4, 4] = np.nan
+    monkeypatch.setattr(rotation, "rho12",
+                        lambda phi1, phi2: MatrixOperator(ProductWindow(w, w), entries))
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", "two-mode", "--k", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_probe_subcommand_geometric(tmp_path):

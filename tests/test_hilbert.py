@@ -10,7 +10,9 @@ from eblab import (
     StateOperator,
     WindowMismatchError,
     basis_vector,
+    EPS_TRACE,
     eig_hermitian,
+    factored_state,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -293,3 +295,54 @@ def test_pure_vector_rejects_non_finite_norm():
         PureVector(W3, [np.nan, 1.0, 0.0])
     with pytest.raises(InvariantViolationError):
         PureVector(W3, [np.inf, 1.0, 0.0])
+
+
+def random_factor(rng, dim, rank):
+    x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("half, rank", [(1, 1), (1, 5), (2, 3), (4, 6)])
+def test_factored_state_matches_the_dense_state(rng, half, rank):
+    w = ModeWindow.symmetric(half)
+    x = random_factor(rng, w.dimension, rank)
+    state = factored_state(w, x)
+    assert isinstance(state, StateOperator)
+    assert np.array_equal(state.factor, x)
+    assert np.abs(state.entries - StateOperator(w, x @ x.conj().T).entries).max() < 1e-15
+    assert np.array_equal(state.entries, state.entries.conj().T)
+    assert StateOperator(w, state.entries).factor is None
+
+
+def test_factored_state_rejects_bad_factors():
+    w = ModeWindow.symmetric(1)
+    x = np.array([[1.0], [0.0], [0.0]])
+    for bad in (np.nan, np.inf):
+        broken = x.copy()
+        broken[1, 0] = bad
+        with pytest.raises(InvariantViolationError):
+            factored_state(w, broken)
+    with pytest.raises(InvariantViolationError, match="trace"):
+        factored_state(w, x * np.sqrt(1.0 + 2 * EPS_TRACE))
+    factored_state(w, x * np.sqrt(1.0 + 0.5 * EPS_TRACE))
+    with pytest.raises(WindowMismatchError):
+        factored_state(ModeWindow.symmetric(2), x)
+
+
+def test_factored_trace_distance_matches_the_dense_one(rng):
+    for half in (1, 2, 3, 4):
+        w = ModeWindow.symmetric(half)
+        for rank_a in range(1, 7):
+            for rank_b in range(1, 7):
+                xa = random_factor(rng, w.dimension, rank_a)
+                xb = random_factor(rng, w.dimension, rank_b)
+                if rank_a > 1 and rank_b > 1:  # overlapping supports: shared columns
+                    xb[:, :1] = xa[:, :1]
+                    xb /= np.linalg.norm(xb)
+                a, b = factored_state(w, xa), factored_state(w, xb)
+                dense = trace_norm_distance(MatrixOperator(w, a.entries),
+                                            MatrixOperator(w, b.entries))
+                assert abs(trace_norm_distance(a, b) - dense) < 1e-12, (half, rank_a, rank_b)
+            a = factored_state(w, random_factor(rng, w.dimension, rank_a))
+            assert trace_norm_distance(a, a) < 1e-12
+            assert trace_norm_distance(a, factored_state(w, a.factor[:, ::-1])) < 1e-12

@@ -8,6 +8,7 @@ from eblab import (
     ModeWindow,
     ProductMeasure,
     ProductWindow,
+    PureVector,
     SchemaError,
     StateMeasure,
     StateOperator,
@@ -16,7 +17,8 @@ from eblab import (
     rho12,
 )
 from eblab import jsonio
-from conftest import random_density
+from conftest import random_density, random_pure
+from oracles import per_cell_json
 
 
 def test_float_formatting_is_canonical():
@@ -161,8 +163,43 @@ def test_non_finite_floats_are_never_written(value):
         jsonio.dumps({"x": [1.0, value]})
     with pytest.raises(InvariantViolationError):
         jsonio.csv_text(["a", "b"], [[1, value]])
+    for cell in (value, complex(0.0, value)):
+        entries = np.eye(3, dtype=complex)
+        entries[2, 1] = cell
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            jsonio.dumps(jsonio.operator_to_json(MatrixOperator(ModeWindow(0, 2), entries)))
 
 
 def test_csv_and_json_share_the_float_text():
     for value in (0.1, 1.0 / 3.0, 1e-300, 2.5e17, -0.0):
         assert jsonio.csv_text(["x"], [[value]]).splitlines()[1] == jsonio.dumps(value)
+
+
+def test_row_writer_matches_the_per_cell_writer(rng):
+    w = ModeWindow.symmetric(2)
+    docs = [jsonio.operator_to_json(StateOperator(w, random_density(rng, 5)),
+                                    extra={"metadata": {"trace": 1.0, "method": "x"}})]
+    for _ in range(3):
+        phi1 = PureVector(w, random_pure(rng, 5))
+        phi2 = PureVector(w, random_pure(rng, 5))
+        docs.append(jsonio.operator_to_json(rho12(phi1, phi2)))
+    docs.append(jsonio.holevo_to_json(HolevoForm([
+        (MatrixOperator(ModeWindow(0, 1), np.eye(2)),
+         StateOperator(ModeWindow(0, 1), random_density(rng, 2)))])))
+    for doc in docs:
+        assert jsonio.dumps(doc) == per_cell_json(doc)
+
+
+def test_row_writer_matches_the_per_cell_writer_on_edge_values():
+    m = np.array([[-0.0, 5e-324, 1e308],
+                  [1.0 / 3.0, 2.0, -7.0],
+                  [1e16, -1e-300, 123456789.0]])
+    entries = np.empty((3, 3), dtype=complex)
+    entries.real, entries.imag = m, m[::-1, ::-1]
+    entries[1, 1] = complex(2.0, -0.0)
+    doc = jsonio.operator_to_json(MatrixOperator(ModeWindow(0, 2), entries))
+    text = jsonio.dumps(doc)
+    assert text == per_cell_json(doc)
+    assert '"entries":[[[-0,123456789],[4.9406564584124654e-324,' in text
+    assert ',[2,-0],' in text
+    assert np.array_equal(jsonio.operator_from_json(jsonio.loads(text)).entries, entries)

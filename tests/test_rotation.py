@@ -6,7 +6,9 @@ import pytest
 
 from eblab import (
     InvariantViolationError,
+    MatrixOperator,
     ModeWindow,
+    ProductWindow,
     PureVector,
     RotationChannel,
     SchemaError,
@@ -21,6 +23,7 @@ from eblab import (
     decomposability_probe_sweep,
     eb_necessary_test,
     eig_hermitian,
+    factored_state,
     holevo_apply,
     holevo_form,
     mu_density,
@@ -45,6 +48,7 @@ from oracles import (
     grid_orbit_average,
     grid_rho12,
     rho12_n_loop,
+    selection_rule_rho12,
 )
 
 
@@ -238,6 +242,35 @@ def test_rho12_two_mode_analytic_matrix():
     assert np.abs(state.entries[nonzero] - 0.25).max() < 1e-12
     vals = np.sort(np.linalg.eigvalsh(state.entries))[::-1]
     assert np.abs(vals[:4] - np.array([0.5, 0.25, 0.25, 0.0])).max() < 1e-12
+
+
+def test_rho12_off_rule_entries_are_exact_zeros(rng):
+    window = ModeWindow.symmetric(3)
+    phi1 = PureVector(window, random_pure(rng, window.dimension))
+    phi2 = PureVector(window, random_pure(rng, window.dimension))
+    modes = window.modes()
+    state = rho12(phi1, phi2)
+    want = selection_rule_rho12(phi1.amplitudes, modes, phi2.amplitudes, modes)
+    assert np.abs(state.entries - want).max() < 1e-15
+    charge = np.add.outer(modes, modes).reshape(-1)
+    off_rule = charge[:, None] != charge[None, :]
+    parts = state.entries.view(float).reshape(state.entries.shape + (2,))[off_rule]
+    assert (parts == 0.0).all() and not np.signbit(parts).any()  # 0, never -0
+    assert (np.abs(state.entries[~off_rule]) > 0.0).all()
+
+
+def test_rho12_n_sweep_distances_match_the_dense_distance(rng):
+    window = ModeWindow.symmetric(3)
+    phi1 = PureVector(window, random_pure(rng, window.dimension))
+    phi2 = PureVector(window, random_pure(rng, window.dimension))
+    window2 = ProductWindow(window, window)
+    product = factored_state(window2, np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
+    for n in (1, 2, 4, 8):
+        approx = rho12_n(phi1, phi2, n)
+        assert approx.factor is not None
+        dense = trace_norm_distance(MatrixOperator(window2, approx.entries),
+                                    MatrixOperator(window2, product.entries))
+        assert abs(trace_norm_distance(approx, product) - dense) < 1e-12, n
 
 
 def test_rho12_matches_grid_oracle(rng):
