@@ -23,7 +23,7 @@ from .hilbert import (
     shannon_entropy,
 )
 from .measures import StateMeasure, barycenter
-from .rotation import _grid, apply_closed_form
+from .rotation import _nodes, _orbit, apply_closed_form
 
 UPPER_BOUND_SLACK = 1e-9  # optimizer and chi values may exceed the closed form by at most this
 
@@ -123,7 +123,7 @@ def ba_optimize(channel, grid, max_iter=10000, tol=1e-9):
     if grid < 1:
         raise InvariantViolationError("grid must hold at least one phase")
     phi = channel.phi
-    outputs = _grid(phi.window, grid)[1] * phi.amplitudes  # row j is V_{2 pi j / grid} phi
+    outputs = _orbit(phi.window, phi.amplitudes, _nodes(grid))  # row j is V_{2 pi j / grid} phi
     value, iterations, converged, values = _ba_pure_outputs(outputs, max_iter, tol)
     closed = closed_form_capacity(phi)
     return CapacityReport(

@@ -25,6 +25,7 @@ from .hilbert import (
     ProductWindow,
     PureVector,
     StateOperator,
+    _hermitian_part,
     eig_hermitian,
     factored_state,
     min_eigenvalue,
@@ -143,8 +144,8 @@ def dephasing_channel(window):
 class HolevoForm:
     """Finite measure-and-prepare form: POVM atoms M_b paired with output states.
 
-    Each M_b must be positive within EPS_PSD and the atoms must sum to the
-    identity within povm_tol in max-entry norm.
+    Each M_b must be Hermitian within EPS_HERM and positive within EPS_PSD,
+    and the atoms must sum to the identity within povm_tol in max-entry norm.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
@@ -156,7 +157,7 @@ class HolevoForm:
         for m_op, rho_out in atoms:
             if m_op.window != in_window or rho_out.window != out_window:
                 raise WindowMismatchError("all Holevo atoms share the same windows")
-            low = min_eigenvalue(0.5 * (m_op.entries + m_op.entries.conj().T))
+            low = min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom"))
             if low < -EPS_PSD:
                 raise InvariantViolationError(
                     f"POVM atom not positive: min eigenvalue {low:.3e}")

@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from . import jsonio
 from . import rotation as rot
 from .errors import InvariantViolationError, SchemaError, WindowMismatchError
 from .hilbert import (
+    ModeWindow,
     ProductWindow,
     StateOperator,
     factored_state,
@@ -63,13 +65,13 @@ def _parse_candidates(text):
 
 
 def _resolve_phi(spec, half_width):
-    """Profile name, or a path to a pure-vector JSON file."""
+    """Profile name, or a path to a pure-vector JSON file on the window [-K, K]."""
     if spec is None:
         raise SchemaError("--phi is required for this command")
     if os.path.exists(spec) or spec.endswith(".json"):
         psi = jsonio.pure_vector_from_json(jsonio.read_json(spec), context=spec)
-        if psi.window.k_min != -psi.window.k_max:
-            raise SchemaError(f"{spec}: fiducial vector needs a symmetric window")
+        if psi.window != ModeWindow.symmetric(half_width):
+            raise SchemaError(f"{spec}: window is not [-{half_width}, {half_width}] from --k")
         return psi
     return rot.phi_profile(spec, half_width)
 
@@ -226,7 +228,8 @@ def cmd_rho12(args):
 
 def _probe_csv(args):
     """Probe-sweep CSV shared by `probe` and `rho12 --probe`; mode(0)|mode(0) by default."""
-    rows = rot.decomposability_probe_sweep(args.phi, args.phi2 or args.phi, args.k,
+    rows = rot.decomposability_probe_sweep(partial(_resolve_phi, args.phi),
+                                           partial(_resolve_phi, args.phi2 or args.phi), args.k,
                                            args.candidates or [("mode(0)", "mode(0)")])
     return jsonio.csv_text(["K", "candidate_id", "eps_max"],
                            [[r.half_width, r.candidate, r.eps_max] for r in rows])

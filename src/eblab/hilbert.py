@@ -166,17 +166,22 @@ class StateOperator(MatrixOperator):
         return StateOperator(op.window, op.entries)
 
 
+def _hermitian_part(m, what):
+    """(m + m^dag) / 2 after refusing m when max |m - m^dag| exceeds EPS_HERM."""
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > EPS_HERM:
+        raise InvariantViolationError(
+            f"{what} not Hermitian: max |A - A^dag| = {defect:.3e} > {EPS_HERM}")
+    return 0.5 * (m + m.conj().T)
+
+
 def _checked_state(m, gram=None):
     """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks.
 
     A Gram matrix X^dag X of a factor with m = X X^dag stands in for m in
     the eigensolve; the two share their nonzero eigenvalues.
     """
-    herm_defect = float(np.abs(m - m.conj().T).max())
-    if herm_defect > EPS_HERM:
-        raise InvariantViolationError(
-            f"state not Hermitian: max |A - A^dag| = {herm_defect:.3e} > {EPS_HERM}")
-    m = 0.5 * (m + m.conj().T)
+    m = _hermitian_part(m, "state")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > EPS_TRACE:
         raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
@@ -289,11 +294,7 @@ def partial_transpose(op):
 def eig_hermitian(op):
     """Eigenvalues (descending, ties keep solver order) and matching eigenvector columns."""
     m = op.entries if isinstance(op, MatrixOperator) else np.asarray(op, dtype=complex)
-    defect = float(np.abs(m - m.conj().T).max())
-    if defect > EPS_HERM:
-        raise InvariantViolationError(
-            f"eig_hermitian needs a Hermitian matrix: max |A - A^dag| = {defect:.3e}")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    vals, vecs = np.linalg.eigh(_hermitian_part(m, "eig_hermitian input"))
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
 

@@ -79,30 +79,35 @@ class RotationChannel:
         return self._nodes
 
 
-def rotation_phases(window, u):
-    """Diagonal of V_u: e^{iuk} over the window modes."""
-    return np.exp(1j * u * window.modes())
+def _charges(window):
+    """U(1) charge of each row: k on a mode window, k1 + k2 on a product window (np.kron order)."""
+    if isinstance(window, ProductWindow):
+        return np.add.outer(_charges(window.left), _charges(window.right)).reshape(-1)
+    return window.modes()
+
+
+def _nodes(count, span=2.0 * np.pi):
+    """count equispaced angles x_g = span * g / count."""
+    return span * np.arange(count) / count
+
+
+def _orbit(window, amplitudes, xs):
+    """Row g is V_{x_g} v for v = amplitudes; amplitudes 1.0 give the phases e^{i x_g q}."""
+    return np.exp(1j * np.outer(xs, _charges(window))) * amplitudes
 
 
 def rotate_vector(psi, u):
-    return PureVector(psi.window, rotation_phases(psi.window, u) * psi.amplitudes)
+    return PureVector(psi.window, _orbit(psi.window, psi.amplitudes, [u])[0])
 
 
 def rotate_state(rho, u):
-    ph = rotation_phases(rho.window, u)
-    rotated = (ph[:, None] * rho.entries) * ph.conj()[None, :]
-    return StateOperator(rho.window, rotated)
+    ph = _orbit(rho.window, 1.0, [u])[0]
+    return StateOperator(rho.window, (ph[:, None] * rho.entries) * ph.conj()[None, :])
 
 
 def orbit_state(phi, u):
     """Rotated fiducial projector V_u |phi><phi| V_u*."""
     return rotate_vector(phi, u).projector()
-
-
-def _grid(window, nodes):
-    xs = 2.0 * np.pi * np.arange(nodes) / nodes
-    phases = np.exp(1j * np.outer(xs, window.modes()))  # phases[g, k] = e^{i x_g k}
-    return xs, phases
 
 
 def mu_density(channel, rho):
@@ -113,7 +118,7 @@ def mu_density(channel, rho):
     """
     if rho.window != channel.window:
         raise WindowMismatchError("state window differs from the channel window")
-    _, phases = _grid(channel.window, channel.quadrature_nodes)
+    phases = _orbit(channel.window, 1.0, _nodes(channel.quadrature_nodes))
     p = np.real(np.einsum("gm,mn,gn->g", phases.conj(), rho.entries, phases))
     low = float(p.min())
     if low < -DENSITY_CLIP:
@@ -123,18 +128,13 @@ def mu_density(channel, rho):
 
 def _charge_gap(window):
     """Charge table q[k, l] = k - l: rotations scale entry (k, l) by e^{iu q[k, l]}."""
-    modes = window.modes()
-    return np.subtract.outer(modes, modes)
-
-
-def _total_charge(phi1, phi2):
-    """k1 + k2 over the product modes, in np.kron row order."""
-    return np.add.outer(phi1.window.modes(), phi2.window.modes()).reshape(-1)
+    charge = _charges(window)
+    return np.subtract.outer(charge, charge)
 
 
 def _sector(phi1, phi2):
     """Sector index of each product mode: its total charge minus the smallest one."""
-    charge = _total_charge(phi1, phi2)
+    charge = _charges(ProductWindow(phi1.window, phi2.window))
     return charge - charge.min()
 
 
@@ -159,8 +159,7 @@ def apply_quadrature(channel, rho):
     if rho.window != channel.window:
         raise WindowMismatchError("state window differs from the channel window")
     p = mu_density(channel, rho)
-    _, phases = _grid(channel.window, channel.quadrature_nodes)
-    prepared = phases * channel.phi.amplitudes[None, :]  # row g is V_{x_g} phi
+    prepared = _orbit(channel.window, channel.phi.amplitudes, _nodes(channel.quadrature_nodes))
     weights = p / channel.quadrature_nodes
     out = (prepared * weights[:, None]).T @ prepared.conj()
     return StateOperator(channel.window, out)
@@ -189,14 +188,12 @@ def holevo_form(channel):
     the rotated fiducial projectors. holevo_apply of this form coincides
     with apply_quadrature.
     """
-    window = channel.window
-    xs, phases = _grid(window, channel.quadrature_nodes)
-    atoms = []
-    for g, x in enumerate(xs):
-        chi = phases[g]
-        m_op = MatrixOperator(window, np.outer(chi, chi.conj()) / channel.quadrature_nodes)
-        atoms.append((m_op, orbit_state(channel.phi, x)))
-    return HolevoForm(atoms)
+    window, nodes = channel.window, channel.quadrature_nodes
+    xs = _nodes(nodes)
+    prepared = _orbit(window, channel.phi.amplitudes, xs)  # row g is V_{x_g} phi
+    return HolevoForm((MatrixOperator(window, np.outer(chi, chi.conj()) / nodes),
+                       PureVector(window, row).projector())
+                      for chi, row in zip(_orbit(window, 1.0, xs), prepared))
 
 
 def rho12(phi1, phi2):
@@ -257,27 +254,23 @@ def rho12_probe(phi1, phi2, alpha, beta):
         return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))  # 1 / sum_s |c_s|^2
 
 
-def default_subinterval_nodes(half_width, n):
-    """ceil(max(4K+1, 32) / n) nodes per subinterval; union grid stays exact."""
-    return int(np.ceil(max(4 * half_width + 1, 32) / n))
-
-
 def rho12_n(phi1, phi2, n, subinterval_nodes=None):
     """Partial-orbit average over [0, 2pi/n) with density n/(2pi).
 
-    Uses a uniform rectangle rule with subinterval_nodes points; n = 1 with
-    at least 4K + 1 nodes reproduces rho12 exactly. The n rotated copies of
-    this state average back to rho12 (grid union argument). The state is
-    factored, one column per node.
+    Uses a uniform rectangle rule with subinterval_nodes points, by default
+    ceil(max(4K+1, 32) / n) so that the union of the n grids stays exact;
+    n = 1 with at least 4K + 1 nodes reproduces rho12 exactly. The n rotated
+    copies of this state average back to rho12 (grid union argument). The
+    state is factored, one column per node.
     """
     if n < 1:
         raise InvariantViolationError("n must be a positive integer")
     half = max(phi1.window.k_max, phi2.window.k_max)
-    nodes = default_subinterval_nodes(half, n) if subinterval_nodes is None else int(subinterval_nodes)
-    xs = (2.0 * np.pi / n) * np.arange(nodes) / nodes
+    nodes = int(np.ceil(max(4 * half + 1, 32) / n) if subinterval_nodes is None else subinterval_nodes)
+    window = ProductWindow(phi1.window, phi2.window)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
-    rotated = np.exp(1j * np.outer(xs, _total_charge(phi1, phi2))) * v  # row s: V_{x_s} x V_{x_s} v
-    return factored_state(ProductWindow(phi1.window, phi2.window), rotated.T / np.sqrt(nodes))
+    rotated = _orbit(window, v, _nodes(nodes, 2.0 * np.pi / n))  # row s: V_{x_s} x V_{x_s} v
+    return factored_state(window, rotated.T / np.sqrt(nodes))
 
 
 _PROFILE_RE = re.compile(r"^([a-z-]+)(?:\(([^()]*)\))?$")
@@ -341,17 +334,18 @@ class ProbeSweepRow:
 def decomposability_probe_sweep(profile1, profile2, half_widths, candidates):
     """Exact domination bounds of rho12 across window sizes.
 
-    candidates is a sequence of (alpha_profile, beta_profile) name pairs,
-    materialized on each window and probed with rho12_probe, so each row
-    costs O(K^2). Returns one row per (K, candidate); the per-K diagnostic
-    is the maximum over candidates (see sweep_maxima). A shrinking trend
-    is evidence, not proof, against pure-product domination in the
-    untruncated limit.
+    Each fiducial is a profile name or a callable mapping K to a
+    PureVector on [-K, K]. candidates is a sequence of (alpha_profile,
+    beta_profile) name pairs, materialized on each window and probed with
+    rho12_probe, so each row costs O(K^2). Returns one row per (K,
+    candidate); the per-K diagnostic is the maximum over candidates (see
+    sweep_maxima). A shrinking trend is evidence, not proof, against
+    pure-product domination in the untruncated limit.
     """
     rows = []
     for half in half_widths:
-        phi1 = phi_profile(profile1, half)
-        phi2 = phi_profile(profile2, half)
+        phi1, phi2 = (p(half) if callable(p) else phi_profile(p, half)
+                      for p in (profile1, profile2))
         for alpha_spec, beta_spec in candidates:
             eps = rho12_probe(phi1, phi2, phi_profile(alpha_spec, half),
                               phi_profile(beta_spec, half))

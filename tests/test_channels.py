@@ -517,3 +517,13 @@ def test_separable_choi_from_holevo_rejects_a_form_on_other_windows(rng):
     other = choi(identity_channel(window(2)), StateOperator.maximally_mixed(window(2)))
     with pytest.raises(WindowMismatchError):
         separable_choi_from_holevo(form, other)
+
+
+def test_holevo_form_rejects_non_hermitian_atom():
+    # I/2 + B and I/2 - B sum to I and have positive Hermitian parts; B is anti-Hermitian
+    w = window(2)
+    b = np.array([[0.0, 1e-3], [-1e-3, 0.0]])
+    out = basis_vector(w, 0).projector()
+    with pytest.raises(InvariantViolationError, match="POVM atom not Hermitian"):
+        HolevoForm([(MatrixOperator(w, 0.5 * np.eye(2) + b), out),
+                    (MatrixOperator(w, 0.5 * np.eye(2) - b), out)])

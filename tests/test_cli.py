@@ -8,6 +8,7 @@ from eblab import (
     MatrixOperator,
     ModeWindow,
     ProductWindow,
+    PureVector,
     StateOperator,
     jsonio,
     phi_profile,
@@ -418,3 +419,41 @@ def test_rho12_sweep_without_out_prints_nothing(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n-sweep needs --out" in captured.err
+
+
+def write_phi(path, phi):
+    jsonio.write_text(str(path), jsonio.dumps(jsonio.pure_vector_to_json(phi)))
+    return str(path)
+
+
+def test_phi_file_must_match_k(tmp_path, capsys):
+    # a K=3 file used to be read as K=3 whatever --k said, mislabelling every row
+    phi = write_phi(tmp_path / "phi3.json", PureVector(ModeWindow.symmetric(3), np.arange(1, 8) + 1j))
+    for args in (("capacity", "--phi", phi, "--k", "2,3", "--grid", "4"),
+                 ("eb-report", "--phi", phi, "--k", "2"),
+                 ("channel-apply", "--phi", phi, "--k", "1", "--state", "unread.json"),
+                 ("rho12", "--phi", phi, "--k", "4")):
+        assert main(list(args)) == 2, args
+        assert "is not [-" in capsys.readouterr().err
+    assert main(["capacity", "--phi", phi, "--k", "3", "--grid", "4"]) == 0
+    lopsided = write_phi(tmp_path / "lopsided.json", PureVector(ModeWindow(-1, 2), np.ones(4)))
+    assert main(["eb-report", "--phi", lopsided, "--k", "2"]) == 2
+
+
+def test_probe_reads_a_fiducial_file(tmp_path, capsys):
+    # a file used to reach the sweep as raw text and exit 2 with "unrecognized profile"
+    phi = write_phi(tmp_path / "geo.json", phi_profile("geometric(0.7)", 4))
+    candidates = ["--candidates", "geometric(0.7),geometric(0.7)"]
+
+    def assert_one_seventeenth(lines):
+        assert lines[0] == "K,candidate_id,eps_max" and len(lines) == 2
+        assert abs(float(lines[1].split(",")[2]) - 1.0 / 17) < 1e-15
+
+    for spec in (phi, "geometric(0.7)"):
+        assert main(["probe", "--phi", spec, "--k", "4", *candidates]) == 0
+        assert_one_seventeenth(capsys.readouterr().out.splitlines())
+    assert main(["rho12", "--phi", phi, "--k", "4", "--probe", *candidates,
+                 "--out", str(tmp_path / "rho12.json")]) == 0
+    assert_one_seventeenth((tmp_path / "rho12.probe.csv").read_text().splitlines())
+    assert main(["probe", "--k", "2"]) == 2  # no --phi: was an AttributeError traceback
+    assert "--phi is required" in capsys.readouterr().err

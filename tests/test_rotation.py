@@ -27,6 +27,7 @@ from eblab import (
     holevo_apply,
     holevo_form,
     mu_density,
+    orbit_state,
     partial_trace,
     partial_transpose,
     phi_profile,
@@ -39,6 +40,7 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
+from eblab.rotation import _charges
 from conftest import random_density, random_pure
 
 from oracles import (
@@ -517,3 +519,37 @@ def test_rho12_probe_bound_below_the_double_range_is_zero():
     assert abs(rho12_probe(phi, phi, corner, corner) / (1e-200 / 9.0) - 1.0) < 1e-14
     phi = PureVector(ModeWindow.symmetric(2), [1e-150, 1, 1, 1, 1e-150])
     assert rho12_probe(phi, phi, corner, corner) == 0.0
+
+
+def test_holevo_form_atoms_are_the_grid_formula_exactly():
+    phi = phi_profile("geometric(0.6)", 3)
+    channel = RotationChannel(phi, 15)
+    modes = channel.window.modes()
+    for g, (m_op, prepared) in enumerate(holevo_form(channel).atoms):
+        chi = np.exp(1j * (2.0 * np.pi * g / 15) * modes)
+        assert np.array_equal(m_op.entries, np.outer(chi, chi.conj()) / 15), g
+        assert np.array_equal(prepared.entries, orbit_state(phi, 2.0 * np.pi * g / 15).entries), g
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rho12_n_factor_is_the_node_formula_exactly(rng, n):
+    w1, w2 = ModeWindow.symmetric(2), ModeWindow.symmetric(3)
+    phi1 = PureVector(w1, random_pure(rng, w1.dimension))
+    phi2 = PureVector(w2, random_pure(rng, w2.dimension))
+    nodes = int(np.ceil(32 / n))  # max(4K + 1, 32) = 32 at K = 3
+    charge = np.add.outer(w1.modes(), w2.modes()).reshape(-1)
+    v = np.kron(phi1.amplitudes, phi2.amplitudes)
+    factor = rho12_n(phi1, phi2, n).factor
+    assert factor.shape == (v.size, nodes)
+    for s in range(nodes):
+        x = (2.0 * np.pi / n) * s / nodes
+        assert np.array_equal(factor[:, s], np.exp(1j * x * charge) * v / np.sqrt(nodes)), s
+
+
+def test_charges_of_a_nested_product_window():
+    a, b, c = ModeWindow.symmetric(1), ModeWindow(0, 2), ModeWindow(-3, -2)
+    nested = ProductWindow(ProductWindow(a, b), c)
+    want = np.add.outer(np.add.outer(a.modes(), b.modes()), c.modes()).reshape(-1)
+    assert np.array_equal(_charges(nested), want)
+    assert np.array_equal(_charges(ProductWindow(a, ProductWindow(b, c))), want)
+    assert np.array_equal(_charges(a), a.modes())
