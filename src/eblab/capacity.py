@@ -122,6 +122,8 @@ def ba_optimize(channel, grid, max_iter=10000, tol=1e-9):
     """
     if grid < 1:
         raise InvariantViolationError("grid must hold at least one phase")
+    if max_iter < 1:
+        raise InvariantViolationError("max_iter must allow at least one iteration")
     phi = channel.phi
     outputs = _orbit(phi.window, phi.amplitudes, _nodes(grid))  # row j is V_{2 pi j / grid} phi
     value, iterations, converged, values = _ba_pure_outputs(outputs, max_iter, tol)

@@ -56,12 +56,12 @@ class ChannelBlocks:
             raise InvariantViolationError(
                 f"blocks shape {b.shape} does not match windows ({d_in}, {d_in}, {d_out}, {d_out})")
         herm = float(np.abs(b - b.conj().transpose(1, 0, 3, 2)).max())
-        if herm > EPS_HERM:
+        if not herm <= EPS_HERM:
             raise InvariantViolationError(
                 f"block family not Hermitian: max residual {herm:.3e} > {EPS_HERM}")
         traces = np.einsum("ijkk->ij", b)
         tp = float(np.abs(traces - np.eye(d_in)).max())
-        if tp > EPS_TRACE:
+        if not tp <= EPS_TRACE:
             raise InvariantViolationError(
                 f"block family not trace preserving: max |Tr B_ij - delta_ij| = {tp:.3e}")
         b.setflags(write=False)
@@ -158,12 +158,12 @@ class HolevoForm:
             if m_op.window != in_window or rho_out.window != out_window:
                 raise WindowMismatchError("all Holevo atoms share the same windows")
             low = min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom"))
-            if low < -EPS_PSD:
+            if not low >= -EPS_PSD:
                 raise InvariantViolationError(
                     f"POVM atom not positive: min eigenvalue {low:.3e}")
         total = sum(m_op.entries for m_op, _ in atoms)
         defect = float(np.abs(total - np.eye(in_window.dimension)).max())
-        if defect > povm_tol:
+        if not defect <= povm_tol:
             raise InvariantViolationError(
                 f"POVM incomplete: max |sum M - I| = {defect:.3e} > {povm_tol}")
         self._atoms = tuple((m_op, rho_out) for m_op, rho_out in atoms)
@@ -274,7 +274,7 @@ class SeparableChoiDecomposition:
         self._target = target
         self._atoms = tuple(atoms)
         residual = trace_norm_distance(self._reconstruction, target)
-        if residual > EXTRACT_TOL:
+        if not residual <= EXTRACT_TOL:
             raise InvariantViolationError(
                 f"decomposition misses the Choi target by {residual:.3e} > {EXTRACT_TOL}")
 
@@ -288,6 +288,12 @@ class SeparableChoiDecomposition:
 
     def reconstruction(self):
         return self._reconstruction
+
+
+def _branches(matrix):
+    """(eigenvalue, eigenvector) pairs of a Hermitian matrix above ATOM_DROP_TOL, descending."""
+    vals, vecs = eig_hermitian(matrix)
+    return [(vals[r], vecs[:, r]) for r in np.flatnonzero(vals > ATOM_DROP_TOL)]
 
 
 def separable_choi_from_holevo(form, target):
@@ -305,25 +311,22 @@ def separable_choi_from_holevo(form, target):
     for m_op, rho_out in form.atoms:
         m_eig = basis.conj().T @ m_op.entries @ basis
         left = (root[:, None] * m_eig.conj()) * root[None, :]
-        c_vals, c_vecs = eig_hermitian(MatrixOperator(form.in_window, left))
-        d_vals, d_vecs = eig_hermitian(rho_out)
-        for r in np.flatnonzero(c_vals > ATOM_DROP_TOL):
-            for s in np.flatnonzero(d_vals > ATOM_DROP_TOL):
-                atoms.append((c_vals[r] * d_vals[s],
-                              PureVector(form.in_window, c_vecs[:, r]),
-                              PureVector(form.out_window, d_vecs[:, s])))
+        outputs = [(d, PureVector(form.out_window, v)) for d, v in _branches(rho_out.entries)]
+        for c, v in _branches(left):
+            phi = PureVector(form.in_window, v)
+            atoms.extend((c * d, phi, psi) for d, psi in outputs)
     return SeparableChoiDecomposition(target, atoms)
 
 
 def eb_extract(decomposition):
     """(form, block_residual): the Holevo form of a separable Choi decomposition's channel.
 
-    Each decomposition atom yields the POVM element
-    w * sigma^{-1/2} |conj(phi)><conj(phi)| sigma^{-1/2} (conjugation taken
-    in the reference eigenbasis, then rotated back to the mode basis) paired
-    with the prepared output |psi><psi|. The form is verified against the
-    target's channel on every matrix unit; failure raises
-    ExtractionInconsistentError with the worst block residual.
+    Each decomposition atom yields the rank-one POVM element w |u><u| with
+    u = B Lambda^{-1/2} conj(phi), where sigma = B Lambda B^dag and phi's
+    coordinates are in the eigenbasis B, paired with the prepared output
+    |psi><psi|. The form is verified against the target's channel on every
+    matrix unit; failure raises ExtractionInconsistentError with the worst
+    block residual.
     """
     target = decomposition.target
     channel = target.channel
@@ -331,12 +334,12 @@ def eb_extract(decomposition):
     inv_root = target.eigenvalues ** -0.5
     atoms = []
     for w, phi, psi in decomposition.atoms:
-        v = inv_root * phi.amplitudes.conj()
-        m_win = basis @ (w * np.outer(v, v.conj())) @ basis.conj().T
-        atoms.append((MatrixOperator(channel.in_window, m_win), psi.projector()))
+        u = basis @ (inv_root * phi.amplitudes.conj())
+        atoms.append((MatrixOperator(channel.in_window, w * np.outer(u, u.conj())),
+                      psi.projector()))
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
     block_residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
-    if block_residual > EXTRACT_TOL:
+    if not block_residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel on matrix units", block_residual)
     return form, block_residual
@@ -352,13 +355,15 @@ class KrausRankOne:
             if a.shape != (d_out, d_in):
                 raise InvariantViolationError(
                     f"Kraus operator shape {a.shape} does not match ({d_out}, {d_in})")
+            if not np.isfinite(a).all():  # the SVD would raise LinAlgError
+                raise InvariantViolationError("Kraus operator has non-finite entries")
             singular = np.linalg.svd(a, compute_uv=False)
-            if len(singular) > 1 and singular[1] > KRAUS_RANK_TOL:
+            if len(singular) > 1 and not singular[1] <= KRAUS_RANK_TOL:
                 raise InvariantViolationError(
                     f"Kraus operator has rank > 1: second singular value {singular[1]:.3e}")
         total = sum(a.conj().T @ a for a in ops)
         defect = float(np.abs(total - np.eye(d_in)).max())
-        if defect > EPS_TRACE:
+        if not defect <= EPS_TRACE:
             raise InvariantViolationError(
                 f"Kraus family incomplete: max |sum A^dag A - I| = {defect:.3e}")
         for a in ops:
@@ -396,19 +401,14 @@ def kraus_rank_one(form):
     atom M = sum_r |m_r><m_r| then contributes operators |psi><m_r|.
     Atoms with max-entry norm at or below ATOM_DROP_TOL are dropped as noise.
     """
-    pure_atoms = []
-    for m_op, rho_out in form.atoms:
-        d_vals, d_vecs = eig_hermitian(rho_out)
-        for s in np.flatnonzero(d_vals > ATOM_DROP_TOL):
-            pure_atoms.append((d_vals[s] * m_op.entries, d_vecs[:, s]))
     operators = []
-    for m_entries, psi in pure_atoms:
-        if float(np.abs(m_entries).max()) <= ATOM_DROP_TOL:
-            continue
-        m_vals, m_vecs = eig_hermitian(MatrixOperator(form.in_window, m_entries))
-        for r in np.flatnonzero(m_vals > ATOM_DROP_TOL):
-            factor = np.sqrt(m_vals[r]) * m_vecs[:, r]
-            operators.append(np.outer(psi, factor.conj()))
+    for m_op, rho_out in form.atoms:
+        for d, psi in _branches(rho_out.entries):
+            m_entries = d * m_op.entries
+            if float(np.abs(m_entries).max()) <= ATOM_DROP_TOL:
+                continue
+            operators.extend(np.outer(psi, (np.sqrt(m) * u).conj())
+                             for m, u in _branches(m_entries))
     return KrausRankOne(operators, form.in_window, form.out_window)
 
 

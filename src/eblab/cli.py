@@ -167,16 +167,14 @@ def cmd_eb_report(args):
         raise SchemaError("eb-report needs --channel <file> or --phi <profile>")
     sigma = _resolve_sigma(args.sigma, channel.in_window)
     is_cp, min_eig_stacked = ch.cp_check(channel)
-    state = ch.choi(channel, sigma)
-    ppt, min_eig_pt = ch.eb_necessary_test(state)
-    report = {
-        "cp": bool(is_cp),
-        "min_eig_stacked": float(min_eig_stacked),
-        "ppt": bool(ppt),
-        "min_eig_pt": float(min_eig_pt),
-    }
-    if form is not None:
-        _, report["extraction_residual"] = ch.eb_extract(ch.separable_choi_from_holevo(form, state))
+    report = {"cp": bool(is_cp), "min_eig_stacked": float(min_eig_stacked)}
+    if is_cp:  # a non-CP map has no Choi state to screen or decompose
+        state = ch.choi(channel, sigma)
+        ppt, min_eig_pt = ch.eb_necessary_test(state)
+        report.update(ppt=bool(ppt), min_eig_pt=float(min_eig_pt))
+        if form is not None:
+            _, report["extraction_residual"] = ch.eb_extract(
+                ch.separable_choi_from_holevo(form, state))
     _emit(jsonio.dumps(report), args.out)
     return EXIT_OK
 
@@ -300,8 +298,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
+        if args.command in ("channel-apply", "eb-report") and len(args.k) > 1:
+            raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
         if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
+            if args.max_iter < 1:
+                raise SchemaError(f"--max-iter must be >= 1, got {args.max_iter}")
+            if not 0.0 <= args.tol < math.inf:
+                raise SchemaError(f"--tol must be finite and >= 0, got {args.tol!r}")
         if args.command == "rho12" and args.n_sweep:
             args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
         if args.command in ("rho12", "probe") and args.candidates:

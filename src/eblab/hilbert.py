@@ -169,7 +169,7 @@ class StateOperator(MatrixOperator):
 def _hermitian_part(m, what):
     """(m + m^dag) / 2 after refusing m when max |m - m^dag| exceeds EPS_HERM."""
     defect = float(np.abs(m - m.conj().T).max())
-    if defect > EPS_HERM:
+    if not defect <= EPS_HERM:  # NaN fails too
         raise InvariantViolationError(
             f"{what} not Hermitian: max |A - A^dag| = {defect:.3e} > {EPS_HERM}")
     return 0.5 * (m + m.conj().T)
@@ -183,7 +183,7 @@ def _checked_state(m, gram=None):
     """
     m = _hermitian_part(m, "state")
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > EPS_TRACE:
+    if not abs(tr - 1.0) <= EPS_TRACE:
         raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
     low = min_eigenvalue(m if gram is None else gram)
     if low < -EPS_PSD:
@@ -241,8 +241,8 @@ class PureVector:
         return self._amplitudes
 
     def projector(self):
-        """Rank-one density operator |psi><psi|."""
-        return StateOperator(self._window, np.outer(self._amplitudes, self._amplitudes.conj()))
+        """Rank-one density operator |psi><psi|, factored by psi itself."""
+        return factored_state(self._window, self._amplitudes[:, None])
 
     def __repr__(self):
         return f"PureVector(window={self._window})"

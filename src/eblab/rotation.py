@@ -254,19 +254,19 @@ def rho12_probe(phi1, phi2, alpha, beta):
         return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))  # 1 / sum_s |c_s|^2
 
 
-def rho12_n(phi1, phi2, n, subinterval_nodes=None):
+def rho12_n(phi1, phi2, n):
     """Partial-orbit average over [0, 2pi/n) with density n/(2pi).
 
-    Uses a uniform rectangle rule with subinterval_nodes points, by default
-    ceil(max(4K+1, 32) / n) so that the union of the n grids stays exact;
-    n = 1 with at least 4K + 1 nodes reproduces rho12 exactly. The n rotated
-    copies of this state average back to rho12 (grid union argument). The
-    state is factored, one column per node.
+    Uses a uniform rectangle rule with ceil(max(4K+1, 32) / n) points, so
+    that the union of the n grids stays exact; n = 1 (at least 4K + 1
+    nodes) reproduces rho12 exactly. The n rotated copies of this state
+    average back to rho12 (grid union argument). The state is factored, one
+    column per node.
     """
     if n < 1:
         raise InvariantViolationError("n must be a positive integer")
     half = max(phi1.window.k_max, phi2.window.k_max)
-    nodes = int(np.ceil(max(4 * half + 1, 32) / n) if subinterval_nodes is None else subinterval_nodes)
+    nodes = int(np.ceil(max(4 * half + 1, 32) / n))
     window = ProductWindow(phi1.window, phi2.window)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     rotated = _orbit(window, v, _nodes(nodes, 2.0 * np.pi / n))  # row s: V_{x_s} x V_{x_s} v

@@ -267,3 +267,11 @@ def test_ensemble_is_a_state_measure(rng):
     assert np.array_equal(ensemble.average().entries, barycenter(StateMeasure(atoms)).entries)
     with pytest.raises(InvariantViolationError):
         InputEnsemble([(0.5 + 1e-11, atoms[0][1]), (0.5, atoms[1][1])])
+
+
+def test_ba_optimize_refuses_zero_iterations():
+    # max_iter 0 used to return value 0 after 0 iterations, a number nothing computed
+    channel = RotationChannel(phi_profile("two-mode", 1))
+    with pytest.raises(InvariantViolationError, match="max_iter"):
+        ba_optimize(channel, 2, max_iter=0)
+    assert ba_optimize(channel, 2, max_iter=1).iterations == 1

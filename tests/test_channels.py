@@ -7,6 +7,7 @@ from eblab import (
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
+    KrausRankOne,
     MatrixOperator,
     ModeWindow,
     ProductWindow,
@@ -527,3 +528,50 @@ def test_holevo_form_rejects_non_hermitian_atom():
     with pytest.raises(InvariantViolationError, match="POVM atom not Hermitian"):
         HolevoForm([(MatrixOperator(w, 0.5 * np.eye(2) + b), out),
                     (MatrixOperator(w, 0.5 * np.eye(2) - b), out)])
+
+
+def test_block_family_with_a_nan_entry_is_refused():
+    # the NaN sits off the block diagonal, so only the Hermiticity check sees it
+    blocks = identity_channel(window(2)).blocks.copy()
+    blocks[0, 1, 1, 0] = np.nan
+    with pytest.raises(InvariantViolationError, match="not Hermitian"):
+        ChannelBlocks(window(2), window(2), blocks)
+
+
+def test_kraus_family_with_a_nan_entry_is_refused():
+    w = window(2)
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        KrausRankOne([np.array([[1.0, 0.0], [0.0, np.nan]])], w, w)
+
+
+def branches_loop(matrix):
+    vals, vecs = eig_hermitian(matrix)
+    return [(vals[r], vecs[:, r]) for r in range(len(vals)) if vals[r] > 1e-14]
+
+
+def test_split_atoms_follow_the_descending_branches(rng):
+    # atom order: POVM atom, then left branch, then output branch; Kraus order:
+    # POVM atom, then output branch, then POVM-atom branch
+    for pure_outputs in (False, True):
+        form = random_holevo_form(rng, 3, 2, 3, pure_outputs=pure_outputs)
+        sigma = random_full_rank_state(rng, 3)
+        target = choi(blocks_from_holevo(form), sigma)
+        root = np.sqrt(target.eigenvalues)
+        basis = target.eigenbasis
+        atoms, operators = [], []
+        for m_op, rho_out in form.atoms:
+            m_eig = basis.conj().T @ m_op.entries @ basis
+            for c, phi in branches_loop((root[:, None] * m_eig.conj()) * root[None, :]):
+                for d, psi in branches_loop(rho_out.entries):
+                    atoms.append((c * d, phi, psi))
+            for d, psi in branches_loop(rho_out.entries):
+                for m, u in branches_loop(d * m_op.entries):
+                    operators.append(np.outer(psi, (np.sqrt(m) * u).conj()))
+        split = separable_choi_from_holevo(form, target).atoms
+        assert [w for w, _, _ in split] == [w for w, _, _ in atoms]
+        for (_, phi, psi), (_, phi_ref, psi_ref) in zip(split, atoms):
+            assert np.array_equal(phi.amplitudes, phi_ref / np.linalg.norm(phi_ref))
+            assert np.array_equal(psi.amplitudes, psi_ref / np.linalg.norm(psi_ref))
+        kraus = kraus_rank_one(form).operators
+        assert len(kraus) == len(operators)
+        assert all(np.array_equal(a, b) for a, b in zip(kraus, operators))

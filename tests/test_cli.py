@@ -457,3 +457,67 @@ def test_probe_reads_a_fiducial_file(tmp_path, capsys):
     assert_one_seventeenth((tmp_path / "rho12.probe.csv").read_text().splitlines())
     assert main(["probe", "--k", "2"]) == 2  # no --phi: was an AttributeError traceback
     assert "--phi is required" in capsys.readouterr().err
+
+
+def test_single_k_subcommands_refuse_a_k_list(tmp_path, capsys):
+    # both used to run the first K and drop the rest
+    state = tmp_path / "s1.json"
+    write_state(state, diagonal_state(1, 0.2, 0.5, 0.3))
+    for args in (("channel-apply", "--state", str(state)),
+                 ("channel-apply", "--state", str(state), "--nodes", "9"),
+                 ("eb-report",)):
+        assert main([args[0], "--phi", "two-mode", "--k", "1,3", *args[1:]]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{args[0]} takes a single --k value" in captured.err
+    assert main(["rho12", "--phi", "two-mode", "--k", "1,3", "--probe",
+                 "--out", str(tmp_path / "rho12.json")]) == 0
+    assert len((tmp_path / "rho12.probe.csv").read_text().splitlines()) == 3
+
+
+def test_eb_report_on_a_non_cp_map_reports_only_cp(tmp_path, monkeypatch):
+    # the Choi matrix of the transposition map is no state; the report used to exit 3
+    from eblab import channels, transpose_channel
+    chan_file = tmp_path / "transpose.json"
+    jsonio.write_text(str(chan_file),
+                      jsonio.dumps(jsonio.channel_to_json(transpose_channel(ModeWindow.symmetric(1)))))
+    monkeypatch.setattr(channels, "choi", None)  # must not be reached
+    out = tmp_path / "report.json"
+    assert main(["eb-report", "--channel", str(chan_file), "--k", "1", "--out", str(out)]) == 0
+    report = jsonio.read_json(out)
+    assert list(report) == ["cp", "min_eig_stacked"]
+    assert report["cp"] is False
+    assert abs(report["min_eig_stacked"] + 1.0) < 1e-12
+
+
+def test_capacity_optimizer_flags_out_of_range_exit_2(capsys):
+    base = ["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2"]
+    for flags, message in ((("--max-iter", "0"), "--max-iter must be >= 1"),
+                           (("--max-iter=-3",), "--max-iter must be >= 1"),
+                           (("--tol", "nan"), "--tol must be finite"),
+                           (("--tol", "inf"), "--tol must be finite"),
+                           (("--tol=-1e-9",), "--tol must be finite")):
+        assert main([*base, *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    assert main([*base, "--tol", "0", "--max-iter", "1"]) == 0
+
+
+def test_eb_report_builds_rank_one_states_from_vectors(tmp_path, rng, monkeypatch):
+    # the prepared states of the form and of the extraction are factored
+    # states; only sigma and the Choi state run the dense constructor
+    calls = []
+    real_init = StateOperator.__init__
+
+    def counting_init(self, *args):
+        calls.append(type(self).__name__)
+        real_init(self, *args)
+
+    monkeypatch.setattr(StateOperator, "__init__", counting_init)
+    phi = write_phi(tmp_path / "phi10.json", PureVector(ModeWindow.symmetric(10),
+                                                         rng.normal(size=21) + 1j * rng.normal(size=21)))
+    out = tmp_path / "report.json"
+    assert main(["eb-report", "--phi", phi, "--k", "10", "--out", str(out)]) == 0
+    assert calls == ["StateOperator", "ChoiState"]
+    assert jsonio.read_json(out)["extraction_residual"] < 1e-12

@@ -277,8 +277,7 @@ def test_basis_vector():
 
 
 def test_state_rejects_non_finite_diagonal():
-    # NaN survives the Hermiticity and trace checks, since every comparison
-    # with it is false; the eigenvalue check has to catch it
+    # NaN fails the Hermiticity check, whose comparison is written to be false on NaN
     entries = np.diag([complex(1.0, np.nan), 0.0])
     with pytest.raises(InvariantViolationError):
         StateOperator(W2, entries)
@@ -346,3 +345,28 @@ def test_factored_trace_distance_matches_the_dense_one(rng):
             a = factored_state(w, random_factor(rng, w.dimension, rank_a))
             assert trace_norm_distance(a, a) < 1e-12
             assert trace_norm_distance(a, factored_state(w, a.factor[:, ::-1])) < 1e-12
+
+
+def test_projector_is_the_rank_one_factored_state(rng):
+    # the oracle spells out each entry's rounding; np.outer may fuse the
+    # multiply-add of its complex product (SIMD builds) and so miss by an ulp
+    for half in (0, 1, 3):
+        dim = 2 * half + 1
+        psi = PureVector(ModeWindow.symmetric(half), rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        state = psi.projector()
+        a, b = psi.amplitudes.real, psi.amplitudes.imag
+        exact = np.empty((dim, dim), dtype=complex)
+        exact.real = np.multiply.outer(a, a) + np.multiply.outer(b, b)
+        exact.imag = np.multiply.outer(b, a) - np.multiply.outer(a, b)
+        assert np.array_equal(state.factor, psi.amplitudes[:, None])
+        assert np.array_equal(state.entries, exact)
+        assert np.abs(state.entries - np.outer(psi.amplitudes, psi.amplitudes.conj())).max() < 1e-15
+    entries = basis_vector(W3, 0).projector().entries
+    assert np.array_equal(entries, np.diag([0.0, 1.0, 0.0]))
+    assert not np.signbit(entries.view(float)).any()  # zeros are +0.0
+
+
+def test_eig_hermitian_refuses_nan():
+    # max |A - A^dag| is NaN here; the check used to let it through to eigh
+    with pytest.raises(InvariantViolationError, match="not Hermitian"):
+        eig_hermitian(np.array([[1.0, np.nan], [np.nan, 0.0]]))
