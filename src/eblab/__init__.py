@@ -23,9 +23,11 @@ from .hilbert import (
     ModeWindow,
     ProductWindow,
     PureVector,
+    RankOneOperator,
     StateOperator,
     basis_vector,
     eig_hermitian,
+    factored_min_eigenvalue,
     factored_state,
     min_eigenvalue,
     partial_trace,
@@ -47,6 +49,7 @@ from .measures import (
 from .channels import (
     ChannelBlocks,
     ChoiState,
+    FactoredChannel,
     HolevoForm,
     KrausRankOne,
     SeparableChoiDecomposition,
@@ -75,6 +78,7 @@ from .rotation import (
     channel_blocks,
     covariance_residual,
     decomposability_probe_sweep,
+    factored_channel,
     holevo_form,
     mu_density,
     orbit_state,

@@ -6,6 +6,18 @@ the stacked matrix S[(i,k),(j,l)] = B[i,j][k,l], which is also the Choi
 matrix for an unnormalized maximally entangled reference. The PPT test on
 a (normalized, full-rank-reference) Choi state is the only separability
 screen implemented here; it is necessary-only beyond 2x2 and 2x3.
+
+A FactoredChannel carries factors S = X X^dag and S^(T_out) = X' X'^dag
+instead of the blocks (rotation.factored_channel builds them from the
+U(1) charge sectors, with 4K + 1 columns against (2K+1)^2 rows). Every
+stage then runs on factors: the Choi state is the factored state
+(W^T x I) X with W = B Lambda^(1/2) from the reference sigma = B Lambda B^dag,
+its partial transpose is (W^T x I) X', the minimum eigenvalues of cp_check
+and eb_necessary_test are exactly 0.0 below full rank, POVM atoms that
+carry factors (RankOneOperator) are split without eigensolves, and
+eb_extract reports the operator norm of the stacked-matrix difference
+(which bounds the dense path's max-entry block residual). ChannelBlocks
+stays the dense path for generic input and the oracle for the factored one.
 """
 
 from __future__ import annotations
@@ -24,9 +36,13 @@ from .hilbert import (
     MatrixOperator,
     ProductWindow,
     PureVector,
+    RankOneOperator,
     StateOperator,
+    _difference_eigenvalues,
     _hermitian_part,
+    _init_factored,
     eig_hermitian,
+    factored_min_eigenvalue,
     factored_state,
     min_eigenvalue,
     partial_transpose,
@@ -102,9 +118,61 @@ class ChannelBlocks:
         return self._blocks.transpose(0, 2, 1, 3).reshape(d_in * d_out, d_in * d_out)
 
 
+class FactoredChannel:
+    """Channel given by a factor X of its stacked matrix, S = X X^dag, and a factor X' of S^(T_out).
+
+    S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)] transposes the output factor.
+    The channel is completely positive by construction. Construction checks
+    that both factors are finite and trace preserving, Tr_out S = I (the
+    output partial transpose leaves Tr_out unchanged); nothing
+    (d_in d_out)-square is built. It has no blocks, so apply_matrix and
+    apply_with_identity take ChannelBlocks only.
+    """
+
+    def __init__(self, in_window, out_window, factor, pt_factor):
+        d_in, d_out = in_window.dimension, out_window.dimension
+        factors = []
+        for name, f in (("factor", factor), ("partial-transpose factor", pt_factor)):
+            x = np.array(f, dtype=complex)
+            if x.ndim != 2 or x.shape[0] != d_in * d_out:
+                raise InvariantViolationError(
+                    f"{name} shape {x.shape} does not have {d_in * d_out} rows")
+            if not np.isfinite(x).all():
+                raise InvariantViolationError(f"{name} has non-finite entries")
+            rows = x.reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
+            tp = float(np.abs(rows @ rows.conj().T - np.eye(d_in)).max())
+            if not tp <= EPS_TRACE:
+                raise InvariantViolationError(
+                    f"{name} not trace preserving: max |Tr_out S - I| = {tp:.3e}")
+            x.setflags(write=False)
+            factors.append(x)
+        self._in_window = in_window
+        self._out_window = out_window
+        self._factor, self._pt_factor = factors
+
+    @property
+    def in_window(self):
+        return self._in_window
+
+    @property
+    def out_window(self):
+        return self._out_window
+
+    @property
+    def factor(self):
+        return self._factor
+
+    @property
+    def pt_factor(self):
+        return self._pt_factor
+
+
 def cp_check(channel):
-    """(is_cp, min_eig) from the stacked block matrix."""
-    low = min_eigenvalue(channel.stacked())
+    """(is_cp, min_eig) from the stacked block matrix, or from the factor of a FactoredChannel."""
+    if isinstance(channel, FactoredChannel):
+        low = factored_min_eigenvalue(channel.factor)
+    else:
+        low = min_eigenvalue(channel.stacked())
     return low >= -EPS_PSD, low
 
 
@@ -146,6 +214,9 @@ class HolevoForm:
 
     Each M_b must be Hermitian within EPS_HERM and positive within EPS_PSD,
     and the atoms must sum to the identity within povm_tol in max-entry norm.
+    An atom that carries a factor U_b (RankOneOperator) is positive by
+    construction; when every atom does, completeness is checked as
+    U U^dag = I on U = [U_1, U_2, ...], without building any atom.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
@@ -157,11 +228,16 @@ class HolevoForm:
         for m_op, rho_out in atoms:
             if m_op.window != in_window or rho_out.window != out_window:
                 raise WindowMismatchError("all Holevo atoms share the same windows")
-            low = min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom"))
-            if not low >= -EPS_PSD:
-                raise InvariantViolationError(
-                    f"POVM atom not positive: min eigenvalue {low:.3e}")
-        total = sum(m_op.entries for m_op, _ in atoms)
+            if m_op.factor is None:
+                low = min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom"))
+                if not low >= -EPS_PSD:
+                    raise InvariantViolationError(
+                        f"POVM atom not positive: min eigenvalue {low:.3e}")
+        if any(m_op.factor is None for m_op, _ in atoms):
+            total = sum(m_op.entries for m_op, _ in atoms)
+        else:
+            u = np.hstack([m_op.factor for m_op, _ in atoms])
+            total = u @ u.conj().T
         defect = float(np.abs(total - np.eye(in_window.dimension)).max())
         if not defect <= povm_tol:
             raise InvariantViolationError(
@@ -208,6 +284,8 @@ class ChoiState(StateOperator):
     and the reference); the marginal over the output factor is diag(l_i).
     """
 
+    _pt_factor = None
+
     def __init__(self, channel, reference):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
@@ -217,9 +295,19 @@ class ChoiState(StateOperator):
                 f"reference state is rank deficient: min eigenvalue {lam[-1]:.3e} < {CHOI_RANK_TOL}")
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
-        entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
-                            optimize=True).reshape(d_in * d_out, d_in * d_out)
-        super().__init__(ProductWindow(channel.in_window, channel.out_window), entries)
+        window = ProductWindow(channel.in_window, channel.out_window)
+        if isinstance(channel, FactoredChannel):
+            def congruence(x):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
+                return np.tensordot(w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
+                    d_in * d_out, -1)
+
+            _init_factored(self, window, congruence(channel.factor))
+            self._pt_factor = congruence(channel.pt_factor)
+            self._pt_factor.setflags(write=False)
+        else:
+            entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
+                                optimize=True).reshape(d_in * d_out, d_in * d_out)
+            super().__init__(window, entries)
         lam.setflags(write=False)
         basis.setflags(write=False)
         self._channel, self._reference, self._lam, self._basis = channel, reference, lam, basis
@@ -240,6 +328,11 @@ class ChoiState(StateOperator):
     def eigenbasis(self):
         return self._basis
 
+    @property
+    def pt_factor(self):
+        """Factor of the output partial transpose for a FactoredChannel, else None."""
+        return self._pt_factor
+
 
 def choi(channel, sigma):
     """The ChoiState of channel over sigma; StateOperator.maximally_mixed is the usual reference."""
@@ -250,9 +343,11 @@ def eb_necessary_test(state):
     """(ppt, min_eig_pt) of a Choi state's partial transpose.
 
     ppt=False certifies the channel is not entanglement breaking;
-    ppt=True is necessary-only evidence.
+    ppt=True is necessary-only evidence. A ChoiState of a FactoredChannel
+    is screened on its partial-transpose factor.
     """
-    low = min_eigenvalue(partial_transpose(state).entries)
+    pt = getattr(state, "pt_factor", None)
+    low = min_eigenvalue(partial_transpose(state).entries) if pt is None else factored_min_eigenvalue(pt)
     return low >= -EPS_PSD, low
 
 
@@ -269,8 +364,10 @@ class SeparableChoiDecomposition:
     def __init__(self, target, atoms):
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
         weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
-        vectors = np.stack([np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms])
-        self._reconstruction = factored_state(target.window, vectors.T * np.sqrt(weights))
+        products = [np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms]
+        self._reconstruction = factored_state(target.window,
+                                              np.stack(products, axis=1) * np.sqrt(weights))
+        del products  # the trace distance below holds two more copies of the factor
         self._target = target
         self._atoms = tuple(atoms)
         residual = trace_norm_distance(self._reconstruction, target)
@@ -296,12 +393,21 @@ def _branches(matrix):
     return [(vals[r], vecs[:, r]) for r in np.flatnonzero(vals > ATOM_DROP_TOL)]
 
 
+def _column_branches(factor):
+    """(squared norm, column) pairs of a factor X above ATOM_DROP_TOL; their projectors sum to X X^dag."""
+    weights = np.einsum("ij,ij->j", factor.conj(), factor).real
+    return [(weights[r], factor[:, r]) for r in np.flatnonzero(weights > ATOM_DROP_TOL)]
+
+
 def separable_choi_from_holevo(form, target):
     """Known product decomposition of the ChoiState target from a Holevo form of its channel.
 
     Each POVM atom contributes the left factor sqrt(sigma) conj(M_b) sqrt(sigma)
     (in the reference eigenbasis); spectral branches of both factors become
-    pure-product atoms. A form of another channel fails validation.
+    pure-product atoms. An atom or output state that carries a factor is
+    split along its columns instead, with no eigensolve: the column u of a
+    POVM factor gives the single left branch sqrt(Lambda) conj(B^dag u). A
+    form of another channel fails validation.
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
@@ -309,40 +415,58 @@ def separable_choi_from_holevo(form, target):
     root = np.sqrt(target.eigenvalues)
     atoms = []
     for m_op, rho_out in form.atoms:
-        m_eig = basis.conj().T @ m_op.entries @ basis
-        left = (root[:, None] * m_eig.conj()) * root[None, :]
-        outputs = [(d, PureVector(form.out_window, v)) for d, v in _branches(rho_out.entries)]
-        for c, v in _branches(left):
+        if m_op.factor is None:
+            m_eig = basis.conj().T @ m_op.entries @ basis
+            lefts = _branches((root[:, None] * m_eig.conj()) * root[None, :])
+        else:
+            lefts = _column_branches(root[:, None] * (basis.conj().T @ m_op.factor).conj())
+        if rho_out.factor is None:
+            out_branches = _branches(rho_out.entries)
+        else:
+            out_branches = _column_branches(rho_out.factor)
+        outputs = [(d, PureVector(form.out_window, v)) for d, v in out_branches]
+        for c, v in lefts:
             phi = PureVector(form.in_window, v)
             atoms.extend((c * d, phi, psi) for d, psi in outputs)
     return SeparableChoiDecomposition(target, atoms)
 
 
 def eb_extract(decomposition):
-    """(form, block_residual): the Holevo form of a separable Choi decomposition's channel.
+    """(form, residual): the Holevo form of a separable Choi decomposition's channel.
 
     Each decomposition atom yields the rank-one POVM element w |u><u| with
     u = B Lambda^{-1/2} conj(phi), where sigma = B Lambda B^dag and phi's
     coordinates are in the eigenbasis B, paired with the prepared output
     |psi><psi|. The form is verified against the target's channel on every
-    matrix unit; failure raises ExtractionInconsistentError with the worst
-    block residual.
+    matrix unit: the residual is the worst block entry of the difference.
+    For a FactoredChannel the atoms are RankOneOperators and the residual is
+    the operator norm of A A^dag - X X^dag, with A's columns
+    conj(sqrt(w) u) x psi, taken from one QR of [A, X]; it bounds the
+    max-entry residual and builds no block array. Failure raises
+    ExtractionInconsistentError with the residual.
     """
     target = decomposition.target
     channel = target.channel
+    factored = isinstance(channel, FactoredChannel)
     basis = target.eigenbasis
     inv_root = target.eigenvalues ** -0.5
     atoms = []
     for w, phi, psi in decomposition.atoms:
         u = basis @ (inv_root * phi.amplitudes.conj())
-        atoms.append((MatrixOperator(channel.in_window, w * np.outer(u, u.conj())),
-                      psi.projector()))
+        m_op = (RankOneOperator(channel.in_window, np.sqrt(w) * u) if factored
+                else MatrixOperator(channel.in_window, w * np.outer(u, u.conj())))
+        atoms.append((m_op, psi.projector()))
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
-    block_residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
-    if not block_residual <= EXTRACT_TOL:
+    if factored:
+        stacked = np.hstack([np.kron(m_op.factor.conj(), rho_out.factor)
+                             for m_op, rho_out in form.atoms])
+        residual = float(np.abs(_difference_eigenvalues(stacked, channel.factor)).max())
+    else:
+        residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
+    if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
-            "extracted form disagrees with the channel on matrix units", block_residual)
-    return form, block_residual
+            "extracted form disagrees with the channel on matrix units", residual)
+    return form, residual
 
 
 class KrausRankOne:

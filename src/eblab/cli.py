@@ -94,17 +94,25 @@ def _check_size(args):
     """Refuse a request whose largest dense complex array would exceed MAX_DENSE_BYTES.
 
     Every subcommand, the O(K^2) probe included, holds (2K+1)^2 entries at
-    the largest K; rho12 and eb-report build (2K+1)^2-square matrices on the
-    product window at the first K. Quadrature holds nodes x (2K+1) phases in
-    channel-apply and one (2K+1)-square atom per node in eb-report; capacity
-    holds grid x (2K+1) orbit outputs.
+    the largest K; rho12 and eb-report --channel build (2K+1)^2-square
+    matrices on the product window at the first K, and eb-report --channel
+    one (2K+1)-square atom per node. eb-report --phi holds factors of
+    (2K+1)^2 rows: the widest joins the nodes columns of the extracted form
+    to the 4K + 1 of the channel, next to the nodes x (2K+1) vector atoms.
+    Quadrature holds nodes x (2K+1) phases in channel-apply; capacity holds
+    grid x (2K+1) orbit outputs.
     """
     d_first, d_max = 2 * args.k[0] + 1, 2 * max(args.k) + 1
-    eb_report = args.command == "eb-report"
-    need = 16 * max(d_max ** 2,
-                    d_first ** 4 if eb_report or args.command == "rho12" else 0,
-                    (getattr(args, "nodes", None) or 0) * d_first ** (2 if eb_report else 1),
-                    max(getattr(args, "grid", [0])) * d_max)
+    nodes = getattr(args, "nodes", None) or 0
+    terms = [d_max ** 2, max(getattr(args, "grid", [0])) * d_max]
+    if args.command == "eb-report" and args.channel is None:
+        nodes = nodes or 2 * d_first  # the default 4K + 2
+        terms.append(d_first ** 2 * (nodes + 2 * d_first - 1) + nodes * d_first)
+    elif args.command == "eb-report":
+        terms += [d_first ** 4, nodes * d_first ** 2]
+    else:
+        terms += [d_first ** 4 if args.command == "rho12" else 0, nodes * d_first]
+    need = 16 * max(terms)
     if need > MAX_DENSE_BYTES:
         raise SchemaError(f"{args.command} needs a {need / 2 ** 30:.3g} GiB array for this "
                           f"--k/--nodes/--grid request, above the {MAX_DENSE_BYTES / 2 ** 30:g} "
@@ -161,7 +169,7 @@ def cmd_eb_report(args):
     elif args.phi is not None:
         half = args.k[0]
         channel_obj = rot.RotationChannel(_resolve_phi(args.phi, half), args.nodes)
-        channel = rot.channel_blocks(channel_obj)
+        channel = rot.factored_channel(channel_obj)
         form = rot.holevo_form(channel_obj)
     else:
         raise SchemaError("eb-report needs --channel <file> or --phi <profile>")

@@ -4,7 +4,8 @@ All matrices are dense complex arrays indexed by integer modes k in a
 finite window [k_min, k_max]; bipartite objects carry a product window
 and use lexicographic (left, right) row ordering, matching np.kron.
 Values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads (the lazily
+built entries of a factored operator are at worst built twice).
 """
 
 from __future__ import annotations
@@ -97,7 +98,13 @@ def min_eigenvalue(matrix):
 
 
 class MatrixOperator:
-    """Dense complex matrix tied to a mode window."""
+    """Dense complex matrix tied to a mode window.
+
+    An operator built from a factor X (factored_state, RankOneOperator)
+    keeps X and builds its entries only on first access.
+    """
+
+    _factor = None
 
     def __init__(self, window, entries):
         m = np.array(entries, dtype=complex)
@@ -116,13 +123,55 @@ class MatrixOperator:
 
     @property
     def entries(self):
+        if self._entries is None:
+            m = self._expand()
+            m.setflags(write=False)
+            self._entries = m
         return self._entries
 
+    @property
+    def factor(self):
+        """The d x m factor X with entries X X^dag if the operator was built from one, else None."""
+        return self._factor
+
+    def _expand(self):
+        """Entries from the factor: the Hermitian part of X X^dag, its zeros stored as +0.0."""
+        m = self._factor @ self._factor.conj().T
+        m += m.conj().T  # in place, so at most one transient d x d array is alive
+        m *= 0.5
+        m += 0.0  # -0.0 + 0.0 is +0.0
+        return m
+
     def trace(self):
-        return complex(np.trace(self._entries))
+        return complex(np.trace(self.entries))
 
     def __repr__(self):
         return f"{type(self).__name__}(window={self._window}, dim={self._window.dimension})"
+
+
+class RankOneOperator(MatrixOperator):
+    """The positive operator |v><v| / divisor, kept as its vector v.
+
+    Its factor is the single column v / sqrt(divisor); its entries are
+    built on first access as np.outer(v, conj(v)) / divisor. Non-finite
+    vectors and divisors that are not positive and finite are refused.
+    """
+
+    def __init__(self, window, vector, divisor=1):
+        v = np.array(vector, dtype=complex).reshape(-1)
+        if v.shape[0] != window.dimension:
+            raise WindowMismatchError(
+                f"vector length {v.shape[0]} does not match window dimension {window.dimension}")
+        if not (np.isfinite(v).all() and 0.0 < divisor < np.inf):
+            raise InvariantViolationError("rank-one operator needs a finite vector and divisor > 0")
+        factor = (v / np.sqrt(divisor))[:, None]
+        v.setflags(write=False)
+        factor.setflags(write=False)
+        self._window, self._entries, self._factor = window, None, factor
+        self._vector, self._divisor = v, divisor
+
+    def _expand(self):
+        return np.outer(self._vector, self._vector.conj()) / self._divisor
 
 
 class StateOperator(MatrixOperator):
@@ -134,8 +183,6 @@ class StateOperator(MatrixOperator):
     invalidates a state. factored_state builds a low-rank state from a
     factor instead, without the dense eigensolve.
     """
-
-    _factor = None
 
     def __init__(self, window, entries):
         m = np.array(entries, dtype=complex)
@@ -150,15 +197,13 @@ class StateOperator(MatrixOperator):
             m = m / np.trace(m).real
         super().__init__(window, m)
 
-    @property
-    def factor(self):
-        """The d x m factor X with entries X X^dag if factored_state built the state, else None."""
-        return self._factor
-
     @staticmethod
     def maximally_mixed(window):
+        """I / d; its spectrum is known, so no eigensolve checks it."""
         d = window.dimension
-        return StateOperator(window, np.eye(d) / d)
+        state = StateOperator.__new__(StateOperator)
+        MatrixOperator.__init__(state, window, np.eye(d) / d)
+        return state
 
     @staticmethod
     def from_operator(op):
@@ -175,45 +220,65 @@ def _hermitian_part(m, what):
     return 0.5 * (m + m.conj().T)
 
 
-def _checked_state(m, gram=None):
-    """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks.
-
-    A Gram matrix X^dag X of a factor with m = X X^dag stands in for m in
-    the eigensolve; the two share their nonzero eigenvalues.
-    """
-    m = _hermitian_part(m, "state")
-    tr = float(np.trace(m).real)
+def _require_unit_trace(tr):
     if not abs(tr - 1.0) <= EPS_TRACE:
         raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
-    low = min_eigenvalue(m if gram is None else gram)
+
+
+def _require_positive(low):
+    """low, after refusing it below -EPS_PSD."""
     if low < -EPS_PSD:
         raise InvariantViolationError(
             f"state not positive: min eigenvalue {low:.3e} < -{EPS_PSD}")
-    return m, low
+    return low
 
 
-def factored_state(window, factor):
-    """The state X X^dag of a d x m factor X, which it keeps as its factor.
+def _checked_state(m):
+    """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks."""
+    m = _hermitian_part(m, "state")
+    _require_unit_trace(float(np.trace(m).real))
+    return m, _require_positive(min_eigenvalue(m))
 
-    It makes the checks of the StateOperator constructor without a d x d
-    eigensolve when m < d: the minimum eigenvalue is taken on the m x m
-    Gram matrix X^dag X, whose eigenvalues are the state's nonzero ones
-    (the state adds the eigenvalue 0). Non-finite factor entries raise
-    InvariantViolationError. The state is positive by construction, so no
-    clipping runs; entries that are exactly zero are stored as +0.0.
-    """
+
+def _init_factored(state, window, factor):
+    """Make state the state X X^dag of the d x m factor X, checked on X (see factored_state)."""
     x = np.array(factor, dtype=complex)
     if x.ndim != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
     if not np.isfinite(x).all():
         raise InvariantViolationError("state factor has non-finite entries")
-    m, _ = _checked_state(x @ x.conj().T, x.conj().T @ x if x.shape[1] < x.shape[0] else None)
-    state = StateOperator.__new__(StateOperator)
-    MatrixOperator.__init__(state, window, m + 0.0)  # -0.0 + 0.0 is +0.0
     x.setflags(write=False)
-    state._factor = x
+    state._window, state._entries, state._factor = window, None, x
+    _require_unit_trace(float(np.vdot(x, x).real))
+    d, m = x.shape
+    _require_positive(min_eigenvalue(x.conj().T @ x if m < d else state.entries))
+
+
+def factored_state(window, factor):
+    """The state X X^dag of a d x m factor X, which it keeps as its factor.
+
+    The checks of the StateOperator constructor run on the factor: its
+    entries must be finite, the trace ||X||_F^2 must be 1 within EPS_TRACE,
+    and when m < d the minimum eigenvalue is taken on the m x m Gram matrix
+    X^dag X, whose eigenvalues are the state's nonzero ones (the state adds
+    the eigenvalue 0). The d x d entries are built only on first access (or
+    for that check when m >= d). The state is positive by construction, so
+    no clipping runs; entries that are exactly zero are stored as +0.0.
+    """
+    state = StateOperator.__new__(StateOperator)
+    _init_factored(state, window, factor)
     return state
+
+
+def factored_min_eigenvalue(factor):
+    """Smallest eigenvalue of X X^dag from its d x m factor X.
+
+    It is exactly 0.0 when m < d, since the rank is then below d; otherwise
+    it is taken on the d x d product.
+    """
+    d, m = factor.shape
+    return 0.0 if m < d else min_eigenvalue(factor @ factor.conj().T)
 
 
 class PureVector:
@@ -299,23 +364,30 @@ def eig_hermitian(op):
     return vals[order], vecs[:, order]
 
 
+def _difference_eigenvalues(fa, fb):
+    """Nonzero eigenvalues of fa fa^dag - fb fb^dag, from one QR of [fa, fb].
+
+    The difference is W J W^dag with W = [fa, fb] and J = diag(+1, ..., -1,
+    ...). With W = QR its nonzero eigenvalues are those of R J R^dag, which
+    is at most (m_a + m_b)-square.
+    """
+    r = np.linalg.qr(np.hstack([fa, fb]), mode="r")
+    signs = np.concatenate([np.ones(fa.shape[1]), -np.ones(fb.shape[1])])
+    diff = (r * signs) @ r.conj().T
+    return np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+
+
 def trace_norm_distance(a, b):
     """Half the trace norm of a - b (both Hermitian on the same window).
 
-    When both are factored states, a - b = W J W^dag with W = [X_a, X_b] and
-    J = diag(+1, ..., -1, ...). With W = QR its nonzero eigenvalues are
-    those of R J R^dag, which is at most (m_a + m_b)-square.
+    When both are factored states the eigenvalues come from the factors
+    (_difference_eigenvalues), without a d x d eigensolve.
     """
     _require_same_window(a, b)
-    fa, fb = getattr(a, "factor", None), getattr(b, "factor", None)
-    if fa is not None and fb is not None:
-        r = np.linalg.qr(np.hstack([fa, fb]), mode="r")
-        signs = np.concatenate([np.ones(fa.shape[1]), -np.ones(fb.shape[1])])
-        diff = (r * signs) @ r.conj().T
-    else:
-        diff = a.entries - b.entries
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    if a.factor is not None and b.factor is not None:
+        return 0.5 * float(np.abs(_difference_eigenvalues(a.factor, b.factor)).sum())
+    diff = a.entries - b.entries
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
 def _entropy_from_eigenvalues(vals):

@@ -32,16 +32,16 @@ import numpy as np
 from .errors import InvariantViolationError, SchemaError, WindowMismatchError
 from .hilbert import (
     EPS_RANGE,
-    MatrixOperator,
     ModeWindow,
     ProductWindow,
     PureVector,
+    RankOneOperator,
     StateOperator,
     basis_vector,
     factored_state,
     trace_norm_distance,
 )
-from .channels import ChannelBlocks, HolevoForm
+from .channels import ChannelBlocks, FactoredChannel, HolevoForm
 
 DENSITY_CLIP = 1e-10  # grid densities may dip this far below zero before clipping
 
@@ -138,6 +138,14 @@ def _sector(phi1, phi2):
     return charge - charge.min()
 
 
+def _sector_factor(charge, values):
+    """Factor with one column per U(1) sector: column s holds values on the rows of charge min + s."""
+    sector = charge - charge.min()
+    factor = np.zeros((values.size, sector.max() + 1), dtype=complex)
+    factor[np.arange(values.size), sector] = values
+    return factor
+
+
 def _diagonal_sums(entries, gap):
     """Table of D_{k-l} over the charge table gap, with D_t = sum_m entries[m, m-t]."""
     d = entries.shape[0]
@@ -180,18 +188,38 @@ def channel_blocks(channel):
     return ChannelBlocks(channel.window, channel.window, blocks)
 
 
+def factored_channel(channel):
+    """The channel as a FactoredChannel whose factors have one column per charge sector.
+
+    The stacked matrix S[(i,k),(j,l)] = phi_k conj(phi_l) delta_{k-i, l-j}
+    (channel_blocks) conserves the charge k - i of the row (i, k), so it is
+    X X^dag with X[(i,k), t] = phi_k for k - i = t. Its output partial
+    transpose phi_l conj(phi_k) delta_{i+k, j+l} conserves i + k, so it is
+    X' X'^dag with X'[(i,k), t] = conj(phi_k) for i + k = t. Both are
+    d^2 x (4K+1) with d = 2K + 1.
+    """
+    window = channel.window
+    phi = channel.phi.amplitudes
+    every_input = np.ones(window.dimension)
+    stacked = _sector_factor(_charge_gap(window).T.reshape(-1), np.kron(every_input, phi))
+    transposed = _sector_factor(_charges(ProductWindow(window, window)),
+                                np.kron(every_input, phi.conj()))
+    return FactoredChannel(window, window, stacked, transposed)
+
+
 def holevo_form(channel):
     """Grid discretization as a measure-and-prepare form.
 
     POVM atoms M_g = (1/G) |chi_g><chi_g| with chi_g[k] = e^{i x_g k}
-    resolve the identity exactly for G >= 2K + 1; the prepared states are
-    the rotated fiducial projectors. holevo_apply of this form coincides
-    with apply_quadrature.
+    resolve the identity exactly for G >= 2K + 1; they are kept as the
+    vectors chi_g (RankOneOperator). The prepared states are the rotated
+    fiducial projectors. holevo_apply of this form coincides with
+    apply_quadrature.
     """
     window, nodes = channel.window, channel.quadrature_nodes
     xs = _nodes(nodes)
     prepared = _orbit(window, channel.phi.amplitudes, xs)  # row g is V_{x_g} phi
-    return HolevoForm((MatrixOperator(window, np.outer(chi, chi.conj()) / nodes),
+    return HolevoForm((RankOneOperator(window, chi, nodes),
                        PureVector(window, row).projector())
                       for chi, row in zip(_orbit(window, 1.0, xs), prepared))
 
@@ -206,11 +234,9 @@ def rho12(phi1, phi2):
     the sector of total charge k1 + k2 = s, so every entry off the rule is
     exactly 0.
     """
-    sector = _sector(phi1, phi2)
-    v = np.kron(phi1.amplitudes, phi2.amplitudes)
-    factor = np.zeros((v.size, sector.max() + 1), dtype=complex)
-    factor[np.arange(v.size), sector] = v
-    return factored_state(ProductWindow(phi1.window, phi2.window), factor)
+    window = ProductWindow(phi1.window, phi2.window)
+    factor = _sector_factor(_charges(window), np.kron(phi1.amplitudes, phi2.amplitudes))
+    return factored_state(window, factor)
 
 
 def rho12_probe(phi1, phi2, alpha, beta):

@@ -4,6 +4,7 @@ import pytest
 from eblab import (
     ChannelBlocks,
     ChoiState,
+    FactoredChannel,
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
@@ -12,6 +13,7 @@ from eblab import (
     ModeWindow,
     ProductWindow,
     PureVector,
+    RankOneOperator,
     StateOperator,
     WindowMismatchError,
     apply,
@@ -34,6 +36,7 @@ from eblab import (
     partial_transpose,
     separable_choi_from_holevo,
     tensor,
+    trace_norm_distance,
     transpose_channel,
 )
 from conftest import random_density, random_pure
@@ -575,3 +578,71 @@ def test_split_atoms_follow_the_descending_branches(rng):
         kraus = kraus_rank_one(form).operators
         assert len(kraus) == len(operators)
         assert all(np.array_equal(a, b) for a, b in zip(kraus, operators))
+
+
+def test_factored_channel_checks_its_factors():
+    # dephasing: S = sum_i |ii><ii| is its own output partial transpose
+    w = window(2)
+    x = np.zeros((4, 2))
+    x[0, 0] = x[3, 1] = 1.0
+    channel = FactoredChannel(w, w, x, x)
+    assert np.array_equal(channel.factor @ channel.factor.T, dephasing_channel(w).stacked())
+    assert cp_check(channel) == (True, 0.0)
+    for bad, match in ((2 * x, "not trace preserving"), (np.full((4, 1), np.nan), "non-finite"),
+                       (np.ones((3, 1)), "rows")):
+        with pytest.raises(InvariantViolationError, match=match):
+            FactoredChannel(w, w, bad, x)
+    # the identity channel's S^(T_out) is the swap, which has no factor; I_4 fails Tr_out
+    with pytest.raises(InvariantViolationError, match="partial-transpose factor not trace"):
+        FactoredChannel(w, w, np.eye(2).reshape(4, 1), np.eye(4))
+    assert cp_check(FactoredChannel(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
+
+
+def test_rank_one_operator_keeps_its_vector(rng):
+    w = window(3)
+    v = random_pure(rng, 3) * 2.0
+    op = RankOneOperator(w, v, 7)
+    assert np.array_equal(op.entries, np.outer(v, v.conj()) / 7)
+    assert np.abs(op.factor @ op.factor.conj().T - op.entries).max() < 1e-15
+    for vector, divisor in (([np.nan, 1.0, 0.0], 1), (v, 0.0), (v, np.inf)):
+        with pytest.raises(InvariantViolationError):
+            RankOneOperator(w, vector, divisor)
+    with pytest.raises(WindowMismatchError):
+        RankOneOperator(window(2), v)
+
+
+def test_holevo_form_checks_factored_atoms_on_their_vectors(rng):
+    # a rank-one POVM given by vectors: completeness is U U^dag = I, and a
+    # dense atom may sit next to factored ones
+    w = window(2)
+    out = basis_vector(w, 0).projector()
+    halves = [RankOneOperator(w, [1.0, 1.0], 2), RankOneOperator(w, [1.0, -1.0], 2)]
+    form = HolevoForm([(m_op, out) for m_op in halves])
+    assert np.abs(blocks_from_holevo(form).blocks - constant_channel(w, out).blocks).max() < 1e-15
+    with pytest.raises(InvariantViolationError, match="POVM incomplete"):
+        HolevoForm([(halves[0], out)])
+    HolevoForm([(halves[0], out), (MatrixOperator(w, halves[1].entries), out)])
+
+
+def test_factored_atoms_split_along_their_columns(rng):
+    # each vector atom u gives the single left branch sqrt(Lambda) conj(B^dag u);
+    # the dense split of the same form yields the same product state
+    w = window(3)
+    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    vals, vecs = np.linalg.eigh(a @ a.conj().T)
+    vectors = ((vecs * vals ** -0.5) @ vecs.conj().T) @ a  # columns resolve the identity
+    outputs = [PureVector(window(2), random_pure(rng, 2)).projector() for _ in range(5)]
+    form = HolevoForm([(RankOneOperator(w, u), out) for u, out in zip(vectors.T, outputs)])
+    dense = HolevoForm([(MatrixOperator(w, m_op.entries), StateOperator(window(2), out.entries))
+                        for m_op, out in form.atoms])
+    target = choi(blocks_from_holevo(dense), random_full_rank_state(rng, 3))
+    split = separable_choi_from_holevo(form, target)
+    root, basis = np.sqrt(target.eigenvalues), target.eigenbasis
+    assert len(split.atoms) == 5
+    for (weight, phi, psi), u, out in zip(split.atoms, vectors.T, outputs):
+        left = root * (basis.conj().T @ u).conj()
+        assert abs(weight - np.vdot(left, left).real) < 1e-15
+        assert abs(abs(np.vdot(phi.amplitudes, left)) ** 2 - weight) < 1e-14
+        assert np.abs(psi.amplitudes - out.factor[:, 0]).max() < 1e-15
+    dense_split = separable_choi_from_holevo(dense, target)
+    assert trace_norm_distance(split.reconstruction(), dense_split.reconstruction()) < 1e-13

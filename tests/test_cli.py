@@ -15,6 +15,7 @@ from eblab import (
     rotation,
 )
 from eblab.cli import main
+from eblab.errors import SchemaError
 from conftest import random_density
 
 
@@ -386,12 +387,13 @@ def test_list_values_below_one_exit_2(capsys):
 
 def test_eb_report_builds_one_choi_state(tmp_path, monkeypatch):
     from eblab import channels
-    calls = []
+    calls, states = [], []
     real_choi, real_init = channels.choi, channels.ChoiState.__init__
 
     def counting_choi(*args):
         calls.append("choi")
-        return real_choi(*args)
+        states.append(real_choi(*args))
+        return states[-1]
 
     def counting_init(self, *args):
         calls.append("ChoiState")
@@ -403,6 +405,8 @@ def test_eb_report_builds_one_choi_state(tmp_path, monkeypatch):
     assert main(["eb-report", "--phi", "two-mode", "--k", "2", "--out", str(out)]) == 0
     assert calls == ["choi", "ChoiState"]
     assert "extraction_residual" in jsonio.read_json(str(out))
+    # on --phi the one Choi state is factored: (2K+1)^2 rows, one column per charge sector
+    assert states[0].factor.shape == (25, 9) and states[0].pt_factor.shape == (25, 9)
 
 
 def test_rho12_failed_probe_writes_nothing(tmp_path, capsys):
@@ -505,8 +509,9 @@ def test_capacity_optimizer_flags_out_of_range_exit_2(capsys):
 
 
 def test_eb_report_builds_rank_one_states_from_vectors(tmp_path, rng, monkeypatch):
-    # the prepared states of the form and of the extraction are factored
-    # states; only sigma and the Choi state run the dense constructor
+    # the prepared states of the form and of the extraction and the Choi
+    # state are factored states, and the maximally mixed sigma is built
+    # without a check, so no state runs the dense constructor
     calls = []
     real_init = StateOperator.__init__
 
@@ -519,5 +524,59 @@ def test_eb_report_builds_rank_one_states_from_vectors(tmp_path, rng, monkeypatc
                                                          rng.normal(size=21) + 1j * rng.normal(size=21)))
     out = tmp_path / "report.json"
     assert main(["eb-report", "--phi", phi, "--k", "10", "--out", str(out)]) == 0
-    assert calls == ["StateOperator", "ChoiState"]
+    assert calls == []
     assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+
+
+def random_phi_file(tmp_path, rng, half):
+    d = 2 * half + 1
+    return write_phi(tmp_path / f"phi{half}.json", PureVector(ModeWindow.symmetric(half),
+                                                              rng.normal(size=d) + 1j * rng.normal(size=d)))
+
+
+def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypatch):
+    # only sigma's eigensystem is (2K+1)-square; every other solve is on a
+    # factor's columns, and nothing reaches (2K+1)^2, whatever --nodes is
+    half, d = 6, 13
+    phi = random_phi_file(tmp_path, rng, half)
+    sides = []
+    for name in ("eigvalsh", "eigh", "svd"):
+        def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    for nodes in ([], ["--nodes", str(4 * half + 1)], ["--nodes", "64"]):
+        sides.clear()
+        out = tmp_path / "report.json"
+        assert main(["eb-report", "--phi", phi, "--k", str(half), *nodes, "--out", str(out)]) == 0
+        assert max(sides) < d * d, nodes
+        assert sides.count(d) == 1, nodes
+        assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+
+
+def test_eb_report_phi_size_guard_counts_the_factors(capsys):
+    # --phi holds d^2 x (8K + 3) factor entries, not d^4: K=64 passes the
+    # guard, while --channel at the same K keeps the d^4 bound
+    from eblab.cli import _check_size, build_parser
+    for argv, fits in ((["eb-report", "--phi", "geometric(0.7)"], True),
+                       (["eb-report", "--channel", "unread.json"], False)):
+        args = build_parser().parse_args(argv + ["--k", "64"])
+        args.k = [64]
+        if fits:
+            _check_size(args)
+        else:
+            with pytest.raises(SchemaError, match="GiB"):
+                _check_size(args)
+    assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
+    assert "GiB" in capsys.readouterr().err
+
+
+def test_eb_report_phi_at_k32_in_a_cold_process():
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "eblab",
+                             "eb-report", "--phi", "geometric(0.7)", "--k", "32"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = jsonio.loads(result.stdout)
+    assert report["cp"] is True and report["ppt"] is True
+    assert report["min_eig_stacked"] == 0.0 and report["min_eig_pt"] == 0.0
+    assert 0.0 <= report["extraction_residual"] <= 1e-8

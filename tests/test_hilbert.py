@@ -12,6 +12,7 @@ from eblab import (
     basis_vector,
     EPS_TRACE,
     eig_hermitian,
+    factored_min_eigenvalue,
     factored_state,
     min_eigenvalue,
     partial_trace,
@@ -370,3 +371,31 @@ def test_eig_hermitian_refuses_nan():
     # max |A - A^dag| is NaN here; the check used to let it through to eigh
     with pytest.raises(InvariantViolationError, match="not Hermitian"):
         eig_hermitian(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
+
+def test_factored_state_builds_its_entries_on_first_access(rng):
+    w = ModeWindow.symmetric(3)
+    x = random_factor(rng, w.dimension, 2)
+    state = factored_state(w, x)
+    assert state._entries is None
+    entries = state.entries
+    assert entries is state.entries and not entries.flags.writeable
+    m = x @ x.conj().T
+    assert np.array_equal(entries, 0.5 * (m + m.conj().T) + 0.0)
+
+
+def test_factored_min_eigenvalue(rng):
+    # exactly 0.0 below full rank, else the smallest eigenvalue of X X^dag
+    for rows, cols in ((9, 3), (4, 4), (3, 7)):
+        x = random_factor(rng, rows, cols)
+        want = 0.0 if cols < rows else np.linalg.eigvalsh(x @ x.conj().T)[0]
+        assert factored_min_eigenvalue(x) == want
+    assert factored_min_eigenvalue(random_factor(rng, 4, 4)) > 0.0
+
+
+def test_maximally_mixed_is_the_checked_state_exactly():
+    for half in (0, 1, 5):
+        w = ModeWindow.symmetric(half)
+        d = w.dimension
+        assert np.array_equal(StateOperator.maximally_mixed(w).entries,
+                              StateOperator(w, np.eye(d) / d).entries)

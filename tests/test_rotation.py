@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eblab import (
+    HolevoForm,
     InvariantViolationError,
     MatrixOperator,
     ModeWindow,
@@ -22,7 +23,9 @@ from eblab import (
     cp_check,
     decomposability_probe_sweep,
     eb_necessary_test,
+    eb_extract,
     eig_hermitian,
+    factored_channel,
     factored_state,
     holevo_apply,
     holevo_form,
@@ -36,10 +39,12 @@ from eblab import (
     rho12_probe,
     product_bound_probe,
     rotate_vector,
+    separable_choi_from_holevo,
     sweep_maxima,
     tensor,
     trace_norm_distance,
 )
+from eblab.channels import EXTRACT_TOL
 from eblab.rotation import _charges
 from conftest import random_density, random_pure
 
@@ -553,3 +558,40 @@ def test_charges_of_a_nested_product_window():
     assert np.array_equal(_charges(nested), want)
     assert np.array_equal(_charges(ProductWindow(a, ProductWindow(b, c))), want)
     assert np.array_equal(_charges(a), a.modes())
+
+
+def dense_form(form):
+    """The same form with every atom rebuilt densely, as the --channel path reads it."""
+    return HolevoForm([(MatrixOperator(m_op.window, m_op.entries),
+                        StateOperator(rho_out.window, rho_out.entries))
+                       for m_op, rho_out in form.atoms])
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("zero_modes", [False, True])
+def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
+    rng = np.random.default_rng(1000 * half + zero_modes)
+    d = 2 * half + 1
+    amplitudes = rng.normal(size=d) + 1j * rng.normal(size=d)
+    if zero_modes:
+        amplitudes[rng.choice(d, size=half, replace=False)] = 0.0
+    phi = PureVector(ModeWindow.symmetric(half), amplitudes)
+    sigmas = (StateOperator.maximally_mixed(phi.window),
+              StateOperator(phi.window, random_density(rng, d)))
+    for nodes in (4 * half + 1, None):
+        channel = RotationChannel(phi, nodes)
+        factored, dense = factored_channel(channel), channel_blocks(channel)
+        x = factored.factor
+        assert x.shape == (d * d, 4 * half + 1)
+        assert np.abs(x @ x.conj().T - dense.stacked()).max() <= 1e-14
+        assert cp_check(factored) == (True, 0.0) and cp_check(dense)[0]
+        form = holevo_form(channel)
+        for sigma in sigmas:
+            state, oracle = choi(factored, sigma), choi(dense, sigma)
+            y, z = state.factor, state.pt_factor
+            assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
+            assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
+            assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
+            _, residual = eb_extract(separable_choi_from_holevo(form, state))
+            _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
+            assert dense_residual <= residual <= EXTRACT_TOL, (nodes, residual, dense_residual)
