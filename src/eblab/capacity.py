@@ -19,6 +19,7 @@ from .errors import InvariantViolationError, WindowMismatchError
 from .hilbert import (
     EPS_SUPPORT,
     StateOperator,
+    _at_most,
     relative_entropy,
     shannon_entropy,
 )
@@ -48,10 +49,8 @@ class CapacityReport:
     iterate_values: tuple = field(default=())
 
     def __post_init__(self):
-        if self.optimizer_value > self.closed_form + UPPER_BOUND_SLACK:
-            raise InvariantViolationError(
-                f"optimizer value {self.optimizer_value!r} exceeds the closed form "
-                f"{self.closed_form!r} beyond {UPPER_BOUND_SLACK}")
+        _at_most(self.optimizer_value, self.closed_form + UPPER_BOUND_SLACK,
+                 f"optimizer value against the closed form {self.closed_form!r} plus slack")
 
 
 def closed_form_capacity(phi):

@@ -12,7 +12,8 @@ instead of the blocks (rotation.factored_channel builds them from the
 U(1) charge sectors, with 4K + 1 columns against (2K+1)^2 rows). Every
 stage then runs on factors: the Choi state is the factored state
 (W^T x I) X with W = B Lambda^(1/2) from the reference sigma = B Lambda B^dag,
-its partial transpose is (W^T x I) X', the minimum eigenvalues of cp_check
+its partial transpose is (W^T x I) X', both positive by construction, so
+no stage checks their eigenvalues; the minimum eigenvalues of cp_check
 and eb_necessary_test are exactly 0.0 below full rank, POVM atoms that
 carry factors (RankOneOperator) are split without eigensolves, and
 eb_extract reports the operator norm of the stacked-matrix difference
@@ -38,7 +39,10 @@ from .hilbert import (
     PureVector,
     RankOneOperator,
     StateOperator,
+    _at_least,
+    _at_most,
     _difference_eigenvalues,
+    _finite,
     _hermitian_part,
     _init_factored,
     eig_hermitian,
@@ -71,15 +75,10 @@ class ChannelBlocks:
         if b.shape != (d_in, d_in, d_out, d_out):
             raise InvariantViolationError(
                 f"blocks shape {b.shape} does not match windows ({d_in}, {d_in}, {d_out}, {d_out})")
-        herm = float(np.abs(b - b.conj().transpose(1, 0, 3, 2)).max())
-        if not herm <= EPS_HERM:
-            raise InvariantViolationError(
-                f"block family not Hermitian: max residual {herm:.3e} > {EPS_HERM}")
-        traces = np.einsum("ijkk->ij", b)
-        tp = float(np.abs(traces - np.eye(d_in)).max())
-        if not tp <= EPS_TRACE:
-            raise InvariantViolationError(
-                f"block family not trace preserving: max |Tr B_ij - delta_ij| = {tp:.3e}")
+        _at_most(float(np.abs(b - b.conj().transpose(1, 0, 3, 2)).max()), EPS_HERM,
+                 "block family not Hermitian: max |B_ij - B_ji^dag|")
+        _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
+                 "block family not trace preserving: max |Tr B_ij - delta_ij|")
         b.setflags(write=False)
         self._in_window = in_window
         self._out_window = out_window
@@ -124,9 +123,12 @@ class FactoredChannel:
     S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)] transposes the output factor.
     The channel is completely positive by construction. Construction checks
     that both factors are finite and trace preserving, Tr_out S = I (the
-    output partial transpose leaves Tr_out unchanged); nothing
-    (d_in d_out)-square is built. It has no blocks, so apply_matrix and
-    apply_with_identity take ChannelBlocks only.
+    output partial transpose leaves Tr_out unchanged), and screens that X'
+    belongs to X: on a product vector a x b, <a x b| S^(T_out) |a x b> is
+    <a x conj(b)| S |a x conj(b)>, compared on three fixed generic unit
+    probes at O(d_in d_out m) each. Nothing (d_in d_out)-square is built.
+    It has no blocks, so apply_matrix and apply_with_identity take
+    ChannelBlocks only.
     """
 
     def __init__(self, in_window, out_window, factor, pt_factor):
@@ -137,15 +139,20 @@ class FactoredChannel:
             if x.ndim != 2 or x.shape[0] != d_in * d_out:
                 raise InvariantViolationError(
                     f"{name} shape {x.shape} does not have {d_in * d_out} rows")
-            if not np.isfinite(x).all():
-                raise InvariantViolationError(f"{name} has non-finite entries")
-            rows = x.reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
-            tp = float(np.abs(rows @ rows.conj().T - np.eye(d_in)).max())
-            if not tp <= EPS_TRACE:
-                raise InvariantViolationError(
-                    f"{name} not trace preserving: max |Tr_out S - I| = {tp:.3e}")
+            rows = _finite(x, name).reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
+            _at_most(float(np.abs(rows @ rows.conj().T - np.eye(d_in)).max()), EPS_TRACE,
+                     f"{name} not trace preserving: max |Tr_out S - I|")
             x.setflags(write=False)
             factors.append(x)
+        a, b = (_generic_unit_columns(n) for n in (d_in, d_out))
+
+        def expectations(x, right):  # <a_p x right_p| X X^dag |a_p x right_p> for each probe p
+            probes = np.einsum("ip,kp->ikp", a, right).reshape(d_in * d_out, -1)
+            return np.linalg.norm(x.conj().T @ probes, axis=0) ** 2
+
+        defect = np.abs(expectations(factors[1], b) - expectations(factors[0], b.conj())).max()
+        _at_most(float(defect), EPS_TRACE,
+                 "partial-transpose factor does not match the factor: max probe defect")
         self._in_window = in_window
         self._out_window = out_window
         self._factor, self._pt_factor = factors
@@ -165,6 +172,13 @@ class FactoredChannel:
     @property
     def pt_factor(self):
         return self._pt_factor
+
+
+def _generic_unit_columns(n):
+    """Three fixed unit vectors in C^n with irrational phases and unequal moduli."""
+    t = np.arange(1.0, n + 1.0)[:, None]
+    z = np.exp(1j * np.sqrt([2.0, 3.0, 5.0]) * t * t) * np.sqrt(t + np.sqrt([7.0, 11.0, 13.0]))
+    return z / np.linalg.norm(z, axis=0)
 
 
 def cp_check(channel):
@@ -229,19 +243,15 @@ class HolevoForm:
             if m_op.window != in_window or rho_out.window != out_window:
                 raise WindowMismatchError("all Holevo atoms share the same windows")
             if m_op.factor is None:
-                low = min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom"))
-                if not low >= -EPS_PSD:
-                    raise InvariantViolationError(
-                        f"POVM atom not positive: min eigenvalue {low:.3e}")
+                _at_least(min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom")), -EPS_PSD,
+                          "POVM atom not positive: min eigenvalue")
         if any(m_op.factor is None for m_op, _ in atoms):
             total = sum(m_op.entries for m_op, _ in atoms)
         else:
             u = np.hstack([m_op.factor for m_op, _ in atoms])
             total = u @ u.conj().T
-        defect = float(np.abs(total - np.eye(in_window.dimension)).max())
-        if not defect <= povm_tol:
-            raise InvariantViolationError(
-                f"POVM incomplete: max |sum M - I| = {defect:.3e} > {povm_tol}")
+        _at_most(float(np.abs(total - np.eye(in_window.dimension)).max()), povm_tol,
+                 "POVM incomplete: max |sum M - I|")
         self._atoms = tuple((m_op, rho_out) for m_op, rho_out in atoms)
         self._in_window = in_window
         self._out_window = out_window
@@ -290,9 +300,7 @@ class ChoiState(StateOperator):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
         lam, basis = eig_hermitian(reference)
-        if lam[-1] < CHOI_RANK_TOL:
-            raise InvariantViolationError(
-                f"reference state is rank deficient: min eigenvalue {lam[-1]:.3e} < {CHOI_RANK_TOL}")
+        _at_least(lam[-1], CHOI_RANK_TOL, "reference state is rank deficient: min eigenvalue")
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)
@@ -370,10 +378,8 @@ class SeparableChoiDecomposition:
         del products  # the trace distance below holds two more copies of the factor
         self._target = target
         self._atoms = tuple(atoms)
-        residual = trace_norm_distance(self._reconstruction, target)
-        if not residual <= EXTRACT_TOL:
-            raise InvariantViolationError(
-                f"decomposition misses the Choi target by {residual:.3e} > {EXTRACT_TOL}")
+        _at_most(trace_norm_distance(self._reconstruction, target), EXTRACT_TOL,
+                 "decomposition misses the Choi target: trace distance")
 
     @property
     def target(self):
@@ -479,17 +485,14 @@ class KrausRankOne:
             if a.shape != (d_out, d_in):
                 raise InvariantViolationError(
                     f"Kraus operator shape {a.shape} does not match ({d_out}, {d_in})")
-            if not np.isfinite(a).all():  # the SVD would raise LinAlgError
-                raise InvariantViolationError("Kraus operator has non-finite entries")
+            _finite(a, "Kraus operator")  # the SVD would raise LinAlgError
             singular = np.linalg.svd(a, compute_uv=False)
-            if len(singular) > 1 and not singular[1] <= KRAUS_RANK_TOL:
-                raise InvariantViolationError(
-                    f"Kraus operator has rank > 1: second singular value {singular[1]:.3e}")
+            if len(singular) > 1:
+                _at_most(singular[1], KRAUS_RANK_TOL,
+                         "Kraus operator has rank > 1: second singular value")
         total = sum(a.conj().T @ a for a in ops)
-        defect = float(np.abs(total - np.eye(d_in)).max())
-        if not defect <= EPS_TRACE:
-            raise InvariantViolationError(
-                f"Kraus family incomplete: max |sum A^dag A - I| = {defect:.3e}")
+        _at_most(float(np.abs(total - np.eye(d_in)).max()), EPS_TRACE,
+                 "Kraus family incomplete: max |sum A^dag A - I|")
         for a in ops:
             a.setflags(write=False)
         self._operators = tuple(ops)

@@ -82,14 +82,6 @@ def _resolve_sigma(spec, window):
     return jsonio.state_from_json(jsonio.read_json(spec), context=spec)
 
 
-def _check_windows(half_widths, nodes):
-    if nodes is not None:
-        for half in half_widths:
-            if nodes < 4 * half + 1:
-                raise SchemaError(
-                    f"--nodes {nodes} below the exactness floor {4 * half + 1} for K={half}")
-
-
 def _check_size(args):
     """Refuse a request whose largest dense complex array would exceed MAX_DENSE_BYTES.
 
@@ -306,8 +298,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
-        if args.command in ("channel-apply", "eb-report") and len(args.k) > 1:
-            raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
+        if args.command in ("channel-apply", "eb-report"):  # the two that take --nodes
+            if len(args.k) > 1:
+                raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
+            floor = 4 * args.k[0] + 1
+            if args.nodes is not None and args.nodes < floor:
+                raise SchemaError(
+                    f"--nodes {args.nodes} below the exactness floor {floor} for K={args.k[0]}")
         if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
             if args.max_iter < 1:
@@ -318,7 +315,6 @@ def main(argv=None):
             args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
         if args.command in ("rho12", "probe") and args.candidates:
             args.candidates = _parse_candidates(args.candidates)
-        _check_windows(args.k, getattr(args, "nodes", None))
         _check_size(args)
         return _COMMANDS[args.command](args)
     except (SchemaError, WindowMismatchError, OSError) as err:

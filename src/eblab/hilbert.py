@@ -89,19 +89,41 @@ def _require_product(op):
     return op.window
 
 
+def _at_most(value, bound, what):
+    """Refuse value unless value <= bound, so NaN is refused too.
+
+    Every tolerance check of the package goes through this gate or
+    _at_least; the message names the quantity, its value and its bound.
+    """
+    if not value <= bound:
+        raise InvariantViolationError(f"{what} = {value:.3e} > {bound}")
+
+
+def _at_least(value, bound, what):
+    """Refuse value unless value >= bound, so NaN is refused too."""
+    if not value >= bound:
+        raise InvariantViolationError(f"{what} = {value:.3e} < {bound}")
+
+
+def _finite(x, what):
+    """x as an array, after refusing it when an entry is NaN or infinite."""
+    a = np.asarray(x)
+    if not np.isfinite(a).all():
+        raise InvariantViolationError(f"{what} has non-finite entries")
+    return a
+
+
 def min_eigenvalue(matrix):
     """Smallest eigenvalue of a Hermitian matrix; non-finite entries are rejected."""
-    m = np.asarray(matrix)
-    if not np.isfinite(m).all():
-        raise InvariantViolationError("matrix has non-finite entries")
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(np.linalg.eigvalsh(_finite(matrix, "matrix"))[0])
 
 
 class MatrixOperator:
     """Dense complex matrix tied to a mode window.
 
     An operator built from a factor X (factored_state, RankOneOperator)
-    keeps X and builds its entries only on first access.
+    is X X^dag, positive by construction: it keeps X, checks no
+    eigenvalue and builds its entries only on first access.
     """
 
     _factor = None
@@ -181,7 +203,7 @@ class StateOperator(MatrixOperator):
     eigenvalue is below -EPS_PSD, clips eigenvalues in [-EPS_PSD, 0) to
     zero and renormalizes the trace, so round-off from quadrature never
     invalidates a state. factored_state builds a low-rank state from a
-    factor instead, without the dense eigensolve.
+    factor instead; it is positive by construction, so no eigensolve runs.
     """
 
     def __init__(self, window, entries):
@@ -214,30 +236,17 @@ class StateOperator(MatrixOperator):
 def _hermitian_part(m, what):
     """(m + m^dag) / 2 after refusing m when max |m - m^dag| exceeds EPS_HERM."""
     defect = float(np.abs(m - m.conj().T).max())
-    if not defect <= EPS_HERM:  # NaN fails too
-        raise InvariantViolationError(
-            f"{what} not Hermitian: max |A - A^dag| = {defect:.3e} > {EPS_HERM}")
+    _at_most(defect, EPS_HERM, f"{what} not Hermitian: max |A - A^dag|")
     return 0.5 * (m + m.conj().T)
-
-
-def _require_unit_trace(tr):
-    if not abs(tr - 1.0) <= EPS_TRACE:
-        raise InvariantViolationError(f"state trace {tr!r} differs from 1 beyond {EPS_TRACE}")
-
-
-def _require_positive(low):
-    """low, after refusing it below -EPS_PSD."""
-    if low < -EPS_PSD:
-        raise InvariantViolationError(
-            f"state not positive: min eigenvalue {low:.3e} < -{EPS_PSD}")
-    return low
 
 
 def _checked_state(m):
     """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks."""
     m = _hermitian_part(m, "state")
-    _require_unit_trace(float(np.trace(m).real))
-    return m, _require_positive(min_eigenvalue(m))
+    _at_most(abs(np.trace(m).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
+    low = min_eigenvalue(m)
+    _at_least(low, -EPS_PSD, "state not positive: min eigenvalue")
+    return m, low
 
 
 def _init_factored(state, window, factor):
@@ -246,25 +255,19 @@ def _init_factored(state, window, factor):
     if x.ndim != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
-    if not np.isfinite(x).all():
-        raise InvariantViolationError("state factor has non-finite entries")
+    _finite(x, "state factor")
+    _at_most(abs(np.vdot(x, x).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
     x.setflags(write=False)
     state._window, state._entries, state._factor = window, None, x
-    _require_unit_trace(float(np.vdot(x, x).real))
-    d, m = x.shape
-    _require_positive(min_eigenvalue(x.conj().T @ x if m < d else state.entries))
 
 
 def factored_state(window, factor):
     """The state X X^dag of a d x m factor X, which it keeps as its factor.
 
-    The checks of the StateOperator constructor run on the factor: its
-    entries must be finite, the trace ||X||_F^2 must be 1 within EPS_TRACE,
-    and when m < d the minimum eigenvalue is taken on the m x m Gram matrix
-    X^dag X, whose eigenvalues are the state's nonzero ones (the state adds
-    the eigenvalue 0). The d x d entries are built only on first access (or
-    for that check when m >= d). The state is positive by construction, so
-    no clipping runs; entries that are exactly zero are stored as +0.0.
+    It is positive by construction, so construction only checks the factor:
+    its entries must be finite and the trace ||X||_F^2 must be 1 within
+    EPS_TRACE. No eigensolve runs and no clipping is needed; the d x d
+    entries are built only on first access, with exact zeros stored as +0.0.
     """
     state = StateOperator.__new__(StateOperator)
     _init_factored(state, window, factor)
@@ -393,7 +396,7 @@ def trace_norm_distance(a, b):
 def _entropy_from_eigenvalues(vals):
     p = np.clip(np.asarray(vals, dtype=float), 0.0, None)
     nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(-(nz * np.log(nz)).sum()) + 0.0  # a pure spectrum gives -0.0; + 0.0 makes it +0.0
 
 
 def von_neumann_entropy(rho):

@@ -15,6 +15,7 @@ from .hilbert import (
     EPS_SUPPORT,
     ProductWindow,
     StateOperator,
+    _at_most,
     min_eigenvalue,
     tensor,
 )
@@ -29,9 +30,7 @@ def _check_weights(weights, tol=WEIGHT_TOL):
     if np.any(w <= 0.0):
         raise InvariantViolationError("measure weights must be positive")
     total = float(w.sum())
-    if not abs(total - 1.0) <= tol:  # also rejects NaN weights, which compare false
-        raise InvariantViolationError(
-            f"measure weights sum to {total!r}, off unity beyond {tol}")
+    _at_most(abs(total - 1.0), tol, f"measure weights sum to {total!r}: |sum - 1|")
     return w
 
 

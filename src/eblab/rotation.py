@@ -37,6 +37,8 @@ from .hilbert import (
     PureVector,
     RankOneOperator,
     StateOperator,
+    _at_least,
+    _finite,
     basis_vector,
     factored_state,
     trace_norm_distance,
@@ -120,9 +122,7 @@ def mu_density(channel, rho):
         raise WindowMismatchError("state window differs from the channel window")
     phases = _orbit(channel.window, 1.0, _nodes(channel.quadrature_nodes))
     p = np.real(np.einsum("gm,mn,gn->g", phases.conj(), rho.entries, phases))
-    low = float(p.min())
-    if low < -DENSITY_CLIP:
-        raise InvariantViolationError(f"readout density dipped to {low:.3e}")
+    _at_least(float(p.min()), -DENSITY_CLIP, "readout density dipped: minimum")
     return np.clip(p, 0.0, None)
 
 
@@ -132,15 +132,14 @@ def _charge_gap(window):
     return np.subtract.outer(charge, charge)
 
 
-def _sector(phi1, phi2):
-    """Sector index of each product mode: its total charge minus the smallest one."""
-    charge = _charges(ProductWindow(phi1.window, phi2.window))
+def _sector_index(charge):
+    """U(1) sector of each row: its charge minus the smallest one."""
     return charge - charge.min()
 
 
 def _sector_factor(charge, values):
-    """Factor with one column per U(1) sector: column s holds values on the rows of charge min + s."""
-    sector = charge - charge.min()
+    """Factor with one column per U(1) sector: column s holds values on the rows of sector s."""
+    sector = _sector_index(charge)
     factor = np.zeros((values.size, sector.max() + 1), dtype=complex)
     factor[np.arange(values.size), sector] = values
     return factor
@@ -260,7 +259,7 @@ def rho12_probe(phi1, phi2, alpha, beta):
     smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
     if smallest[0] * smallest[1] < np.finfo(float).tiny:
         raise InvariantViolationError("fiducial amplitude products leave the normal double range")
-    sector = _sector(phi1, phi2)
+    sector = _sector_index(_charges(ProductWindow(phi1.window, phi2.window)))
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     w = np.kron(alpha.amplitudes, beta.amplitudes)
     peak = np.zeros(sector.max() + 1)
@@ -272,8 +271,8 @@ def rho12_probe(phi1, phi2, alpha, beta):
     overlap = np.bincount(sector, products.real) + 1j * np.bincount(sector, products.imag)
     coeff = np.divide(overlap, weight, out=np.zeros_like(overlap), where=weight > 0.0)
     residual = np.bincount(sector, np.abs(w - coeff[sector] * u) ** 2)
-    if not (np.isfinite(coeff).all() and np.isfinite(residual).all()):
-        raise InvariantViolationError("sector probe produced a non-finite intermediate")
+    _finite(coeff, "sector probe coefficient")
+    _finite(residual, "sector probe residual")
     if np.sqrt(residual.max()) > EPS_RANGE:
         return 0.0
     with np.errstate(over="ignore"):  # an overflow to inf returns 1 / inf = 0.0

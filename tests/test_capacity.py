@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -245,9 +247,11 @@ def test_ba_core_handles_asymmetric_output_families(rng):
 
 
 def test_capacity_report_rejects_bound_violation():
-    with pytest.raises(InvariantViolationError):
-        CapacityReport(closed_form=1.0, optimizer_value=1.1, gap=-0.1,
-                       grid_size=2, iterations=1, converged=True)
+    # NaN compared false with '>' and used to pass
+    for value, shown in ((1.1, "1.100e+00"), (float("nan"), "nan")):
+        with pytest.raises(InvariantViolationError, match=re.escape(f"= {shown} > 1.000000001")):
+            CapacityReport(closed_form=1.0, optimizer_value=value, gap=1.0 - value,
+                           grid_size=2, iterations=1, converged=True)
 
 
 def test_ensemble_validation(rng):

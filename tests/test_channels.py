@@ -595,6 +595,10 @@ def test_factored_channel_checks_its_factors():
     # the identity channel's S^(T_out) is the swap, which has no factor; I_4 fails Tr_out
     with pytest.raises(InvariantViolationError, match="partial-transpose factor not trace"):
         FactoredChannel(w, w, np.eye(2).reshape(4, 1), np.eye(4))
+    # a trace-preserving X' of another channel: the identity with the dephasing
+    # X' used to pass, so its Choi state passed the PPT screen with min_eig_pt 0.0
+    with pytest.raises(InvariantViolationError, match="partial-transpose factor does not match"):
+        FactoredChannel(w, w, np.eye(2).reshape(4, 1), x)
     assert cp_check(FactoredChannel(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
 
 

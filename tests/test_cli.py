@@ -158,6 +158,15 @@ def test_capacity_single_mode_is_zero(tmp_path):
     assert abs(float(cells[2])) < 1e-15
 
 
+def test_capacity_of_a_pure_weight_vector_prints_no_negative_zero(tmp_path):
+    # -(1 log 1) is -0.0, which the CSV used to print as -0 in the entropy columns
+    out = tmp_path / "capacity.csv"
+    for base, row in (("e", "2,1,0,0,0,1,true"), ("2", "2,1,0,0,0,1,true,0,0")):
+        assert main(["capacity", "--phi", "mode(0)", "--k", "2", "--grid", "1", "--base", base,
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == row
+
+
 def test_capacity_geometric_sweep_increases(tmp_path):
     out = tmp_path / "capacity.csv"
     assert main(["capacity", "--phi", "geometric(0.7)", "--k", "2,4,8", "--grid", "64",
@@ -535,23 +544,27 @@ def random_phi_file(tmp_path, rng, half):
 
 
 def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypatch):
-    # only sigma's eigensystem is (2K+1)-square; every other solve is on a
-    # factor's columns, and nothing reaches (2K+1)^2, whatever --nodes is
-    half, d = 6, 13
-    phi = random_phi_file(tmp_path, rng, half)
-    sides = []
+    # three solves, whatever --nodes is: sigma's (2K+1)-square eigensystem and
+    # the two factored trace-norm differences on a factor's columns. Factored
+    # states are positive by construction, so no min_eigenvalue (an eigvalsh) runs
+    calls = []
     for name in ("eigvalsh", "eigh", "svd"):
-        def recording(a, *args, _real=getattr(np.linalg, name), **kwargs):
-            sides.append(np.shape(a)[-1])
+        def recording(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)[-1]))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
-    for nodes in ([], ["--nodes", str(4 * half + 1)], ["--nodes", "64"]):
-        sides.clear()
-        out = tmp_path / "report.json"
-        assert main(["eb-report", "--phi", phi, "--k", str(half), *nodes, "--out", str(out)]) == 0
-        assert max(sides) < d * d, nodes
-        assert sides.count(d) == 1, nodes
-        assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+    for profile, half in ((None, 6), ("geometric(0.7)", 10)):
+        d = 2 * half + 1
+        phi = profile or random_phi_file(tmp_path, rng, half)
+        for nodes in ([], ["--nodes", str(4 * half + 1)], ["--nodes", "64"]):
+            calls.clear()
+            out = tmp_path / "report.json"
+            assert main(["eb-report", "--phi", phi, "--k", str(half), *nodes,
+                         "--out", str(out)]) == 0
+            assert sorted(name for name, _ in calls) == ["eigh", "eigvalsh", "eigvalsh"], nodes
+            sides = [side for _, side in calls]
+            assert ("eigh", d) in calls and sides.count(d) == 1 and max(sides) < d * d, nodes
+            assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):

@@ -22,6 +22,7 @@ from eblab import (
     trace_norm_distance,
     von_neumann_entropy,
 )
+from eblab.hilbert import _at_least, _at_most
 from conftest import random_density, random_hermitian
 
 from oracles import partial_trace_loops, scalar_entropy, scalar_relative_entropy
@@ -374,14 +375,29 @@ def test_eig_hermitian_refuses_nan():
 
 
 def test_factored_state_builds_its_entries_on_first_access(rng):
+    # also at rank >= d: positive by construction, so nothing is checked on the entries
     w = ModeWindow.symmetric(3)
-    x = random_factor(rng, w.dimension, 2)
-    state = factored_state(w, x)
-    assert state._entries is None
-    entries = state.entries
-    assert entries is state.entries and not entries.flags.writeable
-    m = x @ x.conj().T
-    assert np.array_equal(entries, 0.5 * (m + m.conj().T) + 0.0)
+    for rank in (2, 7, 9):
+        x = random_factor(rng, w.dimension, rank)
+        state = factored_state(w, x)
+        assert state._entries is None
+        entries = state.entries
+        assert entries is state.entries and not entries.flags.writeable
+        m = x @ x.conj().T
+        assert np.array_equal(entries, 0.5 * (m + m.conj().T) + 0.0)
+
+
+@pytest.mark.parametrize("gate, value, bound, shown", [
+    (_at_most, 2e-10, 1e-10, "= 2.000e-10 > 1e-10"),
+    (_at_most, np.nan, 1e-10, "= nan > 1e-10"),
+    (_at_least, -2e-10, -1e-10, "= -2.000e-10 < -1e-10"),
+    (_at_least, np.nan, -1e-10, "= nan < -1e-10"),
+])
+def test_the_tolerance_gate_refuses_nan_and_shows_value_and_bound(gate, value, bound, shown):
+    with pytest.raises(InvariantViolationError) as err:
+        gate(value, bound, "some margin")
+    assert str(err.value) == f"some margin {shown}"
+    gate(bound, bound, "some margin")
 
 
 def test_factored_min_eigenvalue(rng):
