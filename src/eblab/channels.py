@@ -464,9 +464,13 @@ def eb_extract(decomposition):
         atoms.append((m_op, psi.projector()))
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
     if factored:
-        stacked = np.hstack([np.kron(m_op.factor.conj(), rho_out.factor)
-                             for m_op, rho_out in form.atoms])
-        residual = float(np.abs(_difference_eigenvalues(stacked, channel.factor)).max())
+        # A's columns go straight into [A, X], the QR input, which is held once
+        x = channel.factor
+        joined = np.empty((x.shape[0], len(atoms) + x.shape[1]), dtype=complex)
+        for n, (m_op, rho_out) in enumerate(form.atoms):
+            joined[:, n] = np.kron(m_op.factor[:, 0].conj(), rho_out.factor[:, 0])
+        joined[:, len(atoms):] = x
+        residual = float(np.abs(_difference_eigenvalues(joined, len(atoms))).max())
     else:
         residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
     if not residual <= EXTRACT_TOL:

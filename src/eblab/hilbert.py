@@ -292,8 +292,17 @@ class PureVector:
         if v.shape[0] != window.dimension:
             raise WindowMismatchError(
                 f"amplitude length {v.shape[0]} does not match window dimension {window.dimension}")
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0 or not np.isfinite(norm):
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(v))
+        if not 0.0 < norm < np.inf:
+            # the sum of squares under- or overflowed: rescale by the largest part first
+            parts = v.view(float)
+            scale = float(np.abs(parts).max())
+            if 0.0 < scale < np.inf:
+                # a real divide: dividing the complex vector overflows on subnormal parts
+                v = (parts / scale).view(complex)
+                norm = float(np.linalg.norm(v))
+        if not 0.0 < norm < np.inf:  # all zero, or a NaN or inf part
             raise InvariantViolationError(f"pure vector needs a finite nonzero norm, got {norm!r}")
         v = v / norm
         v.setflags(write=False)
@@ -367,15 +376,16 @@ def eig_hermitian(op):
     return vals[order], vecs[:, order]
 
 
-def _difference_eigenvalues(fa, fb):
-    """Nonzero eigenvalues of fa fa^dag - fb fb^dag, from one QR of [fa, fb].
+def _difference_eigenvalues(joined, positive):
+    """Nonzero eigenvalues of W J W^dag from one QR of W = joined.
 
-    The difference is W J W^dag with W = [fa, fb] and J = diag(+1, ..., -1,
-    ...). With W = QR its nonzero eigenvalues are those of R J R^dag, which
-    is at most (m_a + m_b)-square.
+    J is +1 on W's first `positive` columns and -1 on the rest, so with
+    W = [fa, fb] the operator is fa fa^dag - fb fb^dag. With W = QR its
+    nonzero eigenvalues are those of R J R^dag, which is at most
+    W.shape[1]-square.
     """
-    r = np.linalg.qr(np.hstack([fa, fb]), mode="r")
-    signs = np.concatenate([np.ones(fa.shape[1]), -np.ones(fb.shape[1])])
+    r = np.linalg.qr(joined, mode="r")
+    signs = np.concatenate([np.ones(positive), -np.ones(joined.shape[1] - positive)])
     diff = (r * signs) @ r.conj().T
     return np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
 
@@ -388,7 +398,8 @@ def trace_norm_distance(a, b):
     """
     _require_same_window(a, b)
     if a.factor is not None and b.factor is not None:
-        return 0.5 * float(np.abs(_difference_eigenvalues(a.factor, b.factor)).sum())
+        joined = np.hstack([a.factor, b.factor])
+        return 0.5 * float(np.abs(_difference_eigenvalues(joined, a.factor.shape[1])).sum())
     diff = a.entries - b.entries
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 

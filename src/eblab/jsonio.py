@@ -6,7 +6,9 @@ Product-window operators replace the flat window fields by
     {"left_window": {...}, "right_window": {...}, "entries": ...}
 where each side is either a flat window or another product descriptor.
 operator_to_json keeps the entries as the complex array, and dumps writes
-such an array a row at a time.
+such an array a row at a time: a cell whose parts are both +0.0 is the
+literal [0,0], and each row's template is cached by its zero pattern, so
+the cells that charge conservation zeroes in rho12 cost no formatting.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
 """
@@ -64,33 +66,56 @@ def _write(obj, pieces):
         pieces.append("]")
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
         _write_complex_rows(obj, pieces)
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_float(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif obj is None:
         pieces.append("null")
     else:
-        raise SchemaError(f"cannot serialize value of type {type(obj).__name__}")
+        pieces.append(_scalar_text(obj))
+
+
+def _scalar_text(value):
+    """A bool, int or float (numpy scalars included) as canonical text, else a SchemaError."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    raise SchemaError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def _write_complex_rows(matrix, pieces):
-    """A complex matrix as rows of [re, im] cells, one "%.17g" template per row.
+    """A complex matrix as rows of [re, im] cells, formatting only the cells that need it.
 
+    A cell whose parts are both +0.0 is the literal [0,0]; every other cell,
+    a -0.0 part included ("%.17g" % -0.0 is "-0"), goes through
+    "[%.17g,%.17g]". Each row's "%" template is built from its zero pattern
+    and cached by it: the rows of rho12 that share a charge k1 + k2 share
+    one template, and a dense matrix uses a single all-formatted one. Rows
+    go straight into pieces, so the matrix text is copied only by the
+    final join.
     "%.17g" % v and format_float(v) give the same bytes for every finite
-    double, so this writes what a per-cell walk would, without building
-    one Python object per number.
+    double, so this writes what a per-cell walk would.
     """
     floats = np.ascontiguousarray(matrix, dtype=complex).view(float)
     bad = floats[~np.isfinite(floats)]
     if bad.size:
         raise InvariantViolationError(f"refusing to write the non-finite number {float(bad[0])!r}")
-    template = "[" + ",".join(["[%.17g,%.17g]"] * matrix.shape[1]) + "]"
-    pieces.append("[" + ",".join(template % tuple(row.tolist()) for row in floats) + "]")
+    templates = {}
+    pieces.append("[")
+    for n, row in enumerate(floats):
+        parts = (row != 0.0) | np.signbit(row)
+        written = parts[0::2] | parts[1::2]
+        key = written.tobytes()
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = "[" + ",".join(
+                "[%.17g,%.17g]" if w else "[0,0]" for w in written.tolist()) + "]"
+        if n:
+            pieces.append(",")
+        pieces.append(template % tuple(row.reshape(-1, 2)[written].ravel().tolist()))
+    pieces.append("]")
 
 
 def write_text(path, text):
@@ -282,18 +307,9 @@ def holevo_from_json(raw, context="holevo form"):
 
 
 def csv_text(header, rows):
-    """Canonical CSV: header plus rows of floats/ints/bools/strings."""
+    """Canonical CSV: header plus rows of bools/ints/floats/strings, written as dumps would."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            elif isinstance(value, (float, np.floating)):
-                cells.append(format_float(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+        lines.append(",".join(value if isinstance(value, str) else _scalar_text(value)
+                              for value in row))
     return "\n".join(lines) + "\n"

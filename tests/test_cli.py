@@ -17,6 +17,7 @@ from eblab import (
 from eblab.cli import main
 from eblab.errors import SchemaError
 from conftest import random_density
+from oracles import per_cell_json
 
 
 def run_cli(*args):
@@ -593,3 +594,29 @@ def test_eb_report_phi_at_k32_in_a_cold_process():
     assert report["cp"] is True and report["ppt"] is True
     assert report["min_eig_stacked"] == 0.0 and report["min_eig_pt"] == 0.0
     assert 0.0 <= report["extraction_residual"] <= 1e-8
+
+
+def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):
+    # the file the benchmark's rho12_export workload writes, pinned end to end
+    phi = random_phi_file(tmp_path, np.random.default_rng(5), 10)
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", phi, "--k", "10", "--n-sweep", "1,2,4,8",
+                 "--out", str(out)]) == 0
+    psi = jsonio.pure_vector_from_json(jsonio.read_json(phi))
+    expected = per_cell_json(jsonio.operator_to_json(rotation.rho12(psi, psi))) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+    assert len((tmp_path / "rho12.n_sweep.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_phi_file_whose_squared_norm_leaves_the_double_range(tmp_path, capsys, size):
+    # used to exit 3 with "finite nonzero norm, got 0.0" (or "got inf" and an overflow warning)
+    phi = tmp_path / "phi.json"
+    phi.write_text(jsonio.dumps({"k_min": -1, "k_max": 1,
+                                 "amplitudes": [[size, 0], [0, 0], [size, 0]]}))
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", str(phi), "--k", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    plain = PureVector(ModeWindow.symmetric(1), [1.0, 0.0, 1.0])
+    expected = jsonio.dumps(jsonio.operator_to_json(rotation.rho12(plain, plain))) + "\n"
+    assert out.read_text() == expected

@@ -298,6 +298,23 @@ def test_pure_vector_rejects_non_finite_norm():
         PureVector(W3, [np.inf, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1e308])
+def test_pure_vector_accepts_norms_whose_square_under_or_overflows(scale):
+    # the sum of squares is 0.0 or inf; the vector is still a valid state.
+    # The suite's error::RuntimeWarning filter catches an overflow warning too
+    psi = PureVector(W3, [scale, 0.0, 1j * scale])
+    assert np.array_equal(psi.amplitudes, PureVector(W3, [1.0, 0.0, 1j]).amplitudes)
+    with pytest.raises(InvariantViolationError, match="nan"):
+        PureVector(W3, [scale, np.nan, 0.0])
+    with pytest.raises(InvariantViolationError, match="got 0.0"):
+        PureVector(W3, [0.0, 0.0, 0.0])
+
+
+def test_pure_vector_keeps_ordinary_norms_bit_identical():
+    v = np.array([3.0, 4.0j, 1e-3])
+    assert np.array_equal(PureVector(W3, v).amplitudes, v / np.linalg.norm(v))
+
+
 def random_factor(rng, dim, rank):
     x = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     return x / np.linalg.norm(x)

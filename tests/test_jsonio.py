@@ -203,3 +203,61 @@ def test_row_writer_matches_the_per_cell_writer_on_edge_values():
     assert '"entries":[[[-0,123456789],[4.9406564584124654e-324,' in text
     assert ',[2,-0],' in text
     assert np.array_equal(jsonio.operator_from_json(jsonio.loads(text)).entries, entries)
+
+
+def _doc(entries):
+    entries = np.asarray(entries, dtype=complex)
+    return jsonio.operator_to_json(MatrixOperator(ModeWindow(0, len(entries) - 1), entries))
+
+
+def test_row_writer_matches_the_per_cell_writer_on_rho12_at_k10():
+    rng = np.random.default_rng(11)
+    phi = PureVector(ModeWindow.symmetric(10), rng.normal(size=21) + 1j * rng.normal(size=21))
+    doc = jsonio.operator_to_json(rho12(phi, phi))
+    text = jsonio.dumps(doc)
+    assert text == per_cell_json(doc)
+    # charge conservation leaves most cells +0.0, so this exercises the [0,0] literal
+    assert text.count("[0,0]") > 0.9 * 21 ** 4
+
+
+def test_row_writer_formats_every_signed_zero():
+    cells = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+    entries = np.array([[complex(*c) for c in cells[n:] + cells[:n]] for n in range(4)])
+    text = jsonio.dumps(_doc(entries))
+    assert text == per_cell_json(_doc(entries))
+    assert '"entries":[[[0,-0],[-0,0],[-0,-0],[0,0]],[[-0,0],' in text
+
+
+@pytest.mark.parametrize("entries", [
+    np.zeros((4, 4)),
+    np.diag([0.0, 1.0, 0.0]) + np.diag([2j, 0.0], 1),  # an all-zero last row
+    [[0.5 - 0.25j]],
+    [[0.0]],
+    np.random.default_rng(17).normal(size=(17, 17, 2)) @ [1.0, 1j],  # dense
+])
+def test_row_writer_matches_the_per_cell_writer_on_small_matrices(entries):
+    assert jsonio.dumps(_doc(entries)) == per_cell_json(_doc(entries))
+
+
+@pytest.mark.parametrize("cell", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                  complex(-np.inf, 0.0)])
+def test_non_finite_cell_in_a_zero_row_writes_nothing(cell):
+    entries = np.zeros((3, 3), dtype=complex)
+    entries[0, 0] = 1.0
+    entries[2, 1] = cell
+    pieces = []
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        jsonio._write_complex_rows(entries, pieces)
+    assert pieces == []
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        jsonio.dumps(_doc(entries))
+
+
+def test_csv_cells_follow_the_json_scalar_rules():
+    row = [np.True_, np.False_, True, np.int64(3), np.float32(0.5), 2.5, "x"]
+    line = jsonio.csv_text(["c"], [row]).splitlines()[1]
+    assert line == ",".join(jsonio.dumps(v) for v in row[:-1]) + ",x"
+    assert line == "true,false,true,3,0.5,2.5,x"
+    for value in (1 + 0j, np.complex128(1), None, [1.0], np.array([1.0])):
+        with pytest.raises(SchemaError, match="cannot serialize"):
+            jsonio.csv_text(["a", "b"], [[1, value]])
