@@ -14,6 +14,7 @@ from eblab import (
     eb_extract,
     eb_necessary_test,
     holevo_apply,
+    holevo_channel,
     HolevoForm,
     identity_channel,
     kraus_apply,
@@ -50,14 +51,19 @@ print("\nmeasure-and-prepare output diag:",
 # Round trip: the Choi state of a measure-and-prepare channel decomposes
 # into pure products, and the decomposition extracts back to an equivalent
 # form (a different atom list, the same channel). The Choi state carries its
-# channel and the reference's eigensystem through both steps.
+# channel and the reference's eigensystem through both steps. The form keeps
+# each atom and prepared state as a factor, so holevo_channel builds its
+# channel from the rank-one Kraus columns, with no block array; the dense
+# blocks give the same Choi state.
 sigma_full = StateOperator(w, 0.5 * np.eye(3) / 3 + 0.5 * np.diag([0.5, 0.3, 0.2]))
-state = choi(blocks_from_holevo(form), sigma_full)
-print("\nreference eigenvalues (descending):", np.round(state.eigenvalues, 6))
+state = choi(holevo_channel(form), sigma_full)
+print("\nfactored vs dense Choi state:",
+      np.abs(state.entries - choi(blocks_from_holevo(form), sigma_full).entries).max())
+print("reference eigenvalues (descending):", np.round(state.eigenvalues, 6))
 decomposition = separable_choi_from_holevo(form, state)
 extracted, residual = eb_extract(decomposition)
-print("extraction block residual:", residual)
-print("extracted atom count:", len(extracted.atoms), "(grouping by spectral branch)")
+print("extraction residual (operator norm):", residual)
+print("extracted atom count:", len(extracted.atoms), "(one per factor column pair)")
 
 # Atomic forms synthesize rank-one Kraus families with the same action.
 kraus = kraus_rank_one(form)

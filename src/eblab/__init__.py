@@ -23,11 +23,11 @@ from .hilbert import (
     ModeWindow,
     ProductWindow,
     PureVector,
-    RankOneOperator,
     StateOperator,
     basis_vector,
     eig_hermitian,
     factored_min_eigenvalue,
+    factored_operator,
     factored_state,
     min_eigenvalue,
     partial_trace,
@@ -64,6 +64,7 @@ from .channels import (
     eb_extract,
     eb_necessary_test,
     holevo_apply,
+    holevo_channel,
     identity_channel,
     kraus_apply,
     kraus_rank_one,

@@ -13,12 +13,18 @@ U(1) charge sectors, with 4K + 1 columns against (2K+1)^2 rows). Every
 stage then runs on factors: the Choi state is the factored state
 (W^T x I) X with W = B Lambda^(1/2) from the reference sigma = B Lambda B^dag,
 its partial transpose is (W^T x I) X', both positive by construction, so
-no stage checks their eigenvalues; the minimum eigenvalues of cp_check
-and eb_necessary_test are exactly 0.0 below full rank, POVM atoms that
-carry factors (RankOneOperator) are split without eigensolves, and
-eb_extract reports the operator norm of the stacked-matrix difference
-(which bounds the dense path's max-entry block residual). ChannelBlocks
-stays the dense path for generic input and the oracle for the factored one.
+no stage checks their eigenvalues, and the minimum eigenvalues of cp_check
+and eb_necessary_test are exactly 0.0 below full rank. ChannelBlocks stays
+the dense path for generic input and the oracle for the factored one.
+
+A HolevoForm keeps every POVM atom M_b = F F^dag and prepared state
+rho'_b = G G^dag as a factored operator (factored_operator,
+factored_state); a dense one is split once, when the form is built. Its
+rank-one Kraus operators are |g><f| over the columns, so holevo_channel
+gives its FactoredChannel with the columns conj(f) x g, and an atoms file
+runs the same factored chain as a rotation channel. On every path
+eb_extract reports the operator norm of the difference between the
+extracted form's stacked matrix and the channel's.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from .hilbert import (
     MatrixOperator,
     ProductWindow,
     PureVector,
-    RankOneOperator,
     StateOperator,
     _at_least,
     _at_most,
@@ -47,6 +52,7 @@ from .hilbert import (
     _init_factored,
     eig_hermitian,
     factored_min_eigenvalue,
+    factored_operator,
     factored_state,
     min_eigenvalue,
     partial_transpose,
@@ -224,35 +230,28 @@ def dephasing_channel(window):
 
 
 class HolevoForm:
-    """Finite measure-and-prepare form: POVM atoms M_b paired with output states.
+    """Finite measure-and-prepare form: POVM atoms M_b paired with prepared states rho'_b.
 
-    Each M_b must be Hermitian within EPS_HERM and positive within EPS_PSD,
-    and the atoms must sum to the identity within povm_tol in max-entry norm.
-    An atom that carries a factor U_b (RankOneOperator) is positive by
-    construction; when every atom does, completeness is checked as
-    U U^dag = I on U = [U_1, U_2, ...], without building any atom.
+    Every atom and prepared state is kept as a factored operator, M_b =
+    F_b F_b^dag and rho'_b = G_b G_b^dag. One that carries a factor keeps
+    it; a dense one is checked and split once, here (_factored). The atoms
+    must sum to the identity within povm_tol in max-entry norm, which is
+    checked as U U^dag = I on U = [F_1, F_2, ...] without building any atom.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
-        atoms = list(atoms)
+        atoms = [(_factored(m_op, "POVM atom"), _factored(rho_out, "prepared state"))
+                 for m_op, rho_out in atoms]
         if not atoms:
             raise InvariantViolationError("Holevo form needs at least one atom")
         in_window = atoms[0][0].window
         out_window = atoms[0][1].window
-        for m_op, rho_out in atoms:
-            if m_op.window != in_window or rho_out.window != out_window:
-                raise WindowMismatchError("all Holevo atoms share the same windows")
-            if m_op.factor is None:
-                _at_least(min_eigenvalue(_hermitian_part(m_op.entries, "POVM atom")), -EPS_PSD,
-                          "POVM atom not positive: min eigenvalue")
-        if any(m_op.factor is None for m_op, _ in atoms):
-            total = sum(m_op.entries for m_op, _ in atoms)
-        else:
-            u = np.hstack([m_op.factor for m_op, _ in atoms])
-            total = u @ u.conj().T
-        _at_most(float(np.abs(total - np.eye(in_window.dimension)).max()), povm_tol,
+        if any(m_op.window != in_window or rho_out.window != out_window for m_op, rho_out in atoms):
+            raise WindowMismatchError("all Holevo atoms share the same windows")
+        u = np.hstack([m_op.factor for m_op, _ in atoms])
+        _at_most(float(np.abs(u @ u.conj().T - np.eye(in_window.dimension)).max()), povm_tol,
                  "POVM incomplete: max |sum M - I|")
-        self._atoms = tuple((m_op, rho_out) for m_op, rho_out in atoms)
+        self._atoms = tuple(atoms)
         self._in_window = in_window
         self._out_window = out_window
 
@@ -276,6 +275,42 @@ def holevo_apply(form, rho):
     out = sum(float(np.trace(rho.entries @ m_op.entries).real) * rho_out.entries
               for m_op, rho_out in form.atoms)
     return StateOperator(form.out_window, out)
+
+
+def _factored(op, what):
+    """op as a factored operator: op itself if it carries a factor, else its eigen-split.
+
+    The split is one eig_hermitian. It refuses op when op is not Hermitian
+    within EPS_HERM or its minimum eigenvalue is below -EPS_PSD, and keeps
+    the eigenpairs (l, v) above ATOM_DROP_TOL as the columns sqrt(l) v,
+    in descending order. A state stays a state.
+    """
+    if op.factor is None:
+        vals, vecs = eig_hermitian(_hermitian_part(op.entries, what))
+        _at_least(vals[-1], -EPS_PSD, f"{what} not positive: min eigenvalue")
+        keep = vals > ATOM_DROP_TOL
+        make = factored_state if isinstance(op, StateOperator) else factored_operator
+        op = make(op.window, vecs[:, keep] * np.sqrt(vals[keep]))
+    return op
+
+
+def _kraus_columns(form, conjugate_output=False):
+    """Per atom, the columns conj(f) x g over the columns f of F_b and, inside, g of G_b.
+
+    |g><f| are the form's rank-one Kraus operators, so these columns factor
+    the stacked matrix; with conjugate_output they are conj(f) x conj(g)
+    and factor its output partial transpose.
+    """
+    for m_op, rho_out in form.atoms:
+        f = m_op.factor.conj()
+        g = rho_out.factor.conj() if conjugate_output else rho_out.factor
+        yield (f[:, None, :, None] * g[None, :, None, :]).reshape(len(f) * len(g), -1)
+
+
+def holevo_channel(form):
+    """The FactoredChannel of a Holevo form, built from its factors with no block array."""
+    return FactoredChannel(form.in_window, form.out_window,
+                           *(np.hstack(list(_kraus_columns(form, conj))) for conj in (False, True)))
 
 
 def blocks_from_holevo(form):
@@ -393,12 +428,6 @@ class SeparableChoiDecomposition:
         return self._reconstruction
 
 
-def _branches(matrix):
-    """(eigenvalue, eigenvector) pairs of a Hermitian matrix above ATOM_DROP_TOL, descending."""
-    vals, vecs = eig_hermitian(matrix)
-    return [(vals[r], vecs[:, r]) for r in np.flatnonzero(vals > ATOM_DROP_TOL)]
-
-
 def _column_branches(factor):
     """(squared norm, column) pairs of a factor X above ATOM_DROP_TOL; their projectors sum to X X^dag."""
     weights = np.einsum("ij,ij->j", factor.conj(), factor).real
@@ -408,12 +437,11 @@ def _column_branches(factor):
 def separable_choi_from_holevo(form, target):
     """Known product decomposition of the ChoiState target from a Holevo form of its channel.
 
-    Each POVM atom contributes the left factor sqrt(sigma) conj(M_b) sqrt(sigma)
-    (in the reference eigenbasis); spectral branches of both factors become
-    pure-product atoms. An atom or output state that carries a factor is
-    split along its columns instead, with no eigensolve: the column u of a
-    POVM factor gives the single left branch sqrt(Lambda) conj(B^dag u). A
-    form of another channel fails validation.
+    In the reference eigenbasis (sigma = B Lambda B^dag), the column f of a
+    POVM atom's factor gives the left branch sqrt(Lambda) conj(B^dag f),
+    and the column g of its prepared state's factor gives the right branch
+    g; each pair is a pure-product atom, and no eigensolve runs. A form of
+    another channel fails validation.
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
@@ -421,16 +449,8 @@ def separable_choi_from_holevo(form, target):
     root = np.sqrt(target.eigenvalues)
     atoms = []
     for m_op, rho_out in form.atoms:
-        if m_op.factor is None:
-            m_eig = basis.conj().T @ m_op.entries @ basis
-            lefts = _branches((root[:, None] * m_eig.conj()) * root[None, :])
-        else:
-            lefts = _column_branches(root[:, None] * (basis.conj().T @ m_op.factor).conj())
-        if rho_out.factor is None:
-            out_branches = _branches(rho_out.entries)
-        else:
-            out_branches = _column_branches(rho_out.factor)
-        outputs = [(d, PureVector(form.out_window, v)) for d, v in out_branches]
+        lefts = _column_branches(root[:, None] * (basis.conj().T @ m_op.factor).conj())
+        outputs = [(d, PureVector(form.out_window, v)) for d, v in _column_branches(rho_out.factor)]
         for c, v in lefts:
             phi = PureVector(form.in_window, v)
             atoms.extend((c * d, phi, psi) for d, psi in outputs)
@@ -440,42 +460,42 @@ def separable_choi_from_holevo(form, target):
 def eb_extract(decomposition):
     """(form, residual): the Holevo form of a separable Choi decomposition's channel.
 
-    Each decomposition atom yields the rank-one POVM element w |u><u| with
-    u = B Lambda^{-1/2} conj(phi), where sigma = B Lambda B^dag and phi's
-    coordinates are in the eigenbasis B, paired with the prepared output
-    |psi><psi|. The form is verified against the target's channel on every
-    matrix unit: the residual is the worst block entry of the difference.
-    For a FactoredChannel the atoms are RankOneOperators and the residual is
-    the operator norm of A A^dag - X X^dag, with A's columns
-    conj(sqrt(w) u) x psi, taken from one QR of [A, X]; it bounds the
-    max-entry residual and builds no block array. Failure raises
-    ExtractionInconsistentError with the residual.
+    Each decomposition atom yields the rank-one POVM atom w |u><u|, kept as
+    its factor sqrt(w) u with u = B Lambda^{-1/2} conj(phi), where sigma =
+    B Lambda B^dag and phi's coordinates are in the eigenbasis B, paired
+    with the prepared state |psi><psi|. The residual is the operator norm
+    of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
+    channel's stacked matrix; it bounds the largest entry difference. For a
+    FactoredChannel (S = X X^dag) it comes from one QR of [A, X], with no
+    (d_in d_out)-square array; for ChannelBlocks from one dense eigvalsh.
+    Failure raises ExtractionInconsistentError with the residual.
     """
     target = decomposition.target
     channel = target.channel
-    factored = isinstance(channel, FactoredChannel)
     basis = target.eigenbasis
     inv_root = target.eigenvalues ** -0.5
     atoms = []
     for w, phi, psi in decomposition.atoms:
         u = basis @ (inv_root * phi.amplitudes.conj())
-        m_op = (RankOneOperator(channel.in_window, np.sqrt(w) * u) if factored
-                else MatrixOperator(channel.in_window, w * np.outer(u, u.conj())))
-        atoms.append((m_op, psi.projector()))
+        atoms.append((factored_operator(channel.in_window, (np.sqrt(w) * u)[:, None]),
+                      psi.projector()))
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
+    factored = isinstance(channel, FactoredChannel)
+    x = channel.factor if factored else np.empty((target.window.dimension, 0))
+    # A's columns go straight into [A, X], the QR input, which is held once
+    joined = np.empty((x.shape[0], len(atoms) + x.shape[1]), dtype=complex)
+    for n, column in enumerate(_kraus_columns(form)):  # one column per rank-one, pure atom
+        joined[:, n:n + 1] = column
     if factored:
-        # A's columns go straight into [A, X], the QR input, which is held once
-        x = channel.factor
-        joined = np.empty((x.shape[0], len(atoms) + x.shape[1]), dtype=complex)
-        for n, (m_op, rho_out) in enumerate(form.atoms):
-            joined[:, n] = np.kron(m_op.factor[:, 0].conj(), rho_out.factor[:, 0])
         joined[:, len(atoms):] = x
-        residual = float(np.abs(_difference_eigenvalues(joined, len(atoms))).max())
+        eigenvalues = _difference_eigenvalues(joined, len(atoms))
     else:
-        residual = float(np.abs(blocks_from_holevo(form).blocks - channel.blocks).max())
+        diff = joined @ joined.conj().T - channel.stacked()
+        eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    residual = float(np.abs(eigenvalues).max())
     if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
-            "extracted form disagrees with the channel on matrix units", residual)
+            "extracted form disagrees with the channel's stacked matrix", residual)
     return form, residual
 
 
@@ -525,21 +545,14 @@ def kraus_apply(kraus, rho):
 
 
 def kraus_rank_one(form):
-    """Rank-one Kraus family reproducing a Holevo form's action.
+    """Rank-one Kraus family |g><f| of a Holevo form, with no eigensolve.
 
-    Mixed prepared states are first split into spectral branches (each
-    branch keeps the POVM atom rescaled by its eigenvalue); every POVM
-    atom M = sum_r |m_r><m_r| then contributes operators |psi><m_r|.
-    Atoms with max-entry norm at or below ATOM_DROP_TOL are dropped as noise.
+    f runs over the columns of each POVM atom's factor and, inside, g over
+    the columns of its prepared state's factor, so sum |f><g|g><f| =
+    sum_b Tr(rho'_b) M_b = I.
     """
-    operators = []
-    for m_op, rho_out in form.atoms:
-        for d, psi in _branches(rho_out.entries):
-            m_entries = d * m_op.entries
-            if float(np.abs(m_entries).max()) <= ATOM_DROP_TOL:
-                continue
-            operators.extend(np.outer(psi, (np.sqrt(m) * u).conj())
-                             for m, u in _branches(m_entries))
+    operators = [np.outer(g, f.conj()) for m_op, rho_out in form.atoms
+                 for f in m_op.factor.T for g in rho_out.factor.T]
     return KrausRankOne(operators, form.in_window, form.out_window)
 
 

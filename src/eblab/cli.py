@@ -155,7 +155,7 @@ def cmd_eb_report(args):
             form = None
         elif isinstance(raw, dict) and "atoms" in raw:
             form = jsonio.holevo_from_json(raw, context=args.channel)
-            channel = ch.blocks_from_holevo(form)
+            channel = ch.holevo_channel(form)
         else:
             raise SchemaError(f"{args.channel}: expected 'blocks' or 'atoms'")
     elif args.phi is not None:

@@ -14,11 +14,11 @@ class InvariantViolationError(ValueError):
 
 
 class ExtractionInconsistentError(InvariantViolationError):
-    """Measure-and-prepare extraction failed to reproduce the channel blocks.
+    """Measure-and-prepare extraction failed to reproduce the channel.
 
-    Carries the largest per-block residual observed.
+    Carries the residual: the operator norm of the stacked-matrix difference.
     """
 
     def __init__(self, message, residual):
-        super().__init__(f"{message} (max block residual {residual:.3e})")
+        super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = float(residual)

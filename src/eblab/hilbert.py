@@ -121,7 +121,7 @@ def min_eigenvalue(matrix):
 class MatrixOperator:
     """Dense complex matrix tied to a mode window.
 
-    An operator built from a factor X (factored_state, RankOneOperator)
+    An operator built from a factor X (factored_operator, factored_state)
     is X X^dag, positive by construction: it keeps X, checks no
     eigenvalue and builds its entries only on first access.
     """
@@ -169,31 +169,6 @@ class MatrixOperator:
 
     def __repr__(self):
         return f"{type(self).__name__}(window={self._window}, dim={self._window.dimension})"
-
-
-class RankOneOperator(MatrixOperator):
-    """The positive operator |v><v| / divisor, kept as its vector v.
-
-    Its factor is the single column v / sqrt(divisor); its entries are
-    built on first access as np.outer(v, conj(v)) / divisor. Non-finite
-    vectors and divisors that are not positive and finite are refused.
-    """
-
-    def __init__(self, window, vector, divisor=1):
-        v = np.array(vector, dtype=complex).reshape(-1)
-        if v.shape[0] != window.dimension:
-            raise WindowMismatchError(
-                f"vector length {v.shape[0]} does not match window dimension {window.dimension}")
-        if not (np.isfinite(v).all() and 0.0 < divisor < np.inf):
-            raise InvariantViolationError("rank-one operator needs a finite vector and divisor > 0")
-        factor = (v / np.sqrt(divisor))[:, None]
-        v.setflags(write=False)
-        factor.setflags(write=False)
-        self._window, self._entries, self._factor = window, None, factor
-        self._vector, self._divisor = v, divisor
-
-    def _expand(self):
-        return np.outer(self._vector, self._vector.conj()) / self._divisor
 
 
 class StateOperator(MatrixOperator):
@@ -249,26 +224,34 @@ def _checked_state(m):
     return m, low
 
 
-def _init_factored(state, window, factor):
-    """Make state the state X X^dag of the d x m factor X, checked on X (see factored_state)."""
+def _init_factored(op, window, factor):
+    """Make op the operator X X^dag of the d x m factor X, checked on X alone.
+
+    X must be finite, and a StateOperator's trace ||X||_F^2 must be 1 within
+    EPS_TRACE. X X^dag is positive by construction, so no eigensolve runs and
+    no clipping is needed; the d x d entries are built only on first access,
+    with exact zeros stored as +0.0.
+    """
     x = np.array(factor, dtype=complex)
     if x.ndim != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
-    _finite(x, "state factor")
-    _at_most(abs(np.vdot(x, x).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
+    _finite(x, "factor")
+    if isinstance(op, StateOperator):
+        _at_most(abs(np.vdot(x, x).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
     x.setflags(write=False)
-    state._window, state._entries, state._factor = window, None, x
+    op._window, op._entries, op._factor = window, None, x
+
+
+def factored_operator(window, factor):
+    """The positive operator X X^dag of a d x m factor X, which it keeps as its factor."""
+    op = MatrixOperator.__new__(MatrixOperator)
+    _init_factored(op, window, factor)
+    return op
 
 
 def factored_state(window, factor):
-    """The state X X^dag of a d x m factor X, which it keeps as its factor.
-
-    It is positive by construction, so construction only checks the factor:
-    its entries must be finite and the trace ||X||_F^2 must be 1 within
-    EPS_TRACE. No eigensolve runs and no clipping is needed; the d x d
-    entries are built only on first access, with exact zeros stored as +0.0.
-    """
+    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor."""
     state = StateOperator.__new__(StateOperator)
     _init_factored(state, window, factor)
     return state

@@ -29,7 +29,6 @@ from .hilbert import (
     StateOperator,
 )
 from .channels import ChannelBlocks, HolevoForm
-from .measures import ProductMeasure, StateMeasure
 
 
 def format_float(value):
@@ -220,42 +219,6 @@ def pure_vector_from_json(raw, context="pure vector"):
     return PureVector(window, [_complex_from_json(cell, context) for cell in raw["amplitudes"]])
 
 
-def measure_to_json(measure):
-    return {"atoms": [{"w": float(w), "state": operator_to_json(s)}
-                      for w, s in measure.atoms]}
-
-
-def measure_from_json(raw, context="measure"):
-    if not isinstance(raw, dict) or not isinstance(raw.get("atoms"), list):
-        raise SchemaError(f"{context}: missing 'atoms' array")
-    atoms = []
-    for n, atom in enumerate(raw["atoms"]):
-        if not isinstance(atom, dict) or "w" not in atom or "state" not in atom:
-            raise SchemaError(f"{context}: atom {n} needs 'w' and 'state'")
-        atoms.append((float(atom["w"]), state_from_json(atom["state"], f"{context}.atom{n}")))
-    return StateMeasure(atoms)
-
-
-def product_measure_to_json(measure):
-    return {"atoms": [{"w": float(w),
-                       "left": operator_to_json(l),
-                       "right": operator_to_json(r)}
-                      for w, l, r in measure.atoms]}
-
-
-def product_measure_from_json(raw, context="product measure"):
-    if not isinstance(raw, dict) or not isinstance(raw.get("atoms"), list):
-        raise SchemaError(f"{context}: missing 'atoms' array")
-    atoms = []
-    for n, atom in enumerate(raw["atoms"]):
-        if not isinstance(atom, dict) or not {"w", "left", "right"} <= atom.keys():
-            raise SchemaError(f"{context}: atom {n} needs 'w', 'left' and 'right'")
-        atoms.append((float(atom["w"]),
-                      state_from_json(atom["left"], f"{context}.atom{n}.left"),
-                      state_from_json(atom["right"], f"{context}.atom{n}.right")))
-    return ProductMeasure(atoms)
-
-
 def channel_to_json(channel):
     d = channel.in_window.dimension
     return {
@@ -295,8 +258,8 @@ def holevo_to_json(form):
 
 
 def holevo_from_json(raw, context="holevo form"):
-    if not isinstance(raw, dict) or not isinstance(raw.get("atoms"), list):
-        raise SchemaError(f"{context}: missing 'atoms' array")
+    if not isinstance(raw, dict) or not isinstance(raw.get("atoms"), list) or not raw["atoms"]:
+        raise SchemaError(f"{context}: missing or empty 'atoms' array")
     atoms = []
     for n, atom in enumerate(raw["atoms"]):
         if not isinstance(atom, dict) or "M" not in atom or "rho_out" not in atom:

@@ -35,11 +35,11 @@ from .hilbert import (
     ModeWindow,
     ProductWindow,
     PureVector,
-    RankOneOperator,
     StateOperator,
     _at_least,
     _finite,
     basis_vector,
+    factored_operator,
     factored_state,
     trace_norm_distance,
 )
@@ -210,15 +210,15 @@ def holevo_form(channel):
     """Grid discretization as a measure-and-prepare form.
 
     POVM atoms M_g = (1/G) |chi_g><chi_g| with chi_g[k] = e^{i x_g k}
-    resolve the identity exactly for G >= 2K + 1; they are kept as the
-    vectors chi_g (RankOneOperator). The prepared states are the rotated
-    fiducial projectors. holevo_apply of this form coincides with
-    apply_quadrature.
+    resolve the identity exactly for G >= 2K + 1; they are kept as their
+    factors chi_g / sqrt(G) (factored_operator). The prepared states are
+    the rotated fiducial projectors. holevo_apply of this form coincides
+    with apply_quadrature.
     """
     window, nodes = channel.window, channel.quadrature_nodes
     xs = _nodes(nodes)
     prepared = _orbit(window, channel.phi.amplitudes, xs)  # row g is V_{x_g} phi
-    return HolevoForm((RankOneOperator(window, chi, nodes),
+    return HolevoForm((factored_operator(window, (chi / np.sqrt(nodes))[:, None]),
                        PureVector(window, row).projector())
                       for chi, row in zip(_orbit(window, 1.0, xs), prepared))
 

@@ -13,7 +13,6 @@ from eblab import (
     ModeWindow,
     ProductWindow,
     PureVector,
-    RankOneOperator,
     StateOperator,
     WindowMismatchError,
     apply,
@@ -28,7 +27,10 @@ from eblab import (
     eb_extract,
     eb_necessary_test,
     eig_hermitian,
+    factored_operator,
+    factored_state,
     holevo_apply,
+    holevo_channel,
     identity_channel,
     kraus_apply,
     kraus_rank_one,
@@ -46,8 +48,8 @@ def window(dim):
     return ModeWindow(0, dim - 1)
 
 
-def random_holevo_form(rng, d_in, d_out, atom_count, pure_outputs=False):
-    """POVM from normalized Wishart draws paired with random outputs."""
+def random_holevo_atoms(rng, d_in, d_out, atom_count, pure_outputs=False):
+    """Dense POVM atoms from normalized Wishart draws paired with random outputs."""
     draws = []
     for _ in range(atom_count):
         a = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
@@ -64,7 +66,11 @@ def random_holevo_form(rng, d_in, d_out, atom_count, pure_outputs=False):
         else:
             out = StateOperator(window(d_out), random_density(rng, d_out))
         atoms.append((m_op, out))
-    return HolevoForm(atoms)
+    return atoms
+
+
+def random_holevo_form(rng, d_in, d_out, atom_count, pure_outputs=False):
+    return HolevoForm(random_holevo_atoms(rng, d_in, d_out, atom_count, pure_outputs))
 
 
 def random_full_rank_state(rng, dim):
@@ -507,13 +513,25 @@ def test_choi_state_attributes_are_read_only(rng):
             array[0] = 0.0
 
 
+def stacked_columns(form):
+    """The columns conj(f) x g over every atom's factor columns f and prepared-state columns g."""
+    return np.stack([np.kron(f.conj(), g) for m_op, rho_out in form.atoms
+                     for f in m_op.factor.T for g in rho_out.factor.T], axis=1)
+
+
 def test_eb_extract_returns_the_block_residual_it_checked(rng):
+    # on ChannelBlocks the residual is the operator norm of A A^dag - S, from one dense eigvalsh
     for _ in range(3):
         form = random_holevo_form(rng, 3, 2, 3)
         chan = blocks_from_holevo(form)
         decomposition = separable_choi_from_holevo(form, choi(chan, random_full_rank_state(rng, 3)))
         extracted, residual = eb_extract(decomposition)
-        assert residual == np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()
+        a = stacked_columns(extracted)
+        assert a.shape == (6, len(decomposition.atoms))
+        diff = a @ a.conj().T - chan.stacked()
+        assert residual == np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).max()
+        entries = blocks_from_holevo(extracted).stacked() - chan.stacked()
+        assert abs(residual - np.abs(np.linalg.eigvalsh(entries)).max()) <= 1e-14
 
 
 def test_separable_choi_from_holevo_rejects_a_form_on_other_windows(rng):
@@ -553,23 +571,26 @@ def branches_loop(matrix):
 
 
 def test_split_atoms_follow_the_descending_branches(rng):
-    # atom order: POVM atom, then left branch, then output branch; Kraus order:
-    # POVM atom, then output branch, then POVM-atom branch
+    # a dense atom or prepared state is split once, into the columns sqrt(l) v
+    # of its descending eigenpairs; decomposition atoms and Kraus operators then
+    # run over the factor columns: POVM atom, then its column f, then output column g
     for pure_outputs in (False, True):
-        form = random_holevo_form(rng, 3, 2, 3, pure_outputs=pure_outputs)
-        sigma = random_full_rank_state(rng, 3)
-        target = choi(blocks_from_holevo(form), sigma)
-        root = np.sqrt(target.eigenvalues)
-        basis = target.eigenbasis
+        dense = random_holevo_atoms(rng, 3, 2, 3, pure_outputs=pure_outputs)
+        form = HolevoForm(dense)
+        target = choi(blocks_from_holevo(form), random_full_rank_state(rng, 3))
+        root, basis = np.sqrt(target.eigenvalues), target.eigenbasis
         atoms, operators = [], []
-        for m_op, rho_out in form.atoms:
-            m_eig = basis.conj().T @ m_op.entries @ basis
-            for c, phi in branches_loop((root[:, None] * m_eig.conj()) * root[None, :]):
-                for d, psi in branches_loop(rho_out.entries):
-                    atoms.append((c * d, phi, psi))
-            for d, psi in branches_loop(rho_out.entries):
-                for m, u in branches_loop(d * m_op.entries):
-                    operators.append(np.outer(psi, (np.sqrt(m) * u).conj()))
+        for (m_dense, rho_dense), (m_op, rho_out) in zip(dense, form.atoms):
+            for matrix, op in ((m_dense, m_op), (rho_dense, rho_out)):
+                columns = [np.sqrt(c) * v for c, v in branches_loop(matrix.entries)]
+                assert np.array_equal(op.factor, np.stack(columns, axis=1))
+            lefts = root[:, None] * (basis.conj().T @ m_op.factor).conj()
+            weights = np.einsum("ij,ij->j", lefts.conj(), lefts).real
+            out_weights = np.einsum("ij,ij->j", rho_out.factor.conj(), rho_out.factor).real
+            for c, phi, f in zip(weights, lefts.T, m_op.factor.T):
+                for d, g in zip(out_weights, rho_out.factor.T):
+                    atoms.append((c * d, phi, g))
+                    operators.append(np.outer(g, f.conj()))
         split = separable_choi_from_holevo(form, target).atoms
         assert [w for w, _, _ in split] == [w for w, _, _ in atoms]
         for (_, phi, psi), (_, phi_ref, psi_ref) in zip(split, atoms):
@@ -602,17 +623,23 @@ def test_factored_channel_checks_its_factors():
     assert cp_check(FactoredChannel(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
 
 
-def test_rank_one_operator_keeps_its_vector(rng):
+def test_factored_operator_keeps_its_factor(rng):
     w = window(3)
-    v = random_pure(rng, 3) * 2.0
-    op = RankOneOperator(w, v, 7)
-    assert np.array_equal(op.entries, np.outer(v, v.conj()) / 7)
-    assert np.abs(op.factor @ op.factor.conj().T - op.entries).max() < 1e-15
-    for vector, divisor in (([np.nan, 1.0, 0.0], 1), (v, 0.0), (v, np.inf)):
-        with pytest.raises(InvariantViolationError):
-            RankOneOperator(w, vector, divisor)
+    x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    op = factored_operator(w, x)
+    assert type(op) is MatrixOperator and np.array_equal(op.factor, x)
+    assert np.abs(op.entries - x @ x.conj().T).max() < 1e-14
+    assert np.array_equal(op.entries, op.entries.conj().T)
+    for array in (op.factor, op.entries):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    # an operator's trace is free; a factored state's must be 1
+    with pytest.raises(InvariantViolationError, match="trace defect"):
+        factored_state(w, x)
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        factored_operator(w, [[np.nan], [1.0], [0.0]])
     with pytest.raises(WindowMismatchError):
-        RankOneOperator(window(2), v)
+        factored_operator(window(2), x)
 
 
 def test_holevo_form_checks_factored_atoms_on_their_vectors(rng):
@@ -620,12 +647,37 @@ def test_holevo_form_checks_factored_atoms_on_their_vectors(rng):
     # dense atom may sit next to factored ones
     w = window(2)
     out = basis_vector(w, 0).projector()
-    halves = [RankOneOperator(w, [1.0, 1.0], 2), RankOneOperator(w, [1.0, -1.0], 2)]
+    halves = [factored_operator(w, np.array([[1.0], [s]]) / np.sqrt(2)) for s in (1.0, -1.0)]
     form = HolevoForm([(m_op, out) for m_op in halves])
     assert np.abs(blocks_from_holevo(form).blocks - constant_channel(w, out).blocks).max() < 1e-15
     with pytest.raises(InvariantViolationError, match="POVM incomplete"):
         HolevoForm([(halves[0], out)])
     HolevoForm([(halves[0], out), (MatrixOperator(w, halves[1].entries), out)])
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("pure_outputs", [False, True])
+def test_holevo_channel_factors_match_the_blocks(rng, d_in, d_out, pure_outputs):
+    # dense mixed atoms, split when the form is built, and factored atoms of rank one and two
+    forms = [random_holevo_form(rng, d_in, d_out, 3, pure_outputs)]
+    for rank in (1, 2):
+        draws = [rng.normal(size=(d_in, rank)) + 1j * rng.normal(size=(d_in, rank))
+                 for _ in range(4)]
+        vals, vecs = np.linalg.eigh(sum(a @ a.conj().T for a in draws))
+        inv_root = (vecs * vals ** -0.5) @ vecs.conj().T
+        outputs = [PureVector(window(d_out), random_pure(rng, d_out)).projector() if pure_outputs
+                   else StateOperator(window(d_out), random_density(rng, d_out)) for _ in draws]
+        forms.append(HolevoForm([(factored_operator(window(d_in), inv_root @ a), out)
+                                 for a, out in zip(draws, outputs)]))
+    for form in forms:
+        channel = holevo_channel(form)
+        x, y = channel.factor, channel.pt_factor
+        assert x.shape[1] == sum(m.factor.shape[1] * r.factor.shape[1] for m, r in form.atoms)
+        stacked = blocks_from_holevo(form).stacked()
+        pt = stacked.reshape(d_in, d_out, d_in, d_out).transpose(0, 3, 2, 1).reshape(
+            d_in * d_out, d_in * d_out)
+        assert np.abs(x @ x.conj().T - stacked).max() <= 1e-14
+        assert np.abs(y @ y.conj().T - pt).max() <= 1e-14
 
 
 def test_factored_atoms_split_along_their_columns(rng):
@@ -636,7 +688,7 @@ def test_factored_atoms_split_along_their_columns(rng):
     vals, vecs = np.linalg.eigh(a @ a.conj().T)
     vectors = ((vecs * vals ** -0.5) @ vecs.conj().T) @ a  # columns resolve the identity
     outputs = [PureVector(window(2), random_pure(rng, 2)).projector() for _ in range(5)]
-    form = HolevoForm([(RankOneOperator(w, u), out) for u, out in zip(vectors.T, outputs)])
+    form = HolevoForm([(factored_operator(w, u[:, None]), out) for u, out in zip(vectors.T, outputs)])
     dense = HolevoForm([(MatrixOperator(w, m_op.entries), StateOperator(window(2), out.entries))
                         for m_op, out in form.atoms])
     target = choi(blocks_from_holevo(dense), random_full_rank_state(rng, 3))

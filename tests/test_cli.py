@@ -16,7 +16,7 @@ from eblab import (
 )
 from eblab.cli import main
 from eblab.errors import SchemaError
-from conftest import random_density
+from conftest import random_density, random_pure
 from oracles import per_cell_json
 
 
@@ -120,6 +120,40 @@ def test_eb_report_constant_channel_holevo(tmp_path, rng):
     assert report["cp"] is True
     assert report["ppt"] is True
     assert report["extraction_residual"] <= 1e-8
+
+
+def test_eb_report_atoms_file_runs_on_factors(tmp_path, rng, monkeypatch):
+    # a rank-one POVM with pure outputs has 4 Kraus columns against d_in d_out = 6
+    # rows, so both minimum eigenvalues are exactly 0, and no block family is built
+    from eblab import channels
+
+    def refuse(form):
+        raise AssertionError("the atoms path built a block family")
+
+    monkeypatch.setattr(channels, "blocks_from_holevo", refuse)
+    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    vals, vecs = np.linalg.eigh(a @ a.conj().T)
+    u = ((vecs * vals ** -0.5) @ vecs.conj().T) @ a  # columns resolve the identity
+    doc = {"atoms": [{"M": jsonio.operator_to_json(MatrixOperator(ModeWindow(0, 2),
+                                                                  np.outer(c, c.conj()))),
+                      "rho_out": jsonio.operator_to_json(
+                          PureVector(ModeWindow(0, 1), random_pure(rng, 2)).projector())}
+                     for c in u.T]}
+    chan_file = tmp_path / "atoms.json"
+    out = tmp_path / "report.json"
+    jsonio.write_text(str(chan_file), jsonio.dumps(doc))
+    assert main(["eb-report", "--channel", str(chan_file), "--out", str(out)]) == 0
+    report = jsonio.read_json(out)
+    assert report["cp"] is True and report["ppt"] is True
+    assert report["min_eig_stacked"] == 0.0 and report["min_eig_pt"] == 0.0
+    assert report["extraction_residual"] <= 1e-8
+
+
+def test_eb_report_on_an_empty_atoms_list_exits_2(tmp_path, capsys):
+    chan_file = tmp_path / "empty.json"
+    chan_file.write_text('{"atoms": []}')
+    assert main(["eb-report", "--channel", str(chan_file)]) == 2
+    assert "empty 'atoms'" in capsys.readouterr().err
 
 
 def test_eb_report_rotation_channel(tmp_path):

@@ -6,11 +6,9 @@ from eblab import (
     InvariantViolationError,
     MatrixOperator,
     ModeWindow,
-    ProductMeasure,
     ProductWindow,
     PureVector,
     SchemaError,
-    StateMeasure,
     StateOperator,
     identity_channel,
     phi_profile,
@@ -62,27 +60,6 @@ def test_pure_vector_round_trip():
     assert back.window == psi.window
     # construction renormalizes, which may cost one ulp
     assert np.abs(back.amplitudes - psi.amplitudes).max() < 1e-15
-
-
-def test_measure_round_trip(rng):
-    w = ModeWindow(0, 1)
-    measure = StateMeasure([(0.25, StateOperator(w, random_density(rng, 2))),
-                            (0.75, StateOperator(w, random_density(rng, 2)))])
-    back = jsonio.measure_from_json(jsonio.loads(jsonio.dumps(jsonio.measure_to_json(measure))))
-    for (w1, s1), (w2, s2) in zip(measure.atoms, back.atoms):
-        assert abs(w1 - w2) < 1e-16
-        assert np.abs(s1.entries - s2.entries).max() < 1e-16
-
-
-def test_product_measure_round_trip(rng):
-    w = ModeWindow(0, 1)
-    measure = ProductMeasure([
-        (0.5, StateOperator(w, random_density(rng, 2)), StateOperator(w, random_density(rng, 2))),
-        (0.5, StateOperator(w, random_density(rng, 2)), StateOperator(w, random_density(rng, 2))),
-    ])
-    doc = jsonio.product_measure_to_json(measure)
-    back = jsonio.product_measure_from_json(jsonio.loads(jsonio.dumps(doc)))
-    assert len(back.atoms) == 2
 
 
 def test_channel_round_trip():
