@@ -26,9 +26,9 @@ from .hilbert import (
     StateOperator,
     basis_vector,
     eig_hermitian,
-    factored_min_eigenvalue,
     factored_operator,
     factored_state,
+    lowest_eigenvalue,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -49,7 +49,6 @@ from .measures import (
 from .channels import (
     ChannelBlocks,
     ChoiState,
-    FactoredChannel,
     HolevoForm,
     KrausRankOne,
     SeparableChoiDecomposition,

@@ -1,30 +1,29 @@
-"""Channels as matrix-unit block families, Choi states, and measure-and-prepare forms.
+"""Channels, Choi states, and measure-and-prepare forms.
 
 A channel on a truncated window is pinned down by the blocks
-B[i, j] = Phi(|i><j|). Complete positivity is equivalent to positivity of
-the stacked matrix S[(i,k),(j,l)] = B[i,j][k,l], which is also the Choi
-matrix for an unnormalized maximally entangled reference. The PPT test on
-a (normalized, full-rank-reference) Choi state is the only separability
+B[i, j] = Phi(|i><j|), or by its stacked matrix S[(i,k),(j,l)] = B[i,j][k,l].
+Complete positivity is equivalent to positivity of S, which is also the
+Choi matrix for an unnormalized maximally entangled reference. The PPT test
+on a (normalized, full-rank-reference) Choi state is the only separability
 screen implemented here; it is necessary-only beyond 2x2 and 2x3.
 
-A FactoredChannel carries factors S = X X^dag and S^(T_out) = X' X'^dag
-instead of the blocks (rotation.factored_channel builds them from the
-U(1) charge sectors, with 4K + 1 columns against (2K+1)^2 rows). Every
-stage then runs on factors: the Choi state is the factored state
-(W^T x I) X with W = B Lambda^(1/2) from the reference sigma = B Lambda B^dag,
-its partial transpose is (W^T x I) X', both positive by construction, so
-no stage checks their eigenvalues, and the minimum eigenvalues of cp_check
-and eb_necessary_test are exactly 0.0 below full rank. ChannelBlocks stays
-the dense path for generic input and the oracle for the factored one.
+ChannelBlocks is the one channel type: it holds S and its output partial
+transpose S^(T_out) as operators, dense from blocks and factored from
+from_factors (S = X X^dag, S^(T_out) = X' X'^dag; rotation.factored_channel
+gives 4K + 1 charge-sector columns against (2K+1)^2 rows). On factors the
+Choi state is the factored state (W^T x I) X with W = B Lambda^(1/2) from
+sigma = B Lambda B^dag and its partial transpose is (W^T x I) X', both
+positive by construction, and lowest_eigenvalue is exactly 0.0 below full
+rank. The blocks are read off S, so every function takes every channel.
 
 A HolevoForm keeps every POVM atom M_b = F F^dag and prepared state
 rho'_b = G G^dag as a factored operator (factored_operator,
 factored_state); a dense one is split once, when the form is built. Its
 rank-one Kraus operators are |g><f| over the columns, so holevo_channel
-gives its FactoredChannel with the columns conj(f) x g, and an atoms file
-runs the same factored chain as a rotation channel. On every path
-eb_extract reports the operator norm of the difference between the
-extracted form's stacked matrix and the channel's.
+gives its channel from the columns conj(f) x g, and an atoms file runs the
+same factored chain as a rotation channel. On every path eb_extract reports
+the operator norm of the difference between the extracted form's stacked
+matrix and the channel's.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ from .hilbert import (
     _hermitian_part,
     _init_factored,
     eig_hermitian,
-    factored_min_eigenvalue,
     factored_operator,
     factored_state,
-    min_eigenvalue,
+    lowest_eigenvalue,
     partial_transpose,
     trace_norm_distance,
 )
@@ -67,12 +65,13 @@ KRAUS_RANK_TOL = 1e-12    # second singular value allowed on a rank-one factor
 
 
 class ChannelBlocks:
-    """Block family B[i, j] = Phi(|i><j|) over in/out windows.
+    """Channel as two operators on ProductWindow(in, out): stacked S and transposed S^(T_out).
 
-    Construction enforces Hermiticity of the family (B[j,i] = B[i,j]^dag)
-    and trace preservation (Tr B[i,j] = delta_ij); complete positivity is
-    deliberately not enforced so that non-CP candidates (e.g. the
-    transposition map) can be represented and diagnosed via cp_check.
+    S[(i,k),(j,l)] = B[i,j][k,l] for the blocks B[i, j] = Phi(|i><j|), and
+    S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)]. Construction from blocks
+    enforces Hermiticity (B[j,i] = B[i,j]^dag) and trace preservation
+    (Tr B[i,j] = delta_ij) but not complete positivity, so non-CP candidates
+    (e.g. the transposition map) can be diagnosed via cp_check.
     """
 
     def __init__(self, in_window, out_window, blocks):
@@ -85,10 +84,9 @@ class ChannelBlocks:
                  "block family not Hermitian: max |B_ij - B_ji^dag|")
         _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
                  "block family not trace preserving: max |Tr B_ij - delta_ij|")
-        b.setflags(write=False)
-        self._in_window = in_window
-        self._out_window = out_window
-        self._blocks = b
+        self._stacked = MatrixOperator(ProductWindow(in_window, out_window),
+                                       b.transpose(0, 2, 1, 3).reshape(d_in * d_out, -1))
+        self._transposed = None
 
     @classmethod
     def from_map(cls, fn, in_window, out_window):
@@ -102,53 +100,28 @@ class ChannelBlocks:
                 b[i, j] = fn(unit)
         return cls(in_window, out_window, b)
 
-    @property
-    def in_window(self):
-        return self._in_window
+    @classmethod
+    def from_factors(cls, in_window, out_window, factor, transposed_factor):
+        """The channel with S = X X^dag and S^(T_out) = X' X'^dag, both kept as factored operators.
 
-    @property
-    def out_window(self):
-        return self._out_window
-
-    @property
-    def blocks(self):
-        return self._blocks
-
-    def block(self, i, j):
-        return MatrixOperator(self._out_window, self._blocks[i, j])
-
-    def stacked(self):
-        """The (d_in*d_out)-square matrix S[(i,k),(j,l)] = B[i,j][k,l]."""
-        d_in, d_out = self._in_window.dimension, self._out_window.dimension
-        return self._blocks.transpose(0, 2, 1, 3).reshape(d_in * d_out, d_in * d_out)
-
-
-class FactoredChannel:
-    """Channel given by a factor X of its stacked matrix, S = X X^dag, and a factor X' of S^(T_out).
-
-    S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)] transposes the output factor.
-    The channel is completely positive by construction. Construction checks
-    that both factors are finite and trace preserving, Tr_out S = I (the
-    output partial transpose leaves Tr_out unchanged), and screens that X'
-    belongs to X: on a product vector a x b, <a x b| S^(T_out) |a x b> is
-    <a x conj(b)| S |a x conj(b)>, compared on three fixed generic unit
-    probes at O(d_in d_out m) each. Nothing (d_in d_out)-square is built.
-    It has no blocks, so apply_matrix and apply_with_identity take
-    ChannelBlocks only.
-    """
-
-    def __init__(self, in_window, out_window, factor, pt_factor):
+        It is completely positive by construction. Construction checks that
+        both factors are finite and trace preserving, Tr_out S = I (the
+        output partial transpose leaves Tr_out unchanged), and screens that
+        X' belongs to X: on a product vector a x b, <a x b| S^(T_out) |a x b>
+        is <a x conj(b)| S |a x conj(b)>, compared on three fixed generic
+        unit probes at O(d_in d_out m) each. Nothing (d_in d_out)-square is
+        built until the entries or the blocks are read.
+        """
         d_in, d_out = in_window.dimension, out_window.dimension
         factors = []
-        for name, f in (("factor", factor), ("partial-transpose factor", pt_factor)):
-            x = np.array(f, dtype=complex)
+        for name, f in (("factor", factor), ("partial-transpose factor", transposed_factor)):
+            x = np.asarray(f, dtype=complex)
             if x.ndim != 2 or x.shape[0] != d_in * d_out:
                 raise InvariantViolationError(
                     f"{name} shape {x.shape} does not have {d_in * d_out} rows")
             rows = _finite(x, name).reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
             _at_most(float(np.abs(rows @ rows.conj().T - np.eye(d_in)).max()), EPS_TRACE,
                      f"{name} not trace preserving: max |Tr_out S - I|")
-            x.setflags(write=False)
             factors.append(x)
         a, b = (_generic_unit_columns(n) for n in (d_in, d_out))
 
@@ -159,25 +132,39 @@ class FactoredChannel:
         defect = np.abs(expectations(factors[1], b) - expectations(factors[0], b.conj())).max()
         _at_most(float(defect), EPS_TRACE,
                  "partial-transpose factor does not match the factor: max probe defect")
-        self._in_window = in_window
-        self._out_window = out_window
-        self._factor, self._pt_factor = factors
+        window = ProductWindow(in_window, out_window)
+        channel = cls.__new__(cls)
+        channel._stacked, channel._transposed = (factored_operator(window, x) for x in factors)
+        return channel
 
     @property
     def in_window(self):
-        return self._in_window
+        return self._stacked.window.left
 
     @property
     def out_window(self):
-        return self._out_window
+        return self._stacked.window.right
 
     @property
-    def factor(self):
-        return self._factor
+    def stacked(self):
+        """S, dense when built from blocks and factored when built from factors."""
+        return self._stacked
 
     @property
-    def pt_factor(self):
-        return self._pt_factor
+    def transposed(self):
+        """S^(T_out): factored when S is, else partial_transpose(S), built on first read."""
+        if self._transposed is None:
+            self._transposed = partial_transpose(self._stacked)
+        return self._transposed
+
+    @property
+    def blocks(self):
+        """B[i,j][k,l] = S[(i,k),(j,l)], read off the entries of S."""
+        d_in, d_out = self.in_window.dimension, self.out_window.dimension
+        return self._stacked.entries.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
+
+    def block(self, i, j):
+        return MatrixOperator(self.out_window, self.blocks[i, j])
 
 
 def _generic_unit_columns(n):
@@ -188,11 +175,8 @@ def _generic_unit_columns(n):
 
 
 def cp_check(channel):
-    """(is_cp, min_eig) from the stacked block matrix, or from the factor of a FactoredChannel."""
-    if isinstance(channel, FactoredChannel):
-        low = factored_min_eigenvalue(channel.factor)
-    else:
-        low = min_eigenvalue(channel.stacked())
+    """(is_cp, min_eig) of the channel's stacked matrix."""
+    low = lowest_eigenvalue(channel.stacked)
     return low >= -EPS_PSD, low
 
 
@@ -308,9 +292,10 @@ def _kraus_columns(form, conjugate_output=False):
 
 
 def holevo_channel(form):
-    """The FactoredChannel of a Holevo form, built from its factors with no block array."""
-    return FactoredChannel(form.in_window, form.out_window,
-                           *(np.hstack(list(_kraus_columns(form, conj))) for conj in (False, True)))
+    """The channel of a Holevo form, built from its factors with no block array."""
+    return ChannelBlocks.from_factors(
+        form.in_window, form.out_window,
+        *(np.hstack(list(_kraus_columns(form, conj))) for conj in (False, True)))
 
 
 def blocks_from_holevo(form):
@@ -327,9 +312,10 @@ class ChoiState(StateOperator):
     The first tensor factor is expressed in the reference's eigenbasis
     (descending eigenvalues, kept as eigenvalues/eigenbasis with the channel
     and the reference); the marginal over the output factor is diag(l_i).
+    transposed is its output partial transpose: the congruence of the
+    channel's transposed factor when S is factored, else
+    partial_transpose(self), built on first read.
     """
-
-    _pt_factor = None
 
     def __init__(self, channel, reference):
         if reference.window != channel.in_window:
@@ -339,14 +325,14 @@ class ChoiState(StateOperator):
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)
-        if isinstance(channel, FactoredChannel):
+        self._transposed = None
+        if channel.stacked.factor is not None:
             def congruence(x):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
                 return np.tensordot(w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
                     d_in * d_out, -1)
 
-            _init_factored(self, window, congruence(channel.factor))
-            self._pt_factor = congruence(channel.pt_factor)
-            self._pt_factor.setflags(write=False)
+            _init_factored(self, window, congruence(channel.stacked.factor))
+            self._transposed = factored_operator(window, congruence(channel.transposed.factor))
         else:
             entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
                                 optimize=True).reshape(d_in * d_out, d_in * d_out)
@@ -372,9 +358,10 @@ class ChoiState(StateOperator):
         return self._basis
 
     @property
-    def pt_factor(self):
-        """Factor of the output partial transpose for a FactoredChannel, else None."""
-        return self._pt_factor
+    def transposed(self):
+        if self._transposed is None:
+            self._transposed = partial_transpose(self)
+        return self._transposed
 
 
 def choi(channel, sigma):
@@ -386,11 +373,9 @@ def eb_necessary_test(state):
     """(ppt, min_eig_pt) of a Choi state's partial transpose.
 
     ppt=False certifies the channel is not entanglement breaking;
-    ppt=True is necessary-only evidence. A ChoiState of a FactoredChannel
-    is screened on its partial-transpose factor.
+    ppt=True is necessary-only evidence.
     """
-    pt = getattr(state, "pt_factor", None)
-    low = min_eigenvalue(partial_transpose(state).entries) if pt is None else factored_min_eigenvalue(pt)
+    low = lowest_eigenvalue(state.transposed)
     return low >= -EPS_PSD, low
 
 
@@ -466,8 +451,8 @@ def eb_extract(decomposition):
     with the prepared state |psi><psi|. The residual is the operator norm
     of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
     channel's stacked matrix; it bounds the largest entry difference. For a
-    FactoredChannel (S = X X^dag) it comes from one QR of [A, X], with no
-    (d_in d_out)-square array; for ChannelBlocks from one dense eigvalsh.
+    factored S = X X^dag it comes from one QR of [A, X], with no
+    (d_in d_out)-square array; for a dense S from one dense eigvalsh.
     Failure raises ExtractionInconsistentError with the residual.
     """
     target = decomposition.target
@@ -480,18 +465,18 @@ def eb_extract(decomposition):
         atoms.append((factored_operator(channel.in_window, (np.sqrt(w) * u)[:, None]),
                       psi.projector()))
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
-    factored = isinstance(channel, FactoredChannel)
-    x = channel.factor if factored else np.empty((target.window.dimension, 0))
+    x = channel.stacked.factor
+    width = 0 if x is None else x.shape[1]
     # A's columns go straight into [A, X], the QR input, which is held once
-    joined = np.empty((x.shape[0], len(atoms) + x.shape[1]), dtype=complex)
+    joined = np.empty((target.window.dimension, len(atoms) + width), dtype=complex)
     for n, column in enumerate(_kraus_columns(form)):  # one column per rank-one, pure atom
         joined[:, n:n + 1] = column
-    if factored:
+    if x is None:
+        diff = joined @ joined.conj().T - channel.stacked.entries
+        eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    else:
         joined[:, len(atoms):] = x
         eigenvalues = _difference_eigenvalues(joined, len(atoms))
-    else:
-        diff = joined @ joined.conj().T - channel.stacked()
-        eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     residual = float(np.abs(eigenvalues).max())
     if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(

@@ -82,33 +82,50 @@ def _resolve_sigma(spec, window):
     return jsonio.state_from_json(jsonio.read_json(spec), context=spec)
 
 
+def _refuse_above_limit(entries, command, source):
+    """Refuse a request whose largest dense complex array of entries would exceed MAX_DENSE_BYTES."""
+    need = 16 * entries
+    if need > MAX_DENSE_BYTES:
+        raise SchemaError(f"{command} needs a {need / 2 ** 30:.3g} GiB array for {source}, "
+                          f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
+
+
 def _check_size(args):
-    """Refuse a request whose largest dense complex array would exceed MAX_DENSE_BYTES.
+    """Refuse a --k/--nodes/--grid request whose largest dense array exceeds MAX_DENSE_BYTES.
 
     Every subcommand, the O(K^2) probe included, holds (2K+1)^2 entries at
-    the largest K; rho12 and eb-report --channel build (2K+1)^2-square
-    matrices on the product window at the first K, and eb-report --channel
-    one (2K+1)-square atom per node. eb-report --phi holds factors of
-    (2K+1)^2 rows: the widest joins the nodes columns of the extracted form
-    to the 4K + 1 of the channel, next to the nodes x (2K+1) vector atoms.
-    Quadrature holds nodes x (2K+1) phases in channel-apply; capacity holds
-    grid x (2K+1) orbit outputs.
+    the largest K; rho12 builds (2K+1)^2-square matrices on the product
+    window at the first K. eb-report --phi holds factors of (2K+1)^2 rows:
+    the widest joins the nodes columns of the extracted form to the 4K + 1
+    of the channel, next to the nodes x (2K+1) vector atoms. Quadrature
+    holds nodes x (2K+1) phases in channel-apply; capacity holds grid x
+    (2K+1) orbit outputs. eb-report --channel reads none of these flags: a
+    blocks file holds every entry in its JSON, and an atoms file is
+    measured once read (_check_atoms_size).
     """
+    if args.command == "eb-report" and args.channel is not None:
+        return
     d_first, d_max = 2 * args.k[0] + 1, 2 * max(args.k) + 1
     nodes = getattr(args, "nodes", None) or 0
     terms = [d_max ** 2, max(getattr(args, "grid", [0])) * d_max]
-    if args.command == "eb-report" and args.channel is None:
+    if args.command == "eb-report":
         nodes = nodes or 2 * d_first  # the default 4K + 2
         terms.append(d_first ** 2 * (nodes + 2 * d_first - 1) + nodes * d_first)
-    elif args.command == "eb-report":
-        terms += [d_first ** 4, nodes * d_first ** 2]
     else:
         terms += [d_first ** 4 if args.command == "rho12" else 0, nodes * d_first]
-    need = 16 * max(terms)
-    if need > MAX_DENSE_BYTES:
-        raise SchemaError(f"{args.command} needs a {need / 2 ** 30:.3g} GiB array for this "
-                          f"--k/--nodes/--grid request, above the {MAX_DENSE_BYTES / 2 ** 30:g} "
-                          "GiB limit")
+    _refuse_above_limit(max(terms), args.command, "this --k/--nodes/--grid request")
+
+
+def _check_atoms_size(form, path):
+    """Refuse a Holevo form whose extraction would join more than MAX_DENSE_BYTES.
+
+    eb_extract's [A, X] has d_in d_out rows and at most 2c columns, with
+    c = sum_b cols(F_b) cols(G_b) over the atoms' factors M_b = F_b F_b^dag
+    and rho'_b = G_b G_b^dag; it is the largest array of the atoms path.
+    """
+    columns = sum(m_op.factor.shape[1] * rho_out.factor.shape[1] for m_op, rho_out in form.atoms)
+    rows = form.in_window.dimension * form.out_window.dimension
+    _refuse_above_limit(rows * 2 * columns, "eb-report", f"the atoms in {path}")
 
 
 def _emit(text, out_path):
@@ -155,6 +172,7 @@ def cmd_eb_report(args):
             form = None
         elif isinstance(raw, dict) and "atoms" in raw:
             form = jsonio.holevo_from_json(raw, context=args.channel)
+            _check_atoms_size(form, args.channel)
             channel = ch.holevo_channel(form)
         else:
             raise SchemaError(f"{args.channel}: expected 'blocks' or 'atoms'")

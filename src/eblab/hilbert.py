@@ -257,14 +257,18 @@ def factored_state(window, factor):
     return state
 
 
-def factored_min_eigenvalue(factor):
-    """Smallest eigenvalue of X X^dag from its d x m factor X.
+def lowest_eigenvalue(op):
+    """Smallest eigenvalue of a Hermitian operator.
 
-    It is exactly 0.0 when m < d, since the rank is then below d; otherwise
-    it is taken on the d x d product.
+    On an operator built from a d x m factor X it is exactly 0.0 when
+    m < d, since the rank is then below d; otherwise it is taken on X X^dag,
+    or on the entries of a dense operator.
     """
-    d, m = factor.shape
-    return 0.0 if m < d else min_eigenvalue(factor @ factor.conj().T)
+    x = op.factor
+    if x is None:
+        return min_eigenvalue(op.entries)
+    d, m = x.shape
+    return 0.0 if m < d else min_eigenvalue(x @ x.conj().T)
 
 
 class PureVector:

@@ -124,16 +124,27 @@ def write_text(path, text):
             fh.write("\n")
 
 
-def loads(text):
+def loads(text, context="JSON text"):
+    """Parsed JSON text; text that json cannot parse is a SchemaError naming context.
+
+    That covers malformed text, nesting past the recursion limit and an
+    integer literal past Python's digit limit.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise SchemaError(f"{context}: invalid JSON: nested too deeply") from None
+    except ValueError as err:  # JSONDecodeError, or the int digit limit
+        raise SchemaError(f"{context}: invalid JSON: {err}") from None
 
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"{path}: not UTF-8 text: {err}") from None
+    return loads(text, path)
 
 
 def _complex_from_json(cell, context):

@@ -43,7 +43,7 @@ from .hilbert import (
     factored_state,
     trace_norm_distance,
 )
-from .channels import ChannelBlocks, FactoredChannel, HolevoForm
+from .channels import ChannelBlocks, HolevoForm
 
 DENSITY_CLIP = 1e-10  # grid densities may dip this far below zero before clipping
 
@@ -188,14 +188,15 @@ def channel_blocks(channel):
 
 
 def factored_channel(channel):
-    """The channel as a FactoredChannel whose factors have one column per charge sector.
+    """The channel as ChannelBlocks.from_factors, with one factor column per charge sector.
 
     The stacked matrix S[(i,k),(j,l)] = phi_k conj(phi_l) delta_{k-i, l-j}
     (channel_blocks) conserves the charge k - i of the row (i, k), so it is
     X X^dag with X[(i,k), t] = phi_k for k - i = t. Its output partial
     transpose phi_l conj(phi_k) delta_{i+k, j+l} conserves i + k, so it is
     X' X'^dag with X'[(i,k), t] = conj(phi_k) for i + k = t. Both are
-    d^2 x (4K+1) with d = 2K + 1.
+    d^2 x (4K+1) with d = 2K + 1, so the channel's stacked and transposed
+    operators are factored; its blocks match channel_blocks.
     """
     window = channel.window
     phi = channel.phi.amplitudes
@@ -203,7 +204,7 @@ def factored_channel(channel):
     stacked = _sector_factor(_charge_gap(window).T.reshape(-1), np.kron(every_input, phi))
     transposed = _sector_factor(_charges(ProductWindow(window, window)),
                                 np.kron(every_input, phi.conj()))
-    return FactoredChannel(window, window, stacked, transposed)
+    return ChannelBlocks.from_factors(window, window, stacked, transposed)
 
 
 def holevo_form(channel):

@@ -4,7 +4,6 @@ import pytest
 from eblab import (
     ChannelBlocks,
     ChoiState,
-    FactoredChannel,
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
@@ -41,7 +40,7 @@ from eblab import (
     trace_norm_distance,
     transpose_channel,
 )
-from conftest import random_density, random_pure
+from conftest import assert_same_channel, random_density, random_pure
 
 
 def window(dim):
@@ -83,7 +82,7 @@ def test_identity_channel_blocks_and_stacked():
     ok, low = cp_check(chan)
     assert ok
     # stacked matrix is the unnormalized maximally entangled projector
-    stacked = chan.stacked()
+    stacked = chan.stacked.entries
     v = np.zeros(9)
     v[[0, 4, 8]] = 1.0
     assert np.abs(stacked - np.outer(v, v)).max() < 1e-14
@@ -95,7 +94,7 @@ def test_transpose_channel_fails_cp():
     assert not ok
     assert abs(low + 1.0) < 1e-12
     # stacked matrix is the swap
-    stacked = chan.stacked()
+    stacked = chan.stacked.entries
     assert np.abs(stacked @ stacked - np.eye(9)).max() < 1e-14
 
 
@@ -528,9 +527,9 @@ def test_eb_extract_returns_the_block_residual_it_checked(rng):
         extracted, residual = eb_extract(decomposition)
         a = stacked_columns(extracted)
         assert a.shape == (6, len(decomposition.atoms))
-        diff = a @ a.conj().T - chan.stacked()
+        diff = a @ a.conj().T - chan.stacked.entries
         assert residual == np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).max()
-        entries = blocks_from_holevo(extracted).stacked() - chan.stacked()
+        entries = blocks_from_holevo(extracted).stacked.entries - chan.stacked.entries
         assert abs(residual - np.abs(np.linalg.eigvalsh(entries)).max()) <= 1e-14
 
 
@@ -601,26 +600,28 @@ def test_split_atoms_follow_the_descending_branches(rng):
         assert all(np.array_equal(a, b) for a, b in zip(kraus, operators))
 
 
-def test_factored_channel_checks_its_factors():
+def test_from_factors_checks_its_factors():
     # dephasing: S = sum_i |ii><ii| is its own output partial transpose
     w = window(2)
     x = np.zeros((4, 2))
     x[0, 0] = x[3, 1] = 1.0
-    channel = FactoredChannel(w, w, x, x)
-    assert np.array_equal(channel.factor @ channel.factor.T, dephasing_channel(w).stacked())
+    channel = ChannelBlocks.from_factors(w, w, x, x)
+    assert np.array_equal(channel.stacked.factor, x) and np.array_equal(channel.transposed.factor, x)
+    assert np.array_equal(channel.stacked.entries, dephasing_channel(w).stacked.entries)
     assert cp_check(channel) == (True, 0.0)
-    for bad, match in ((2 * x, "not trace preserving"), (np.full((4, 1), np.nan), "non-finite"),
-                       (np.ones((3, 1)), "rows")):
+    for bad, match in ((2 * x, "^factor not trace preserving"),
+                       (np.full((4, 1), np.nan), "^factor has non-finite"),
+                       (np.ones((3, 1)), "^factor shape .* rows")):
         with pytest.raises(InvariantViolationError, match=match):
-            FactoredChannel(w, w, bad, x)
+            ChannelBlocks.from_factors(w, w, bad, x)
     # the identity channel's S^(T_out) is the swap, which has no factor; I_4 fails Tr_out
     with pytest.raises(InvariantViolationError, match="partial-transpose factor not trace"):
-        FactoredChannel(w, w, np.eye(2).reshape(4, 1), np.eye(4))
+        ChannelBlocks.from_factors(w, w, np.eye(2).reshape(4, 1), np.eye(4))
     # a trace-preserving X' of another channel: the identity with the dephasing
     # X' used to pass, so its Choi state passed the PPT screen with min_eig_pt 0.0
     with pytest.raises(InvariantViolationError, match="partial-transpose factor does not match"):
-        FactoredChannel(w, w, np.eye(2).reshape(4, 1), x)
-    assert cp_check(FactoredChannel(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
+        ChannelBlocks.from_factors(w, w, np.eye(2).reshape(4, 1), x)
+    assert cp_check(ChannelBlocks.from_factors(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
 
 
 def test_factored_operator_keeps_its_factor(rng):
@@ -671,13 +672,21 @@ def test_holevo_channel_factors_match_the_blocks(rng, d_in, d_out, pure_outputs)
                                  for a, out in zip(draws, outputs)]))
     for form in forms:
         channel = holevo_channel(form)
-        x, y = channel.factor, channel.pt_factor
+        x, y = channel.stacked.factor, channel.transposed.factor
         assert x.shape[1] == sum(m.factor.shape[1] * r.factor.shape[1] for m, r in form.atoms)
-        stacked = blocks_from_holevo(form).stacked()
+        stacked = blocks_from_holevo(form).stacked.entries
         pt = stacked.reshape(d_in, d_out, d_in, d_out).transpose(0, 3, 2, 1).reshape(
             d_in * d_out, d_in * d_out)
         assert np.abs(x @ x.conj().T - stacked).max() <= 1e-14
         assert np.abs(y @ y.conj().T - pt).max() <= 1e-14
+        dense = blocks_from_holevo(form)
+        assert_same_channel(channel, dense, rng)
+        # the round trip: the extracted form's rank-one Kraus family acts as the channel
+        state = choi(channel, random_full_rank_state(rng, d_in))
+        extracted, _ = eb_extract(separable_choi_from_holevo(form, state))
+        rho = random_full_rank_state(rng, d_in)
+        kraus = kraus_apply(kraus_rank_one(extracted), rho)
+        assert np.abs(kraus.entries - apply(dense, rho).entries).max() <= 1e-13
 
 
 def test_factored_atoms_split_along_their_columns(rng):

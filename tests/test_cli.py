@@ -15,7 +15,6 @@ from eblab import (
     rotation,
 )
 from eblab.cli import main
-from eblab.errors import SchemaError
 from conftest import random_density, random_pure
 from oracles import per_cell_json
 
@@ -450,7 +449,7 @@ def test_eb_report_builds_one_choi_state(tmp_path, monkeypatch):
     assert calls == ["choi", "ChoiState"]
     assert "extraction_residual" in jsonio.read_json(str(out))
     # on --phi the one Choi state is factored: (2K+1)^2 rows, one column per charge sector
-    assert states[0].factor.shape == (25, 9) and states[0].pt_factor.shape == (25, 9)
+    assert states[0].factor.shape == (25, 9) and states[0].transposed.factor.shape == (25, 9)
 
 
 def test_rho12_failed_probe_writes_nothing(tmp_path, capsys):
@@ -604,19 +603,72 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
     # --phi holds d^2 x (8K + 3) factor entries, not d^4: K=64 passes the
-    # guard, while --channel at the same K keeps the d^4 bound
+    # guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, build_parser
-    for argv, fits in ((["eb-report", "--phi", "geometric(0.7)"], True),
-                       (["eb-report", "--channel", "unread.json"], False)):
+    for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
         args = build_parser().parse_args(argv + ["--k", "64"])
         args.k = [64]
-        if fits:
-            _check_size(args)
-        else:
-            with pytest.raises(SchemaError, match="GiB"):
-                _check_size(args)
+        _check_size(args)
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_eb_report_channel_ignores_k(tmp_path, capsys):
+    # --k 200 charged the 1 x 1 blocks file d^4 = 401^4 entries and exited 2
+    from eblab import identity_channel
+    chan_file = tmp_path / "identity.json"
+    jsonio.write_text(str(chan_file),
+                      jsonio.dumps(jsonio.channel_to_json(identity_channel(ModeWindow(0, 0)))))
+    assert main(["eb-report", "--channel", str(chan_file), "--k", "200"]) == 0
+    assert jsonio.loads(capsys.readouterr().out)["cp"] is True
+
+
+def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, monkeypatch,
+                                                                      capsys, rng):
+    # a K=2 atoms file joins 25 rows and 2 x 8 columns in eb_extract; a limit
+    # below that refuses it before holevo_channel allocates anything
+    from eblab import channels, cli
+
+    def refuse(form):
+        raise AssertionError("holevo_channel ran past the size guard")
+
+    a = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    vals, vecs = np.linalg.eigh(a @ a.conj().T)
+    u = ((vecs * vals ** -0.5) @ vecs.conj().T) @ a  # columns resolve the identity
+    window = ModeWindow.symmetric(2)
+    doc = {"atoms": [{"M": jsonio.operator_to_json(MatrixOperator(window, np.outer(c, c.conj()))),
+                      "rho_out": jsonio.operator_to_json(
+                          PureVector(window, random_pure(rng, 5)).projector())}
+                     for c in u.T]}
+    chan_file = tmp_path / "atoms.json"
+    jsonio.write_text(str(chan_file), jsonio.dumps(doc))
+    monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 16 * 25 * 16 - 1)
+    monkeypatch.setattr(channels, "holevo_channel", refuse)
+    assert main(["eb-report", "--channel", str(chan_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eb-report needs a") and f"the atoms in {chan_file}" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 16 * 25 * 16)
+    assert main(["eb-report", "--channel", str(chan_file)]) == 0
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100000 + b"]" * 100000, "invalid JSON: nested too deeply"),
+    (b"\xff\xfe", "not UTF-8 text"),
+    (b'{"k_min": ' + b"1" * 5000 + b', "k_max": 1, "entries": [[[1, 0]]]}',
+     "invalid JSON: Exceeds the limit (4300 digits)"),
+    (b'{"k_min": 0, "k_max": 0, "entries": [[[' + b"1" * 5000 + b', 0]]]}',
+     "invalid JSON: Exceeds the limit (4300 digits)"),
+], ids=["deep", "not-utf8", "long-window-field", "long-cell"])
+def test_unreadable_json_files_exit_2_naming_the_file(tmp_path, capsys, content, message):
+    # each raised past the SchemaError handler (RecursionError, UnicodeDecodeError,
+    # ValueError) and ended in a traceback with exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (["--channel", str(bad)], ["--phi", "two-mode", "--k", "1", "--sigma", str(bad)],
+                 ["--phi", str(bad), "--k", "1"]):
+        assert main(["eb-report", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {message}"), argv
 
 
 def test_eb_report_phi_at_k32_in_a_cold_process():

@@ -12,8 +12,9 @@ from eblab import (
     basis_vector,
     EPS_TRACE,
     eig_hermitian,
-    factored_min_eigenvalue,
+    factored_operator,
     factored_state,
+    lowest_eigenvalue,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -417,13 +418,16 @@ def test_the_tolerance_gate_refuses_nan_and_shows_value_and_bound(gate, value, b
     gate(bound, bound, "some margin")
 
 
-def test_factored_min_eigenvalue(rng):
-    # exactly 0.0 below full rank, else the smallest eigenvalue of X X^dag
+def test_lowest_eigenvalue(rng):
+    # exactly 0.0 below full rank, else the smallest eigenvalue of X X^dag;
+    # a dense operator is solved on its entries
     for rows, cols in ((9, 3), (4, 4), (3, 7)):
         x = random_factor(rng, rows, cols)
         want = 0.0 if cols < rows else np.linalg.eigvalsh(x @ x.conj().T)[0]
-        assert factored_min_eigenvalue(x) == want
-    assert factored_min_eigenvalue(random_factor(rng, 4, 4)) > 0.0
+        assert lowest_eigenvalue(factored_operator(ModeWindow(0, rows - 1), x)) == want
+    assert lowest_eigenvalue(factored_operator(ModeWindow(0, 3), random_factor(rng, 4, 4))) > 0.0
+    m = random_hermitian(rng, 4)
+    assert lowest_eigenvalue(MatrixOperator(ModeWindow(0, 3), m)) == np.linalg.eigvalsh(m)[0]
 
 
 def test_maximally_mixed_is_the_checked_state_exactly():

@@ -29,6 +29,8 @@ from eblab import (
     factored_state,
     holevo_apply,
     holevo_form,
+    kraus_apply,
+    kraus_rank_one,
     mu_density,
     orbit_state,
     partial_trace,
@@ -46,7 +48,7 @@ from eblab import (
 )
 from eblab.channels import EXTRACT_TOL
 from eblab.rotation import _charges
-from conftest import random_density, random_pure
+from conftest import assert_same_channel, random_density, random_pure
 
 from oracles import (
     domination_bound,
@@ -582,19 +584,24 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     for nodes in (4 * half + 1, None):
         channel = RotationChannel(phi, nodes)
         factored, dense = factored_channel(channel), channel_blocks(channel)
-        x = factored.factor
+        x = factored.stacked.factor
         assert x.shape == (d * d, 4 * half + 1)
-        assert np.abs(x @ x.conj().T - dense.stacked()).max() <= 1e-14
+        assert np.abs(x @ x.conj().T - dense.stacked.entries).max() <= 1e-14
         assert cp_check(factored) == (True, 0.0) and cp_check(dense)[0]
+        assert_same_channel(factored, dense, rng)
         form = holevo_form(channel)
         for sigma in sigmas:
             state, oracle = choi(factored, sigma), choi(dense, sigma)
-            y, z = state.factor, state.pt_factor
+            y, z = state.factor, state.transposed.factor
             assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
             assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
             assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
-            _, residual = eb_extract(separable_choi_from_holevo(form, state))
+            extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
             _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
             # both are the operator norm of the stacked-matrix difference
             assert abs(residual - dense_residual) <= 1e-14, (nodes, residual, dense_residual)
             assert residual <= EXTRACT_TOL
+            # the round trip: the extracted form's rank-one Kraus family acts as the channel
+            rho = StateOperator(phi.window, random_density(rng, d))
+            kraus = kraus_apply(kraus_rank_one(extracted), rho)
+            assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
