@@ -4,11 +4,19 @@ Subcommands: channel-apply, eb-report, capacity, rho12, probe.
 Exit codes: 0 success, 2 input or schema error, 3 numerical invariant
 violation. Output files are byte-deterministic for identical configs:
 fixed-order reductions, canonical number formatting, no timestamps.
+
+main(argv) parses, runs one subcommand and returns its exit code; it
+leaves the interpreter's state alone, so tests and tracers call it
+in-process. run() is the one process entry (the `eblab` script,
+`python -m eblab` and `python -m eblab.cli`): it calls main and then
+freezes the garbage collector, so the collections at interpreter exit
+skip the objects the imports left behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -33,7 +41,7 @@ from .hilbert import (
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
-MAX_DENSE_BYTES = 2 ** 30  # largest dense complex array a request may need
+MAX_DENSE_BYTES = 2 ** 30  # limit on the dense complex arrays a request may need
 
 
 def _parse_int_list(text, flag):
@@ -90,18 +98,32 @@ def _refuse_above_limit(entries, command, source):
                           f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
 
 
+def _phi_report_entries(half, nodes):
+    """Complex entries eb-report --phi holds at its peak, at the QR of a joined factor.
+
+    With d = 2K + 1, the channel's two factors and the Choi state's two are
+    d^2 x (4K + 1) each, and the reconstruction is d^2 x nodes. Both the
+    decomposition's trace distance and the extraction's residual take a QR
+    of a joined d^2 x (nodes + 4K + 1) factor, which is held three times:
+    the join, numpy's astype(copy=True) and the LAPACK work copy. The
+    nodes x d vector atoms are counted once.
+    """
+    d = 2 * half + 1
+    columns = 4 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
+    return d * d * columns + nodes * d
+
+
 def _check_size(args):
-    """Refuse a --k/--nodes/--grid request whose largest dense array exceeds MAX_DENSE_BYTES.
+    """Refuse a --k/--nodes/--grid request whose dense arrays exceed MAX_DENSE_BYTES.
 
     Every subcommand, the O(K^2) probe included, holds (2K+1)^2 entries at
     the largest K; rho12 builds (2K+1)^2-square matrices on the product
-    window at the first K. eb-report --phi holds factors of (2K+1)^2 rows:
-    the widest joins the nodes columns of the extracted form to the 4K + 1
-    of the channel, next to the nodes x (2K+1) vector atoms. Quadrature
-    holds nodes x (2K+1) phases in channel-apply; capacity holds grid x
-    (2K+1) orbit outputs. eb-report --channel reads none of these flags: a
-    blocks file holds every entry in its JSON, and an atoms file is
-    measured once read (_check_atoms_size).
+    window at the first K. eb-report --phi is charged every factor it holds
+    at its peak (_phi_report_entries). Quadrature holds nodes x (2K+1)
+    phases in channel-apply; capacity holds grid x (2K+1) orbit outputs.
+    eb-report --channel reads none of these flags: a blocks file holds
+    every entry in its JSON, and an atoms file is measured once read
+    (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
@@ -109,8 +131,7 @@ def _check_size(args):
     nodes = getattr(args, "nodes", None) or 0
     terms = [d_max ** 2, max(getattr(args, "grid", [0])) * d_max]
     if args.command == "eb-report":
-        nodes = nodes or 2 * d_first  # the default 4K + 2
-        terms.append(d_first ** 2 * (nodes + 2 * d_first - 1) + nodes * d_first)
+        terms.append(_phi_report_entries(args.k[0], nodes or 2 * d_first))  # the default 4K + 2
     else:
         terms += [d_first ** 4 if args.command == "rho12" else 0, nodes * d_first]
     _refuse_above_limit(max(terms), args.command, "this --k/--nodes/--grid request")
@@ -316,7 +337,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
-        if args.command in ("channel-apply", "eb-report"):  # the two that take --nodes
+        # the two that take --nodes; eb-report --channel reads neither --k nor --nodes
+        if args.command in ("channel-apply", "eb-report") and getattr(args, "channel", None) is None:
             if len(args.k) > 1:
                 raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
             floor = 4 * args.k[0] + 1
@@ -343,5 +365,12 @@ def main(argv=None):
         return EXIT_INVARIANT
 
 
+def run():
+    """The process entry: main's exit code, with the garbage collector frozen once main returns."""
+    code = main()
+    gc.freeze()  # the exit-time collections would only walk the import graph
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

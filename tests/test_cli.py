@@ -602,8 +602,8 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds d^2 x (8K + 3) factor entries, not d^4: K=64 passes the
-    # guard; --channel ignores --k, so the guard charges it nothing
+    # --phi holds d^2 x (44K + 15) factor entries at its peak, not d^4: K=64
+    # passes the guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, build_parser
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
         args = build_parser().parse_args(argv + ["--k", "64"])
@@ -620,7 +620,31 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     jsonio.write_text(str(chan_file),
                       jsonio.dumps(jsonio.channel_to_json(identity_channel(ModeWindow(0, 0)))))
     assert main(["eb-report", "--channel", str(chan_file), "--k", "200"]) == 0
-    assert jsonio.loads(capsys.readouterr().out)["cp"] is True
+    report = capsys.readouterr().out
+    assert jsonio.loads(report)["cp"] is True
+    # the --nodes exactness floor and the single---k rule exited 2 on a file that reads neither
+    for flags in (["--k", "200", "--nodes", "20"], ["--k", "2,4"]):
+        assert main(["eb-report", "--channel", str(chan_file), *flags]) == 0, flags
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (report, ""), flags
+
+
+def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path):
+    # the guard used to count one joined factor, about a sixth of the peak
+    import tracemalloc
+    from eblab.cli import _phi_report_entries
+    out = str(tmp_path / "report.json")
+    assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "1", "--out", out]) == 0  # caches
+    for half in (8, 16):
+        tracemalloc.start()
+        try:
+            assert main(["eb-report", "--phi", "geometric(0.7)", "--k", str(half),
+                         "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = 16 * _phi_report_entries(half, 4 * half + 2)
+        assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
 def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, monkeypatch,
@@ -706,3 +730,68 @@ def test_phi_file_whose_squared_norm_leaves_the_double_range(tmp_path, capsys, s
     plain = PureVector(ModeWindow.symmetric(1), [1.0, 0.0, 1.0])
     expected = jsonio.dumps(jsonio.operator_to_json(rotation.rho12(plain, plain))) + "\n"
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("args", [
+    ("capacity", "--phi", "geometric(0.7)", "--k", "2,4", "--grid", "8"),
+    ("rho12", "--phi", "two-mode", "--k", "1"),
+], ids=["capacity", "rho12"])
+def test_every_process_entry_prints_what_main_prints(args, capsys):
+    assert main(list(args)) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    for module in ("eblab", "eblab.cli"):
+        result = subprocess.run([sys.executable, "-m", module, *args], capture_output=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == expected, module
+
+
+def test_the_process_entry_keeps_the_exit_codes():
+    result = run_cli("rho12", "--phi", "two-mode", "--k", "x")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: --k expects a comma-separated integer list, got 'x'\n"
+    result = run_cli("probe", "--phi", "geometric(0.3)", "--k", "1000")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("invariant violation:") and "Traceback" not in result.stderr
+
+
+def test_run_freezes_the_collector_after_main_returns(monkeypatch, capsys):
+    from eblab import cli
+    calls = []
+    real_main = cli.main
+
+    def recorded_main():
+        calls.append("main")
+        return real_main()
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["eblab", "probe", "--phi", "two-mode", "--k", "1,x"])
+    assert cli.run() == 2
+    assert calls == ["main", "freeze"]
+    calls.clear()
+    monkeypatch.setattr(sys, "argv", ["eblab", "probe", "--phi", "two-mode", "--sigma", "mixed"])
+    with pytest.raises(SystemExit) as exit_info:  # argparse's usage error
+        cli.run()
+    assert exit_info.value.code == 2
+    assert calls == ["main"]
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_leaves_the_collector_alone_and_the_module_entry_freezes_it():
+    script = """
+import gc, io, runpy, sys
+from contextlib import redirect_stdout
+import eblab, eblab.cli
+with redirect_stdout(io.StringIO()):
+    code = eblab.cli.main(["rho12", "--phi", "two-mode", "--k", "1"])
+print(code, gc.isenabled(), gc.get_freeze_count())
+sys.argv = ["eblab", "rho12", "--phi", "two-mode", "--k", "1"]
+try:
+    with redirect_stdout(io.StringIO()):
+        runpy.run_module("eblab", run_name="__main__")
+except SystemExit as stop:
+    print(stop.code, gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 True 0", "0 True True"]
