@@ -53,8 +53,8 @@ print("\nmeasure-and-prepare output diag:",
 # form (a different atom list, the same channel). The Choi state carries its
 # channel and the reference's eigensystem through both steps. The form keeps
 # each atom and prepared state as a factor, so holevo_channel builds its
-# channel from the rank-one Kraus columns, with no block array; the dense
-# blocks give the same Choi state.
+# channel from the columns conj(f_n) x g_n of its rank-one Kraus vectors
+# (f_n, g_n), with no block array; the dense blocks give the same Choi state.
 sigma_full = StateOperator(w, 0.5 * np.eye(3) / 3 + 0.5 * np.diag([0.5, 0.3, 0.2]))
 state = choi(holevo_channel(form), sigma_full)
 print("\nfactored vs dense Choi state:",
@@ -65,7 +65,8 @@ extracted, residual = eb_extract(decomposition)
 print("extraction residual (operator norm):", residual)
 print("extracted atom count:", len(extracted.atoms), "(one per factor column pair)")
 
-# Atomic forms synthesize rank-one Kraus families with the same action.
+# Atomic forms synthesize rank-one Kraus families with the same action; the
+# family keeps its vectors, so each |g_n><f_n| has rank one by construction.
 kraus = kraus_rank_one(form)
 out_difference = np.abs(kraus_apply(kraus, rho).entries
                         - holevo_apply(form, rho).entries).max()

@@ -101,7 +101,7 @@ def _ba_pure_outputs(outputs, max_iter, tol):
         keep = vals > EPS_SUPPORT
         log_vals = np.log(vals[keep])
         overlaps = np.abs(outputs.conj() @ vecs[:, keep]) ** 2
-        divergences = -(overlaps @ log_vals)
+        divergences = np.maximum(-(overlaps @ log_vals), 0.0)  # D(psi_j || rho_bar) >= 0
         chi = float(weights @ divergences)
         values.append(chi)
         if float(divergences.max()) - chi < tol:

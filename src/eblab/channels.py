@@ -19,11 +19,12 @@ rank. The blocks are read off S, so every function takes every channel.
 A HolevoForm keeps every POVM atom M_b = F F^dag and prepared state
 rho'_b = G G^dag as a factored operator (factored_operator,
 factored_state); a dense one is split once, when the form is built. Its
-rank-one Kraus operators are |g><f| over the columns, so holevo_channel
-gives its channel from the columns conj(f) x g, and an atoms file runs the
-same factored chain as a rotation channel. On every path eb_extract reports
-the operator norm of the difference between the extracted form's stacked
-matrix and the channel's.
+rank-one Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and
+each column-pair factor is a Khatri-Rao product (_khatri_rao), such as
+holevo_channel's columns conj(f_n) x g_n; KrausRankOne keeps the vectors.
+An atoms file runs the same factored chain as a rotation channel. On every
+path eb_extract reports the operator norm of the difference between the
+extracted form's stacked matrix and the channel's.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .measures import _check_weights
 CHOI_RANK_TOL = 1e-8      # reference states below this eigenvalue floor are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
 ATOM_DROP_TOL = 1e-14     # POVM atoms and spectral branches below this are noise
-KRAUS_RANK_TOL = 1e-12    # second singular value allowed on a rank-one factor
 
 
 class ChannelBlocks:
@@ -126,8 +126,7 @@ class ChannelBlocks:
         a, b = (_generic_unit_columns(n) for n in (d_in, d_out))
 
         def expectations(x, right):  # <a_p x right_p| X X^dag |a_p x right_p> for each probe p
-            probes = np.einsum("ip,kp->ikp", a, right).reshape(d_in * d_out, -1)
-            return np.linalg.norm(x.conj().T @ probes, axis=0) ** 2
+            return np.linalg.norm(x.conj().T @ _khatri_rao(a, right), axis=0) ** 2
 
         defect = np.abs(expectations(factors[1], b) - expectations(factors[0], b.conj())).max()
         _at_most(float(defect), EPS_TRACE,
@@ -278,24 +277,26 @@ def _factored(op, what):
     return op
 
 
-def _kraus_columns(form, conjugate_output=False):
-    """Per atom, the columns conj(f) x g over the columns f of F_b and, inside, g of G_b.
+def _kraus_vectors(form, left=lambda f: f):
+    """(F, G) of a form's Kraus operators |g_n><f_n|: per atom, f over left(F_b) outer, g inner."""
+    pairs = [(left(m_op.factor), rho_out.factor) for m_op, rho_out in form.atoms]
+    return (np.hstack([np.repeat(f, g.shape[1], axis=1) for f, g in pairs]),
+            np.hstack([np.tile(g, f.shape[1]) for f, g in pairs]))
 
-    |g><f| are the form's rank-one Kraus operators, so these columns factor
-    the stacked matrix; with conjugate_output they are conj(f) x conj(g)
-    and factor its output partial transpose.
-    """
-    for m_op, rho_out in form.atoms:
-        f = m_op.factor.conj()
-        g = rho_out.factor.conj() if conjugate_output else rho_out.factor
-        yield (f[:, None, :, None] * g[None, :, None, :]).reshape(len(f) * len(g), -1)
+
+def _khatri_rao(a, b, out=None):
+    """Column n is a[:, n] x b[:, n], one product per entry; out, if given, gets them in place."""
+    if out is None:
+        out = np.empty((len(a) * len(b), a.shape[1]), dtype=complex)
+    np.multiply(a[:, None, :], b[None, :, :], out=out.reshape(len(a), len(b), -1))
+    return out
 
 
 def holevo_channel(form):
-    """The channel of a Holevo form, built from its factors with no block array."""
-    return ChannelBlocks.from_factors(
-        form.in_window, form.out_window,
-        *(np.hstack(list(_kraus_columns(form, conj))) for conj in (False, True)))
+    """The channel of a Holevo form from its Kraus vectors: X's columns are conj(f_n) x g_n."""
+    f, g = _kraus_vectors(form, np.conj)
+    return ChannelBlocks.from_factors(form.in_window, form.out_window,
+                                      _khatri_rao(f, g), _khatri_rao(f, g.conj()))
 
 
 def blocks_from_holevo(form):
@@ -392,10 +393,9 @@ class SeparableChoiDecomposition:
     def __init__(self, target, atoms):
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
         weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
-        products = [np.kron(phi.amplitudes, psi.amplitudes) for _, phi, psi in atoms]
-        self._reconstruction = factored_state(target.window,
-                                              np.stack(products, axis=1) * np.sqrt(weights))
-        del products  # the trace distance below holds two more copies of the factor
+        self._reconstruction = factored_state(target.window, _khatri_rao(
+            np.stack([phi.amplitudes for _, phi, _ in atoms], axis=1),
+            np.stack([psi.amplitudes for _, _, psi in atoms], axis=1)) * np.sqrt(weights))
         self._target = target
         self._atoms = tuple(atoms)
         _at_most(trace_norm_distance(self._reconstruction, target), EXTRACT_TOL,
@@ -413,33 +413,25 @@ class SeparableChoiDecomposition:
         return self._reconstruction
 
 
-def _column_branches(factor):
-    """(squared norm, column) pairs of a factor X above ATOM_DROP_TOL; their projectors sum to X X^dag."""
-    weights = np.einsum("ij,ij->j", factor.conj(), factor).real
-    return [(weights[r], factor[:, r]) for r in np.flatnonzero(weights > ATOM_DROP_TOL)]
-
-
 def separable_choi_from_holevo(form, target):
     """Known product decomposition of the ChoiState target from a Holevo form of its channel.
 
-    In the reference eigenbasis (sigma = B Lambda B^dag), the column f of a
-    POVM atom's factor gives the left branch sqrt(Lambda) conj(B^dag f),
-    and the column g of its prepared state's factor gives the right branch
-    g; each pair is a pure-product atom, and no eigensolve runs. A form of
-    another channel fails validation.
+    In the reference eigenbasis (sigma = B Lambda B^dag), the Kraus vectors
+    f_n and g_n give the branches sqrt(Lambda) conj(B^dag f_n) and g_n; each
+    pair of branches with squared norms above ATOM_DROP_TOL is a
+    pure-product atom, and no eigensolve runs. A form of another channel
+    fails validation.
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
     basis = target.eigenbasis
     root = np.sqrt(target.eigenvalues)
-    atoms = []
-    for m_op, rho_out in form.atoms:
-        lefts = _column_branches(root[:, None] * (basis.conj().T @ m_op.factor).conj())
-        outputs = [(d, PureVector(form.out_window, v)) for d, v in _column_branches(rho_out.factor)]
-        for c, v in lefts:
-            phi = PureVector(form.in_window, v)
-            atoms.extend((c * d, phi, psi) for d, psi in outputs)
-    return SeparableChoiDecomposition(target, atoms)
+    lefts, rights = _kraus_vectors(form, lambda f: root[:, None] * (basis.conj().T @ f).conj())
+    c, d = (np.einsum("ij,ij->j", x.conj(), x).real for x in (lefts, rights))
+    return SeparableChoiDecomposition(target, [
+        (c[n] * d[n], PureVector(form.in_window, lefts[:, n]),
+         PureVector(form.out_window, rights[:, n]))
+        for n in np.flatnonzero((c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL))])
 
 
 def eb_extract(decomposition):
@@ -467,10 +459,10 @@ def eb_extract(decomposition):
     form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
     x = channel.stacked.factor
     width = 0 if x is None else x.shape[1]
-    # A's columns go straight into [A, X], the QR input, which is held once
+    # A's columns go straight into [A, X], the QR input, which is held once: splitting the
+    # rows of its column slice in two is a view for any strides
     joined = np.empty((target.window.dimension, len(atoms) + width), dtype=complex)
-    for n, column in enumerate(_kraus_columns(form)):  # one column per rank-one, pure atom
-        joined[:, n:n + 1] = column
+    _khatri_rao(*_kraus_vectors(form, np.conj), out=joined[:, :len(atoms)])  # A: atom n, column n
     if x is None:
         diff = joined @ joined.conj().T - channel.stacked.entries
         eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
@@ -485,32 +477,36 @@ def eb_extract(decomposition):
 
 
 class KrausRankOne:
-    """Family of rank-one operators A_a with sum A_a^dag A_a = I."""
+    """Rank-one operators A_n = |g_n><f_n|, kept as the columns f_n of inputs and g_n of outputs.
 
-    def __init__(self, operators, in_window, out_window):
-        ops = [np.array(a, dtype=complex) for a in operators]
+    Construction checks finiteness, shapes and F diag(|g_n|^2) F^dag = I within EPS_TRACE.
+    """
+
+    def __init__(self, in_window, out_window, inputs, outputs):
+        f, g = (_finite(np.array(v, dtype=complex), f"Kraus {side} vectors")
+                for v, side in ((inputs, "input"), (outputs, "output")))
         d_in, d_out = in_window.dimension, out_window.dimension
-        for a in ops:
-            if a.shape != (d_out, d_in):
-                raise InvariantViolationError(
-                    f"Kraus operator shape {a.shape} does not match ({d_out}, {d_in})")
-            _finite(a, "Kraus operator")  # the SVD would raise LinAlgError
-            singular = np.linalg.svd(a, compute_uv=False)
-            if len(singular) > 1:
-                _at_most(singular[1], KRAUS_RANK_TOL,
-                         "Kraus operator has rank > 1: second singular value")
-        total = sum(a.conj().T @ a for a in ops)
+        if g.ndim != 2 or f.shape != (d_in, g.shape[1]) or len(g) != d_out:
+            raise InvariantViolationError(f"Kraus vector shapes {f.shape}, {g.shape} do not match")
+        total = (f * np.einsum("kn,kn->n", g.conj(), g).real) @ f.conj().T
         _at_most(float(np.abs(total - np.eye(d_in)).max()), EPS_TRACE,
                  "Kraus family incomplete: max |sum A^dag A - I|")
-        for a in ops:
-            a.setflags(write=False)
-        self._operators = tuple(ops)
-        self._in_window = in_window
-        self._out_window = out_window
+        f.setflags(write=False)
+        g.setflags(write=False)
+        self._inputs, self._outputs, self._in_window, self._out_window = f, g, in_window, out_window
+
+    @property
+    def inputs(self):
+        return self._inputs
+
+    @property
+    def outputs(self):
+        return self._outputs
 
     @property
     def operators(self):
-        return self._operators
+        """The dense |g_n><f_n|, built on each read."""
+        return tuple(np.outer(g, f.conj()) for f, g in zip(self._inputs.T, self._outputs.T))
 
     @property
     def in_window(self):
@@ -522,23 +518,22 @@ class KrausRankOne:
 
 
 def kraus_apply(kraus, rho):
-    """sum_a A_a rho A_a^dag as a state."""
+    """sum_n A_n rho A_n^dag = G diag(<f_n|rho|f_n>) G^dag as a state, O(n d^2)."""
     if rho.window != kraus.in_window:
         raise WindowMismatchError("state window differs from the Kraus input window")
-    out = sum(a @ rho.entries @ a.conj().T for a in kraus.operators)
-    return StateOperator(kraus.out_window, out)
+    f, g = kraus.inputs, kraus.outputs
+    weights = np.einsum("in,in->n", f.conj(), rho.entries @ f).real
+    return StateOperator(kraus.out_window, (g * weights) @ g.conj().T)
 
 
 def kraus_rank_one(form):
-    """Rank-one Kraus family |g><f| of a Holevo form, with no eigensolve.
+    """Rank-one Kraus family |g_n><f_n| of a Holevo form, with no eigensolve.
 
     f runs over the columns of each POVM atom's factor and, inside, g over
     the columns of its prepared state's factor, so sum |f><g|g><f| =
     sum_b Tr(rho'_b) M_b = I.
     """
-    operators = [np.outer(g, f.conj()) for m_op, rho_out in form.atoms
-                 for f in m_op.factor.T for g in rho_out.factor.T]
-    return KrausRankOne(operators, form.in_window, form.out_window)
+    return KrausRankOne(form.in_window, form.out_window, *_kraus_vectors(form))
 
 
 def apply_with_identity(channel, omega):

@@ -334,7 +334,10 @@ def phi_profile(spec, half_width):
             raise SchemaError(f"geometric ratio must be in (0, 1), got {ratio}")
         return PureVector(window, ratio ** np.abs(window.modes()))
     if name == "uniform":
-        sub = half_width if arg is None else int(arg)
+        try:
+            sub = half_width if arg is None else int(arg)
+        except ValueError:
+            raise SchemaError("uniform(J) needs an integer half width") from None
         if not 0 <= sub <= half_width:
             raise SchemaError(f"uniform({sub}) does not fit in [-{half_width}, {half_width}]")
         amps = np.zeros(window.dimension)

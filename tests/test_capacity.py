@@ -198,6 +198,17 @@ def test_ba_single_phase_is_zero():
     assert abs(report.optimizer_value) < 1e-12
 
 
+@pytest.mark.parametrize("profile", ["mode(0)", "geometric(1e-200)", "geometric(1e-9)"])
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("grid", [1, 4, 64])
+def test_ba_value_is_never_negative(profile, k, grid):
+    # each divergence is a relative entropy D(psi_j || rho_bar) >= 0; on a (nearly)
+    # phase-invariant fiducial its round-off alone can fall to -4.4e-16
+    report = ba_optimize(RotationChannel(phi_profile(profile, k)), grid)
+    assert report.optimizer_value >= 0.0
+    assert all(value >= 0.0 for value in report.iterate_values)
+
+
 def test_ba_geometric_dense_grid_closes_gap():
     phi = phi_profile("geometric(0.7)", 8)
     report = ba_optimize(RotationChannel(phi), 64)

@@ -392,8 +392,10 @@ def test_kraus_rank_one_action_matches_holevo(rng):
     assert np.abs(total - np.eye(3)).max() < 1e-10
     for _ in range(20):
         rho = StateOperator(window(3), random_density(rng, 3))
-        assert np.abs(kraus_apply(kraus, rho).entries
-                      - holevo_apply(form, rho).entries).max() < 1e-10
+        out = kraus_apply(kraus, rho).entries
+        assert np.abs(out - holevo_apply(form, rho).entries).max() < 1e-10
+        dense = sum(a @ rho.entries @ a.conj().T for a in kraus.operators)
+        assert np.abs(out - dense).max() < 1e-12
 
 
 def test_kraus_rank_one_splits_mixed_outputs(rng):
@@ -560,8 +562,27 @@ def test_block_family_with_a_nan_entry_is_refused():
 
 def test_kraus_family_with_a_nan_entry_is_refused():
     w = window(2)
-    with pytest.raises(InvariantViolationError, match="non-finite"):
-        KrausRankOne([np.array([[1.0, 0.0], [0.0, np.nan]])], w, w)
+    with pytest.raises(InvariantViolationError, match="input vectors has non-finite"):
+        KrausRankOne(w, w, [[1.0, 0.0], [0.0, np.nan]], np.eye(2))
+    with pytest.raises(InvariantViolationError, match="output vectors has non-finite"):
+        KrausRankOne(w, w, np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+
+
+def test_kraus_family_incomplete_or_mismatched_is_refused():
+    # the dephasing family |i><i| is complete; dropping or scaling a vector is not
+    w2, w3 = window(2), window(3)
+    kraus = KrausRankOne(w2, w2, np.eye(2), np.eye(2))
+    assert all(np.array_equal(a, np.diag(row)) for a, row in zip(kraus.operators, np.eye(2)))
+    for inputs, outputs in ((np.eye(2)[:, :1], np.eye(2)[:, :1]),
+                            (np.eye(2), 2 * np.eye(2))):
+        with pytest.raises(InvariantViolationError, match="Kraus family incomplete"):
+            KrausRankOne(w2, w2, inputs, outputs)
+    for inputs, outputs, out_window in ((np.eye(2), np.eye(2), w3),        # g rows != d_out
+                                        (np.eye(3), np.eye(3), w3),        # f rows != d_in
+                                        (np.eye(2), np.eye(3)[:, :1], w3),  # column counts
+                                        (np.ones(2), np.ones(2), w2)):     # not 2-D
+        with pytest.raises(InvariantViolationError, match="Kraus vector shapes"):
+            KrausRankOne(w2, out_window, inputs, outputs)
 
 
 def branches_loop(matrix):
@@ -598,6 +619,14 @@ def test_split_atoms_follow_the_descending_branches(rng):
         kraus = kraus_rank_one(form).operators
         assert len(kraus) == len(operators)
         assert all(np.array_equal(a, b) for a, b in zip(kraus, operators))
+        # the channel's factor columns run over the same pairing, bit for bit
+        channel = holevo_channel(form)
+        pairs = [(f, g) for m_op, rho_out in form.atoms
+                 for f in m_op.factor.T for g in rho_out.factor.T]
+        for n, (f, g) in enumerate(pairs):
+            assert np.array_equal(channel.stacked.factor[:, n], np.kron(f.conj(), g))
+            assert np.array_equal(channel.transposed.factor[:, n], np.kron(f.conj(), g.conj()))
+        assert channel.stacked.factor.shape[1] == len(pairs)
 
 
 def test_from_factors_checks_its_factors():

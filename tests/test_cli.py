@@ -323,6 +323,15 @@ def assert_clean_schema_exit(result):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--phi", "--candidates"])
+@pytest.mark.parametrize("profile", ["two-mode(1)", "geometric(x)", "uniform(x)", "uniform()",
+                                     "mode(x)"])
+def test_bad_profile_argument_exits_2_without_traceback(flag, profile):
+    value = profile if flag == "--phi" else f"{profile},mode(0)"
+    args = {"--phi": "two-mode", "--k": "2", "--candidates": "mode(0),mode(0)", flag: value}
+    assert_clean_schema_exit(run_cli("probe", *(x for item in args.items() for x in item)))
+
+
 def test_nan_state_file_exits_2_without_traceback(tmp_path):
     state = tmp_path / "nan_state.json"
     state.write_text('{"k_min": -1, "k_max": 1, "entries": ['
