@@ -38,7 +38,11 @@ class InputEnsemble(StateMeasure):
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Closed form vs optimizer outcome, both in nats."""
+    """Closed form vs optimizer outcome, both in nats.
+
+    gap is closed_form - optimizer_value clipped at 0: round-off may put
+    the optimizer above the closed form, by at most UPPER_BOUND_SLACK.
+    """
 
     closed_form: float
     optimizer_value: float
@@ -130,7 +134,7 @@ def ba_optimize(channel, grid, max_iter=10000, tol=1e-9):
     return CapacityReport(
         closed_form=closed,
         optimizer_value=value,
-        gap=closed - value,
+        gap=max(closed - value, 0.0),
         grid_size=int(grid),
         iterations=iterations,
         converged=converged,

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: channel-apply, eb-report, capacity, rho12, probe.
-Exit codes: 0 success, 2 input or schema error, 3 numerical invariant
-violation. Output files are byte-deterministic for identical configs:
-fixed-order reductions, canonical number formatting, no timestamps.
+Subcommands: channel-apply, eb-report, capacity, rho12, probe. Each
+result has one entry: capacity and probe sweep a --k list, the other three
+work at one window and refuse a list, and only probe writes the
+domination sweep. Exit codes: 0 success, 2 input or schema error, 3
+numerical invariant violation. Output files are byte-deterministic for
+identical configs: fixed-order reductions, canonical number formatting,
+no timestamps.
 
 main(argv) parses, runs one subcommand and returns its exit code; it
 leaves the interpreter's state alone, so tests and tracers call it
@@ -116,24 +119,24 @@ def _phi_report_entries(half, nodes):
 def _check_size(args):
     """Refuse a --k/--nodes/--grid request whose dense arrays exceed MAX_DENSE_BYTES.
 
-    Every subcommand, the O(K^2) probe included, holds (2K+1)^2 entries at
-    the largest K; rho12 builds (2K+1)^2-square matrices on the product
-    window at the first K. eb-report --phi is charged every factor it holds
-    at its peak (_phi_report_entries). Quadrature holds nodes x (2K+1)
-    phases in channel-apply; capacity holds grid x (2K+1) orbit outputs.
+    With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
+    holds d^2 entries; rho12 builds d^2-square matrices on the product
+    window. eb-report --phi is charged every factor it holds at its peak
+    (_phi_report_entries). Quadrature holds nodes x d phases in
+    channel-apply; capacity holds grid x d orbit outputs.
     eb-report --channel reads none of these flags: a blocks file holds
     every entry in its JSON, and an atoms file is measured once read
     (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
-    d_first, d_max = 2 * args.k[0] + 1, 2 * max(args.k) + 1
+    d = 2 * max(args.k) + 1
     nodes = getattr(args, "nodes", None) or 0
-    terms = [d_max ** 2, max(getattr(args, "grid", [0])) * d_max]
+    terms = [d ** 2, max(getattr(args, "grid", [0])) * d]
     if args.command == "eb-report":
-        terms.append(_phi_report_entries(args.k[0], nodes or 2 * d_first))  # the default 4K + 2
+        terms.append(_phi_report_entries(max(args.k), nodes or 2 * d))  # the default 4K + 2
     else:
-        terms += [d_first ** 4 if args.command == "rho12" else 0, nodes * d_first]
+        terms += [d ** 4 if args.command == "rho12" else 0, nodes * d]
     _refuse_above_limit(max(terms), args.command, "this --k/--nodes/--grid request")
 
 
@@ -156,17 +159,10 @@ def _emit(text, out_path):
         jsonio.write_text(out_path, text)
 
 
-def _sibling_path(out_path, suffix):
-    stem, _ = os.path.splitext(out_path)
-    return f"{stem}.{suffix}"
-
-
 def cmd_channel_apply(args):
     half = args.k[0]
     phi = _resolve_phi(args.phi, half)
     channel = rot.RotationChannel(phi, args.nodes)
-    if args.state is None:
-        raise SchemaError("channel-apply needs --state <file>")
     rho = jsonio.state_from_json(jsonio.read_json(args.state), context=args.state)
     if rho.window != channel.window:
         raise WindowMismatchError(
@@ -186,6 +182,8 @@ def cmd_channel_apply(args):
 
 
 def cmd_eb_report(args):
+    if args.channel is not None and args.phi is not None:
+        raise SchemaError("eb-report takes --channel or --phi, not both")
     if args.channel is not None:
         raw = jsonio.read_json(args.channel)
         if isinstance(raw, dict) and "blocks" in raw:
@@ -239,41 +237,34 @@ def cmd_capacity(args):
 
 
 def cmd_rho12(args):
-    """rho12 JSON plus the --n-sweep and --probe CSVs; every output is computed before any is written."""
-    for flag, wanted in (("--n-sweep", args.n_sweep), ("--probe", args.probe)):
-        if wanted and args.out is None:
-            raise SchemaError(f"{flag} needs --out to place the CSV next to the JSON")
+    """rho12 JSON and the --n-sweep CSV next to it; both are computed before either is written."""
+    if args.n_sweep and args.out is None:
+        raise SchemaError("--n-sweep needs --out to place the CSV next to the JSON")
     half = args.k[0]
     phi1 = _resolve_phi(args.phi, half)
     phi2 = _resolve_phi(args.phi2, half) if args.phi2 else phi1
-    # serialized before the sweeps, whose freed temporaries would add to its peak memory
+    # serialized before the sweep, whose freed temporaries would add to its peak memory
     text = jsonio.dumps(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
-    siblings = {}
+    csv = None
     if args.n_sweep:
         product = factored_state(ProductWindow(phi1.window, phi2.window),
                                  np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
         rows = [[n, trace_norm_distance(rot.rho12_n(phi1, phi2, n), product)]
                 for n in args.n_sweep]
-        siblings["n_sweep.csv"] = jsonio.csv_text(["n", "trace_distance_to_product"], rows)
-    if args.probe:
-        siblings["probe.csv"] = _probe_csv(args)
+        csv = jsonio.csv_text(["n", "trace_distance_to_product"], rows)
     _emit(text, args.out)
-    for suffix, csv in siblings.items():
-        jsonio.write_text(_sibling_path(args.out, suffix), csv)
+    if csv is not None:
+        jsonio.write_text(f"{os.path.splitext(args.out)[0]}.n_sweep.csv", csv)
     return EXIT_OK
 
 
-def _probe_csv(args):
-    """Probe-sweep CSV shared by `probe` and `rho12 --probe`; mode(0)|mode(0) by default."""
+def cmd_probe(args):
+    """Probe-sweep CSV over every --k; mode(0)|mode(0) when no --candidates are given."""
     rows = rot.decomposability_probe_sweep(partial(_resolve_phi, args.phi),
                                            partial(_resolve_phi, args.phi2 or args.phi), args.k,
                                            args.candidates or [("mode(0)", "mode(0)")])
-    return jsonio.csv_text(["K", "candidate_id", "eps_max"],
-                           [[r.half_width, r.candidate, r.eps_max] for r in rows])
-
-
-def cmd_probe(args):
-    _emit(_probe_csv(args), args.out)
+    _emit(jsonio.csv_text(["K", "candidate_id", "eps_max"],
+                          [[r.half_width, r.candidate, r.eps_max] for r in rows]), args.out)
     return EXIT_OK
 
 
@@ -317,13 +308,10 @@ def build_parser():
     p_cap.add_argument("--tol", type=float, default=1e-9, help="optimizer stopping tolerance")
     p_cap.add_argument("--max-iter", type=int, default=10000)
 
-    p_rho = sub.add_parser("rho12", help="orbit-averaged product state and its diagnostics")
+    p_rho = sub.add_parser("rho12", help="orbit-averaged product state at one window")
     add_common(p_rho)
     p_rho.add_argument("--phi2", default=None, help="second-factor profile (defaults to --phi)")
     p_rho.add_argument("--n-sweep", default=None, help="comma list of subinterval counts")
-    p_rho.add_argument("--probe", action="store_true", help="also emit the probe sweep CSV")
-    p_rho.add_argument("--candidates", default=None,
-                       help="semicolon-separated 'alpha,beta' profile pairs")
 
     p_probe = sub.add_parser("probe", help="pure-product domination sweep over window sizes")
     add_common(p_probe)
@@ -337,14 +325,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
-        # the two that take --nodes; eb-report --channel reads neither --k nor --nodes
-        if args.command in ("channel-apply", "eb-report") and getattr(args, "channel", None) is None:
+        # only capacity and probe sweep --k; eb-report --channel reads neither --k nor --nodes
+        if args.command in ("channel-apply", "rho12") or (args.command == "eb-report"
+                                                          and args.channel is None):
             if len(args.k) > 1:
                 raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
-            floor = 4 * args.k[0] + 1
-            if args.nodes is not None and args.nodes < floor:
+            floor, nodes = 4 * args.k[0] + 1, getattr(args, "nodes", None)  # rho12 has no --nodes
+            if nodes is not None and nodes < floor:
                 raise SchemaError(
-                    f"--nodes {args.nodes} below the exactness floor {floor} for K={args.k[0]}")
+                    f"--nodes {nodes} below the exactness floor {floor} for K={args.k[0]}")
         if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
             if args.max_iter < 1:
@@ -353,7 +342,7 @@ def main(argv=None):
                 raise SchemaError(f"--tol must be finite and >= 0, got {args.tol!r}")
         if args.command == "rho12" and args.n_sweep:
             args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
-        if args.command in ("rho12", "probe") and args.candidates:
+        if args.command == "probe" and args.candidates:
             args.candidates = _parse_candidates(args.candidates)
         _check_size(args)
         return _COMMANDS[args.command](args)

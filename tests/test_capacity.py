@@ -209,6 +209,16 @@ def test_ba_value_is_never_negative(profile, k, grid):
     assert all(value >= 0.0 for value in report.iterate_values)
 
 
+@pytest.mark.parametrize("profile, k, grid", [("geometric(1e-9)", 2, 4), ("two-mode", 2, 2),
+                                              ("two-mode", 4, 2), ("geometric(0.7)", 16, 64)])
+def test_ba_gap_is_never_negative(profile, k, grid):
+    # on these the optimizer passes the closed form by round-off; the gap used to print
+    # -2.8e-17, -1.1e-16, -1.1e-16 and -2.2e-16
+    report = ba_optimize(RotationChannel(phi_profile(profile, k)), grid)
+    assert report.gap >= 0.0
+    assert report.gap == max(report.closed_form - report.optimizer_value, 0.0)
+
+
 def test_ba_geometric_dense_grid_closes_gap():
     phi = phi_profile("geometric(0.7)", 8)
     report = ba_optimize(RotationChannel(phi), 64)

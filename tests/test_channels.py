@@ -4,6 +4,7 @@ import pytest
 from eblab import (
     ChannelBlocks,
     ChoiState,
+    ExtractionInconsistentError,
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
@@ -40,6 +41,7 @@ from eblab import (
     trace_norm_distance,
     transpose_channel,
 )
+from eblab.channels import EXTRACT_TOL
 from conftest import assert_same_channel, random_density, random_pure
 
 
@@ -360,6 +362,28 @@ def test_eb_extract_rejects_foreign_decomposition(rng):
     other = blocks_from_holevo(random_holevo_form(rng, 3, 2, 3))
     with pytest.raises(InvariantViolationError):
         separable_choi_from_holevo(form, choi(other, sigma))
+
+
+def test_eb_extract_refuses_a_decomposition_its_target_accepts(rng):
+    # Lambda^{-1/2} amplifies a Choi-side error near sigma's small eigenvalue: bending the
+    # output of the atom of weight 1e-6 by 1e-5 moves the Choi state by about 1e-11 in trace
+    # distance, which the decomposition accepts, but the extracted channel by about 1e-5
+    w = ModeWindow.symmetric(1)
+    form = HolevoForm([(basis_vector(w, k).projector(), PureVector(w, random_pure(rng, 3)).projector())
+                       for k in (-1, 0, 1)])
+    sigma = StateOperator(w, np.diag([0.5 - 5e-7, 1e-6, 0.5 - 5e-7]))
+    decomposition = separable_choi_from_holevo(form, choi(holevo_channel(form), sigma))
+    atoms = list(decomposition.atoms)
+    lightest = min(range(len(atoms)), key=lambda n: atoms[n][0])
+    weight, phi, psi = atoms[lightest]
+    atoms[lightest] = (weight, phi, PureVector(w, psi.amplitudes + 1e-5 * np.array([1j, 0, 1])))
+    bent = SeparableChoiDecomposition(decomposition.target, atoms)
+    assert trace_norm_distance(bent.reconstruction(), bent.target) <= EXTRACT_TOL
+    with pytest.raises(ExtractionInconsistentError,
+                       match="extracted form disagrees with the channel's stacked matrix") as err:
+        eb_extract(bent)
+    assert err.value.residual > EXTRACT_TOL
+    assert 1e-6 < err.value.residual < 1e-4
 
 
 def test_kraus_rank_one_dephasing():

@@ -1,5 +1,8 @@
+import argparse
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +13,12 @@ from eblab import (
     ProductWindow,
     PureVector,
     StateOperator,
+    identity_channel,
     jsonio,
     phi_profile,
     rotation,
 )
-from eblab.cli import main
+from eblab.cli import build_parser, main
 from conftest import random_density, random_pure
 from oracles import per_cell_json
 
@@ -93,7 +97,6 @@ def test_channel_apply_coarse_nodes_exit_2(tmp_path):
 
 
 def test_eb_report_identity_channel(tmp_path):
-    from eblab import identity_channel
     chan_file = tmp_path / "identity.json"
     out = tmp_path / "report.json"
     jsonio.write_text(str(chan_file),
@@ -234,8 +237,7 @@ def test_capacity_bits_columns(tmp_path):
 def test_rho12_two_mode_json_and_sweeps(tmp_path):
     out = tmp_path / "rho12.json"
     assert main(["rho12", "--phi", "two-mode", "--k", "1", "--out", str(out),
-                 "--n-sweep", "1,2,4,8", "--probe",
-                 "--candidates", "mode(0),mode(0)"]) == 0
+                 "--n-sweep", "1,2,4,8"]) == 0
     state = jsonio.state_from_json(jsonio.read_json(out))
     nonzero = np.abs(state.entries[np.abs(state.entries) > 1e-14])
     assert np.allclose(nonzero, 0.25, atol=1e-12)
@@ -243,7 +245,11 @@ def test_rho12_two_mode_json_and_sweeps(tmp_path):
     assert sweep_lines[0] == "n,trace_distance_to_product"
     distances = [float(line.split(",")[1]) for line in sweep_lines[1:]]
     assert len(distances) == 4
-    probe_lines = (tmp_path / "rho12.probe.csv").read_text().splitlines()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["rho12.json", "rho12.n_sweep.csv"]
+    probe = tmp_path / "probe.csv"
+    assert main(["probe", "--phi", "two-mode", "--k", "1", "--out", str(probe),
+                 "--candidates", "mode(0),mode(0)"]) == 0
+    probe_lines = probe.read_text().splitlines()
     assert probe_lines[0] == "K,candidate_id,eps_max"
     assert abs(float(probe_lines[1].split(",")[2]) - 0.25) < 1e-9
 
@@ -396,10 +402,12 @@ def test_import_does_not_load_scipy():
 
 def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
     # --sigma belongs to eb-report; --base, --grid and --tol to capacity;
-    # --nodes to channel-apply and eb-report
+    # --nodes to channel-apply and eb-report; --candidates to probe, which alone sweeps
     for args in (("probe", "--phi", "two-mode", "--k", "1", "--sigma", "mixed"),
                  ("capacity", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
                  ("rho12", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
+                 ("rho12", "--phi", "two-mode", "--k", "1", "--probe"),
+                 ("rho12", "--phi", "two-mode", "--k", "1", "--candidates", "mode(0),mode(0)"),
                  ("probe", "--phi", "two-mode", "--k", "1", "--grid", "8"),
                  ("eb-report", "--phi", "two-mode", "--k", "1", "--tol", "1e-6"),
                  ("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "s.json",
@@ -413,6 +421,23 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
         result = run_cli(*args)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+
+def readme_flag_table(text):
+    """{subcommand: its own flags} from README's table under '| subcommand | its own flags |'."""
+    table = text.split("| subcommand | its own flags |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", table, re.MULTILINE)
+    return {name: set(re.findall(r"`(--[a-z0-9-]+)", flags)) for name, flags in rows}
+
+
+def test_readme_flag_table_lists_each_subcommands_own_flags():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {name: {flag for action in parser._actions for flag in action.option_strings}
+                - {"-h", "--help", "--k", "--phi", "--out"}
+                for name, parser in subparsers.choices.items()}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert readme_flag_table(readme.read_text()) == declared
 
 
 @pytest.mark.parametrize("args", [
@@ -461,11 +486,10 @@ def test_eb_report_builds_one_choi_state(tmp_path, monkeypatch):
     assert states[0].factor.shape == (25, 9) and states[0].transposed.factor.shape == (25, 9)
 
 
-def test_rho12_failed_probe_writes_nothing(tmp_path, capsys):
-    # the probe fails past the double range at K=496; the JSON for K=2 must not be left behind
-    out = tmp_path / "x.json"
-    assert main(["rho12", "--phi", "geometric(0.3)", "--k", "2,496", "--probe",
-                 "--out", str(out)]) == 3
+def test_failed_probe_writes_nothing(tmp_path, capsys):
+    # the probe fails past the double range at K=496; the rows for K=2 must not be left behind
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--phi", "geometric(0.3)", "--k", "2,496", "--out", str(out)]) == 3
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
 
@@ -508,27 +532,31 @@ def test_probe_reads_a_fiducial_file(tmp_path, capsys):
     for spec in (phi, "geometric(0.7)"):
         assert main(["probe", "--phi", spec, "--k", "4", *candidates]) == 0
         assert_one_seventeenth(capsys.readouterr().out.splitlines())
-    assert main(["rho12", "--phi", phi, "--k", "4", "--probe", *candidates,
-                 "--out", str(tmp_path / "rho12.json")]) == 0
-    assert_one_seventeenth((tmp_path / "rho12.probe.csv").read_text().splitlines())
+    assert main(["probe", "--phi", phi, "--k", "4", *candidates,
+                 "--out", str(tmp_path / "probe.csv")]) == 0
+    assert_one_seventeenth((tmp_path / "probe.csv").read_text().splitlines())
     assert main(["probe", "--k", "2"]) == 2  # no --phi: was an AttributeError traceback
     assert "--phi is required" in capsys.readouterr().err
 
 
 def test_single_k_subcommands_refuse_a_k_list(tmp_path, capsys):
-    # both used to run the first K and drop the rest
+    # each used to run the first K and drop the rest
     state = tmp_path / "s1.json"
     write_state(state, diagonal_state(1, 0.2, 0.5, 0.3))
     for args in (("channel-apply", "--state", str(state)),
                  ("channel-apply", "--state", str(state), "--nodes", "9"),
-                 ("eb-report",)):
+                 ("eb-report",),
+                 ("rho12",),
+                 ("rho12", "--n-sweep", "1,2", "--out", str(tmp_path / "rho12.json"))):
         assert main([args[0], "--phi", "two-mode", "--k", "1,3", *args[1:]]) == 2, args
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{args[0]} takes a single --k value" in captured.err
-    assert main(["rho12", "--phi", "two-mode", "--k", "1,3", "--probe",
-                 "--out", str(tmp_path / "rho12.json")]) == 0
-    assert len((tmp_path / "rho12.probe.csv").read_text().splitlines()) == 3
+    assert [path.name for path in tmp_path.iterdir()] == ["s1.json"]
+    # the sweep over windows is probe's
+    assert main(["probe", "--phi", "two-mode", "--k", "1,3",
+                 "--out", str(tmp_path / "probe.csv")]) == 0
+    assert len((tmp_path / "probe.csv").read_text().splitlines()) == 3
 
 
 def test_eb_report_on_a_non_cp_map_reports_only_cp(tmp_path, monkeypatch):
@@ -624,7 +652,6 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
 
 def test_eb_report_channel_ignores_k(tmp_path, capsys):
     # --k 200 charged the 1 x 1 blocks file d^4 = 401^4 entries and exited 2
-    from eblab import identity_channel
     chan_file = tmp_path / "identity.json"
     jsonio.write_text(str(chan_file),
                       jsonio.dumps(jsonio.channel_to_json(identity_channel(ModeWindow(0, 0)))))
@@ -702,6 +729,27 @@ def test_unreadable_json_files_exit_2_naming_the_file(tmp_path, capsys, content,
                  ["--phi", str(bad), "--k", "1"]):
         assert main(["eb-report", *argv]) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: {bad}: {message}"), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eb-report", "--channel", "{blocks}", "--phi", "geometric(0.7)", "--k", "2"),
+     "eb-report takes --channel or --phi, not both"),
+    (("eb-report", "--k", "2"), "eb-report needs --channel <file> or --phi <profile>"),
+    (("eb-report", "--channel", "{neither}"), "expected 'blocks' or 'atoms'"),
+    (("probe", "--phi", "two-mode", "--k", "2", "--candidates", ";"),
+     "--candidates received an empty list"),
+], ids=["both-sources", "no-source", "neither-blocks-nor-atoms", "empty-candidates"])
+def test_missing_or_conflicting_sources_exit_2(tmp_path, argv, message):
+    # the first used to run the file and drop --phi; no test reached the other three
+    blocks = tmp_path / "identity.json"
+    jsonio.write_text(str(blocks), jsonio.dumps(jsonio.channel_to_json(
+        identity_channel(ModeWindow(0, 0)))))
+    neither = tmp_path / "neither.json"
+    neither.write_text('{"entries": [[[1, 0]]]}\n')
+    result = run_cli(*(arg.format(blocks=blocks, neither=neither) for arg in argv))
+    assert_clean_schema_exit(result)
+    assert message in result.stderr
+    assert result.stdout == ""
 
 
 def test_eb_report_phi_at_k32_in_a_cold_process():
