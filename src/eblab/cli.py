@@ -101,43 +101,40 @@ def _refuse_above_limit(entries, command, source):
                           f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
 
 
-def _phi_report_entries(half, nodes):
+def _phi_report_entries(half):
     """Complex entries eb-report --phi holds at its peak, at the QR of a joined factor.
 
-    With d = 2K + 1, the channel's two factors and the Choi state's two are
-    d^2 x (4K + 1) each, and the reconstruction is d^2 x nodes. Both the
-    decomposition's trace distance and the extraction's residual take a QR
-    of a joined d^2 x (nodes + 4K + 1) factor, which is held three times:
-    the join, numpy's astype(copy=True) and the LAPACK work copy. The
-    nodes x d vector atoms are counted once.
+    With d = 2K + 1 and the grid's G = 4K + 2 nodes, the channel's two
+    factors and the Choi state's two are d^2 x (4K + 1) each, and the
+    reconstruction is d^2 x G. Both the decomposition's trace distance and
+    the extraction's residual take a QR of a joined d^2 x (G + 4K + 1)
+    factor, which is held three times: the join, numpy's astype(copy=True)
+    and the LAPACK work copy. The G x d vector atoms are counted once.
     """
-    d = 2 * half + 1
+    d, nodes = 2 * half + 1, 4 * half + 2
     columns = 4 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 
 
 def _check_size(args):
-    """Refuse a --k/--nodes/--grid request whose dense arrays exceed MAX_DENSE_BYTES.
+    """Refuse a --k/--grid request whose dense arrays exceed MAX_DENSE_BYTES.
 
     With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
     holds d^2 entries; rho12 builds d^2-square matrices on the product
-    window. eb-report --phi is charged every factor it holds at its peak
-    (_phi_report_entries). Quadrature holds nodes x d phases in
-    channel-apply; capacity holds grid x d orbit outputs.
-    eb-report --channel reads none of these flags: a blocks file holds
-    every entry in its JSON, and an atoms file is measured once read
-    (_check_atoms_size).
+    window. channel-apply's quadrature holds the (4K + 2) x d = 2 d^2
+    grid phases, and capacity holds grid x d orbit outputs. eb-report
+    --phi is charged every factor it holds at its peak
+    (_phi_report_entries). eb-report --channel does not read --k: a
+    blocks file holds every entry in its JSON, and an atoms file is
+    measured once read (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
-    d = 2 * max(args.k) + 1
-    nodes = getattr(args, "nodes", None) or 0
-    terms = [d ** 2, max(getattr(args, "grid", [0])) * d]
-    if args.command == "eb-report":
-        terms.append(_phi_report_entries(max(args.k), nodes or 2 * d))  # the default 4K + 2
-    else:
-        terms += [d ** 4 if args.command == "rho12" else 0, nodes * d]
-    _refuse_above_limit(max(terms), args.command, "this --k/--nodes/--grid request")
+    half = max(args.k)
+    d = 2 * half + 1
+    peak = {"channel-apply": 2 * d * d, "eb-report": _phi_report_entries(half), "rho12": d ** 4}
+    _refuse_above_limit(max(d * d, max(getattr(args, "grid", [0])) * d, peak.get(args.command, 0)),
+                        args.command, "this --k/--grid request")
 
 
 def _check_atoms_size(form, path):
@@ -160,24 +157,21 @@ def _emit(text, out_path):
 
 
 def cmd_channel_apply(args):
-    half = args.k[0]
-    phi = _resolve_phi(args.phi, half)
-    channel = rot.RotationChannel(phi, args.nodes)
+    """The closed-form action, with its largest entry gap to the grid action as a check."""
+    channel = rot.RotationChannel(_resolve_phi(args.phi, args.k[0]))
     rho = jsonio.state_from_json(jsonio.read_json(args.state), context=args.state)
     if rho.window != channel.window:
         raise WindowMismatchError(
             f"input state window {rho.window} differs from the channel window {channel.window}")
-    closed = rot.apply_closed_form(channel, rho) if args.method in ("both", "closed-form") else None
-    quad = rot.apply_quadrature(channel, rho) if args.method in ("both", "quadrature") else None
-    result = closed if closed is not None else quad
+    closed = rot.apply_closed_form(channel, rho)
     metadata = {
-        "trace": float(result.trace().real),
-        "min_eigenvalue": min_eigenvalue(result.entries),
-        "method": "closed_form" if closed is not None else "quadrature",
+        "trace": float(closed.trace().real),
+        "min_eigenvalue": min_eigenvalue(closed.entries),
+        "method": "closed_form",
+        "agreement_residual": float(np.abs(closed.entries
+                                           - rot.apply_quadrature(channel, rho).entries).max()),
     }
-    if closed is not None and quad is not None:
-        metadata["agreement_residual"] = float(np.abs(closed.entries - quad.entries).max())
-    _emit(jsonio.dumps(jsonio.operator_to_json(result, extra={"metadata": metadata})), args.out)
+    _emit(jsonio.dumps(jsonio.operator_to_json(closed, extra={"metadata": metadata})), args.out)
     return EXIT_OK
 
 
@@ -196,8 +190,7 @@ def cmd_eb_report(args):
         else:
             raise SchemaError(f"{args.channel}: expected 'blocks' or 'atoms'")
     elif args.phi is not None:
-        half = args.k[0]
-        channel_obj = rot.RotationChannel(_resolve_phi(args.phi, half), args.nodes)
+        channel_obj = rot.RotationChannel(_resolve_phi(args.phi, args.k[0]))
         channel = rot.factored_channel(channel_obj)
         form = rot.holevo_form(channel_obj)
     else:
@@ -283,21 +276,17 @@ def build_parser():
         description="Desk-scale numerics for separable states and entanglement-breaking channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, nodes=False):
+    def add_common(p):
         p.add_argument("--k", default="4", help="window half-width K, or comma list for sweeps")
         p.add_argument("--phi", default=None, help="fiducial profile name or pure-vector JSON file")
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        if nodes:
-            p.add_argument("--nodes", type=int, default=None, help="quadrature nodes (>= 4K+1)")
 
     p_apply = sub.add_parser("channel-apply", help="apply the rotation channel to a state file")
-    add_common(p_apply, nodes=True)
+    add_common(p_apply)
     p_apply.add_argument("--state", required=True, help="input state JSON file")
-    p_apply.add_argument("--method", choices=("both", "closed-form", "quadrature"),
-                         default="both")
 
     p_eb = sub.add_parser("eb-report", help="CP / PPT / extraction report for a channel")
-    add_common(p_eb, nodes=True)
+    add_common(p_eb)
     p_eb.add_argument("--channel", default=None, help="channel JSON file (blocks or Holevo atoms)")
     p_eb.add_argument("--sigma", default="mixed", help="'mixed' or a state JSON file")
 
@@ -325,15 +314,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
-        # only capacity and probe sweep --k; eb-report --channel reads neither --k nor --nodes
+        # only capacity and probe sweep --k; eb-report --channel does not read it
         if args.command in ("channel-apply", "rho12") or (args.command == "eb-report"
                                                           and args.channel is None):
             if len(args.k) > 1:
                 raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
-            floor, nodes = 4 * args.k[0] + 1, getattr(args, "nodes", None)  # rho12 has no --nodes
-            if nodes is not None and nodes < floor:
-                raise SchemaError(
-                    f"--nodes {nodes} below the exactness floor {floor} for K={args.k[0]}")
         if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
             if args.max_iter < 1:

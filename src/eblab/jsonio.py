@@ -11,6 +11,10 @@ literal [0,0], and each row's template is cached by its zero pattern, so
 the cells that charge conservation zeroes in rho12 cost no formatting.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
+Every reader names its context (the CLI passes the file path) in each
+refusal: its own SchemaError, and the WindowMismatchError or
+InvariantViolationError of the object it builds, re-raised as the same
+class.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import InvariantViolationError, SchemaError
+from .errors import InvariantViolationError, SchemaError, WindowMismatchError
 from .hilbert import (
     MatrixOperator,
     ModeWindow,
@@ -160,6 +164,14 @@ def _complex_from_json(cell, context):
     raise SchemaError(f"{context}: each cell must be a [re, im] pair of finite numbers")
 
 
+def _built(context, make, *args):
+    """make(*args), its WindowMismatchError or InvariantViolationError re-raised naming context."""
+    try:
+        return make(*args)
+    except (WindowMismatchError, InvariantViolationError) as err:
+        raise type(err)(f"{context}: {err}") from None
+
+
 def _entries_from_json(raw, context):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{context}: 'entries' must be a non-empty array of rows")
@@ -189,7 +201,7 @@ def window_from_json(raw, context="window"):
     for key in ("k_min", "k_max"):
         if key not in raw or not isinstance(raw[key], int) or isinstance(raw[key], bool):
             raise SchemaError(f"{context}: missing integer field {key!r}")
-    return ModeWindow(raw["k_min"], raw["k_max"])
+    return _built(context, ModeWindow, raw["k_min"], raw["k_max"])
 
 
 def operator_to_json(op, extra=None):
@@ -206,13 +218,12 @@ def operator_from_json(raw, context="operator"):
     if "entries" not in raw:
         raise SchemaError(f"{context}: missing 'entries'")
     window = window_from_json(raw, context)
-    entries = _entries_from_json(raw["entries"], context)
-    return MatrixOperator(window, entries)
+    return _built(context, MatrixOperator, window, _entries_from_json(raw["entries"], context))
 
 
 def state_from_json(raw, context="state"):
     op = operator_from_json(raw, context)
-    return StateOperator(op.window, op.entries)
+    return _built(context, StateOperator, op.window, op.entries)
 
 
 def pure_vector_to_json(psi):
@@ -227,7 +238,8 @@ def pure_vector_from_json(raw, context="pure vector"):
     window = window_from_json(raw, context)
     if not isinstance(raw["amplitudes"], list):
         raise SchemaError(f"{context}: 'amplitudes' must be an array of [re, im] pairs")
-    return PureVector(window, [_complex_from_json(cell, context) for cell in raw["amplitudes"]])
+    return _built(context, PureVector, window,
+                  [_complex_from_json(cell, context) for cell in raw["amplitudes"]])
 
 
 def channel_to_json(channel):
@@ -260,7 +272,7 @@ def channel_from_json(raw, context="channel"):
             if op.window != out_window:
                 raise SchemaError(f"{context}: block ({i},{j}) window differs from 'out'")
             blocks[i, j] = op.entries
-    return ChannelBlocks(in_window, out_window, blocks)
+    return _built(context, ChannelBlocks, in_window, out_window, blocks)
 
 
 def holevo_to_json(form):
@@ -277,7 +289,7 @@ def holevo_from_json(raw, context="holevo form"):
             raise SchemaError(f"{context}: atom {n} needs 'M' and 'rho_out'")
         atoms.append((operator_from_json(atom["M"], f"{context}.atom{n}.M"),
                       state_from_json(atom["rho_out"], f"{context}.atom{n}.rho_out")))
-    return HolevoForm(atoms)
+    return _built(context, HolevoForm, atoms)
 
 
 def csv_text(header, rows):

@@ -89,13 +89,6 @@ def test_channel_apply_unknown_profile_exits_2(tmp_path):
                  "--state", str(state)]) == 2
 
 
-def test_channel_apply_coarse_nodes_exit_2(tmp_path):
-    state = tmp_path / "state.json"
-    write_state(state, diagonal_state(1, 0.2, 0.5, 0.3))
-    assert main(["channel-apply", "--k", "1", "--nodes", "3", "--phi", "two-mode",
-                 "--state", str(state)]) == 2
-
-
 def test_eb_report_identity_channel(tmp_path):
     chan_file = tmp_path / "identity.json"
     out = tmp_path / "report.json"
@@ -365,6 +358,77 @@ def test_boolean_window_state_file_exits_2_without_traceback(tmp_path):
                                      "--state", str(state)))
 
 
+def _op(k_min, k_max, *diagonal):
+    """Operator JSON with the given diagonal on the window [k_min, k_max]."""
+    d = len(diagonal)
+    return {"k_min": k_min, "k_max": k_max,
+            "entries": [[[diagonal[i] if i == j else 0, 0] for j in range(d)] for i in range(d)]}
+
+
+def _atoms(*pairs):
+    return {"atoms": [{"M": m, "rho_out": rho} for m, rho in pairs]}
+
+
+ONE = _op(0, 0, 1)
+
+# (case, subcommand and flags before the file's flag, the file's flag, its JSON,
+#  exit code, a phrase of the refusal)
+REFUSED_FILES = [
+    ("empty_in_window", ("eb-report",), "--channel",
+     {"in": {"k_min": 1, "k_max": 0}, "out": {"k_min": 0, "k_max": 0}, "blocks": []},
+     2, "empty window"),
+    ("short_phi", ("rho12", "--k", "1"), "--phi",
+     {"k_min": -1, "k_max": 1, "amplitudes": [[1, 0], [0, 0]]}, 2, "amplitude length 2"),
+    ("zero_phi", ("rho12", "--k", "1"), "--phi",
+     {"k_min": -1, "k_max": 1, "amplitudes": [[0, 0]] * 3}, 3, "finite nonzero norm"),
+    ("entries_off_window", ("channel-apply", "--phi", "two-mode", "--k", "1"), "--state",
+     {**_op(0, 1, 0.5, 0.5), "k_min": -1}, 2, "does not match window dimension"),
+    ("rho_out_trace_2", ("eb-report",), "--channel", _atoms((ONE, _op(0, 0, 2))),
+     3, "state trace defect"),
+    ("mixed_window_atoms", ("eb-report",), "--channel",
+     _atoms((ONE, ONE), (_op(0, 1, 0, 0), ONE)), 2, "share the same windows"),
+    ("povm_not_positive", ("eb-report",), "--channel", _atoms((_op(0, 0, -1), ONE)),
+     3, "POVM atom not positive"),
+    ("povm_incomplete", ("eb-report",), "--channel", _atoms((_op(0, 0, 0.5), ONE)),
+     3, "POVM incomplete"),
+    ("blocks_not_trace_preserving", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 0},
+      "blocks": [[_op(0, 0, 2)]]}, 3, "not trace preserving"),
+    # schema branches: the reader's own refusals
+    ("blocks_grid_shape", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 1}, "out": {"k_min": 0, "k_max": 0}, "blocks": [[ONE]]},
+     2, "blocks must form a 2 x 2 grid"),
+    ("block_window", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 0},
+      "blocks": [[_op(1, 1, 1)]]}, 2, "window differs from 'out'"),
+    ("missing_entries", ("channel-apply", "--phi", "two-mode", "--k", "1"), "--state",
+     {"k_min": -1, "k_max": 1}, 2, "missing 'entries'"),
+    ("one_sided_product", ("channel-apply", "--phi", "two-mode", "--k", "1"), "--state",
+     {"left_window": {"k_min": -1, "k_max": 1}, "entries": _op(-1, 1, 1, 0, 0)["entries"]},
+     2, "product window needs both sides"),
+    ("atom_without_M", ("eb-report",), "--channel", {"atoms": [{"rho_out": ONE}]},
+     2, "needs 'M' and 'rho_out'"),
+    ("amplitudes_not_list", ("rho12", "--k", "1"), "--phi",
+     {"k_min": -1, "k_max": 1, "amplitudes": 3}, 2, "'amplitudes' must be an array"),
+]
+
+
+@pytest.mark.parametrize("case, argv, flag, doc, code, phrase", REFUSED_FILES,
+                         ids=[case[0] for case in REFUSED_FILES])
+def test_every_refused_file_is_named_with_its_exit_code(tmp_path, capsys, case, argv, flag,
+                                                        doc, code, phrase):
+    # the library's window and invariant refusals used to reach stderr without the path;
+    # main returning at all means no traceback
+    path = tmp_path / f"{case}.json"
+    jsonio.write_text(str(path), jsonio.dumps(doc))
+    assert main([*argv, flag, str(path)]) == code
+    captured = capsys.readouterr()
+    prefix = "error: " if code == 2 else "invariant violation: "
+    assert captured.err.startswith(prefix + str(path)), captured.err
+    assert phrase in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_oversized_k_exits_2_before_allocating():
     # requests far beyond any address space: (2K+1)^2 entries for capacity,
     # (2K+1)^4 for rho12; the guard refuses them before numpy is asked
@@ -401,9 +465,15 @@ def test_import_does_not_load_scipy():
 
 
 def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
-    # --sigma belongs to eb-report; --base, --grid and --tol to capacity;
-    # --nodes to channel-apply and eb-report; --candidates to probe, which alone sweeps
-    for args in (("probe", "--phi", "two-mode", "--k", "1", "--sigma", "mixed"),
+    # --sigma belongs to eb-report; --base, --grid and --tol to capacity; --candidates
+    # to probe, which alone sweeps. The quadrature grid follows from --k, so no
+    # subcommand takes --nodes, and channel-apply always writes the closed form
+    for args in (("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "s.json",
+                  "--method", "quadrature"),
+                 ("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "s.json",
+                  "--nodes", "9"),
+                 ("eb-report", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
+                 ("probe", "--phi", "two-mode", "--k", "1", "--sigma", "mixed"),
                  ("capacity", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
                  ("rho12", "--phi", "two-mode", "--k", "1", "--nodes", "9"),
                  ("rho12", "--phi", "two-mode", "--k", "1", "--probe"),
@@ -442,12 +512,13 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 
 @pytest.mark.parametrize("args", [
     ("capacity", "--phi", "two-mode", "--k", "1", "--grid", str(10 ** 15)),
-    ("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "unread.json",
-     "--nodes", str(10 ** 15)),
-    ("eb-report", "--phi", "two-mode", "--k", "1", "--nodes", str(10 ** 15)),
+    ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
+    ("eb-report", "--phi", "two-mode", "--k", "73"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
-    # grid x (2K+1) orbit outputs, nodes x (2K+1) phases, one (2K+1)-square atom per node
+    # grid x (2K+1) orbit outputs; channel-apply's (4K+2) x (2K+1) quadrature
+    # phases, which pass the limit at K = 3000 where (2K+1)^2 entries would not;
+    # the factors of eb-report --phi at its 4K+2 nodes, which admit K <= 72
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -544,7 +615,6 @@ def test_single_k_subcommands_refuse_a_k_list(tmp_path, capsys):
     state = tmp_path / "s1.json"
     write_state(state, diagonal_state(1, 0.2, 0.5, 0.3))
     for args in (("channel-apply", "--state", str(state)),
-                 ("channel-apply", "--state", str(state), "--nodes", "9"),
                  ("eb-report",),
                  ("rho12",),
                  ("rho12", "--n-sweep", "1,2", "--out", str(tmp_path / "rho12.json"))):
@@ -615,7 +685,7 @@ def random_phi_file(tmp_path, rng, half):
 
 
 def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypatch):
-    # three solves, whatever --nodes is: sigma's (2K+1)-square eigensystem and
+    # three solves: sigma's (2K+1)-square eigensystem and
     # the two factored trace-norm differences on a factor's columns. Factored
     # states are positive by construction, so no min_eigenvalue (an eigvalsh) runs
     calls = []
@@ -627,15 +697,13 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
     for profile, half in ((None, 6), ("geometric(0.7)", 10)):
         d = 2 * half + 1
         phi = profile or random_phi_file(tmp_path, rng, half)
-        for nodes in ([], ["--nodes", str(4 * half + 1)], ["--nodes", "64"]):
-            calls.clear()
-            out = tmp_path / "report.json"
-            assert main(["eb-report", "--phi", phi, "--k", str(half), *nodes,
-                         "--out", str(out)]) == 0
-            assert sorted(name for name, _ in calls) == ["eigh", "eigvalsh", "eigvalsh"], nodes
-            sides = [side for _, side in calls]
-            assert ("eigh", d) in calls and sides.count(d) == 1 and max(sides) < d * d, nodes
-            assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+        calls.clear()
+        out = tmp_path / "report.json"
+        assert main(["eb-report", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
+        assert sorted(name for name, _ in calls) == ["eigh", "eigvalsh", "eigvalsh"], half
+        sides = [side for _, side in calls]
+        assert ("eigh", d) in calls and sides.count(d) == 1 and max(sides) < d * d, half
+        assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
@@ -658,11 +726,10 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     assert main(["eb-report", "--channel", str(chan_file), "--k", "200"]) == 0
     report = capsys.readouterr().out
     assert jsonio.loads(report)["cp"] is True
-    # the --nodes exactness floor and the single---k rule exited 2 on a file that reads neither
-    for flags in (["--k", "200", "--nodes", "20"], ["--k", "2,4"]):
-        assert main(["eb-report", "--channel", str(chan_file), *flags]) == 0, flags
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (report, ""), flags
+    # the single---k rule exited 2 on a file that does not read --k
+    assert main(["eb-report", "--channel", str(chan_file), "--k", "2,4"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (report, "")
 
 
 def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path):
@@ -679,7 +746,7 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = 16 * _phi_report_entries(half, 4 * half + 2)
+        count = 16 * _phi_report_entries(half)
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 

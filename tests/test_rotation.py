@@ -570,7 +570,8 @@ def dense_form(form):
                        for m_op, rho_out in form.atoms])
 
 
-@pytest.mark.parametrize("half", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("half", [1, 2, 3, 4, 6, 8, pytest.param(12, marks=pytest.mark.slow),
+                                  pytest.param(16, marks=pytest.mark.slow)])
 @pytest.mark.parametrize("zero_modes", [False, True])
 def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     rng = np.random.default_rng(1000 * half + zero_modes)
