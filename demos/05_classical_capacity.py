@@ -30,15 +30,16 @@ print("\nchi of the antipodal orbit pair:", chi_quantity(channel, pair))
 print("relative-entropy check on |+><+|:",
       sup_relative_entropy_check(channel, phi.projector()))
 
-# The optimizer fixes the candidate outputs at equispaced orbit points and
-# tunes the weights by Blahut-Arimoto iteration. Two phases already
-# saturate the two-mode channel.
+# The optimizer fixes the candidate outputs at equispaced orbit points.
+# The grid's shift symmetry makes uniform weights optimal, and the value
+# is the entropy of the mode weights folded mod the grid size, so it
+# takes one step. Two phases already saturate the two-mode channel.
 report = ba_optimize(channel, 2)
 print("\ntwo-mode grid n=2:", report.optimizer_value, "gap:", report.gap,
       "iterations:", report.iterations)
 
-# A spread-out profile needs a denser grid; the gap closes as the grid
-# resolves the orbit.
+# A spread-out profile needs a denser grid: the gap closes once the grid
+# has 2K+1 phases, where every mode is its own residue class.
 geo = phi_profile("geometric(0.7)", 8)
 geo_channel = RotationChannel(geo)
 print("\ngeometric(0.7), K=8, closed form:", closed_form_capacity(geo))

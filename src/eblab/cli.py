@@ -122,11 +122,13 @@ def _check_size(args):
     With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
     holds d^2 entries; rho12 builds d^2-square matrices on the product
     window. channel-apply's quadrature holds the (4K + 2) x d = 2 d^2
-    grid phases, and capacity holds grid x d orbit outputs. eb-report
-    --phi is charged every factor it holds at its peak
-    (_phi_report_entries). eb-report --channel does not read --k: a
-    blocks file holds every entry in its JSON, and an atoms file is
-    measured once read (_check_atoms_size).
+    grid phases. capacity holds only d mode weights but is charged the
+    grid x d orbit outputs they stand for, which keeps --grid within the
+    int64 range its residue classes are taken in. eb-report --phi is
+    charged every factor it holds at its peak (_phi_report_entries).
+    eb-report --channel does not read --k: a blocks file holds every entry
+    in its JSON, and an atoms file is measured once read
+    (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
@@ -218,7 +220,7 @@ def cmd_capacity(args):
         phi = _resolve_phi(args.phi, half)
         channel = rot.RotationChannel(phi)
         for n in args.grid:
-            report = cap.ba_optimize(channel, n, max_iter=args.max_iter, tol=args.tol)
+            report = cap.ba_optimize(channel, n)
             row = [half, n, report.closed_form, report.optimizer_value, report.gap,
                    report.iterations, report.converged]
             if args.base == "2":
@@ -294,8 +296,6 @@ def build_parser():
     add_common(p_cap)
     p_cap.add_argument("--base", choices=("e", "2"), default="e", help="entropy display base")
     p_cap.add_argument("--grid", default="2", help="orbit grid size(s), comma list")
-    p_cap.add_argument("--tol", type=float, default=1e-9, help="optimizer stopping tolerance")
-    p_cap.add_argument("--max-iter", type=int, default=10000)
 
     p_rho = sub.add_parser("rho12", help="orbit-averaged product state at one window")
     add_common(p_rho)
@@ -321,10 +321,6 @@ def main(argv=None):
                 raise SchemaError(f"{args.command} takes a single --k value, got {len(args.k)}")
         if args.command == "capacity":
             args.grid = _parse_int_list(args.grid, "--grid")
-            if args.max_iter < 1:
-                raise SchemaError(f"--max-iter must be >= 1, got {args.max_iter}")
-            if not 0.0 <= args.tol < math.inf:
-                raise SchemaError(f"--tol must be finite and >= 0, got {args.tol!r}")
         if args.command == "rho12" and args.n_sweep:
             args.n_sweep = _parse_int_list(args.n_sweep, "--n-sweep")
         if args.command == "probe" and args.candidates:

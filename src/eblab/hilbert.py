@@ -209,10 +209,15 @@ class StateOperator(MatrixOperator):
 
 
 def _hermitian_part(m, what):
-    """(m + m^dag) / 2 after refusing m when max |m - m^dag| exceeds EPS_HERM."""
-    defect = float(np.abs(m - m.conj().T).max())
-    _at_most(defect, EPS_HERM, f"{what} not Hermitian: max |A - A^dag|")
-    return 0.5 * (m + m.conj().T)
+    """(m + m^dag) / 2 after refusing m when max |m - m^dag| exceeds EPS_HERM.
+
+    Entries near the double range's edge overflow here to inf or NaN
+    without a warning; the gates after this one refuse those.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs(m - m.conj().T).max())
+        _at_most(defect, EPS_HERM, f"{what} not Hermitian: max |A - A^dag|")
+        return 0.5 * (m + m.conj().T)
 
 
 def _checked_state(m):

@@ -162,3 +162,42 @@ def per_cell_json(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot write {type(obj).__name__}")
+
+
+def orbit_outputs(phi_amps, modes, grid):
+    """Rows V_{2 pi j / grid} phi, one per grid phase."""
+    return np.array([np.exp(1j * (2.0 * np.pi * j / grid) * np.asarray(modes, dtype=float))
+                     * phi_amps for j in range(grid)])
+
+
+def ba_pure_outputs(outputs, max_iter=10000, tol=1e-9, support=1e-12):
+    """Blahut-Arimoto weight iteration over a fixed family of pure outputs.
+
+    outputs rows are output amplitude vectors. Holevo quantities of pure
+    output families reduce to the mixture entropy, and the update
+    w_j <- w_j exp(D(psi_j || rho_bar)) / Z yields a non-decreasing value
+    sequence with the duality bracket max_j D_j - chi as the stopping
+    certificate. Eigenvalues at or below support are dropped. Returns
+    (chi, iterations, converged, iterate values).
+    """
+    count = outputs.shape[0]
+    weights = np.full(count, 1.0 / count)
+    values = []
+    iterations = 0
+    converged = False
+    chi = 0.0
+    for iterations in range(1, max_iter + 1):
+        rho_bar = (outputs * weights[:, None]).T @ outputs.conj()
+        vals, vecs = np.linalg.eigh(rho_bar)
+        keep = vals > support
+        log_vals = np.log(vals[keep])
+        overlaps = np.abs(outputs.conj() @ vecs[:, keep]) ** 2
+        divergences = np.maximum(-(overlaps @ log_vals), 0.0)  # D(psi_j || rho_bar) >= 0
+        chi = float(weights @ divergences)
+        values.append(chi)
+        if float(divergences.max()) - chi < tol:
+            converged = True
+            break
+        weights = weights * np.exp(divergences - divergences.max())
+        weights = weights / weights.sum()
+    return chi, iterations, converged, tuple(values)

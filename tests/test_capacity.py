@@ -8,6 +8,7 @@ from eblab import (
     InputEnsemble,
     InvariantViolationError,
     ModeWindow,
+    PureVector,
     RotationChannel,
     StateMeasure,
     StateOperator,
@@ -24,7 +25,7 @@ from eblab import (
 )
 from conftest import random_density
 
-from oracles import scalar_entropy
+from oracles import ba_pure_outputs, orbit_outputs, scalar_entropy
 
 
 def random_state_on(rng, window):
@@ -209,6 +210,17 @@ def test_ba_value_is_never_negative(profile, k, grid):
     assert all(value >= 0.0 for value in report.iterate_values)
 
 
+def test_ba_value_is_never_negative_when_a_class_sums_past_one():
+    # one class holding every weight sums to 1 + 4.4e-16 for seed 0's ninth vector,
+    # whose folded entropy is then -4.4e-16
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        phi = PureVector(ModeWindow.symmetric(2), rng.normal(size=5) + 1j * rng.normal(size=5))
+        for grid in (1, 2):
+            report = ba_optimize(RotationChannel(phi), grid)
+            assert report.optimizer_value >= 0.0 and report.iterate_values[0] >= 0.0
+
+
 @pytest.mark.parametrize("profile, k, grid", [("geometric(1e-9)", 2, 4), ("two-mode", 2, 2),
                                               ("two-mode", 4, 2), ("geometric(0.7)", 16, 64)])
 def test_ba_gap_is_never_negative(profile, k, grid):
@@ -250,8 +262,6 @@ def test_ba_grid_refinement_non_decreasing():
 def test_ba_core_handles_asymmetric_output_families(rng):
     # exercise the weight iteration beyond one step: a lopsided candidate
     # family has no symmetry shortcut, so convergence takes real work
-    from eblab.capacity import _ba_pure_outputs
-
     dim = 4
     outputs = np.stack([
         np.eye(dim)[0],
@@ -259,7 +269,7 @@ def test_ba_core_handles_asymmetric_output_families(rng):
         (np.eye(dim)[0] + np.eye(dim)[1]) / np.sqrt(2.0),
         (np.eye(dim)[2] + 0.3 * np.eye(dim)[3]) / np.linalg.norm([1.0, 0.3]),
     ]).astype(complex)
-    chi, iterations, converged, values = _ba_pure_outputs(outputs, 50000, 1e-9)
+    chi, iterations, converged, values = ba_pure_outputs(outputs, 50000, 1e-9)
     assert converged
     assert iterations > 1
     assert all(values[i + 1] >= values[i] - 1e-12 for i in range(len(values) - 1))
@@ -294,9 +304,49 @@ def test_ensemble_is_a_state_measure(rng):
         InputEnsemble([(0.5 + 1e-11, atoms[0][1]), (0.5, atoms[1][1])])
 
 
-def test_ba_optimize_refuses_zero_iterations():
-    # max_iter 0 used to return value 0 after 0 iterations, a number nothing computed
-    channel = RotationChannel(phi_profile("two-mode", 1))
-    with pytest.raises(InvariantViolationError, match="max_iter"):
-        ba_optimize(channel, 2, max_iter=0)
-    assert ba_optimize(channel, 2, max_iter=1).iterations == 1
+def _orbit_phis(half):
+    rng = np.random.default_rng(21 + half)
+    random_phi = PureVector(ModeWindow.symmetric(half),
+                            rng.normal(size=2 * half + 1) + 1j * rng.normal(size=2 * half + 1))
+    return [phi_profile("geometric(0.7)", half), phi_profile("geometric(0.2)", half),
+            phi_profile("uniform", half), phi_profile("two-mode", half), random_phi]
+
+
+def _grids(half):
+    return sorted({1, 2, 7, 2 * half, 2 * half + 1, 4 * half + 2, 64})
+
+
+def _assert_folded_entropy_is_the_ba_optimum(half):
+    for phi in _orbit_phis(half):
+        channel = RotationChannel(phi)
+        for grid in _grids(half):
+            report = ba_optimize(channel, grid)
+            assert (report.iterations, report.converged) == (1, True)
+            assert report.iterate_values == (report.optimizer_value,)
+            outputs = orbit_outputs(phi.amplitudes, phi.window.modes(), grid)
+            # support 0 keeps every eigenvalue: the default 1e-12 drops weights of
+            # geometric(0.2) that the folded entropy counts, about 1.5e-11 at K = 16
+            chi, iterations, converged, _ = ba_pure_outputs(outputs, support=0.0)
+            assert (iterations, converged) == (1, True)
+            assert abs(chi - report.optimizer_value) <= 1e-13, (phi, grid)
+            if grid >= 2 * half + 1:
+                assert report.optimizer_value == report.closed_form == closed_form_capacity(phi)
+                assert report.gap == 0.0
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 6])
+def test_folded_mode_entropy_is_the_ba_optimum_on_orbit_grids(half):
+    _assert_folded_entropy_is_the_ba_optimum(half)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("half", [16, 32, 64])
+def test_folded_mode_entropy_is_the_ba_optimum_up_to_k64(half):
+    _assert_folded_entropy_is_the_ba_optimum(half)
+
+
+def test_folded_mode_weights_sum_residue_classes():
+    # K = 2 on 3 phases: the classes of k - k_min mod 3 are {-2, 1}, {-1, 2} and {0}
+    phi = PureVector(ModeWindow.symmetric(2), np.sqrt([0.1, 0.2, 0.3, 0.15, 0.25]))
+    report = ba_optimize(RotationChannel(phi), 3)
+    assert abs(report.optimizer_value - scalar_entropy([0.25, 0.45, 0.3])) <= 1e-15

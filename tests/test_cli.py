@@ -206,15 +206,13 @@ def test_capacity_geometric_sweep_increases(tmp_path):
     assert closed[0] < closed[1] < closed[2]
 
 
-def test_capacity_nonconvergence_still_exits_zero(tmp_path):
-    # tol 0 can never be certified, so the run exhausts max_iter; the CSV
-    # carries converged=false and the exit code stays 0
-    out = tmp_path / "capacity.csv"
-    assert main(["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2",
-                 "--tol", "0", "--max-iter", "25", "--out", str(out)]) == 0
-    cells = out.read_text().splitlines()[1].split(",")
-    assert cells[5] == "25"
-    assert cells[6] == "false"
+def test_capacity_optimizer_flags_are_unknown_and_exit_2():
+    # the orbit-grid optimum is computed exactly, so no stopping rule is left to set
+    result = run_cli("capacity", "--phi", "two-mode", "--k", "1", "--grid", "2",
+                     "--tol", "1e-9", "--max-iter", "5")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --tol 1e-9 --max-iter 5" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_capacity_bits_columns(tmp_path):
@@ -465,7 +463,7 @@ def test_import_does_not_load_scipy():
 
 
 def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
-    # --sigma belongs to eb-report; --base, --grid and --tol to capacity; --candidates
+    # --sigma belongs to eb-report; --base and --grid to capacity; --candidates
     # to probe, which alone sweeps. The quadrature grid follows from --k, so no
     # subcommand takes --nodes, and channel-apply always writes the closed form
     for args in (("channel-apply", "--phi", "two-mode", "--k", "1", "--state", "s.json",
@@ -644,20 +642,6 @@ def test_eb_report_on_a_non_cp_map_reports_only_cp(tmp_path, monkeypatch):
     assert abs(report["min_eig_stacked"] + 1.0) < 1e-12
 
 
-def test_capacity_optimizer_flags_out_of_range_exit_2(capsys):
-    base = ["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2"]
-    for flags, message in ((("--max-iter", "0"), "--max-iter must be >= 1"),
-                           (("--max-iter=-3",), "--max-iter must be >= 1"),
-                           (("--tol", "nan"), "--tol must be finite"),
-                           (("--tol", "inf"), "--tol must be finite"),
-                           (("--tol=-1e-9",), "--tol must be finite")):
-        assert main([*base, *flags]) == 2, flags
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
-    assert main([*base, "--tol", "0", "--max-iter", "1"]) == 0
-
-
 def test_eb_report_builds_rank_one_states_from_vectors(tmp_path, rng, monkeypatch):
     # the prepared states of the form and of the extraction and the Choi
     # state are factored states, and the maximally mixed sigma is built
@@ -828,6 +812,36 @@ def test_eb_report_phi_at_k32_in_a_cold_process():
     assert report["cp"] is True and report["ppt"] is True
     assert report["min_eig_stacked"] == 0.0 and report["min_eig_pt"] == 0.0
     assert 0.0 <= report["extraction_residual"] <= 1e-8
+
+
+def _edge_state(cells):
+    entries = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    for cell, value in cells.items():
+        entries[cell] = value
+    return {"k_min": -1, "k_max": 1, "entries": entries}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (("channel-apply", "--k", "1", "--phi", "two-mode", "--state"),
+     _edge_state({(0, 0): -1e308})),
+    (("channel-apply", "--k", "1", "--phi", "two-mode", "--state"),
+     _edge_state({(0, 1): 1e308, (1, 0): 1e308})),
+    (("eb-report", "--k", "1", "--phi", "two-mode", "--sigma"),
+     _edge_state({(0, 0): -1e308})),
+    (("eb-report", "--channel"),
+     {"atoms": [{"M": {"k_min": 0, "k_max": 0, "entries": [[[-1e308, 0.0]]]},
+                 "rho_out": {"k_min": 0, "k_max": 0, "entries": [[[1.0, 0.0]]]}}]}),
+], ids=["state-diagonal", "state-off-diagonal", "sigma", "atoms"])
+def test_entries_at_the_double_range_edge_exit_3_without_warnings(tmp_path, argv, doc):
+    # m + m^dag overflowed in the Hermitian part and printed a RuntimeWarning before
+    # the refusal; under -W error that warning was a traceback with exit 1
+    path = tmp_path / "edge.json"
+    jsonio.write_text(str(path), jsonio.dumps(doc))
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "eblab",
+                             *argv, str(path)], capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(f"invariant violation: {path}: ")
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
 
 
 def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):
