@@ -206,8 +206,18 @@ def test_capacity_geometric_sweep_increases(tmp_path):
     assert closed[0] < closed[1] < closed[2]
 
 
-def test_capacity_optimizer_flags_are_unknown_and_exit_2():
-    # the orbit-grid optimum is computed exactly, so no stopping rule is left to set
+def test_capacity_optimizer_flags_out_of_range_exit_2(capsys):
+    # the orbit-grid optimum is computed exactly, so no stopping rule is left to
+    # set: --tol and --max-iter exit 2 as unknown flags, whatever their value
+    base = ["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2"]
+    for flags in (("--max-iter", "0"), ("--max-iter=-3",), ("--tol", "nan"),
+                  ("--tol", "inf"), ("--tol=-1e-9",), ("--tol", "0", "--max-iter", "1")):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, *flags])
+        assert exit_info.value.code == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
     result = run_cli("capacity", "--phi", "two-mode", "--k", "1", "--grid", "2",
                      "--tol", "1e-9", "--max-iter", "5")
     assert result.returncode == 2
