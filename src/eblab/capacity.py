@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvariantViolationError, WindowMismatchError
 from .hilbert import StateOperator, _at_most, relative_entropy, shannon_entropy
 from .measures import StateMeasure, barycenter
-from .rotation import apply_closed_form
+from .rotation import _charges, _sector_index, apply_closed_form
 
 UPPER_BOUND_SLACK = 1e-9  # optimizer and chi values may exceed the closed form by at most this
 
@@ -85,18 +85,18 @@ def ba_optimize(channel, grid):
     The outputs are V_{2 pi j / grid} phi. Their uniform mixture has
     entries phi_k conj(phi_l) [k = l mod grid], so its entropy, and the
     optimum over the grid's weights, is H(w) with w_c the sum of |phi_k|^2
-    over k - k_min = c mod grid. On a grid of at least 2K + 1 phases every
-    class holds one mode and the value is the closed form, bit for bit.
-    The shift symmetry makes the uniform weights the fixed point of the
-    Blahut-Arimoto update, so the report shows one converged iterate.
+    over rotation's charge sectors k - k_min = c mod grid, or mod 2K + 1 for
+    a larger grid: from 2K + 1 phases on each class holds one mode and the
+    value is the closed form, bit for bit. The shift symmetry makes the uniform
+    weights the Blahut-Arimoto fixed point, so the report shows one converged iterate.
     """
     if grid < 1:
         raise InvariantViolationError("grid must hold at least one phase")
-    phi = channel.phi
-    weights = np.abs(phi.amplitudes) ** 2
-    folded = np.bincount(np.arange(len(weights)) % grid, weights=weights)
+    weights = np.abs(channel.phi.amplitudes) ** 2
+    sector = _sector_index(_charges(channel.window))
+    folded = np.bincount(sector % min(grid, sector.size), weights=weights)
     value = max(shannon_entropy(folded), 0.0)  # a class can sum past 1 by round-off
-    closed = closed_form_capacity(phi)
+    closed = closed_form_capacity(channel.phi)
     return CapacityReport(
         closed_form=closed,
         optimizer_value=value,

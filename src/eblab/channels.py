@@ -263,15 +263,15 @@ def holevo_apply(form, rho):
 def _factored(op, what):
     """op as a factored operator: op itself if it carries a factor, else its eigen-split.
 
-    The split is one eig_hermitian. It refuses op when op is not Hermitian
-    within EPS_HERM or its minimum eigenvalue is below -EPS_PSD, and keeps
-    the eigenpairs (l, v) above ATOM_DROP_TOL as the columns sqrt(l) v,
-    in descending order. A state stays a state.
+    The split symmetrizes op once (refused, as what, when not Hermitian within
+    EPS_HERM or when an entry overflows there) and runs one eigh (refused when
+    its minimum eigenvalue is below -EPS_PSD). The eigenpairs (l, v) above
+    ATOM_DROP_TOL are the columns sqrt(l) v, descending. A state stays a state.
     """
     if op.factor is None:
-        vals, vecs = eig_hermitian(_hermitian_part(op.entries, what))
-        _at_least(vals[-1], -EPS_PSD, f"{what} not positive: min eigenvalue")
-        keep = vals > ATOM_DROP_TOL
+        vals, vecs = np.linalg.eigh(_finite(_hermitian_part(op.entries, what), what))
+        _at_least(vals[0], -EPS_PSD, f"{what} not positive: min eigenvalue")
+        keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > ATOM_DROP_TOL)]
         make = factored_state if isinstance(op, StateOperator) else factored_operator
         op = make(op.window, vecs[:, keep] * np.sqrt(vals[keep]))
     return op

@@ -111,32 +111,30 @@ def _phi_report_entries(half):
     factor, which is held three times: the join, numpy's astype(copy=True)
     and the LAPACK work copy. The G x d vector atoms are counted once.
     """
-    d, nodes = 2 * half + 1, 4 * half + 2
+    d, nodes = 2 * half + 1, rot.grid_nodes(half)
     columns = 4 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 
 
 def _check_size(args):
-    """Refuse a --k/--grid request whose dense arrays exceed MAX_DENSE_BYTES.
+    """Refuse a --k request whose dense arrays exceed MAX_DENSE_BYTES.
 
     With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
     holds d^2 entries; rho12 builds d^2-square matrices on the product
-    window. channel-apply's quadrature holds the (4K + 2) x d = 2 d^2
-    grid phases. capacity holds only d mode weights but is charged the
-    grid x d orbit outputs they stand for, which keeps --grid within the
-    int64 range its residue classes are taken in. eb-report --phi is
-    charged every factor it holds at its peak (_phi_report_entries).
-    eb-report --channel does not read --k: a blocks file holds every entry
-    in its JSON, and an atoms file is measured once read
-    (_check_atoms_size).
+    window. channel-apply's quadrature holds the grid phases, one row of d
+    per node. capacity holds only the d mode weights, whatever its --grid.
+    eb-report --phi is charged every factor it holds at its peak
+    (_phi_report_entries). eb-report --channel does not read --k: a blocks
+    file holds every entry in its JSON, and an atoms file is measured once
+    read (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
     half = max(args.k)
     d = 2 * half + 1
-    peak = {"channel-apply": 2 * d * d, "eb-report": _phi_report_entries(half), "rho12": d ** 4}
-    _refuse_above_limit(max(d * d, max(getattr(args, "grid", [0])) * d, peak.get(args.command, 0)),
-                        args.command, "this --k/--grid request")
+    peak = {"channel-apply": rot.grid_nodes(half) * d, "eb-report": _phi_report_entries(half),
+            "rho12": d ** 4}
+    _refuse_above_limit(max(d * d, peak.get(args.command, 0)), args.command, "this --k request")
 
 
 def _check_atoms_size(form, path):

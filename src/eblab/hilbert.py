@@ -23,8 +23,8 @@ EPS_HERM = 1e-12     # max-entry slack for Hermiticity checks
 EPS_TRACE = 1e-10    # slack for unit-trace checks
                      # absolute, on a trace whose target is 1
 EPS_SUPPORT = 1e-12  # eigenvalues at or below this count as zero support
-                     # absolute in relative_entropy and the BA optimizer; the dense
-                     # domination probe makes it relative to the largest eigenvalue
+                     # absolute in relative_entropy; the dense domination probe
+                     # makes it relative to the largest eigenvalue
 EPS_RANGE = 1e-10    # a unit vector whose part off a support has a larger norm is out of range
                      # absolute, on unit vectors, so relative to the vector norm
 

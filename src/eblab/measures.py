@@ -21,6 +21,7 @@ from .hilbert import (
 )
 
 WEIGHT_TOL = 1e-12
+FOURIER_TOL = 1e-12  # slack on |alpha_k| <= |phi_k| in fourier_necessary_check
 
 
 def _check_weights(weights, tol=WEIGHT_TOL):
@@ -130,8 +131,8 @@ def product_bound_probe(rho, alpha, beta):
     return 1.0 / float(np.sum(np.abs(coords[support]) ** 2 / vals[support]))
 
 
-def fourier_necessary_check(phi, alpha, tol=1e-12):
-    """True when |alpha_k| <= |phi_k| + tol for every mode.
+def fourier_necessary_check(phi, alpha):
+    """True when |alpha_k| <= |phi_k| + FOURIER_TOL for every mode.
 
     Necessary (never sufficient) for phi's orbit average to dominate a
     product state built on alpha. Accepts PureVector or raw amplitude
@@ -143,4 +144,4 @@ def fourier_necessary_check(phi, alpha, tol=1e-12):
         raise WindowMismatchError("vectors live on different windows")
     if pa.shape != aa.shape:
         raise WindowMismatchError("amplitude vectors differ in length")
-    return bool(np.all(np.abs(aa) <= np.abs(pa) + tol))
+    return bool(np.all(np.abs(aa) <= np.abs(pa) + FOURIER_TOL))

@@ -16,8 +16,9 @@ selection rule
 obtained by integrating the phase e^{ix(k-l)} against p(x). The quadrature
 action averages over a uniform grid of G nodes; every integrand that
 appears is a trigonometric polynomial of degree at most 4K, so the
-periodic rectangle rule is exact (not approximate) once G >= 4K + 1, and
-the grid version serves as an independent oracle for the closed form.
+periodic rectangle rule is exact (not approximate) once G >= 4K + 1, K
+fixes the grid (grid_nodes), and the grid version is an independent
+oracle for the closed form.
 Truncation of D_t at the window edge is the sole divergence from the
 untruncated channel.
 """
@@ -48,21 +49,20 @@ from .channels import ChannelBlocks, HolevoForm
 DENSITY_CLIP = 1e-10  # grid densities may dip this far below zero before clipping
 
 
-class RotationChannel:
-    """Fiducial vector plus a quadrature grid size G >= 4K + 1 (default 4K + 2)."""
+def grid_nodes(half_width):
+    """Nodes of the channel's quadrature grid on [-K, K]: 4K + 2, past the exact 4K + 1."""
+    return 4 * half_width + 2
 
-    def __init__(self, phi, quadrature_nodes=None):
+
+class RotationChannel:
+    """The channel of a fiducial vector on a symmetric window; K fixes its quadrature grid."""
+
+    def __init__(self, phi):
         window = phi.window
         if window.k_min != -window.k_max:
             raise WindowMismatchError(
                 f"rotation channel needs a symmetric window, got [{window.k_min}, {window.k_max}]")
-        half = window.k_max
-        nodes = 4 * half + 2 if quadrature_nodes is None else int(quadrature_nodes)
-        if nodes < 4 * half + 1:
-            raise InvariantViolationError(
-                f"quadrature grid of {nodes} nodes is not exact; need at least {4 * half + 1}")
         self._phi = phi
-        self._nodes = nodes
 
     @property
     def phi(self):
@@ -78,7 +78,7 @@ class RotationChannel:
 
     @property
     def quadrature_nodes(self):
-        return self._nodes
+        return grid_nodes(self.half_width)
 
 
 def _charges(window):

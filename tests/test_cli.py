@@ -519,17 +519,29 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 
 
 @pytest.mark.parametrize("args", [
-    ("capacity", "--phi", "two-mode", "--k", "1", "--grid", str(10 ** 15)),
+    ("capacity", "--phi", "two-mode", "--k", "10000", "--grid", "2"),
     ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
     ("eb-report", "--phi", "two-mode", "--k", "73"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
-    # grid x (2K+1) orbit outputs; channel-apply's (4K+2) x (2K+1) quadrature
-    # phases, which pass the limit at K = 3000 where (2K+1)^2 entries would not;
-    # the factors of eb-report --phi at its 4K+2 nodes, which admit K <= 72
+    # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
+    # channel-apply's (4K+2) x (2K+1) quadrature phases, which pass the limit
+    # at K = 3000 where (2K+1)^2 entries would not; the factors of eb-report
+    # --phi at its 4K+2 nodes, which admit K <= 72
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
+
+
+@pytest.mark.parametrize("grid", [10 ** 15, 10 ** 30])
+def test_capacity_grid_is_not_charged_and_may_pass_int64(capsys, grid):
+    # the guard charged grid x (2K+1) orbit outputs that are never built and
+    # exited 2; the classes are folded mod min(grid, 2K+1), so any grid works
+    assert main(["capacity", "--phi", "two-mode", "--k", "1", "--grid", str(grid)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [
+        f"1,{grid},0.6931471805599454,0.6931471805599454,0,1,true"]
 
 
 def test_list_values_below_one_exit_2(capsys):
@@ -852,6 +864,23 @@ def test_entries_at_the_double_range_edge_exit_3_without_warnings(tmp_path, argv
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith(f"invariant violation: {path}: ")
     assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
+
+
+def test_atom_whose_symmetrization_overflows_exits_3_naming_the_atom(tmp_path, capsys):
+    # M's mirrored -1e308 cells are Hermitian, but (M + M^dag) / 2 holds -inf there;
+    # a second symmetrization made that NaN and the refusal read "eig_hermitian
+    # input not Hermitian: max |A - A^dag| = nan"
+    cell, zero = [-1e308, 0.0], [0.0, 0.0]
+    doc = {"atoms": [{"M": {"k_min": 0, "k_max": 1, "entries": [[[0.5, 0.0], cell],
+                                                                [cell, [0.5, 0.0]]]},
+                      "rho_out": {"k_min": 0, "k_max": 1, "entries": [[[1.0, 0.0], zero],
+                                                                      [zero, zero]]}}]}
+    path = tmp_path / "edge_atoms.json"
+    jsonio.write_text(str(path), jsonio.dumps(doc))
+    assert main(["eb-report", "--channel", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"invariant violation: {path}: POVM atom has non-finite entries\n"
+    assert "nan" not in err.replace(str(path), "")
 
 
 def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):

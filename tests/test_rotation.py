@@ -70,12 +70,6 @@ def test_channel_requires_symmetric_window():
         RotationChannel(PureVector(ModeWindow(0, 1), [1.0, 1.0]))
 
 
-def test_channel_rejects_coarse_grid():
-    phi = phi_profile("geometric(0.5)", 2)
-    with pytest.raises(InvariantViolationError):
-        RotationChannel(phi, quadrature_nodes=8)  # needs 4K+1 = 9
-
-
 def test_phi_profiles():
     two = phi_profile("two-mode", 2)
     assert np.allclose(np.abs(two.amplitudes) ** 2, [0, 0, 0.5, 0.5, 0])
@@ -161,11 +155,16 @@ def test_quadrature_matches_dense_grid_oracle(rng):
 
 
 def test_quadrature_grid_refinement_is_exact(rng):
+    # the rectangle rule is exact from 4K + 1 nodes on, so grids on either side of
+    # the channel's 4K + 2 give the closed form too; 4K nodes alias the 4K harmonic
     phi = phi_profile("geometric(0.7)", 2)
     rho = random_state_on(rng, phi.window)
-    coarse = apply_quadrature(RotationChannel(phi, 4 * 2 + 1), rho)
-    fine = apply_quadrature(RotationChannel(phi, 8 * 2 + 3), rho)
-    assert np.abs(coarse.entries - fine.entries).max() < 1e-13
+    closed = apply_closed_form(RotationChannel(phi), rho).entries
+    for nodes in (4 * 2 + 1, 8 * 2 + 3):
+        grid = grid_channel_apply(phi.amplitudes, phi.window.modes(), rho.entries, nodes)
+        assert np.abs(grid - closed).max() < 1e-13, nodes
+    coarse = grid_channel_apply(phi.amplitudes, phi.window.modes(), rho.entries, 4 * 2)
+    assert np.abs(coarse - closed).max() > 1e-6
 
 
 def test_channel_outputs_are_states(rng):
@@ -530,13 +529,18 @@ def test_rho12_probe_bound_below_the_double_range_is_zero():
 
 def test_holevo_form_atoms_are_the_grid_formula_exactly():
     phi = phi_profile("geometric(0.6)", 3)
-    channel = RotationChannel(phi, 15)
+    channel = RotationChannel(phi)
+    nodes = channel.quadrature_nodes
+    assert nodes == 4 * 3 + 2
     modes = channel.window.modes()
-    for g, (m_op, prepared) in enumerate(holevo_form(channel).atoms):
-        chi = np.exp(1j * (2.0 * np.pi * g / 15) * modes)
-        assert np.array_equal(m_op.factor, (chi / np.sqrt(15))[:, None]), g
-        assert np.abs(m_op.entries - np.outer(chi, chi.conj()) / 15).max() <= 1e-16, g
-        assert np.array_equal(prepared.entries, orbit_state(phi, 2.0 * np.pi * g / 15).entries), g
+    atoms = holevo_form(channel).atoms
+    assert len(atoms) == nodes
+    for g, (m_op, prepared) in enumerate(atoms):
+        chi = np.exp(1j * (2.0 * np.pi * g / nodes) * modes)
+        assert np.array_equal(m_op.factor, (chi / np.sqrt(nodes))[:, None]), g
+        assert np.abs(m_op.entries - np.outer(chi, chi.conj()) / nodes).max() <= 1e-16, g
+        assert np.array_equal(prepared.entries,
+                              orbit_state(phi, 2.0 * np.pi * g / nodes).entries), g
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -582,27 +586,26 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     phi = PureVector(ModeWindow.symmetric(half), amplitudes)
     sigmas = (StateOperator.maximally_mixed(phi.window),
               StateOperator(phi.window, random_density(rng, d)))
-    for nodes in (4 * half + 1, None):
-        channel = RotationChannel(phi, nodes)
-        factored, dense = factored_channel(channel), channel_blocks(channel)
-        x = factored.stacked.factor
-        assert x.shape == (d * d, 4 * half + 1)
-        assert np.abs(x @ x.conj().T - dense.stacked.entries).max() <= 1e-14
-        assert cp_check(factored) == (True, 0.0) and cp_check(dense)[0]
-        assert_same_channel(factored, dense, rng)
-        form = holevo_form(channel)
-        for sigma in sigmas:
-            state, oracle = choi(factored, sigma), choi(dense, sigma)
-            y, z = state.factor, state.transposed.factor
-            assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
-            assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
-            assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
-            extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
-            _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
-            # both are the operator norm of the stacked-matrix difference
-            assert abs(residual - dense_residual) <= 1e-14, (nodes, residual, dense_residual)
-            assert residual <= EXTRACT_TOL
-            # the round trip: the extracted form's rank-one Kraus family acts as the channel
-            rho = StateOperator(phi.window, random_density(rng, d))
-            kraus = kraus_apply(kraus_rank_one(extracted), rho)
-            assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
+    channel = RotationChannel(phi)
+    factored, dense = factored_channel(channel), channel_blocks(channel)
+    x = factored.stacked.factor
+    assert x.shape == (d * d, 4 * half + 1)
+    assert np.abs(x @ x.conj().T - dense.stacked.entries).max() <= 1e-14
+    assert cp_check(factored) == (True, 0.0) and cp_check(dense)[0]
+    assert_same_channel(factored, dense, rng)
+    form = holevo_form(channel)
+    for sigma in sigmas:
+        state, oracle = choi(factored, sigma), choi(dense, sigma)
+        y, z = state.factor, state.transposed.factor
+        assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
+        assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
+        assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
+        extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
+        _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
+        # both are the operator norm of the stacked-matrix difference
+        assert abs(residual - dense_residual) <= 1e-14, (residual, dense_residual)
+        assert residual <= EXTRACT_TOL
+        # the round trip: the extracted form's rank-one Kraus family acts as the channel
+        rho = StateOperator(phi.window, random_density(rng, d))
+        kraus = kraus_apply(kraus_rank_one(extracted), rho)
+        assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
