@@ -12,7 +12,7 @@ reported in nats; converting to bits is a presentation concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,23 @@ class CapacityReport:
     """Closed form vs optimizer outcome, both in nats.
 
     gap is closed_form - optimizer_value clipped at 0: round-off may put
-    the optimizer above the closed form, by at most UPPER_BOUND_SLACK.
+    the optimizer above the closed form, by at most UPPER_BOUND_SLACK. The
+    uniform grid weights are the Blahut-Arimoto fixed point, so every report
+    is one converged iterate: iterations, converged and iterate_values are
+    read-only constants of the class, not fields.
     """
+
+    iterations = 1
+    converged = True
 
     closed_form: float
     optimizer_value: float
     gap: float
     grid_size: int
-    iterations: int
-    converged: bool
-    iterate_values: tuple = field(default=())
+
+    @property
+    def iterate_values(self):
+        return (self.optimizer_value,)
 
     def __post_init__(self):
         _at_most(self.optimizer_value, self.closed_form + UPPER_BOUND_SLACK,
@@ -102,7 +109,4 @@ def ba_optimize(channel, grid):
         optimizer_value=value,
         gap=max(closed - value, 0.0),
         grid_size=int(grid),
-        iterations=1,
-        converged=True,
-        iterate_values=(value,),
     )

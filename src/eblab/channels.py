@@ -266,7 +266,10 @@ def _factored(op, what):
     The split symmetrizes op once (refused, as what, when not Hermitian within
     EPS_HERM or when an entry overflows there) and runs one eigh (refused when
     its minimum eigenvalue is below -EPS_PSD). The eigenpairs (l, v) above
-    ATOM_DROP_TOL are the columns sqrt(l) v, descending. A state stays a state.
+    ATOM_DROP_TOL are the columns sqrt(l) v, descending. A state stays a state:
+    its split passes factored_state's unit-trace gate itself, so a state whose
+    dropped eigenvalues (negative round-off included) move the kept trace off 1
+    by more than EPS_TRACE is refused.
     """
     if op.factor is None:
         vals, vecs = np.linalg.eigh(_finite(_hermitian_part(op.entries, what), what))

@@ -1,8 +1,10 @@
 """Operators over truncated Fourier mode windows.
 
-All matrices are dense complex arrays indexed by integer modes k in a
-finite window [k_min, k_max]; bipartite objects carry a product window
-and use lexicographic (left, right) row ordering, matching np.kron.
+Operators are complex matrices indexed by integer modes k in a finite
+window [k_min, k_max], stored dense or as a factor X of X X^dag whose
+dense entries are built on first access; bipartite objects carry a
+product window and use lexicographic (left, right) row ordering,
+matching np.kron.
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads (the lazily
 built entries of a factored operator are at worst built twice).
@@ -174,24 +176,21 @@ class MatrixOperator:
 class StateOperator(MatrixOperator):
     """Density operator: Hermitian, positive, unit trace.
 
-    Construction symmetrizes the entries, rejects matrices whose minimum
-    eigenvalue is below -EPS_PSD, clips eigenvalues in [-EPS_PSD, 0) to
-    zero and renormalizes the trace, so round-off from quadrature never
-    invalidates a state. factored_state builds a low-rank state from a
-    factor instead; it is positive by construction, so no eigensolve runs.
+    Construction stores the Hermitian part of the entries after refusing a
+    trace off 1 by more than EPS_TRACE or a minimum eigenvalue below
+    -EPS_PSD. A minimum eigenvalue in [-EPS_PSD, 0), round-off from
+    quadrature, is accepted and kept: the stored entries are the checked
+    ones. factored_state builds a low-rank state from a factor instead; it
+    is positive by construction, so no eigensolve runs.
     """
 
     def __init__(self, window, entries):
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolationError(f"state entries must be square, got {m.shape}")
-        m, low = _checked_state(m)
-        if low < 0.0:
-            vals, vecs = np.linalg.eigh(m)
-            vals = np.clip(vals, 0.0, None)
-            m = (vecs * vals) @ vecs.conj().T
-            m = 0.5 * (m + m.conj().T)
-            m = m / np.trace(m).real
+        m = _hermitian_part(m, "state")
+        _at_most(abs(np.trace(m).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
+        _at_least(min_eigenvalue(m), -EPS_PSD, "state not positive: min eigenvalue")
         super().__init__(window, m)
 
     @staticmethod
@@ -220,22 +219,13 @@ def _hermitian_part(m, what):
         return 0.5 * (m + m.conj().T)
 
 
-def _checked_state(m):
-    """(symmetrized m, min eigenvalue) after the Hermiticity, trace and positivity checks."""
-    m = _hermitian_part(m, "state")
-    _at_most(abs(np.trace(m).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
-    low = min_eigenvalue(m)
-    _at_least(low, -EPS_PSD, "state not positive: min eigenvalue")
-    return m, low
-
-
 def _init_factored(op, window, factor):
     """Make op the operator X X^dag of the d x m factor X, checked on X alone.
 
     X must be finite, and a StateOperator's trace ||X||_F^2 must be 1 within
-    EPS_TRACE. X X^dag is positive by construction, so no eigensolve runs and
-    no clipping is needed; the d x d entries are built only on first access,
-    with exact zeros stored as +0.0.
+    EPS_TRACE. X X^dag is positive by construction, so no eigensolve runs;
+    the d x d entries are built only on first access, with exact zeros
+    stored as +0.0.
     """
     x = np.array(factor, dtype=complex)
     if x.ndim != 2 or x.shape[0] != window.dimension:

@@ -282,7 +282,7 @@ def test_capacity_report_rejects_bound_violation():
     for value, shown in ((1.1, "1.100e+00"), (float("nan"), "nan")):
         with pytest.raises(InvariantViolationError, match=re.escape(f"= {shown} > 1.000000001")):
             CapacityReport(closed_form=1.0, optimizer_value=value, gap=1.0 - value,
-                           grid_size=2, iterations=1, converged=True)
+                           grid_size=2)
 
 
 def test_ensemble_validation(rng):

@@ -883,6 +883,25 @@ def test_atom_whose_symmetrization_overflows_exits_3_naming_the_atom(tmp_path, c
     assert "nan" not in err.replace(str(path), "")
 
 
+def test_rho_out_with_a_tiny_negative_eigenvalue_is_split_as_stored(tmp_path):
+    # rho_out passes the state gates and is kept as read; its split drops the negative
+    # eigenvalue, and the positive part's trace 1 + 2e-11 passes the unit-trace gate
+    path = tmp_path / "mild_atoms.json"
+    jsonio.write_text(str(path), jsonio.dumps(_atoms((ONE, _op(0, 1, 1 + 2e-11, -1e-11)))))
+    assert main(["eb-report", "--channel", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_rho_out_whose_positive_part_leaves_unit_trace_exits_3_naming_the_file(tmp_path,
+                                                                                capsys):
+    # the positive part's trace is 1 + 1.8e-10; a renormalizing pass in StateOperator hid it
+    path = tmp_path / "border_atoms.json"
+    jsonio.write_text(str(path), jsonio.dumps(_atoms((ONE, _op(0, 1, 1 + 1.8e-10, -0.9e-10)))))
+    assert main(["eb-report", "--channel", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == (f"invariant violation: {path}: "
+                                       "state trace defect |Tr - 1| = 1.800e-10 > 1e-10\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):
     # the file the benchmark's rho12_export workload writes, pinned end to end
     phi = random_phi_file(tmp_path, np.random.default_rng(5), 10)
