@@ -85,6 +85,7 @@ from .rotation import (
     phi_profile,
     rho12,
     rho12_n,
+    rho12_n_distance,
     rho12_probe,
     rotate_state,
     rotate_vector,

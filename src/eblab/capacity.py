@@ -12,12 +12,10 @@ reported in nats; converting to bits is a presentation concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvariantViolationError, WindowMismatchError
-from .hilbert import StateOperator, _at_most, relative_entropy, shannon_entropy
+from .hilbert import StateOperator, _at_most, _Frozen, relative_entropy, shannon_entropy
 from .measures import StateMeasure, barycenter
 from .rotation import _charges, _sector_index, apply_closed_form
 
@@ -31,8 +29,7 @@ class InputEnsemble(StateMeasure):
         return barycenter(self)
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(_Frozen):
     """Closed form vs optimizer outcome, both in nats.
 
     gap is closed_form - optimizer_value clipped at 0: round-off may put
@@ -42,21 +39,18 @@ class CapacityReport:
     read-only constants of the class, not fields.
     """
 
+    __slots__ = ("closed_form", "optimizer_value", "gap", "grid_size")
     iterations = 1
     converged = True
 
-    closed_form: float
-    optimizer_value: float
-    gap: float
-    grid_size: int
+    def __init__(self, closed_form, optimizer_value, gap, grid_size):
+        super().__init__(closed_form, optimizer_value, gap, grid_size)
+        _at_most(optimizer_value, closed_form + UPPER_BOUND_SLACK,
+                 f"optimizer value against the closed form {closed_form!r} plus slack")
 
     @property
     def iterate_values(self):
         return (self.optimizer_value,)
-
-    def __post_init__(self):
-        _at_most(self.optimizer_value, self.closed_form + UPPER_BOUND_SLACK,
-                 f"optimizer value against the closed form {self.closed_form!r} plus slack")
 
 
 def closed_form_capacity(phi):

@@ -32,14 +32,7 @@ from . import channels as ch
 from . import jsonio
 from . import rotation as rot
 from .errors import InvariantViolationError, SchemaError, WindowMismatchError
-from .hilbert import (
-    ModeWindow,
-    ProductWindow,
-    StateOperator,
-    factored_state,
-    min_eigenvalue,
-    trace_norm_distance,
-)
+from .hilbert import ModeWindow, StateOperator, min_eigenvalue
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -120,8 +113,10 @@ def _check_size(args):
     """Refuse a --k request whose dense arrays exceed MAX_DENSE_BYTES.
 
     With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
-    holds d^2 entries; rho12 builds d^2-square matrices on the product
-    window. channel-apply's quadrature holds the grid phases, one row of d
+    holds d^2 entries. rho12 builds no d^2-square matrix, but it writes the
+    text of all d^4 cells of one (at least 6 bytes each), which its charge
+    of d^4 entries bounds; that admits K up to 44, as before.
+    channel-apply's quadrature holds the grid phases, one row of d
     per node. capacity holds only the d mode weights, whatever its --grid.
     eb-report --phi is charged every factor it holds at its peak
     (_phi_report_entries). eb-report --channel does not read --k: a blocks
@@ -150,10 +145,16 @@ def _check_atoms_size(form, path):
 
 
 def _emit(text, out_path):
+    """Write text, a str or a list of its pieces, to out_path or stdout, ending in a newline."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.writelines(pieces)
+        if not pieces[-1].endswith("\n"):
+            sys.stdout.write("\n")
+    elif isinstance(text, str):
         jsonio.write_text(out_path, text)
+    else:
+        jsonio.write_pieces(out_path, pieces)
 
 
 def cmd_channel_apply(args):
@@ -230,22 +231,22 @@ def cmd_capacity(args):
 
 
 def cmd_rho12(args):
-    """rho12 JSON and the --n-sweep CSV next to it; both are computed before either is written."""
+    """rho12 JSON and the --n-sweep CSV next to it; both are computed before either is written.
+
+    The JSON is written from rho12's charge sectors and the sweep's distances
+    are taken on their S = 4K + 1 rows, so no d^2 x d^2 array is built.
+    """
     if args.n_sweep and args.out is None:
         raise SchemaError("--n-sweep needs --out to place the CSV next to the JSON")
     half = args.k[0]
     phi1 = _resolve_phi(args.phi, half)
     phi2 = _resolve_phi(args.phi2, half) if args.phi2 else phi1
-    # serialized before the sweep, whose freed temporaries would add to its peak memory
-    text = jsonio.dumps(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
+    pieces = jsonio.dump_pieces(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
     csv = None
     if args.n_sweep:
-        product = factored_state(ProductWindow(phi1.window, phi2.window),
-                                 np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
-        rows = [[n, trace_norm_distance(rot.rho12_n(phi1, phi2, n), product)]
-                for n in args.n_sweep]
+        rows = [[n, rot.rho12_n_distance(phi1, phi2, n)] for n in args.n_sweep]
         csv = jsonio.csv_text(["n", "trace_distance_to_product"], rows)
-    _emit(text, args.out)
+    _emit(pieces, args.out)
     if csv is not None:
         jsonio.write_text(f"{os.path.splitext(args.out)[0]}.n_sweep.csv", csv)
     return EXIT_OK

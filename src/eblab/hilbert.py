@@ -12,8 +12,6 @@ built entries of a factored operator are at worst built twice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvariantViolationError, WindowMismatchError
@@ -31,19 +29,57 @@ EPS_RANGE = 1e-10    # a unit vector whose part off a support has a larger norm 
                      # absolute, on unit vectors, so relative to the vector norm
 
 
-@dataclass(frozen=True)
-class ModeWindow:
+class _Frozen:
+    """Immutable value: compared, hashed and shown by the fields named in __slots__.
+
+    It behaves as a frozen dataclass would, without importing dataclasses:
+    __init__ takes one value per field, equality needs the same class, the
+    repr is Name(field=value, ...), and assigning or deleting a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class ModeWindow(_Frozen):
     """Contiguous range of integer Fourier modes."""
 
-    k_min: int
-    k_max: int
+    __slots__ = ("k_min", "k_max")
 
-    def __post_init__(self):
-        if int(self.k_min) != self.k_min or int(self.k_max) != self.k_max:
+    def __init__(self, k_min, k_max):
+        super().__init__(k_min, k_max)
+        if int(k_min) != k_min or int(k_max) != k_max:
             raise WindowMismatchError("mode indices must be integers")
-        if self.k_min > self.k_max:
-            raise WindowMismatchError(
-                f"empty window: k_min={self.k_min} > k_max={self.k_max}")
+        if k_min > k_max:
+            raise WindowMismatchError(f"empty window: k_min={k_min} > k_max={k_max}")
 
     @classmethod
     def symmetric(cls, half_width):
@@ -67,12 +103,13 @@ class ModeWindow:
         return int(k - self.k_min)
 
 
-@dataclass(frozen=True)
-class ProductWindow:
+class ProductWindow(_Frozen):
     """Declared tensor-product structure over two windows (left x right)."""
 
-    left: "ModeWindow | ProductWindow"
-    right: "ModeWindow | ProductWindow"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        super().__init__(left, right)
 
     @property
     def dimension(self):
@@ -120,6 +157,15 @@ def min_eigenvalue(matrix):
     return float(np.linalg.eigvalsh(_finite(matrix, "matrix"))[0])
 
 
+def _gram(x):
+    """The Hermitian part of X X^dag, zeros stored as +0.0: a factored operator's entries."""
+    m = x @ x.conj().T
+    m += m.conj().T  # in place, so at most one transient d x d array is alive
+    m *= 0.5
+    m += 0.0  # -0.0 + 0.0 is +0.0
+    return m
+
+
 class MatrixOperator:
     """Dense complex matrix tied to a mode window.
 
@@ -159,12 +205,7 @@ class MatrixOperator:
         return self._factor
 
     def _expand(self):
-        """Entries from the factor: the Hermitian part of X X^dag, its zeros stored as +0.0."""
-        m = self._factor @ self._factor.conj().T
-        m += m.conj().T  # in place, so at most one transient d x d array is alive
-        m *= 0.5
-        m += 0.0  # -0.0 + 0.0 is +0.0
-        return m
+        return _gram(self._factor)
 
     def trace(self):
         return complex(np.trace(self.entries))

@@ -5,10 +5,14 @@ Operator format (simple window):
 Product-window operators replace the flat window fields by
     {"left_window": {...}, "right_window": {...}, "entries": ...}
 where each side is either a flat window or another product descriptor.
-operator_to_json keeps the entries as the complex array, and dumps writes
-such an array a row at a time: a cell whose parts are both +0.0 is the
-literal [0,0], and each row's template is cached by its zero pattern, so
-the cells that charge conservation zeroes in rho12 cost no formatting.
+operator_to_json keeps the operator itself as "entries", and dumps writes
+it through one row assembly: each row's cells that may be nonzero, with
+the gaps filled by cached runs of the literal [0,0]. A dense operator (or
+a complex array) supplies its written cells; a factored operator whose
+factor has at most one nonzero per row, as rotation's charge-sector
+factors do, supplies its rank-one sector blocks, so rho12 is written with
+no d^2 x d^2 array. dump_pieces returns the text in pieces, which
+write_pieces writes without joining them.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
 Every reader names its context (the CLI passes the file path) in each
@@ -31,8 +35,12 @@ from .hilbert import (
     ProductWindow,
     PureVector,
     StateOperator,
+    _gram,
 )
 from .channels import ChannelBlocks, HolevoForm
+
+ZERO_CELL = "[0,0],"
+TAIL_ALIGN = 8  # a multiple of the row and column counts of BLAS's gemm tiles
 
 
 def format_float(value):
@@ -45,9 +53,14 @@ def format_float(value):
 
 def dumps(obj):
     """Serialize nested dicts/lists/scalars to canonical JSON text."""
+    return "".join(dump_pieces(obj))
+
+
+def dump_pieces(obj):
+    """The canonical JSON text of obj as its list of pieces, in order; dumps joins them."""
     pieces = []
     _write(obj, pieces)
-    return "".join(pieces)
+    return pieces
 
 
 def _write(obj, pieces):
@@ -67,8 +80,10 @@ def _write(obj, pieces):
                 pieces.append(",")
             _write(value, pieces)
         pieces.append("]")
+    elif isinstance(obj, MatrixOperator):
+        _write_operator(obj, pieces)
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "c":
-        _write_complex_rows(obj, pieces)
+        _write_rows(obj.shape, *_dense_cells(obj), pieces)
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif obj is None:
@@ -88,53 +103,129 @@ def _scalar_text(value):
     raise SchemaError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _write_complex_rows(matrix, pieces):
-    """A complex matrix as rows of [re, im] cells, formatting each distinct double once.
+def _write_operator(op, pieces):
+    """An operator's entries as rows of [re, im] cells.
 
-    A cell whose parts are both +0.0 is the literal [0,0]; every other
-    cell, a -0.0 part included ("%.17g" % -0.0 is "-0"), writes both parts
-    with "%.17g". The written parts of all rows are gathered in one pass
-    and told apart by their bit patterns, which keep -0.0 apart from +0.0,
-    so each distinct value is formatted once (3062 for the 12362 written
-    parts of a K = 10 rho12). Each row's "%" template is built from its
-    zero pattern and cached by it: the rows of rho12 that share a charge
-    k1 + k2 share one template, and a dense matrix uses a single
-    all-written one. Rows go straight into pieces, so the matrix text is
-    copied only by the final join.
+    A factor with at most one nonzero per row (rotation's charge-sector
+    factors) supplies its rank-one sector blocks; any other operator
+    supplies its dense entries.
+    """
+    x = op.factor
+    if x is not None and x.size and (np.count_nonzero(x, axis=1) <= 1).all():
+        _write_rows((len(x), len(x)), *_sector_cells(x), pieces)
+    else:
+        _write(op.entries, pieces)
+
+
+def _dense_cells(matrix):
+    """Row, column and value of each written cell of a complex matrix, row-major."""
+    m = np.ascontiguousarray(matrix)
+    floats = m.view(float).reshape(m.shape + (2,))
+    written = ((floats != 0.0) | np.signbit(floats)).any(axis=2)  # NaN != 0.0, so it is listed
+    rows, cols = np.nonzero(written)
+    return rows, cols, m[rows, cols]
+
+
+def _sector_cells(x):
+    """Row, column and value of the cells of X X^dag that may be nonzero, row-major.
+
+    Row i of X has its one nonzero in column s(i), its sector, so X X^dag is
+    zero between sectors and the block of sector s is rank one. Each block
+    is formed as the dense entries are (hilbert._gram), so its cells carry
+    the same bits, with one exception that is handled here: BLAS's gemm
+    rounds the final, partial tile of the dense product's last rows and
+    columns differently from its full tiles (OpenBLAS fuses the multiply-add
+    of |x|^2 there, and rounds it twice elsewhere and in a rank-one
+    product). The sectors that meet the last TAIL_ALIGN + d % TAIL_ALIGN
+    rows therefore take their blocks from one product of their rows that
+    ends in those rows, its other rows padded with zero rows to a multiple
+    of TAIL_ALIGN, so that every cell lies in the same kind of tile as in
+    the dense product.
+    """
+    d = x.shape[0]
+    sector = np.full(d, -1)  # -1: a zero row, in no sector
+    nonzero_rows, nonzero_cols = np.nonzero(x)
+    sector[nonzero_rows] = nonzero_cols
+    counts = np.bincount(sector + 1, minlength=x.shape[1] + 1)
+    groups = np.split(np.argsort(sector, kind="stable"), np.cumsum(counts)[:-1])[1:]
+    tail = min(d, TAIL_ALIGN + d % TAIL_ALIGN)
+    late = sorted({int(s) for s in sector[d - tail:] if s >= 0})
+    blocks = [_gram(x[rows, s:s + 1]) for s, rows in enumerate(groups)]
+    if late:
+        early = np.concatenate([groups[s][groups[s] < d - tail] for s in late])
+        padding = -early.size % TAIL_ALIGN
+        position = np.empty(d, dtype=int)
+        position[early] = np.arange(early.size)
+        position[d - tail:] = early.size + padding + np.arange(tail)
+        gram = _gram(np.concatenate([x[early], np.zeros((padding, x.shape[1]), dtype=x.dtype),
+                                     x[d - tail:]]))
+        for s in late:
+            blocks[s] = gram[np.ix_(position[groups[s]], position[groups[s]])]
+    rows = np.concatenate([np.repeat(g, g.size) for g in groups])
+    cols = np.concatenate([np.tile(g, g.size) for g in groups])
+    values = np.concatenate([b.ravel() for b in blocks])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order]
+
+
+def _write_rows(shape, rows, cols, values, pieces):
+    """Rows of the complex matrix of this shape whose cells are values at (rows, cols), else +0.0.
+
+    The cells come row-major. A cell whose parts are both +0.0 is the
+    literal [0,0]; every other cell, a -0.0 part included ("%.17g" % -0.0
+    is "-0"), writes both parts with "%.17g". The parts are told apart by
+    their bit patterns, which keep -0.0 apart from +0.0, so each distinct
+    double is formatted once. The zero cells before a written cell, and
+    those that close a row, are one cached string per run length, so a row
+    is two pieces per written cell plus its opening and closing pieces,
+    and the text of the zero cells is never copied. A non-finite part is
+    refused before anything is appended.
     "%.17g" % v and format_float(v) give the same bytes for every finite
     double, so this writes what a per-cell walk would.
     """
-    cells = np.ascontiguousarray(matrix, dtype=complex)
-    floats = cells.view(float).reshape(cells.shape + (2,))
+    floats = np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2)
     bad = floats[~np.isfinite(floats)]
     if bad.size:
         raise InvariantViolationError(f"refusing to write the non-finite number {float(bad[0])!r}")
-    nonzero = (floats != 0.0) | np.signbit(floats)
-    written = nonzero[..., 0] | nonzero[..., 1]
-    bits, inverse = np.unique(floats[written].view(np.int64).ravel(), return_inverse=True)
+    written = ((floats != 0.0) | np.signbit(floats)).any(axis=1)
+    rows, cols, floats = rows[written], cols[written], floats[written]
+    bits, inverse = np.unique(floats.view(np.int64).ravel(), return_inverse=True)
     texts = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
     parts = texts[inverse].tolist()
-    ends = (2 * np.cumsum(written.sum(axis=1))).tolist()
-    templates = {}
-    pieces.append("[")
+    first = np.diff(rows, prepend=-1) != 0
+    skipped = cols - np.where(first, -1, np.roll(cols, 1)) - 1  # zero cells before each cell
+    leads, lead = np.unique(2 * skipped + first, return_inverse=True)
+    leads = [("" if key % 2 else ",") + ZERO_CELL * (key // 2) for key in leads.tolist()]
+    flat = [""] * (2 * len(lead))
+    flat[0::2] = [leads[k] for k in lead.tolist()]
+    flat[1::2] = ["[" + re_part + "," + im_part + "]"
+                  for re_part, im_part in zip(parts[0::2], parts[1::2])]
+    height, width = shape
+    ends = np.cumsum(np.bincount(rows, minlength=height)).tolist()
+    last = np.full(height, -1)
+    last[rows] = cols
+    closings = {}  # by the number of zero cells after the row's last written one
     start = 0
-    for n, (row, end) in enumerate(zip(written, ends)):
-        key = row.tobytes()
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = "[" + ",".join(
-                "[%s,%s]" if w else "[0,0]" for w in row.tolist()) + "]"
-        if n:
-            pieces.append(",")
-        pieces.append(template % tuple(parts[start:end]))
+    pieces.append("[")
+    for n, (end, tail) in enumerate(zip(ends, (width - 1 - last).tolist())):
+        pieces.append(",[" if n else "[")
+        pieces.extend(flat[2 * start:2 * end])
+        if tail not in closings:  # a row with no written cell has tail == width
+            closings[tail] = ("," if 0 < tail < width else "") + ",".join(["[0,0]"] * tail) + "]"
+        pieces.append(closings[tail])
         start = end
     pieces.append("]")
 
 
 def write_text(path, text):
+    write_pieces(path, [text])
+
+
+def write_pieces(path, pieces):
+    """Write the text made of these pieces, ending in a newline, without joining them first."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
+        fh.writelines(pieces)
+        if not pieces or not pieces[-1].endswith("\n"):
             fh.write("\n")
 
 
@@ -216,7 +307,7 @@ def window_from_json(raw, context="window"):
 
 def operator_to_json(op, extra=None):
     doc = window_to_json(op.window)
-    doc["entries"] = op.entries
+    doc["entries"] = op  # dumps writes its entries
     if extra:
         doc.update(extra)
     return doc

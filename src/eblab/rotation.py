@@ -26,7 +26,6 @@ untruncated channel.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,9 @@ from .hilbert import (
     ProductWindow,
     PureVector,
     StateOperator,
+    _Frozen,
     _at_least,
+    _difference_eigenvalues,
     _finite,
     basis_vector,
     factored_operator,
@@ -280,6 +281,14 @@ def rho12_probe(phi1, phi2, alpha, beta):
         return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))  # 1 / sum_s |c_s|^2
 
 
+def _partial_orbit_nodes(phi1, phi2, n):
+    """Nodes of rho12_n's grid on [0, 2pi/n): ceil(max(4K+1, 32) / n), refusing n < 1."""
+    if n < 1:
+        raise InvariantViolationError("n must be a positive integer")
+    half = max(phi1.window.k_max, phi2.window.k_max)
+    return int(np.ceil(max(4 * half + 1, 32) / n))
+
+
 def rho12_n(phi1, phi2, n):
     """Partial-orbit average over [0, 2pi/n) with density n/(2pi).
 
@@ -287,16 +296,35 @@ def rho12_n(phi1, phi2, n):
     that the union of the n grids stays exact; n = 1 (at least 4K + 1
     nodes) reproduces rho12 exactly. The n rotated copies of this state
     average back to rho12 (grid union argument). The state is factored, one
-    column per node.
+    column per node; rho12_n_distance takes its distance to the product
+    state without it.
     """
-    if n < 1:
-        raise InvariantViolationError("n must be a positive integer")
-    half = max(phi1.window.k_max, phi2.window.k_max)
-    nodes = int(np.ceil(max(4 * half + 1, 32) / n))
+    nodes = _partial_orbit_nodes(phi1, phi2, n)
     window = ProductWindow(phi1.window, phi2.window)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     rotated = _orbit(window, v, _nodes(nodes, 2.0 * np.pi / n))  # row s: V_{x_s} x V_{x_s} v
     return factored_state(window, rotated.T / np.sqrt(nodes))
+
+
+def rho12_n_distance(phi1, phi2, n):
+    """Trace distance from rho12_n(phi1, phi2, n) to the product state |phi1 phi2><phi1 phi2|.
+
+    With v = phi1 x phi2 and N nodes, rho12_n's factor is B D E and the
+    product state's is B D 1: B puts each sector's part of v, normalized,
+    into its own column, D = diag(|v_s|) and E[s, g] = e^{i x_g q_s} / sqrt(N)
+    for the sector of total charge q_s. B is an isometry on the sectors where
+    v is nonzero, so the difference has the nonzero eigenvalues of the
+    S-row factors [D E, D 1], S = 4K + 1 the number of sectors; no d^2-row
+    array is built.
+    """
+    nodes = _partial_orbit_nodes(phi1, phi2, n)
+    charge = _charges(ProductWindow(phi1.window, phi2.window))
+    amplitude = np.abs(np.kron(phi1.amplitudes, phi2.amplitudes))
+    weight = np.sqrt(np.bincount(_sector_index(charge), amplitude ** 2))  # |v_s|
+    sectors = ModeWindow(int(charge.min()), int(charge.max()))  # the total charges q_s
+    rotated = _orbit(sectors, weight, _nodes(nodes, 2.0 * np.pi / n))  # row g: e^{i x_g q} |v_q|
+    joined = np.hstack([rotated.T / np.sqrt(nodes), weight[:, None]])
+    return 0.5 * float(np.abs(_difference_eigenvalues(joined, nodes)).sum())
 
 
 _PROFILE_RE = re.compile(r"^([a-z-]+)(?:\(([^()]*)\))?$")
@@ -353,11 +381,13 @@ def phi_profile(spec, half_width):
     raise SchemaError(f"unknown profile name {name!r}")
 
 
-@dataclass(frozen=True)
-class ProbeSweepRow:
-    half_width: int
-    candidate: str
-    eps_max: float
+class ProbeSweepRow(_Frozen):
+    """One row of the probe sweep: window half width, candidate id, domination bound."""
+
+    __slots__ = ("half_width", "candidate", "eps_max")
+
+    def __init__(self, half_width, candidate, eps_max):
+        super().__init__(half_width, candidate, eps_max)
 
 
 def decomposability_probe_sweep(profile1, profile2, half_widths, candidates):

@@ -39,6 +39,6 @@ def assert_same_channel(channel, dense, rng, tol=1e-14):
                   - apply_with_identity(dense, omega).entries).max() <= tol
     doc, want = jsonio.channel_to_json(channel), jsonio.channel_to_json(dense)
     assert (doc["in"], doc["out"]) == (want["in"], want["out"])
-    written, wanted = (np.array([[op["entries"] for op in row] for row in d["blocks"]])
+    written, wanted = (np.array([[op["entries"].entries for op in row] for row in d["blocks"]])
                        for d in (doc, want))
     assert np.abs(written - wanted).max() <= tol

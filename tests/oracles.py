@@ -142,9 +142,12 @@ def selection_rule_rho12(phi1, modes1, phi2, modes2):
 def per_cell_json(obj):
     """Canonical JSON text written one number at a time with format(v, ".17g").
 
-    A complex 2-D array is walked cell by cell as [re, im] pairs; keys and
+    An operator (anything with entries) is written as its dense entries. A
+    complex 2-D array is walked cell by cell as [re, im] pairs; keys and
     strings go through json.dumps. Non-finite numbers raise ValueError.
     """
+    if hasattr(obj, "entries"):
+        obj = obj.entries
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(k) + ":" + per_cell_json(v) for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray):

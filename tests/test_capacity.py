@@ -285,6 +285,17 @@ def test_capacity_report_rejects_bound_violation():
                            grid_size=2)
 
 
+def test_capacity_report_is_a_frozen_value():
+    report = CapacityReport(closed_form=1.0, optimizer_value=0.5, gap=0.5, grid_size=2)
+    assert report == CapacityReport(1.0, 0.5, 0.5, 2)
+    assert hash(report) == hash(CapacityReport(1.0, 0.5, 0.5, 2))
+    assert repr(report) == ("CapacityReport(closed_form=1.0, optimizer_value=0.5, gap=0.5, "
+                            "grid_size=2)")
+    assert (report.iterations, report.converged, report.iterate_values) == (1, True, (0.5,))
+    with pytest.raises(AttributeError):
+        report.gap = 0.0
+
+
 def test_ensemble_validation(rng):
     w = ModeWindow.symmetric(1)
     rho = random_state_on(rng, w)

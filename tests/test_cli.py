@@ -2,6 +2,7 @@ import argparse
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +270,8 @@ def test_rho12_n_sweep_runs_no_dense_eigensolve(tmp_path, monkeypatch):
     half = 4
     assert main(["rho12", "--phi", "geometric(0.7)", "--phi2", "uniform(3)", "--k", str(half),
                  "--n-sweep", "1,2,4,8", "--out", str(tmp_path / "rho12.json")]) == 0
-    nodes = max(4 * half + 1, 32)
-    assert sizes and max(sizes) == nodes + 1 < (2 * half + 1) ** 2
+    # the sweep works on the 4K + 1 charge sectors, fewer rows than its 33 nodes at n = 1
+    assert sizes and max(sizes) == 4 * half + 1 < (2 * half + 1) ** 2
 
 
 def test_non_finite_output_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -912,6 +913,80 @@ def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):
     expected = per_cell_json(jsonio.operator_to_json(rotation.rho12(psi, psi))) + "\n"
     assert out.read_bytes() == expected.encode("utf-8")
     assert len((tmp_path / "rho12.n_sweep.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("half, kind", [(half, "seeded") for half in range(1, 11)]
+                         + [(1, "mode(0)"), (4, "mode(0)"), (1, "two-mode"), (6, "two-mode")])
+def test_rho12_file_is_the_per_cell_text_of_the_dense_entries(tmp_path, half, kind):
+    # written from the sectors, byte for byte what a per-cell walk of _expand's entries writes
+    phis = [kind, "geometric(0.5)"]
+    if kind == "seeded":  # two complex fiducials, so --phi2 differs from --phi
+        rng, d = np.random.default_rng(100 + half), 2 * half + 1
+        phis = [write_phi(tmp_path / name, PureVector(ModeWindow.symmetric(half),
+                                                      rng.normal(size=d) + 1j * rng.normal(size=d)))
+                for name in ("phi.json", "phi2.json")]
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", phis[0], "--phi2", phis[1], "--k", str(half),
+                 "--out", str(out)]) == 0
+    psi, psi2 = (jsonio.pure_vector_from_json(jsonio.read_json(phi)) if phi.endswith(".json")
+                 else phi_profile(phi, half) for phi in phis)
+    expected = per_cell_json(jsonio.operator_to_json(rotation.rho12(psi, psi2))) + "\n"
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_rho12_command_reads_no_dense_entries(tmp_path, monkeypatch):
+    phi = random_phi_file(tmp_path, np.random.default_rng(3), 10)
+    psi = jsonio.pure_vector_from_json(jsonio.read_json(phi))
+    expected = per_cell_json(jsonio.operator_to_json(rotation.rho12(psi, psi))) + "\n"
+
+    def refuse(op):
+        raise AssertionError(f"{op!r} built its dense entries")
+
+    monkeypatch.setattr(MatrixOperator, "entries", property(refuse))
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", phi, "--k", "10", "--n-sweep", "1,2,4,8",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+    csv = (tmp_path / "rho12.n_sweep.csv").read_text().splitlines()
+    assert [float(line.split(",")[1]) for line in csv[1:]] == [
+        rotation.rho12_n_distance(psi, psi, n) for n in (1, 2, 4, 8)]
+
+
+def test_rho12_at_k20_peaks_below_one_dense_state(tmp_path):
+    # one (2K+1)^2-square complex matrix at K = 20 is 16 * 41^4 bytes, 43 MiB
+    dense = 16 * 41 ** 4
+    tracemalloc.start()
+    try:
+        assert main(["rho12", "--phi", "geometric(0.7)", "--k", "20", "--n-sweep", "1,2,4,8",
+                     "--out", str(tmp_path / "rho12.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense, peak / 2 ** 20
+    assert (tmp_path / "rho12.json").stat().st_size > 6 * 41 ** 4
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("half", [32, 40])
+def test_rho12_file_at_large_k_is_the_text_of_the_dense_entries(tmp_path, half):
+    # the dense oracle is the writer's dense path on _expand's entries, which the per-cell
+    # walk pins at small sizes; at K = 40 those entries take 0.7 GB
+    phi = random_phi_file(tmp_path, np.random.default_rng(half), half)
+    out = tmp_path / "rho12.json"
+    assert main(["rho12", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
+    psi = jsonio.pure_vector_from_json(jsonio.read_json(phi))
+    state = rotation.rho12(psi, psi)
+    doc = jsonio.window_to_json(state.window)
+    doc["entries"] = state.entries
+    pieces = jsonio.dump_pieces(doc)
+    del state, doc
+    data = out.read_bytes()
+    start = 0
+    for piece in pieces:
+        chunk = piece.encode("utf-8")
+        assert data[start:start + len(chunk)] == chunk, start
+        start += len(chunk)
+    assert data[start:] == b"\n"
 
 
 @pytest.mark.parametrize("size", [1e-200, 1e200])

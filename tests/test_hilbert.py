@@ -1,3 +1,7 @@
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -448,3 +452,36 @@ def test_maximally_mixed_is_the_checked_state_exactly():
         d = w.dimension
         assert np.array_equal(StateOperator.maximally_mixed(w).entries,
                               StateOperator(w, np.eye(d) / d).entries)
+
+
+def test_windows_are_frozen_values():
+    a, b = ModeWindow(-1, 1), ModeWindow.symmetric(1)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != ModeWindow(0, 1) and a != (-1, 1)
+    assert repr(a) == "ModeWindow(k_min=-1, k_max=1)"
+    pair = ProductWindow(a, ModeWindow(0, 2))
+    same = ProductWindow(b, ModeWindow(0, 2))
+    assert pair == same and hash(pair) == hash(same)
+    assert pair != ProductWindow(ModeWindow(0, 2), a)
+    assert repr(pair) == ("ProductWindow(left=ModeWindow(k_min=-1, k_max=1), "
+                          "right=ModeWindow(k_min=0, k_max=2))")
+    assert len({a, b, pair, ProductWindow(a, ModeWindow(0, 2))}) == 2
+    for value, field in ((a, "k_min"), (pair, "left")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ModeWindow(0, 0))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert a == ModeWindow(-1, 1) and pair.left == a
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    with pytest.raises(WindowMismatchError, match="empty window: k_min=2 > k_max=1"):
+        ModeWindow(2, 1)
+    with pytest.raises(TypeError):
+        ProductWindow(a)
+
+
+def test_importing_eblab_leaves_dataclasses_unloaded():
+    script = "import sys, eblab, eblab.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

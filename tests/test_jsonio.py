@@ -10,6 +10,7 @@ from eblab import (
     PureVector,
     SchemaError,
     StateOperator,
+    factored_operator,
     identity_channel,
     phi_profile,
     rho12,
@@ -216,6 +217,21 @@ def test_row_writer_matches_the_per_cell_writer_on_small_matrices(entries):
     assert jsonio.dumps(_doc(entries)) == per_cell_json(_doc(entries))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 3), (3, 5), (5, 3)])
+def test_row_writer_matches_the_per_cell_writer_on_arrays_of_any_shape(shape):
+    rng = np.random.default_rng(sum(shape))
+    entries = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.5)
+    entries[rng.random(shape) < 0.2] = complex(-0.0, 0.0)
+    assert jsonio.dumps({"entries": entries}) == per_cell_json({"entries": entries})
+
+
+@pytest.mark.parametrize("factor", [np.zeros((3, 0)), np.zeros((3, 2)), np.eye(3)[:, :2] * 0.5,
+                                    [[0.6j], [0.0], [0.8]]])
+def test_row_writer_writes_one_nonzero_per_row_factors_as_their_entries(factor):
+    doc = jsonio.operator_to_json(factored_operator(ModeWindow(0, 2), factor))
+    assert jsonio.dumps(doc) == per_cell_json(doc)
+
+
 @pytest.mark.parametrize("cell", [complex(np.nan, 0.0), complex(0.0, np.inf),
                                   complex(-np.inf, 0.0)])
 def test_non_finite_cell_in_a_zero_row_writes_nothing(cell):
@@ -224,7 +240,7 @@ def test_non_finite_cell_in_a_zero_row_writes_nothing(cell):
     entries[2, 1] = cell
     pieces = []
     with pytest.raises(InvariantViolationError, match="non-finite"):
-        jsonio._write_complex_rows(entries, pieces)
+        jsonio._write(entries, pieces)
     assert pieces == []
     with pytest.raises(InvariantViolationError, match="non-finite"):
         jsonio.dumps(_doc(entries))

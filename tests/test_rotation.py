@@ -38,6 +38,7 @@ from eblab import (
     phi_profile,
     rho12,
     rho12_n,
+    rho12_n_distance,
     rho12_probe,
     product_bound_probe,
     rotate_vector,
@@ -279,6 +280,26 @@ def test_rho12_n_sweep_distances_match_the_dense_distance(rng):
         dense = trace_norm_distance(MatrixOperator(window2, approx.entries),
                                     MatrixOperator(window2, product.entries))
         assert abs(trace_norm_distance(approx, product) - dense) < 1e-12, n
+
+
+@pytest.mark.parametrize("half", [0, 1, 2, 5, 10])
+def test_rho12_n_distance_on_the_sectors_matches_the_state(rng, half):
+    # the S-row sector form against rho12_n, the d^2-row state, as the oracle
+    window = ModeWindow.symmetric(half)
+    pairs = [(PureVector(window, random_pure(rng, window.dimension)),
+              PureVector(window, random_pure(rng, window.dimension))),
+             (phi_profile("geometric(0.7)", half), phi_profile("uniform", half)),
+             (phi_profile("mode(0)", half), phi_profile("geometric(0.5)", half))]
+    if half:
+        pairs.append((phi_profile("two-mode", half), phi_profile("two-mode", half)))
+    for phi1, phi2 in pairs:
+        product = factored_state(ProductWindow(window, window),
+                                 np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
+        for n in (1, 2, 3, 4, 8, 33):
+            want = trace_norm_distance(rho12_n(phi1, phi2, n), product)
+            assert abs(rho12_n_distance(phi1, phi2, n) - want) < 1e-12, (half, n)
+    with pytest.raises(InvariantViolationError, match="positive integer"):
+        rho12_n_distance(phi1, phi2, 0)
 
 
 def test_rho12_matches_grid_oracle(rng):
