@@ -144,15 +144,12 @@ def _check_atoms_size(form, path):
     _refuse_above_limit(rows * 2 * columns, "eb-report", f"the atoms in {path}")
 
 
-def _emit(text, out_path):
-    """Write text, a str or a list of its pieces, to out_path or stdout, ending in a newline."""
-    pieces = [text] if isinstance(text, str) else text
+def _emit(pieces, out_path):
+    """Write the text made of these pieces, unjoined, to out_path or stdout, ending in a newline."""
     if out_path is None:
         sys.stdout.writelines(pieces)
         if not pieces[-1].endswith("\n"):
             sys.stdout.write("\n")
-    elif isinstance(text, str):
-        jsonio.write_text(out_path, text)
     else:
         jsonio.write_pieces(out_path, pieces)
 
@@ -172,7 +169,8 @@ def cmd_channel_apply(args):
         "agreement_residual": float(np.abs(closed.entries
                                            - rot.apply_quadrature(channel, rho).entries).max()),
     }
-    _emit(jsonio.dumps(jsonio.operator_to_json(closed, extra={"metadata": metadata})), args.out)
+    _emit(jsonio.dump_pieces(jsonio.operator_to_json(closed, extra={"metadata": metadata})),
+          args.out)
     return EXIT_OK
 
 
@@ -206,7 +204,7 @@ def cmd_eb_report(args):
         if form is not None:
             _, report["extraction_residual"] = ch.eb_extract(
                 ch.separable_choi_from_holevo(form, state))
-    _emit(jsonio.dumps(report), args.out)
+    _emit(jsonio.dump_pieces(report), args.out)
     return EXIT_OK
 
 
@@ -226,7 +224,7 @@ def cmd_capacity(args):
                 row += [report.closed_form / math.log(2.0),
                         report.optimizer_value / math.log(2.0)]
             rows.append(row)
-    _emit(jsonio.csv_text(header, rows), args.out)
+    _emit([jsonio.csv_text(header, rows)], args.out)
     return EXIT_OK
 
 
@@ -257,8 +255,8 @@ def cmd_probe(args):
     rows = rot.decomposability_probe_sweep(partial(_resolve_phi, args.phi),
                                            partial(_resolve_phi, args.phi2 or args.phi), args.k,
                                            args.candidates or [("mode(0)", "mode(0)")])
-    _emit(jsonio.csv_text(["K", "candidate_id", "eps_max"],
-                          [[r.half_width, r.candidate, r.eps_max] for r in rows]), args.out)
+    _emit([jsonio.csv_text(["K", "candidate_id", "eps_max"],
+                           [[r.half_width, r.candidate, r.eps_max] for r in rows])], args.out)
     return EXIT_OK
 
 

@@ -41,7 +41,9 @@ class _Frozen:
     __slots__ = ()
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self):
@@ -108,9 +110,6 @@ class ProductWindow(_Frozen):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left, right):
-        super().__init__(left, right)
-
     @property
     def dimension(self):
         return self.left.dimension * self.right.dimension
@@ -166,6 +165,32 @@ def _gram(x):
     return m
 
 
+def _sector_shaped(x):
+    """Whether factor X has several columns and at most one nonzero per row."""
+    return x is not None and x.shape[1] > 1 and bool((np.count_nonzero(x, axis=1) <= 1).all())
+
+
+def _sector_cells(x):
+    """Row, column and value of the cells of X X^dag that may be nonzero, row-major.
+
+    For a sector-shaped X: row i's one nonzero lies in column s(i), its
+    sector, so X X^dag is zero between sectors and the block of sector s
+    is the rank-one _gram of its rows. The dense entries of such a factor
+    are these cells (MatrixOperator._expand), so a writer that takes them
+    from here writes the same bits.
+    """
+    sector = np.full(len(x), -1)  # -1: a zero row, in no sector
+    nonzero_rows, nonzero_cols = np.nonzero(x)
+    sector[nonzero_rows] = nonzero_cols
+    counts = np.bincount(sector + 1, minlength=x.shape[1] + 1)
+    groups = np.split(np.argsort(sector, kind="stable"), np.cumsum(counts)[:-1])[1:]
+    rows = np.concatenate([np.repeat(g, g.size) for g in groups])
+    cols = np.concatenate([np.tile(g, g.size) for g in groups])
+    values = np.concatenate([_gram(x[g, s:s + 1]).ravel() for s, g in enumerate(groups)])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order]
+
+
 class MatrixOperator:
     """Dense complex matrix tied to a mode window.
 
@@ -205,7 +230,14 @@ class MatrixOperator:
         return self._factor
 
     def _expand(self):
-        return _gram(self._factor)
+        """Entries from the factor; a sector-shaped factor's are its sector blocks, zero between."""
+        x = self._factor
+        if not _sector_shaped(x):
+            return _gram(x)
+        rows, cols, values = _sector_cells(x)
+        m = np.zeros((len(x), len(x)), dtype=values.dtype)
+        m[rows, cols] = values
+        return m
 
     def trace(self):
         return complex(np.trace(self.entries))

@@ -9,10 +9,12 @@ operator_to_json keeps the operator itself as "entries", and dumps writes
 it through one row assembly: each row's cells that may be nonzero, with
 the gaps filled by cached runs of the literal [0,0]. A dense operator (or
 a complex array) supplies its written cells; a factored operator whose
-factor has at most one nonzero per row, as rotation's charge-sector
-factors do, supplies its rank-one sector blocks, so rho12 is written with
-no d^2 x d^2 array. dump_pieces returns the text in pieces, which
-write_pieces writes without joining them.
+factor is sector-shaped (several columns, at most one nonzero per row),
+as rotation's charge-sector factors are, supplies the cells of its
+rank-one sector blocks, which are what its dense entries are made of
+(hilbert._sector_cells), so rho12 is written with no d^2 x d^2 array and
+with the bytes of its dense entries. dump_pieces returns the text as
+its pieces, which write_pieces writes without joining them.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
 Every reader names its context (the CLI passes the file path) in each
@@ -35,12 +37,12 @@ from .hilbert import (
     ProductWindow,
     PureVector,
     StateOperator,
-    _gram,
+    _sector_cells,
+    _sector_shaped,
 )
 from .channels import ChannelBlocks, HolevoForm
 
 ZERO_CELL = "[0,0],"
-TAIL_ALIGN = 8  # a multiple of the row and column counts of BLAS's gemm tiles
 
 
 def format_float(value):
@@ -106,12 +108,12 @@ def _scalar_text(value):
 def _write_operator(op, pieces):
     """An operator's entries as rows of [re, im] cells.
 
-    A factor with at most one nonzero per row (rotation's charge-sector
-    factors) supplies its rank-one sector blocks; any other operator
-    supplies its dense entries.
+    A sector-shaped factor (rotation's charge-sector factors) supplies its
+    sector blocks, the cells its dense entries are made of; any other
+    operator supplies its dense entries.
     """
     x = op.factor
-    if x is not None and x.size and (np.count_nonzero(x, axis=1) <= 1).all():
+    if _sector_shaped(x):
         _write_rows((len(x), len(x)), *_sector_cells(x), pieces)
     else:
         _write(op.entries, pieces)
@@ -124,48 +126,6 @@ def _dense_cells(matrix):
     written = ((floats != 0.0) | np.signbit(floats)).any(axis=2)  # NaN != 0.0, so it is listed
     rows, cols = np.nonzero(written)
     return rows, cols, m[rows, cols]
-
-
-def _sector_cells(x):
-    """Row, column and value of the cells of X X^dag that may be nonzero, row-major.
-
-    Row i of X has its one nonzero in column s(i), its sector, so X X^dag is
-    zero between sectors and the block of sector s is rank one. Each block
-    is formed as the dense entries are (hilbert._gram), so its cells carry
-    the same bits, with one exception that is handled here: BLAS's gemm
-    rounds the final, partial tile of the dense product's last rows and
-    columns differently from its full tiles (OpenBLAS fuses the multiply-add
-    of |x|^2 there, and rounds it twice elsewhere and in a rank-one
-    product). The sectors that meet the last TAIL_ALIGN + d % TAIL_ALIGN
-    rows therefore take their blocks from one product of their rows that
-    ends in those rows, its other rows padded with zero rows to a multiple
-    of TAIL_ALIGN, so that every cell lies in the same kind of tile as in
-    the dense product.
-    """
-    d = x.shape[0]
-    sector = np.full(d, -1)  # -1: a zero row, in no sector
-    nonzero_rows, nonzero_cols = np.nonzero(x)
-    sector[nonzero_rows] = nonzero_cols
-    counts = np.bincount(sector + 1, minlength=x.shape[1] + 1)
-    groups = np.split(np.argsort(sector, kind="stable"), np.cumsum(counts)[:-1])[1:]
-    tail = min(d, TAIL_ALIGN + d % TAIL_ALIGN)
-    late = sorted({int(s) for s in sector[d - tail:] if s >= 0})
-    blocks = [_gram(x[rows, s:s + 1]) for s, rows in enumerate(groups)]
-    if late:
-        early = np.concatenate([groups[s][groups[s] < d - tail] for s in late])
-        padding = -early.size % TAIL_ALIGN
-        position = np.empty(d, dtype=int)
-        position[early] = np.arange(early.size)
-        position[d - tail:] = early.size + padding + np.arange(tail)
-        gram = _gram(np.concatenate([x[early], np.zeros((padding, x.shape[1]), dtype=x.dtype),
-                                     x[d - tail:]]))
-        for s in late:
-            blocks[s] = gram[np.ix_(position[groups[s]], position[groups[s]])]
-    rows = np.concatenate([np.repeat(g, g.size) for g in groups])
-    cols = np.concatenate([np.tile(g, g.size) for g in groups])
-    values = np.concatenate([b.ravel() for b in blocks])
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], values[order]
 
 
 def _write_rows(shape, rows, cols, values, pieces):
@@ -222,7 +182,11 @@ def write_text(path, text):
 
 
 def write_pieces(path, pieces):
-    """Write the text made of these pieces, ending in a newline, without joining them first."""
+    """Write the text made of these pieces, ending in a newline, without joining them first.
+
+    A large text (rho12's at K = 40 is 0.26 GB) is then held once, as its
+    pieces, and never also as one string and its UTF-8 bytes.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(pieces)
         if not pieces or not pieces[-1].endswith("\n"):

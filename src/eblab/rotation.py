@@ -386,9 +386,6 @@ class ProbeSweepRow(_Frozen):
 
     __slots__ = ("half_width", "candidate", "eps_max")
 
-    def __init__(self, half_width, candidate, eps_max):
-        super().__init__(half_width, candidate, eps_max)
-
 
 def decomposability_probe_sweep(profile1, profile2, half_widths, candidates):
     """Exact domination bounds of rho12 across window sizes.

@@ -16,8 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "eblab"
 ZERO = "[0,0]"
 RHO12_PATH = {
     "cli.py": ["cmd_rho12", "_emit"],
-    "jsonio.py": ["dump_pieces", "operator_to_json", "window_to_json", "_sector_cells",
-                  "_write_rows", "write_pieces"],
+    "jsonio.py": ["dump_pieces", "operator_to_json", "window_to_json", "_write_rows",
+                  "write_pieces"],
+    "hilbert.py": ["_sector_shaped", "_sector_cells", "_gram"],
     "rotation.py": ["rho12", "rho12_n_distance", "_partial_orbit_nodes", "_sector_factor",
                     "_charges", "_orbit"],
 }
@@ -100,7 +101,6 @@ ZERO_CELL = "[0,0],"
 
 def _write_rows(shape, rows, cols, values, pieces):
     texts = ["%.17g" % v for v in values]
-    tail = min(d, 8 + d % 8)
     pieces.append(ZERO_CELL * 3 + "[0,0]")
 
 def operator_to_json(op, extra=None):
