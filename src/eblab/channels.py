@@ -16,15 +16,19 @@ sigma = B Lambda B^dag and its partial transpose is (W^T x I) X', both
 positive by construction, and lowest_eigenvalue is exactly 0.0 below full
 rank. The blocks are read off S, so every function takes every channel.
 
-A HolevoForm keeps every POVM atom M_b = F F^dag and prepared state
-rho'_b = G G^dag as a factored operator (factored_operator,
-factored_state); a dense one is split once, when the form is built. Its
-rank-one Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and
-each column-pair factor is a Khatri-Rao product (_khatri_rao), such as
-holevo_channel's columns conj(f_n) x g_n; KrausRankOne keeps the vectors.
-An atoms file runs the same factored chain as a rotation channel. On every
-path eb_extract reports the operator norm of the difference between the
-extracted form's stacked matrix and the channel's.
+A HolevoForm keeps the factors of its POVM atoms M_b = F F^dag and
+prepared states rho'_b = G G^dag as two arrays, and a
+SeparableChoiDecomposition keeps its weights and vectors as arrays, as
+KrausRankOne does; each builds its per-atom objects only when atoms is
+read. A dense atom is split once, when the form is built. The rank-one
+Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and each
+column-pair factor is a Khatri-Rao product (_khatri_rao), such as
+holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
+factored chain as a rotation channel. The decomposition's trace distance
+and eb_extract's residual compare a Khatri-Rao factor with the target's
+factor (_difference_norms): sector by sector, as a certified bound, when
+the target is a SectorFactor (a rotation channel under a diagonal
+reference), and otherwise exactly, from one QR or one dense eigensolve.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .hilbert import (
     EPS_TRACE,
     MatrixOperator,
     ProductWindow,
-    PureVector,
+    SectorFactor,
     StateOperator,
     _at_least,
     _at_most,
@@ -50,18 +54,20 @@ from .hilbert import (
     _finite,
     _hermitian_part,
     _init_factored,
+    _unit_columns,
+    _unit_vector,
     eig_hermitian,
     factored_operator,
     factored_state,
     lowest_eigenvalue,
     partial_transpose,
-    trace_norm_distance,
 )
 from .measures import _check_weights
 
 CHOI_RANK_TOL = 1e-8      # reference states below this eigenvalue floor are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
 ATOM_DROP_TOL = 1e-14     # POVM atoms and spectral branches below this are noise
+SECTOR_CHUNK = 2 ** 18    # entries of one chunk of the columns _sector_difference splits
 
 
 class ChannelBlocks:
@@ -115,18 +121,21 @@ class ChannelBlocks:
         d_in, d_out = in_window.dimension, out_window.dimension
         factors = []
         for name, f in (("factor", factor), ("partial-transpose factor", transposed_factor)):
-            x = np.asarray(f, dtype=complex)
-            if x.ndim != 2 or x.shape[0] != d_in * d_out:
+            x = f if isinstance(f, SectorFactor) else np.asarray(f, dtype=complex)
+            if len(x.shape) != 2 or x.shape[0] != d_in * d_out:
                 raise InvariantViolationError(
                     f"{name} shape {x.shape} does not have {d_in * d_out} rows")
-            rows = _finite(x, name).reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
-            _at_most(float(np.abs(rows @ rows.conj().T - np.eye(d_in)).max()), EPS_TRACE,
+            _finite(x.values if isinstance(x, SectorFactor) else x, name)
+            _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
                      f"{name} not trace preserving: max |Tr_out S - I|")
             factors.append(x)
         a, b = (_generic_unit_columns(n) for n in (d_in, d_out))
 
         def expectations(x, right):  # <a_p x right_p| X X^dag |a_p x right_p> for each probe p
-            return np.linalg.norm(x.conj().T @ _khatri_rao(a, right), axis=0) ** 2
+            probes = _khatri_rao(a, right)
+            if isinstance(x, SectorFactor):
+                return np.linalg.norm(x.adjoint(probes), axis=0) ** 2
+            return np.linalg.norm(x.conj().T @ probes, axis=0) ** 2
 
         defect = np.abs(expectations(factors[1], b) - expectations(factors[0], b.conj())).max()
         _at_most(float(defect), EPS_TRACE,
@@ -164,6 +173,23 @@ class ChannelBlocks:
 
     def block(self, i, j):
         return MatrixOperator(self.out_window, self.blocks[i, j])
+
+
+def _traced_out(x, d_in):
+    """Tr_out X X^dag, d_in x d_in, of a factor whose rows (i, k) run i-major.
+
+    On a SectorFactor whose rows (i, k) and (j, k) lie in distinct sectors
+    for i != j, as the rotation channel's factors do, X X^dag has no entry
+    between them, so the partial trace is diagonal: one bincount.
+    """
+    if isinstance(x, SectorFactor):
+        sector = x.sector.reshape(d_in, -1)
+        if (np.diff(np.sort(sector, axis=0), axis=0) > 0).all():
+            inputs = np.repeat(np.arange(d_in), sector.shape[1])
+            return np.diag(np.bincount(inputs, np.abs(x.values) ** 2, d_in))
+        x = x.dense()
+    rows = x.reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
+    return rows @ rows.conj().T
 
 
 def _generic_unit_columns(n):
@@ -215,11 +241,14 @@ def dephasing_channel(window):
 class HolevoForm:
     """Finite measure-and-prepare form: POVM atoms M_b paired with prepared states rho'_b.
 
-    Every atom and prepared state is kept as a factored operator, M_b =
-    F_b F_b^dag and rho'_b = G_b G_b^dag. One that carries a factor keeps
-    it; a dense one is checked and split once, here (_factored). The atoms
-    must sum to the identity within povm_tol in max-entry norm, which is
-    checked as U U^dag = I on U = [F_1, F_2, ...] without building any atom.
+    Every atom and prepared state is a factored operator, M_b = F_b F_b^dag
+    and rho'_b = G_b G_b^dag. One that carries a factor keeps it; a dense one
+    is checked and split once, here (_factored). The form keeps the factors
+    as two arrays, inputs = [F_1, F_2, ...] and outputs = [G_1, G_2, ...],
+    with each atom's column counts; a form built from vectors (rank_one)
+    builds its operator pairs only when atoms is first read. The atoms must
+    sum to the identity within povm_tol in max-entry norm, which is checked
+    as U U^dag = I on U = inputs.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
@@ -231,15 +260,61 @@ class HolevoForm:
         out_window = atoms[0][1].window
         if any(m_op.window != in_window or rho_out.window != out_window for m_op, rho_out in atoms):
             raise WindowMismatchError("all Holevo atoms share the same windows")
-        u = np.hstack([m_op.factor for m_op, _ in atoms])
-        _at_most(float(np.abs(u @ u.conj().T - np.eye(in_window.dimension)).max()), povm_tol,
-                 "POVM incomplete: max |sum M - I|")
+        inputs, outputs = ([op.factor for op in side] for side in zip(*atoms))
+        self._init(in_window, out_window, np.hstack(inputs), np.hstack(outputs),
+                   [f.shape[1] for f in inputs], [g.shape[1] for g in outputs], povm_tol)
         self._atoms = tuple(atoms)
+
+    @classmethod
+    def rank_one(cls, in_window, out_window, inputs, outputs, povm_tol=1e-10):
+        """The form of the atoms f_n f_n^dag and pure states g_n g_n^dag, one per column pair.
+
+        Each column g_n must be a unit vector within the state trace gate,
+        |g_n|^2 - 1 at most EPS_TRACE, as factored_state checks it.
+        """
+        f, g = (_finite(np.array(v, dtype=complex), what)
+                for v, what in ((inputs, "POVM vectors"), (outputs, "prepared states")))
+        if f.ndim != 2 or g.ndim != 2 or f.shape[1] != g.shape[1] or not f.shape[1]:
+            raise InvariantViolationError(f"Holevo vector shapes {f.shape}, {g.shape} differ")
+        if (len(f), len(g)) != (in_window.dimension, out_window.dimension):
+            raise WindowMismatchError(f"Holevo vector shapes {f.shape}, {g.shape} do not match "
+                                      f"the windows {in_window}, {out_window}")
+        _at_most(float(np.abs(np.einsum("kn,kn->n", g.conj(), g).real - 1.0).max()), EPS_TRACE,
+                 "state trace defect |Tr - 1|")
+        form = cls.__new__(cls)
+        ones = np.ones(f.shape[1], dtype=int)
+        form._init(in_window, out_window, f, g, ones, ones, povm_tol)
+        return form
+
+    def _init(self, in_window, out_window, inputs, outputs, in_counts, out_counts, povm_tol):
+        _at_most(float(np.abs(inputs @ inputs.conj().T - np.eye(in_window.dimension)).max()),
+                 povm_tol, "POVM incomplete: max |sum M - I|")
+        for array in (inputs, outputs):
+            array.setflags(write=False)
+        self._inputs, self._outputs = inputs, outputs
+        self._counts = np.asarray(in_counts), np.asarray(out_counts)
         self._in_window = in_window
         self._out_window = out_window
+        self._atoms = None
+
+    @property
+    def inputs(self):
+        """The POVM factors F_b side by side, d_in x (sum of their column counts)."""
+        return self._inputs
+
+    @property
+    def outputs(self):
+        """The prepared-state factors G_b side by side, d_out x (sum of their column counts)."""
+        return self._outputs
 
     @property
     def atoms(self):
+        """The pairs (M_b, rho'_b) as factored operators."""
+        if self._atoms is None:
+            f, g = self._inputs, self._outputs
+            self._atoms = tuple((factored_operator(self._in_window, f[:, n:n + 1]),
+                                 factored_state(self._out_window, g[:, n:n + 1]))
+                                for n in range(f.shape[1]))
         return self._atoms
 
     @property
@@ -267,37 +342,72 @@ def _factored(op, what):
     EPS_HERM or when an entry overflows there) and runs one eigh (refused when
     its minimum eigenvalue is below -EPS_PSD). The eigenpairs (l, v) above
     ATOM_DROP_TOL are the columns sqrt(l) v, descending. A state stays a state:
-    its split passes factored_state's unit-trace gate itself, so a state whose
-    dropped eigenvalues (negative round-off included) move the kept trace off 1
-    by more than EPS_TRACE is refused.
+    its split passes factored_state's unit-trace gate, widened by the mass of
+    the dropped eigenvalues (negative round-off included), so a state that
+    StateOperator accepts passes here too, and a trace off 1 by more than
+    EPS_TRACE plus that mass is refused.
     """
     if op.factor is None:
         vals, vecs = np.linalg.eigh(_finite(_hermitian_part(op.entries, what), what))
         _at_least(vals[0], -EPS_PSD, f"{what} not positive: min eigenvalue")
         keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > ATOM_DROP_TOL)]
-        make = factored_state if isinstance(op, StateOperator) else factored_operator
-        op = make(op.window, vecs[:, keep] * np.sqrt(vals[keep]))
+        x = vecs[:, keep] * np.sqrt(vals[keep])
+        if isinstance(op, StateOperator):
+            dropped = float(np.abs(vals[vals <= ATOM_DROP_TOL]).sum())
+            op = factored_state(op.window, x, dropped)
+        else:
+            op = factored_operator(op.window, x)
     return op
 
 
-def _kraus_vectors(form, left=lambda f: f):
-    """(F, G) of a form's Kraus operators |g_n><f_n|: per atom, f over left(F_b) outer, g inner."""
-    pairs = [(left(m_op.factor), rho_out.factor) for m_op, rho_out in form.atoms]
-    return (np.hstack([np.repeat(f, g.shape[1], axis=1) for f, g in pairs]),
-            np.hstack([np.tile(g, f.shape[1]) for f, g in pairs]))
+def _kraus_vectors(form, inputs=None):
+    """(F, G) of a form's Kraus operators |g_n><f_n|: per atom, f over F_b outer, g over G_b inner.
+
+    The columns of F are taken from inputs, one column per column of
+    form.inputs (by default form.inputs itself).
+    """
+    p, q = form._counts
+    atom = np.repeat(np.arange(p.size), p * q)  # the atom of each Kraus operator
+    start = np.cumsum(p * q) - p * q
+    pair = np.arange(atom.size) - start[atom]  # its place among its atom's pairs
+    f_first, g_first = np.cumsum(p) - p, np.cumsum(q) - q
+    inputs = form.inputs if inputs is None else inputs
+    return (inputs[:, f_first[atom] + pair // q[atom]],
+            form.outputs[:, g_first[atom] + pair % q[atom]])
 
 
-def _khatri_rao(a, b, out=None):
-    """Column n is a[:, n] x b[:, n], one product per entry; out, if given, gets them in place."""
-    if out is None:
-        out = np.empty((len(a) * len(b), a.shape[1]), dtype=complex)
-    np.multiply(a[:, None, :], b[None, :, :], out=out.reshape(len(a), len(b), -1))
-    return out
+def _monomial_rows(m):
+    """The column of each row's one nonzero when m has one nonzero per row and column, else None."""
+    nonzero = m != 0
+    if all((np.count_nonzero(nonzero, axis=axis) == 1).all() for axis in (0, 1)):
+        return np.argmax(nonzero, axis=1)
+    return None
+
+
+def _basis_product(m, vectors, counts):
+    """m @ vectors, taken block by block over runs of counts columns.
+
+    Each block is its own product, so its bits are those it would have
+    alone: a wider matrix product may block, and round, differently. A
+    monomial m (the eigenbasis of a diagonal reference) only moves and
+    scales rows, which gives those bits at once.
+    """
+    source = _monomial_rows(m)
+    if source is not None:
+        return m[np.arange(len(m)), source][:, None] * vectors[source]
+    return np.hstack([m @ block for block in np.split(vectors, np.cumsum(counts)[:-1], axis=1)])
+
+
+def _khatri_rao(a, b):
+    """Column n is a[:, n] x b[:, n], one product per entry, in a C-ordered array."""
+    out = np.empty((len(a), len(b), a.shape[1]), dtype=complex)
+    np.multiply(a[:, None, :], b[None, :, :], out=out)
+    return out.reshape(len(a) * len(b), -1)
 
 
 def holevo_channel(form):
     """The channel of a Holevo form from its Kraus vectors: X's columns are conj(f_n) x g_n."""
-    f, g = _kraus_vectors(form, np.conj)
+    f, g = _kraus_vectors(form, form.inputs.conj())
     return ChannelBlocks.from_factors(form.in_window, form.out_window,
                                       _khatri_rao(f, g), _khatri_rao(f, g.conj()))
 
@@ -318,7 +428,9 @@ class ChoiState(StateOperator):
     and the reference); the marginal over the output factor is diag(l_i).
     transposed is its output partial transpose: the congruence of the
     channel's transposed factor when S is factored, else
-    partial_transpose(self), built on first read.
+    partial_transpose(self), built on first read. When the eigenbasis has
+    one nonzero per column (a diagonal reference) the congruence only moves
+    and scales rows, so a SectorFactor stays one.
     """
 
     def __init__(self, channel, reference):
@@ -330,13 +442,17 @@ class ChoiState(StateOperator):
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)
         self._transposed = None
-        if channel.stacked.factor is not None:
-            def congruence(x):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
-                return np.tensordot(w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
+        source = _monomial_rows(basis.T)  # the row of each column's one nonzero, if any
+        if channel.stacked.sectors is not None or channel.stacked.factor is not None:
+            def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
+                if op.sectors is not None and source is not None:  # only m = source[a] adds
+                    rows = (source[:, None] * d_out + np.arange(d_out)).reshape(-1)
+                    return op.sectors.rows(rows, np.repeat(w[source, np.arange(d_in)], d_out))
+                return np.tensordot(w, op.factor.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
                     d_in * d_out, -1)
 
-            _init_factored(self, window, congruence(channel.stacked.factor))
-            self._transposed = factored_operator(window, congruence(channel.transposed.factor))
+            _init_factored(self, window, congruence(channel.stacked))
+            self._transposed = factored_operator(window, congruence(channel.transposed))
         else:
             entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
                                 optimize=True).reshape(d_in * d_out, d_in * d_out)
@@ -386,33 +502,68 @@ def eb_necessary_test(state):
 class SeparableChoiDecomposition:
     """Pure-product decomposition of a ChoiState target.
 
-    Atoms are (weight, phi, psi) with phi a PureVector whose amplitudes are
-    coordinates in the target's reference eigenbasis and psi a PureVector on
-    the output window. The weighted sum, kept as a factored state, must
-    reproduce the target within EXTRACT_TOL in trace distance; this is
+    Atoms are (weight, phi, psi) with phi a unit vector whose amplitudes are
+    coordinates in the target's reference eigenbasis and psi a unit vector on
+    the output window. They are kept as arrays: the weights and the columns
+    phi_n of lefts and psi_n of rights; atoms builds the PureVector triples
+    when it is read. The weighted sum must reproduce the target within
+    EXTRACT_TOL in trace distance, bounded by _difference_norms; this is
     validated at construction.
     """
 
     def __init__(self, target, atoms):
         atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
-        weights = _check_weights([w for w, _, _ in atoms], tol=1e-10)
-        self._reconstruction = factored_state(target.window, _khatri_rao(
-            np.stack([phi.amplitudes for _, phi, _ in atoms], axis=1),
-            np.stack([psi.amplitudes for _, _, psi in atoms], axis=1)) * np.sqrt(weights))
-        self._target = target
-        self._atoms = tuple(atoms)
-        _at_most(trace_norm_distance(self._reconstruction, target), EXTRACT_TOL,
-                 "decomposition misses the Choi target: trace distance")
+        if not atoms:
+            raise InvariantViolationError("measure needs at least one atom")
+        self._init(target, [w for w, _, _ in atoms],
+                   *(np.stack([v.amplitudes for v in side], axis=1)
+                     for side in list(zip(*atoms))[1:]))
+
+    @classmethod
+    def from_vectors(cls, target, weights, lefts, rights):
+        """The decomposition of weights[n] and the unit columns phi_n, psi_n of lefts, rights."""
+        decomposition = cls.__new__(cls)
+        decomposition._init(target, weights, lefts, rights)
+        return decomposition
+
+    def _init(self, target, weights, lefts, rights):
+        weights = _check_weights(weights, tol=1e-10)
+        for array in (weights, lefts, rights):
+            array.setflags(write=False)
+        self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
+        self._reconstruction = None
+        distance = 0.5 * _difference_norms(lefts * np.sqrt(weights), rights, target,
+                                           target.sectors)[1]
+        _at_most(distance, EXTRACT_TOL, "decomposition misses the Choi target: trace distance")
 
     @property
     def target(self):
         return self._target
 
     @property
+    def weights(self):
+        return self._weights
+
+    @property
+    def lefts(self):
+        return self._lefts
+
+    @property
+    def rights(self):
+        return self._rights
+
+    @property
     def atoms(self):
-        return self._atoms
+        """The triples (weight, phi, psi) with phi and psi as PureVectors, built on each read."""
+        window = self._target.window
+        return tuple((float(w), _unit_vector(window.left, phi), _unit_vector(window.right, psi))
+                     for w, phi, psi in zip(self._weights, self._lefts.T, self._rights.T))
 
     def reconstruction(self):
+        """The weighted atom sum as a factored state, built on the first call."""
+        if self._reconstruction is None:
+            self._reconstruction = factored_state(self._target.window, _khatri_rao(
+                self._lefts, self._rights) * np.sqrt(self._weights))
         return self._reconstruction
 
 
@@ -427,52 +578,117 @@ def separable_choi_from_holevo(form, target):
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
-    basis = target.eigenbasis
-    root = np.sqrt(target.eigenvalues)
-    lefts, rights = _kraus_vectors(form, lambda f: root[:, None] * (basis.conj().T @ f).conj())
+    branches = _basis_product(target.eigenbasis.conj().T, form.inputs, form._counts[0])
+    lefts, rights = _kraus_vectors(form, np.sqrt(target.eigenvalues)[:, None] * branches.conj())
     c, d = (np.einsum("ij,ij->j", x.conj(), x).real for x in (lefts, rights))
-    return SeparableChoiDecomposition(target, [
-        (c[n] * d[n], PureVector(form.in_window, lefts[:, n]),
-         PureVector(form.out_window, rights[:, n]))
-        for n in np.flatnonzero((c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL))])
+    kept = (c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL)
+    return SeparableChoiDecomposition.from_vectors(
+        target, c[kept] * d[kept], _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept]))
+
+
+def _difference_norms(left, right, op, sectors):
+    """Bounds on the operator and trace norms of K K^dag - op, for K = _khatri_rao(left, right).
+
+    Given op's SectorFactor, and at least as many columns of K as it has
+    sectors, they are the per-sector bounds (_sector_difference). Otherwise
+    they are exact, from the eigenvalues: one QR of [K, X] for a factored
+    op = X X^dag (_difference_eigenvalues), or one dense eigvalsh.
+    """
+    if sectors is not None and left.shape[1] >= sectors.width:
+        return _sector_difference(left, right, sectors)
+    k = _khatri_rao(left, right)
+    x = op.factor
+    if x is None:
+        diff = k @ k.conj().T - op.entries
+        eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    else:
+        eigenvalues = _difference_eigenvalues(np.hstack([k, x]), k.shape[1])
+    magnitudes = np.abs(eigenvalues)
+    return float(magnitudes.max()), float(magnitudes.sum())
+
+
+def _sector_difference(left, right, x):
+    """Certified bounds on the operator and trace norms of K K^dag - X X^dag, X a SectorFactor.
+
+    K = _khatri_rao(left, right) has n columns, at least X's width. The rows
+    E_s of x.orbit_basis(n) are orthonormal, so they extend to a unitary
+    mixing of K's columns, which leaves K K^dag alone. Row r of K, in
+    sector s, splits into its share a_r = <E_s, K_r> along E_s and the
+    leakage K_r - a_r E_s: K K^dag = (P + L)(P + L)^dag, where P holds
+    each row's share in its sector's column. P P^dag - X X^dag is block
+    diagonal, and each block a_s a_s^dag - x_s x_s^dag has rank two, with
+    the eigenvalues t/2 +- sqrt(t^2/4 + |a|^2 |r|^2) for t = |a|^2 - |x|^2
+    and r = x - (a^dag x / |a|^2) a, formed directly so that no difference
+    of squares cancels. The leakage adds at most 2 ||L||_F ||P|| +
+    ||L||_F^2 to the operator norm, with ||P|| = max |a_s|, and
+    2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed in chunks
+    of _chunk_rows input rows, so no d_in d_out x n array is held.
+    """
+    d_out, n = right.shape
+    conj_basis = x.orbit_basis(n, x.width).conj()
+
+    def split(inputs, sector):  # the chunk of K's rows (i, k) for i in inputs: (shares, leakage)
+        columns = _khatri_rao(left[inputs], right)
+        along = conj_basis[sector]  # row r: conj(E_s) for the sector s of row r
+        part = np.einsum("rg,rg->r", columns, along)
+        np.conjugate(along, out=along)
+        along *= part[:, None]
+        columns -= along
+        parts = columns.view(float)
+        return part, np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
+
+    step = _chunk_rows(d_out, n)
+    parts = [split(slice(i, i + step), x.sector[i * d_out:(i + step) * d_out])
+             for i in range(0, len(left), step)]
+    share = np.concatenate([part for part, _ in parts])
+    leak = sum(norm for _, norm in parts)
+
+    def per_sector(values):
+        return np.bincount(x.sector, values, x.width)
+
+    a2 = per_sector(np.abs(share) ** 2)
+    cross = share.conj() * x.values
+    overlap = per_sector(cross.real) + 1j * per_sector(cross.imag)
+    c = np.divide(overlap, a2, out=np.zeros_like(overlap), where=a2 > 0.0)
+    r2 = per_sector(np.abs(x.values - c[x.sector] * share) ** 2)
+    t = a2 - per_sector(np.abs(x.values) ** 2)
+    spread = np.sqrt(0.25 * t * t + a2 * r2)
+    leak = np.sqrt(leak)
+    return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
+            float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))
+
+
+def _chunk_rows(d_out, n):
+    """Input rows per chunk of _sector_difference: at most SECTOR_CHUNK entries, at least one."""
+    return max(1, SECTOR_CHUNK // (d_out * n))
 
 
 def eb_extract(decomposition):
     """(form, residual): the Holevo form of a separable Choi decomposition's channel.
 
     Each decomposition atom yields the rank-one POVM atom w |u><u|, kept as
-    its factor sqrt(w) u with u = B Lambda^{-1/2} conj(phi), where sigma =
+    its vector sqrt(w) u with u = B Lambda^{-1/2} conj(phi), where sigma =
     B Lambda B^dag and phi's coordinates are in the eigenbasis B, paired
-    with the prepared state |psi><psi|. The residual is the operator norm
-    of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
-    channel's stacked matrix; it bounds the largest entry difference. For a
-    factored S = X X^dag it comes from one QR of [A, X], with no
-    (d_in d_out)-square array; for a dense S from one dense eigvalsh.
-    Failure raises ExtractionInconsistentError with the residual.
+    with the prepared state |psi><psi|. The residual bounds the operator
+    norm of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
+    channel's stacked matrix; it bounds the largest entry difference. When
+    the Choi target and S are both sector-shaped it is the per-sector
+    bound (_sector_difference); otherwise it is the norm itself, from one
+    QR of [A, X] for a factored S = X X^dag, with no (d_in d_out)-square
+    array, or from one dense eigvalsh. Failure raises
+    ExtractionInconsistentError with the residual.
     """
     target = decomposition.target
     channel = target.channel
-    basis = target.eigenbasis
-    inv_root = target.eigenvalues ** -0.5
-    atoms = []
-    for w, phi, psi in decomposition.atoms:
-        u = basis @ (inv_root * phi.amplitudes.conj())
-        atoms.append((factored_operator(channel.in_window, (np.sqrt(w) * u)[:, None]),
-                      psi.projector()))
-    form = HolevoForm(atoms, povm_tol=EXTRACT_TOL)
-    x = channel.stacked.factor
-    width = 0 if x is None else x.shape[1]
-    # A's columns go straight into [A, X], the QR input, which is held once: splitting the
-    # rows of its column slice in two is a view for any strides
-    joined = np.empty((target.window.dimension, len(atoms) + width), dtype=complex)
-    _khatri_rao(*_kraus_vectors(form, np.conj), out=joined[:, :len(atoms)])  # A: atom n, column n
-    if x is None:
-        diff = joined @ joined.conj().T - channel.stacked.entries
-        eigenvalues = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    else:
-        joined[:, len(atoms):] = x
-        eigenvalues = _difference_eigenvalues(joined, len(atoms))
-    residual = float(np.abs(eigenvalues).max())
+    lefts = decomposition.lefts
+    u = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj(),
+                       np.ones(lefts.shape[1], dtype=int))
+    form = HolevoForm.rank_one(channel.in_window, channel.out_window,
+                               u * np.sqrt(decomposition.weights), decomposition.rights,
+                               povm_tol=EXTRACT_TOL)
+    sectors = channel.stacked.sectors if target.sectors is not None else None
+    residual, _ = _difference_norms(*_kraus_vectors(form, form.inputs.conj()), channel.stacked,
+                                    sectors)
     if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel's stacked matrix", residual)

@@ -18,7 +18,6 @@ skip the objects the imports left behind.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
@@ -94,17 +93,28 @@ def _refuse_above_limit(entries, command, source):
                           f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
 
 
-def _phi_report_entries(half):
-    """Complex entries eb-report --phi holds at its peak, at the QR of a joined factor.
+def _phi_report_entries(half, by_sectors=True):
+    """Complex entries eb-report --phi holds at its peak.
 
-    With d = 2K + 1 and the grid's G = 4K + 2 nodes, the channel's two
-    factors and the Choi state's two are d^2 x (4K + 1) each, and the
-    reconstruction is d^2 x G. Both the decomposition's trace distance and
-    the extraction's residual take a QR of a joined d^2 x (G + 4K + 1)
-    factor, which is held three times: the join, numpy's astype(copy=True)
-    and the LAPACK work copy. The G x d vector atoms are counted once.
+    With d = 2K + 1 and the grid's G = 4K + 2 = 2d nodes. On the sector
+    path (by_sectors: a diagonal --sigma, whose eigenbasis only moves rows,
+    so the Choi state's factors stay sector factors) the peak is in the
+    extraction's per-sector residual. The chain then holds about 16 d^2
+    entries (four sector factors of d^2 values and d^2 int64 sectors each,
+    and the form's and the decomposition's four d x G vector arrays), the
+    extraction about 10 d^2 more (its own vectors and their Kraus pairing),
+    and the residual 10 d^2 (each row's share, the G x (4K + 1) node basis)
+    plus two chunks of the Khatri-Rao columns (channels._chunk_rows) and
+    one 8192-entry ufunc buffer. Otherwise the Choi state's two factors are
+    dense d^2 x (4K + 1), as is the channel's factor the congruence reads,
+    and both the decomposition's trace distance and the extraction's
+    residual take a QR of a joined d^2 x (G + 4K + 1) factor, held three
+    times: the join, numpy's astype(copy=True) and the LAPACK work copy.
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
+    if by_sectors:
+        chunk = min(d, ch._chunk_rows(d, nodes)) * d * nodes
+        return 36 * d * d + 2 * chunk + 8192
     columns = 4 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 
@@ -118,10 +128,11 @@ def _check_size(args):
     of d^4 entries bounds; that admits K up to 44, as before.
     channel-apply's quadrature holds the grid phases, one row of d
     per node. capacity holds only the d mode weights, whatever its --grid.
-    eb-report --phi is charged every factor it holds at its peak
-    (_phi_report_entries). eb-report --channel does not read --k: a blocks
-    file holds every entry in its JSON, and an atoms file is measured once
-    read (_check_atoms_size).
+    eb-report --phi is charged what it holds at its peak on the sector path
+    (_phi_report_entries), and cmd_eb_report charges the QR path's peak once
+    a non-diagonal --sigma is read. eb-report --channel does not read --k: a
+    blocks file holds every entry in its JSON, and an atoms file is measured
+    once read (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
@@ -188,13 +199,19 @@ def cmd_eb_report(args):
             channel = ch.holevo_channel(form)
         else:
             raise SchemaError(f"{args.channel}: expected 'blocks' or 'atoms'")
+        sigma = _resolve_sigma(args.sigma, channel.in_window)
     elif args.phi is not None:
-        channel_obj = rot.RotationChannel(_resolve_phi(args.phi, args.k[0]))
+        phi = _resolve_phi(args.phi, args.k[0])
+        sigma = _resolve_sigma(args.sigma, phi.window)
+        m = sigma.entries
+        if np.count_nonzero(m - np.diag(np.diagonal(m))):  # the QR path, charged once read
+            _refuse_above_limit(_phi_report_entries(args.k[0], by_sectors=False), "eb-report",
+                                "this --k request with a non-diagonal --sigma")
+        channel_obj = rot.RotationChannel(phi)
         channel = rot.factored_channel(channel_obj)
         form = rot.holevo_form(channel_obj)
     else:
         raise SchemaError("eb-report needs --channel <file> or --phi <profile>")
-    sigma = _resolve_sigma(args.sigma, channel.in_window)
     is_cp, min_eig_stacked = ch.cp_check(channel)
     report = {"cp": bool(is_cp), "min_eig_stacked": float(min_eig_stacked)}
     if is_cp:  # a non-CP map has no Choi state to screen or decompose
@@ -269,46 +286,95 @@ _COMMANDS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="eblab",
-        description="Desk-scale numerics for separable states and entanglement-breaking channels.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's own flags with their defaults (REQUIRED: no default), beside
+# the --k, --phi and --out that every subcommand takes; README's flag table
+# lists the same flags.
+REQUIRED = object()
+COMMON_FLAGS = {"--k": "4", "--phi": None, "--out": None}
+FLAGS = {
+    "channel-apply": {"--state": REQUIRED},
+    "eb-report": {"--channel": None, "--sigma": "mixed"},
+    "capacity": {"--grid": "2", "--base": "e"},
+    "rho12": {"--phi2": None, "--n-sweep": None},
+    "probe": {"--phi2": None, "--candidates": None},
+}
+CHOICES = {"--base": ("e", "2")}
 
-    def add_common(p):
-        p.add_argument("--k", default="4", help="window half-width K, or comma list for sweeps")
-        p.add_argument("--phi", default=None, help="fiducial profile name or pure-vector JSON file")
-        p.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
-    p_apply = sub.add_parser("channel-apply", help="apply the rotation channel to a state file")
-    add_common(p_apply)
-    p_apply.add_argument("--state", required=True, help="input state JSON file")
+class _Args:
+    """The parsed call: command, and each flag as an attribute (--n-sweep as n_sweep)."""
 
-    p_eb = sub.add_parser("eb-report", help="CP / PPT / extraction report for a channel")
-    add_common(p_eb)
-    p_eb.add_argument("--channel", default=None, help="channel JSON file (blocks or Holevo atoms)")
-    p_eb.add_argument("--sigma", default="mixed", help="'mixed' or a state JSON file")
 
-    p_cap = sub.add_parser("capacity", help="closed-form capacity vs orbit-grid optimizer")
-    add_common(p_cap)
-    p_cap.add_argument("--base", choices=("e", "2"), default="e", help="entropy display base")
-    p_cap.add_argument("--grid", default="2", help="orbit grid size(s), comma list")
+def _print_usage(command, stream):
+    if command is None:
+        print(f"usage: eblab {{{','.join(FLAGS)}}} [flags]", file=stream)
+        return
+    parts = []
+    for flag, default in {**COMMON_FLAGS, **FLAGS[command]}.items():
+        value = ("{" + ",".join(CHOICES[flag]) + "}" if flag in CHOICES
+                 else flag[2:].replace("-", "_").upper())
+        parts.append(f"{flag} {value}" if default is REQUIRED else f"[{flag} {value}]")
+    print(f"usage: eblab {command} {' '.join(parts)}", file=stream)
 
-    p_rho = sub.add_parser("rho12", help="orbit-averaged product state at one window")
-    add_common(p_rho)
-    p_rho.add_argument("--phi2", default=None, help="second-factor profile (defaults to --phi)")
-    p_rho.add_argument("--n-sweep", default=None, help="comma list of subinterval counts")
 
-    p_probe = sub.add_parser("probe", help="pure-product domination sweep over window sizes")
-    add_common(p_probe)
-    p_probe.add_argument("--phi2", default=None)
-    p_probe.add_argument("--candidates", default=None,
-                         help="semicolon-separated 'alpha,beta' profile pairs")
-    return parser
+def _usage_error(command, message):
+    """The usage line and the message on stderr, then SystemExit(2)."""
+    _print_usage(command, sys.stderr)
+    print(f"eblab{'' if command is None else ' ' + command}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_SCHEMA)
+
+
+def parse_args(argv):
+    """The call in argv: a subcommand, then its flags as --flag value or --flag=value.
+
+    A flag given twice keeps its last value, and a flag is never
+    abbreviated. -h or --help prints the usage and exits 0. A usage error
+    (no subcommand or an unknown one, a flag without its value, a value
+    outside CHOICES, a missing REQUIRED flag, unrecognized tokens, which
+    are named in order) prints the usage and the error on stderr and raises
+    SystemExit(2).
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _print_usage(None, sys.stdout)
+        raise SystemExit(EXIT_OK)
+    if command not in FLAGS:
+        _usage_error(None, "the following arguments are required: command" if command is None
+                     else f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, FLAGS))})")
+    values = {**COMMON_FLAGS, **FLAGS[command]}
+    tokens, unknown = list(argv[1:]), []
+    while tokens:
+        token = tokens.pop(0)
+        if token in ("-h", "--help"):
+            _print_usage(command, sys.stdout)
+            raise SystemExit(EXIT_OK)
+        flag, joined, value = token.partition("=")
+        if flag not in values:
+            unknown.append(token)
+            continue
+        if not joined:
+            if not tokens or tokens[0].startswith("--"):
+                _usage_error(command, f"argument {flag}: expected one argument")
+            value = tokens.pop(0)
+        if flag in CHOICES and value not in CHOICES[flag]:
+            _usage_error(command, f"argument {flag}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, CHOICES[flag]))})")
+        values[flag] = value
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    args = _Args()
+    args.command = command
+    for flag, value in values.items():
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         args.k = _parse_int_list(args.k, "--k")
         # only capacity and probe sweep --k; eb-report --channel does not read it

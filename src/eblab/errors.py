@@ -16,7 +16,8 @@ class InvariantViolationError(ValueError):
 class ExtractionInconsistentError(InvariantViolationError):
     """Measure-and-prepare extraction failed to reproduce the channel.
 
-    Carries the residual: the operator norm of the stacked-matrix difference.
+    Carries the residual: the operator norm of the stacked-matrix difference,
+    or the per-sector bound on it that eb_extract reports.
     """
 
     def __init__(self, message, residual):

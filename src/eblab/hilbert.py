@@ -165,28 +165,63 @@ def _gram(x):
     return m
 
 
-def _sector_shaped(x):
-    """Whether factor X has several columns and at most one nonzero per row."""
-    return x is not None and x.shape[1] > 1 and bool((np.count_nonzero(x, axis=1) <= 1).all())
+class SectorFactor:
+    """A factor with one nonzero per row, stored as the sector and the value of each row.
+
+    Row i of the d x width factor X holds values[i] in column sector[i] and
+    zeros elsewhere, so X X^dag is zero between sectors and rank one in
+    each. rotation._sector_factor builds every such factor from the U(1)
+    charge of each row, and supplies orbit_basis(n): the width x n matrix
+    whose row s is the unit vector over n orbit nodes along which the rows
+    of sector s of an orbit's columns run (rotation._node_basis).
+    Construction checks nothing; factored_operator and factored_state
+    check the values.
+    """
+
+    __slots__ = ("sector", "values", "width", "orbit_basis")
+
+    def __init__(self, sector, values, width, orbit_basis):
+        self.sector, self.values, self.width = sector, values, width
+        self.orbit_basis = orbit_basis
+
+    @property
+    def shape(self):
+        return len(self.values), self.width
+
+    def dense(self):
+        """The d x width array X, built on each call."""
+        x = np.zeros(self.shape, dtype=complex)
+        x[np.arange(len(self.values)), self.sector] = self.values
+        return x
+
+    def adjoint(self, v):
+        """X^dag v for a d x m array v, summed over the rows of each sector."""
+        sums = [np.bincount(self.sector, t.real, self.width)
+                + 1j * np.bincount(self.sector, t.imag, self.width)
+                for t in (self.values.conj()[:, None] * v).T]
+        return np.stack(sums, axis=1)
+
+    def rows(self, source, scale):
+        """The sector factor whose row n is scale[n] times row source[n] of this one."""
+        return SectorFactor(self.sector[source], scale * self.values[source], self.width,
+                            self.orbit_basis)
 
 
 def _sector_cells(x):
     """Row, column and value of the cells of X X^dag that may be nonzero, row-major.
 
-    For a sector-shaped X: row i's one nonzero lies in column s(i), its
-    sector, so X X^dag is zero between sectors and the block of sector s
-    is the rank-one _gram of its rows. The dense entries of such a factor
-    are these cells (MatrixOperator._expand), so a writer that takes them
-    from here writes the same bits.
+    For a SectorFactor X, X X^dag is zero between sectors and the block of
+    sector s is the rank-one _gram of its nonzero rows. The dense entries of
+    such a factor are these cells (MatrixOperator._expand), so a writer that
+    takes them from here writes the same bits.
     """
-    sector = np.full(len(x), -1)  # -1: a zero row, in no sector
-    nonzero_rows, nonzero_cols = np.nonzero(x)
-    sector[nonzero_rows] = nonzero_cols
-    counts = np.bincount(sector + 1, minlength=x.shape[1] + 1)
-    groups = np.split(np.argsort(sector, kind="stable"), np.cumsum(counts)[:-1])[1:]
+    live = np.flatnonzero(x.values)
+    sector = x.sector[live]
+    counts = np.bincount(sector, minlength=x.width)
+    groups = np.split(live[np.argsort(sector, kind="stable")], np.cumsum(counts)[:-1])
     rows = np.concatenate([np.repeat(g, g.size) for g in groups])
     cols = np.concatenate([np.tile(g, g.size) for g in groups])
-    values = np.concatenate([_gram(x[g, s:s + 1]).ravel() for s, g in enumerate(groups)])
+    values = np.concatenate([_gram(x.values[g, None]).ravel() for g in groups])
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], values[order]
 
@@ -226,16 +261,27 @@ class MatrixOperator:
 
     @property
     def factor(self):
-        """The d x m factor X with entries X X^dag if the operator was built from one, else None."""
-        return self._factor
+        """The d x m array X with entries X X^dag if the operator was built from one, else None.
+
+        A SectorFactor is returned as its dense array, built on each read.
+        """
+        x = self._factor
+        return x.dense() if isinstance(x, SectorFactor) else x
+
+    @property
+    def sectors(self):
+        """The SectorFactor the operator was built from, else None."""
+        x = self._factor
+        return x if isinstance(x, SectorFactor) else None
 
     def _expand(self):
-        """Entries from the factor; a sector-shaped factor's are its sector blocks, zero between."""
+        """Entries from the factor; a SectorFactor's are its sector blocks, zero between."""
         x = self._factor
-        if not _sector_shaped(x):
+        if not isinstance(x, SectorFactor):
             return _gram(x)
         rows, cols, values = _sector_cells(x)
-        m = np.zeros((len(x), len(x)), dtype=values.dtype)
+        d = len(x.values)
+        m = np.zeros((d, d), dtype=complex)
         m[rows, cols] = values
         return m
 
@@ -292,22 +338,26 @@ def _hermitian_part(m, what):
         return 0.5 * (m + m.conj().T)
 
 
-def _init_factored(op, window, factor):
+def _init_factored(op, window, factor, dropped=0.0):
     """Make op the operator X X^dag of the d x m factor X, checked on X alone.
 
-    X must be finite, and a StateOperator's trace ||X||_F^2 must be 1 within
-    EPS_TRACE. X X^dag is positive by construction, so no eigensolve runs;
-    the d x d entries are built only on first access, with exact zeros
-    stored as +0.0.
+    X is an array or a SectorFactor, which is kept as it is and checked on
+    its values. X must be finite, and a StateOperator's trace ||X||_F^2 must
+    be 1 within EPS_TRACE + dropped. X X^dag is positive by construction, so
+    no eigensolve runs; the d x d entries are built only on first access,
+    with exact zeros stored as +0.0.
     """
-    x = np.array(factor, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != window.dimension:
+    sectors = isinstance(factor, SectorFactor)
+    x = factor if sectors else np.array(factor, dtype=complex)
+    if len(x.shape) != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
-    _finite(x, "factor")
+    values = x.values if sectors else x
+    _finite(values, "factor")
     if isinstance(op, StateOperator):
-        _at_most(abs(np.vdot(x, x).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
-    x.setflags(write=False)
+        _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,
+                 "state trace defect |Tr - 1|")
+    values.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x
 
 
@@ -318,10 +368,15 @@ def factored_operator(window, factor):
     return op
 
 
-def factored_state(window, factor):
-    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor."""
+def factored_state(window, factor, dropped=0.0):
+    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor.
+
+    dropped is the summed magnitude of the eigenvalues split off the state X
+    was taken from (channels._factored); the unit-trace gate allows that
+    much more.
+    """
     state = StateOperator.__new__(StateOperator)
-    _init_factored(state, window, factor)
+    _init_factored(state, window, factor, dropped)
     return state
 
 
@@ -332,11 +387,13 @@ def lowest_eigenvalue(op):
     m < d, since the rank is then below d; otherwise it is taken on X X^dag,
     or on the entries of a dense operator.
     """
-    x = op.factor
-    if x is None:
+    if op._factor is None:
         return min_eigenvalue(op.entries)
-    d, m = x.shape
-    return 0.0 if m < d else min_eigenvalue(x @ x.conj().T)
+    d, m = op._factor.shape
+    if m < d:
+        return 0.0
+    x = op.factor
+    return min_eigenvalue(x @ x.conj().T)
 
 
 class PureVector:
@@ -378,6 +435,20 @@ class PureVector:
 
     def __repr__(self):
         return f"PureVector(window={self._window})"
+
+
+def _unit_vector(window, amplitudes):
+    """The PureVector of amplitudes that are already of unit norm, kept as they are."""
+    psi = PureVector.__new__(PureVector)
+    v = np.array(amplitudes, dtype=complex)
+    v.setflags(write=False)
+    psi._window, psi._amplitudes = window, v
+    return psi
+
+
+def _unit_columns(v):
+    """v with each column divided by its norm, taken column by column as PureVector takes it."""
+    return v / np.sqrt([c.real.dot(c.real) + c.imag.dot(c.imag) for c in v.T])
 
 
 def basis_vector(window, k):

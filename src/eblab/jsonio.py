@@ -9,9 +9,9 @@ operator_to_json keeps the operator itself as "entries", and dumps writes
 it through one row assembly: each row's cells that may be nonzero, with
 the gaps filled by cached runs of the literal [0,0]. A dense operator (or
 a complex array) supplies its written cells; a factored operator whose
-factor is sector-shaped (several columns, at most one nonzero per row),
-as rotation's charge-sector factors are, supplies the cells of its
-rank-one sector blocks, which are what its dense entries are made of
+factor is a SectorFactor (one nonzero per row, stored as each row's sector
+and value), as rotation's charge-sector factors are, supplies the cells of
+its rank-one sector blocks, which are what its dense entries are made of
 (hilbert._sector_cells), so rho12 is written with no d^2 x d^2 array and
 with the bytes of its dense entries. dump_pieces returns the text as
 its pieces, which write_pieces writes without joining them.
@@ -38,7 +38,6 @@ from .hilbert import (
     PureVector,
     StateOperator,
     _sector_cells,
-    _sector_shaped,
 )
 from .channels import ChannelBlocks, HolevoForm
 
@@ -108,13 +107,14 @@ def _scalar_text(value):
 def _write_operator(op, pieces):
     """An operator's entries as rows of [re, im] cells.
 
-    A sector-shaped factor (rotation's charge-sector factors) supplies its
-    sector blocks, the cells its dense entries are made of; any other
-    operator supplies its dense entries.
+    A SectorFactor (rotation's charge-sector factors) supplies its sector
+    blocks, the cells its dense entries are made of; any other operator
+    supplies its dense entries.
     """
-    x = op.factor
-    if _sector_shaped(x):
-        _write_rows((len(x), len(x)), *_sector_cells(x), pieces)
+    x = op.sectors
+    if x is not None:
+        d = len(x.values)
+        _write_rows((d, d), *_sector_cells(x), pieces)
     else:
         _write(op.entries, pieces)
 

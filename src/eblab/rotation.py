@@ -26,6 +26,7 @@ untruncated channel.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 import numpy as np
 
@@ -35,13 +36,14 @@ from .hilbert import (
     ModeWindow,
     ProductWindow,
     PureVector,
+    SectorFactor,
     StateOperator,
     _Frozen,
     _at_least,
     _difference_eigenvalues,
     _finite,
+    _unit_columns,
     basis_vector,
-    factored_operator,
     factored_state,
     trace_norm_distance,
 )
@@ -139,11 +141,24 @@ def _sector_index(charge):
 
 
 def _sector_factor(charge, values):
-    """Factor with one column per U(1) sector: column s holds values on the rows of sector s."""
+    """The SectorFactor with one column per U(1) sector, holding values on the rows of that sector.
+
+    Its orbit basis is _node_basis at its charges.
+    """
     sector = _sector_index(charge)
-    factor = np.zeros((values.size, sector.max() + 1), dtype=complex)
-    factor[np.arange(values.size), sector] = values
-    return factor
+    return SectorFactor(sector, np.asarray(values, dtype=complex), int(sector.max()) + 1,
+                        partial(_node_basis, first=int(charge.min())))
+
+
+def _node_basis(n, width, first):
+    """The width x n matrix whose row s is e^{i x_g q} / sqrt(n) over the nodes x_g = 2 pi g / n.
+
+    q = first + s is the charge of sector s. Column g of an orbit over these
+    nodes is V_{x_g} v, whose row of charge q is e^{i x_g q} v_q, so that
+    row runs along row q - first. The rows are rows of the unitary DFT over
+    the node axis, orthonormal when n >= width.
+    """
+    return _orbit(ModeWindow(first, first + width - 1), 1.0 / np.sqrt(n), _nodes(n)).T
 
 
 def _diagonal_sums(entries, gap):
@@ -213,16 +228,14 @@ def holevo_form(channel):
 
     POVM atoms M_g = (1/G) |chi_g><chi_g| with chi_g[k] = e^{i x_g k}
     resolve the identity exactly for G >= 2K + 1; they are kept as their
-    factors chi_g / sqrt(G) (factored_operator). The prepared states are
-    the rotated fiducial projectors. holevo_apply of this form coincides
-    with apply_quadrature.
+    vectors chi_g / sqrt(G) (HolevoForm.rank_one). The prepared states are
+    the rotated fiducials V_{x_g} phi, in node order, each normalized as a
+    PureVector. holevo_apply of this form coincides with apply_quadrature.
     """
     window, nodes = channel.window, channel.quadrature_nodes
-    xs = _nodes(nodes)
-    prepared = _orbit(window, channel.phi.amplitudes, xs)  # row g is V_{x_g} phi
-    return HolevoForm((factored_operator(window, (chi / np.sqrt(nodes))[:, None]),
-                       PureVector(window, row).projector())
-                      for chi, row in zip(_orbit(window, 1.0, xs), prepared))
+    phases = _orbit(window, 1.0, _nodes(nodes))  # row g is chi_g
+    return HolevoForm.rank_one(window, window, phases.T / np.sqrt(nodes),
+                               _unit_columns((phases * channel.phi.amplitudes).T))
 
 
 def rho12(phi1, phi2):

@@ -39,7 +39,8 @@ def _operator(m, half):
 
 
 def _vector(v, half):
-    return {"k_min": -half, "k_max": half, "amplitudes": [[float(z.real), float(z.imag)] for z in v]}
+    return {"k_min": -half, "k_max": half,
+            "amplitudes": [[float(z.real), float(z.imag)] for z in v]}
 
 
 def _complex(rng, *shape):
@@ -135,6 +136,7 @@ CALLS = [
     ("eb_blocks_transpose", ["eb-report", "--channel", "@transpose1.json"]),
     ("eb_blocks_kraus", ["eb-report", "--channel", "@kraus1.json", "--sigma", "@state1.json"]),
     ("eb_atoms", ["eb-report", "--channel", "@atoms2.json", "--out", "report.json"]),
+    ("eb_atoms_sigma", ["eb-report", "--channel", "@atoms2.json", "--sigma", "@sigma2.json"]),
     ("capacity_geometric", ["capacity", "--phi", "geometric(0.7)", "--k", "2,4,8",
                             "--grid", "8,64", "--base", "2", "--out", "capacity.csv"]),
     ("capacity_two_mode", ["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2"]),
@@ -205,7 +207,10 @@ def main(argv):
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     MANIFEST.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for name in changed(old, new):
-        print(f"{name}: {old.get(name)} -> {new.get(name)}")
+        was, now = old.get(name, {}), new.get(name, {})
+        for field in sorted(was.keys() | now.keys()):
+            if was.get(field) != now.get(field):
+                print(f"{name} {field}: {was.get(field)} -> {now.get(field)}")
     return 0
 
 

@@ -1,4 +1,3 @@
-import argparse
 import re
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from eblab import (
     phi_profile,
     rotation,
 )
-from eblab.cli import build_parser, main
+from eblab.cli import main
 from conftest import random_density, random_pure
 from oracles import per_cell_json
 
@@ -510,25 +509,22 @@ def readme_flag_table(text):
 
 
 def test_readme_flag_table_lists_each_subcommands_own_flags():
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    declared = {name: {flag for action in parser._actions for flag in action.option_strings}
-                - {"-h", "--help", "--k", "--phi", "--out"}
-                for name, parser in subparsers.choices.items()}
+    from eblab.cli import FLAGS
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    assert readme_flag_table(readme.read_text()) == declared
+    assert readme_flag_table(readme.read_text()) == {name: set(flags)
+                                                     for name, flags in FLAGS.items()}
 
 
 @pytest.mark.parametrize("args", [
     ("capacity", "--phi", "two-mode", "--k", "10000", "--grid", "2"),
     ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
-    ("eb-report", "--phi", "two-mode", "--k", "73"),
+    ("eb-report", "--phi", "two-mode", "--k", "648"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
     # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
     # channel-apply's (4K+2) x (2K+1) quadrature phases, which pass the limit
-    # at K = 3000 where (2K+1)^2 entries would not; the factors of eb-report
-    # --phi at its 4K+2 nodes, which admit K <= 72
+    # at K = 3000 where (2K+1)^2 entries would not; what eb-report --phi holds
+    # on its sector path, which admits K <= 647
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -692,13 +688,13 @@ def random_phi_file(tmp_path, rng, half):
 
 
 def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypatch):
-    # three solves: sigma's (2K+1)-square eigensystem and
-    # the two factored trace-norm differences on a factor's columns. Factored
-    # states are positive by construction, so no min_eigenvalue (an eigvalsh) runs
+    # one solve: sigma's (2K+1)-square eigensystem. Factored states are positive
+    # by construction, so no min_eigenvalue (an eigvalsh) runs, and both residuals
+    # are taken sector by sector, so no QR or eigvalsh of at least d rows runs either
     calls = []
-    for name in ("eigvalsh", "eigh", "svd"):
+    for name in ("eigvalsh", "eigh", "svd", "qr"):
         def recording(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)[-1]))
+            calls.append((_name, np.shape(a)[-2]))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
     for profile, half in ((None, 6), ("geometric(0.7)", 10)):
@@ -707,22 +703,31 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
         calls.clear()
         out = tmp_path / "report.json"
         assert main(["eb-report", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
-        assert sorted(name for name, _ in calls) == ["eigh", "eigvalsh", "eigvalsh"], half
-        sides = [side for _, side in calls]
-        assert ("eigh", d) in calls and sides.count(d) == 1 and max(sides) < d * d, half
+        assert calls == [("eigh", d)], half
         assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds d^2 x (44K + 15) factor entries at its peak, not d^4: K=64
-    # passes the guard; --channel ignores --k, so the guard charges it nothing
-    from eblab.cli import _check_size, build_parser
+    # --phi holds about 36 d^2 entries and two chunks on its sector path, not d^4:
+    # K=647 passes the guard; --channel ignores --k, so the guard charges it nothing
+    from eblab.cli import _check_size, parse_args
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
-        args = build_parser().parse_args(argv + ["--k", "64"])
-        args.k = [64]
+        args = parse_args(argv + ["--k", "647"])
+        args.k = [647]
         _check_size(args)
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_eb_report_phi_charges_the_qr_path_once_a_non_diagonal_sigma_is_read(tmp_path, rng,
+                                                                            capsys):
+    # a non-diagonal reference takes the QR path, whose joined factors admit K <= 72
+    half, d = 73, 147
+    sigma = tmp_path / "sigma.json"
+    write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
+    assert main(["eb-report", "--phi", "two-mode", "--k", str(half), "--sigma", str(sigma)]) == 2
+    err = capsys.readouterr().err
+    assert "GiB" in err and "non-diagonal --sigma" in err
 
 
 def test_eb_report_channel_ignores_k(tmp_path, capsys):
@@ -739,21 +744,27 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     assert (captured.out, captured.err) == (report, "")
 
 
-def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path):
-    # the guard used to count one joined factor, about a sixth of the peak
-    import tracemalloc
+@pytest.mark.parametrize("by_sectors", [True, False], ids=["sectors", "qr"])
+def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng, by_sectors):
+    # the guard used to count one joined factor, about a sixth of the peak; the
+    # sector path (a diagonal sigma) and the QR path (any other) are charged apart
     from eblab.cli import _phi_report_entries
     out = str(tmp_path / "report.json")
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "1", "--out", out]) == 0  # caches
-    for half in (8, 16):
+    for half in (8, 16, 32):
+        argv = ["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--out", out]
+        if not by_sectors:
+            sigma = tmp_path / f"sigma{half}.json"
+            write_state(sigma, StateOperator(ModeWindow.symmetric(half),
+                                             random_density(rng, 2 * half + 1)))
+            argv += ["--sigma", str(sigma)]
         tracemalloc.start()
         try:
-            assert main(["eb-report", "--phi", "geometric(0.7)", "--k", str(half),
-                         "--out", out]) == 0
+            assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = 16 * _phi_report_entries(half)
+        count = 16 * _phi_report_entries(half, by_sectors)
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
@@ -892,15 +903,24 @@ def test_rho_out_with_a_tiny_negative_eigenvalue_is_split_as_stored(tmp_path):
     assert main(["eb-report", "--channel", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_rho_out_whose_positive_part_leaves_unit_trace_exits_3_naming_the_file(tmp_path,
-                                                                                capsys):
-    # the positive part's trace is 1 + 1.8e-10; a renormalizing pass in StateOperator hid it
-    path = tmp_path / "border_atoms.json"
-    jsonio.write_text(str(path), jsonio.dumps(_atoms((ONE, _op(0, 1, 1 + 1.8e-10, -0.9e-10)))))
-    assert main(["eb-report", "--channel", str(path), "--out", str(tmp_path / "r.json")]) == 3
-    assert capsys.readouterr().err == (f"invariant violation: {path}: "
-                                       "state trace defect |Tr - 1| = 1.800e-10 > 1e-10\n")
-    assert not (tmp_path / "r.json").exists()
+def test_a_state_passes_as_rho_out_wherever_it_reads_as_valid(tmp_path, capsys):
+    # diag(1 + 1.8e-10, -0.9e-10, 0) has trace defect 0.9e-10 and reads as a state; as
+    # rho_out its split dropped the negative eigenvalue, and the kept trace 1 + 1.8e-10
+    # failed the unit-trace gate. The gate now allows the dropped mass, so the atoms
+    # file reads too; a trace off 1 by more than EPS_TRACE still exits 3, naming the file
+    border = _op(-1, 1, 1 + 1.8e-10, -0.9e-10, 0)
+    state = tmp_path / "border_state.json"
+    state.write_text(jsonio.dumps(border))
+    assert main(["channel-apply", "--phi", "two-mode", "--k", "1", "--state", str(state)]) == 0
+    form = jsonio.holevo_from_json(_atoms((ONE, border)))
+    assert abs(np.vdot(form.outputs, form.outputs).real - (1 + 1.8e-10)) < 1e-15
+    capsys.readouterr()
+    off = tmp_path / "off_atoms.json"
+    jsonio.write_text(str(off), jsonio.dumps(_atoms((ONE, _op(-1, 1, 1 + 2.5e-10, -0.5e-10, 0)))))
+    assert main(["eb-report", "--channel", str(off), "--out", str(tmp_path / "s.json")]) == 3
+    assert capsys.readouterr().err == (f"invariant violation: {off}.atom0.rho_out: "
+                                       "state trace defect |Tr - 1| = 2.000e-10 > 1e-10\n")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_rho12_export_bytes_match_the_per_cell_writer(tmp_path):
@@ -1041,7 +1061,7 @@ def test_run_freezes_the_collector_after_main_returns(monkeypatch, capsys):
     assert calls == ["main", "freeze"]
     calls.clear()
     monkeypatch.setattr(sys, "argv", ["eblab", "probe", "--phi", "two-mode", "--sigma", "mixed"])
-    with pytest.raises(SystemExit) as exit_info:  # argparse's usage error
+    with pytest.raises(SystemExit) as exit_info:  # the parser's usage error
         cli.run()
     assert exit_info.value.code == 2
     assert calls == ["main"]

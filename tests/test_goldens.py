@@ -8,9 +8,14 @@ regen.py rewrites the manifest when the move is intended.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from eblab import ModeWindow, PureVector, jsonio
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -25,3 +30,19 @@ def test_every_call_matches_the_manifest():
     moved = sorted(name for name in manifest.keys() | digests.keys()
                    if manifest.get(name) != digests.get(name))
     assert moved == []
+
+
+def test_eb_report_phi_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    # the per-sector residuals sum with numpy's own loops, never a threaded BLAS
+    # reduction, so the thread count cannot move the last digits
+    rng = np.random.default_rng(10)
+    phi = tmp_path / "phi10.json"
+    jsonio.write_text(str(phi), jsonio.dumps(jsonio.pure_vector_to_json(
+        PureVector(ModeWindow.symmetric(10), rng.normal(size=21) + 1j * rng.normal(size=21)))))
+    for args in (("--phi", str(phi), "--k", "10"), ("--phi", "geometric(0.7)", "--k", "32")):
+        outputs = {subprocess.run([sys.executable, "-m", "eblab", "eb-report", *args],
+                                  capture_output=True, check=True,
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                           OMP_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")}
+        assert len(outputs) == 1, args

@@ -27,7 +27,7 @@ from eblab import (
     trace_norm_distance,
     von_neumann_entropy,
 )
-from eblab.hilbert import _at_least, _at_most, _gram
+from eblab.hilbert import SectorFactor, _at_least, _at_most, _gram
 from conftest import random_density, random_hermitian
 
 from oracles import partial_trace_loops, scalar_entropy, scalar_relative_entropy
@@ -423,23 +423,27 @@ def test_factored_state_builds_its_entries_on_first_access(rng):
 
 @pytest.mark.parametrize("half", [1, 3, 6])
 def test_sector_shaped_factor_expands_to_its_sector_blocks(rng, half):
-    # several columns with at most one nonzero per row, as rho12's charge-sector factor has:
-    # each sector's block is _gram of its rows, and every cell between sectors is +0.0
+    # a SectorFactor, as rho12's charge-sector factor is: one value per row in its
+    # sector's column, zero rows included. Each sector's block is _gram of its nonzero
+    # rows, every cell between sectors and of a zero row is +0.0, and the dense factor
+    # read from .factor is the same matrix
     w = ModeWindow.symmetric(half)
-    sector = rng.integers(-1, 3, size=w.dimension)  # -1: a zero row
-    rows = np.flatnonzero(sector >= 0)
-    x = np.zeros((w.dimension, 3), dtype=complex)
-    x[rows, sector[rows]] = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
-    x /= np.linalg.norm(x)
-    entries = factored_state(w, x).entries
-    between = (sector[:, None] != sector[None, :]) | (sector[:, None] < 0)
+    sector = rng.integers(0, 3, size=w.dimension)
+    values = rng.normal(size=w.dimension) + 1j * rng.normal(size=w.dimension)
+    values[rng.random(w.dimension) < 0.3] = 0.0
+    values /= np.linalg.norm(values)
+    state = factored_state(w, SectorFactor(sector, values, 3, None))
+    x = state.factor
+    assert np.array_equal(x[np.arange(w.dimension), sector], values)
+    assert np.count_nonzero(x) == np.count_nonzero(values)
+    entries = state.entries
+    live = values != 0
+    between = (sector[:, None] != sector[None, :]) | ~live[:, None] | ~live[None, :]
     parts = entries.view(float)
     assert not entries[between].view(float).any() and not np.signbit(parts[parts == 0.0]).any()
     for s in range(3):
-        block = np.flatnonzero(sector == s)
+        block = np.flatnonzero((sector == s) & live)
         assert np.array_equal(entries[np.ix_(block, block)], _gram(x[block, s:s + 1]))
-    assert np.array_equal(entries, entries.conj().T)
-    assert np.abs(entries - x @ x.conj().T).max() < 1e-15
 
 
 @pytest.mark.parametrize("gate, value, bound, shown", [

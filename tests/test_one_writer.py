@@ -18,7 +18,7 @@ RHO12_PATH = {
     "cli.py": ["cmd_rho12", "_emit"],
     "jsonio.py": ["dump_pieces", "operator_to_json", "window_to_json", "_write_rows",
                   "write_pieces"],
-    "hilbert.py": ["_sector_shaped", "_sector_cells", "_gram"],
+    "hilbert.py": ["_sector_cells", "_gram"],
     "rotation.py": ["rho12", "rho12_n_distance", "_partial_orbit_nodes", "_sector_factor",
                     "_charges", "_orbit"],
 }

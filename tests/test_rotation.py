@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eblab import (
+    ExtractionInconsistentError,
     HolevoForm,
     InvariantViolationError,
     MatrixOperator,
@@ -12,6 +13,7 @@ from eblab import (
     ProductWindow,
     PureVector,
     RotationChannel,
+    SeparableChoiDecomposition,
     SchemaError,
     StateOperator,
     WindowMismatchError,
@@ -47,7 +49,7 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
-from eblab.channels import EXTRACT_TOL
+from eblab.channels import EXTRACT_TOL, _difference_norms, _kraus_vectors
 from eblab.rotation import _charges
 from conftest import assert_same_channel, random_density, random_pure
 
@@ -623,10 +625,90 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
         assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
         extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
         _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
-        # both are the operator norm of the stacked-matrix difference
-        assert abs(residual - dense_residual) <= 1e-14, (residual, dense_residual)
+        if state.sectors is None:  # both are the operator norm of the stacked-matrix difference
+            assert abs(residual - dense_residual) <= 1e-14, (residual, dense_residual)
+        else:  # the per-sector bound on it
+            assert dense_residual - 1e-14 <= residual <= max(20 * dense_residual, 1e-13)
         assert residual <= EXTRACT_TOL
         # the round trip: the extracted form's rank-one Kraus family acts as the channel
         rho = StateOperator(phi.window, random_density(rng, d))
         kraus = kraus_apply(kraus_rank_one(extracted), rho)
         assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
+
+
+def sector_chain(half, seed, diagonal):
+    """The --phi chain on a random complex fiducial, under mixed or a random diagonal sigma."""
+    rng = np.random.default_rng(seed)
+    d = 2 * half + 1
+    phi = PureVector(ModeWindow.symmetric(half), rng.normal(size=d) + 1j * rng.normal(size=d))
+    sigma = (StateOperator(phi.window, np.diag(rng.dirichlet(np.ones(d)))) if diagonal
+             else StateOperator.maximally_mixed(phi.window))
+    channel = RotationChannel(phi)
+    state = choi(factored_channel(channel), sigma)
+    return holevo_form(channel), state
+
+
+@pytest.mark.parametrize("half", [1, 2, 4, 8, pytest.param(32, marks=pytest.mark.slow),
+                                  pytest.param(64, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["mixed", "diagonal"])
+def test_sector_bounds_bracket_the_qr_norms(half, diagonal):
+    # the per-sector bounds on the decomposition's trace norm and on the extraction's
+    # operator norm are at least the QR path's norms of the same factors, and at most
+    # 20 times them or 1e-13
+    form, state = sector_chain(half, 7000 + half, diagonal)
+    assert state.sectors is not None and state.transposed.sectors is not None
+    decomposition = separable_choi_from_holevo(form, state)
+    left = decomposition.lefts * np.sqrt(decomposition.weights)
+    extracted, residual = eb_extract(decomposition)
+    a, g = _kraus_vectors(extracted, extracted.inputs.conj())
+    stacked = state.channel.stacked
+    pairs = [(_difference_norms(left, decomposition.rights, state, state.sectors)[1],
+              _difference_norms(left, decomposition.rights, state, None)[1]),
+             (residual, _difference_norms(a, g, stacked, None)[0])]
+    for bound, norm in pairs:
+        assert norm <= bound <= max(20 * norm, 1e-13), (bound, norm)
+    assert residual <= 1e-12
+
+
+def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
+    # atom 2's prepared state turned by 1e-6 keeps the extracted form a valid form (its
+    # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL: on the
+    # per-sector path (mixed sigma) and on the QR path (a non-diagonal sigma). The
+    # decomposition's own trace-distance gate would refuse it first, so it is built
+    # here without that gate. Scaling an atom's weight by 1 + 1e-6 instead fails the
+    # extracted form's POVM completeness, with the same exit code
+    rng = np.random.default_rng(12)
+    phi = PureVector(ModeWindow.symmetric(3), rng.normal(size=7) + 1j * rng.normal(size=7))
+    channel = RotationChannel(phi)
+    for sigma, sectors in ((StateOperator.maximally_mixed(phi.window), True),
+                           (StateOperator(phi.window, random_density(rng, 7)), False)):
+        state = choi(factored_channel(channel), sigma)
+        assert (state.sectors is not None) == sectors
+        exact = separable_choi_from_holevo(holevo_form(channel), state)
+        rights = np.array(exact.rights)
+        rights[:, 2] += 1e-6 * rights[::-1, 2].conj()
+        rights[:, 2] /= np.linalg.norm(rights[:, 2])
+        bent = SeparableChoiDecomposition.__new__(SeparableChoiDecomposition)
+        bent._target, bent._weights = state, exact.weights
+        bent._lefts, bent._rights = exact.lefts, rights
+        with pytest.raises(ExtractionInconsistentError) as failure:
+            eb_extract(bent)
+        assert failure.value.residual > 1e-8
+        weights = np.array(exact.weights)
+        weights[2] *= 1 + 1e-6
+        bent._weights, bent._rights = weights, exact.rights
+        with pytest.raises(InvariantViolationError, match="POVM incomplete"):
+            eb_extract(bent)
+
+
+def test_a_non_diagonal_sigma_takes_the_qr_path():
+    # its eigenbasis mixes rows, so the Choi factors are dense and both checks are
+    # exact norms (the golden manifest pins the written bytes of two such calls)
+    form, state = sector_chain(3, 13, False)
+    rng = np.random.default_rng(14)
+    sigma = StateOperator(state.window.left, random_density(rng, 7))
+    dense_state = choi(state.channel, sigma)
+    assert dense_state.sectors is None and dense_state.transposed.sectors is None
+    extracted, residual = eb_extract(separable_choi_from_holevo(form, dense_state))
+    a, g = _kraus_vectors(extracted, extracted.inputs.conj())
+    assert residual == _difference_norms(a, g, state.channel.stacked, None)[0]
