@@ -625,7 +625,7 @@ def _sector_difference(left, right, x):
     of _chunk_rows input rows, so no d_in d_out x n array is held.
     """
     d_out, n = right.shape
-    conj_basis = x.orbit_basis(n, x.width).conj()
+    conj_basis = x.orbit_basis(n).conj()
 
     def split(inputs, sector):  # the chunk of K's rows (i, k) for i in inputs: (shares, leakage)
         columns = _khatri_rao(left[inputs], right)

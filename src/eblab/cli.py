@@ -8,12 +8,14 @@ numerical invariant violation. Output files are byte-deterministic for
 identical configs: fixed-order reductions, canonical number formatting,
 no timestamps.
 
-main(argv) parses, runs one subcommand and returns its exit code; it
-leaves the interpreter's state alone, so tests and tracers call it
-in-process. run() is the one process entry (the `eblab` script,
-`python -m eblab` and `python -m eblab.cli`): it calls main and then
-freezes the garbage collector, so the collections at interpreter exit
-skip the objects the imports left behind.
+main(argv) parses argv against one table of each subcommand's flags
+(parse_args, FLAGS; argparse is not imported, which a cold call would pay
+for), runs one subcommand and returns its exit code, or raises
+SystemExit(2) on a usage error; it leaves the interpreter's state alone,
+so tests and tracers call it in-process. run() is the one process entry
+(the `eblab` script, `python -m eblab` and `python -m eblab.cli`): it
+calls main and then freezes the garbage collector, so the collections at
+interpreter exit skip the objects the imports left behind.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,7 +99,7 @@ def _refuse_above_limit(entries, command, source):
 def _phi_report_entries(half, by_sectors=True):
     """Complex entries eb-report --phi holds at its peak.
 
-    With d = 2K + 1 and the grid's G = 4K + 2 = 2d nodes. On the sector
+    Here d = 2K + 1 and the grid has G = 4K + 2 = 2d nodes. On the sector
     path (by_sectors: a diagonal --sigma, whose eigenbasis only moves rows,
     so the Choi state's factors stay sector factors) the peak is in the
     extraction's per-sector residual. The chain then holds about 16 d^2
@@ -301,10 +304,6 @@ FLAGS = {
 CHOICES = {"--base": ("e", "2")}
 
 
-class _Args:
-    """The parsed call: command, and each flag as an attribute (--n-sweep as n_sweep)."""
-
-
 def _print_usage(command, stream):
     if command is None:
         print(f"usage: eblab {{{','.join(FLAGS)}}} [flags]", file=stream)
@@ -327,7 +326,8 @@ def _usage_error(command, message):
 def parse_args(argv):
     """The call in argv: a subcommand, then its flags as --flag value or --flag=value.
 
-    A flag given twice keeps its last value, and a flag is never
+    Returns a namespace of the command and of each flag (--n-sweep as
+    n_sweep). A flag given twice keeps its last value, and a flag is never
     abbreviated. -h or --help prints the usage and exits 0. A usage error
     (no subcommand or an unknown one, a flag without its value, a value
     outside CHOICES, a missing REQUIRED flag, unrecognized tokens, which
@@ -366,11 +366,8 @@ def parse_args(argv):
         _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
     if unknown:
         _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
-    args = _Args()
-    args.command = command
-    for flag, value in values.items():
-        setattr(args, flag[2:].replace("-", "_"), value)
-    return args
+    return SimpleNamespace(command=command, **{flag[2:].replace("-", "_"): value
+                                               for flag, value in values.items()})
 
 
 def main(argv=None):

@@ -353,6 +353,8 @@ def _init_factored(op, window, factor, dropped=0.0):
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
     values = x.values if sectors else x
+    if sectors:
+        x.sector.setflags(write=False)
     _finite(values, "factor")
     if isinstance(op, StateOperator):
         _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,

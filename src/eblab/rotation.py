@@ -146,8 +146,9 @@ def _sector_factor(charge, values):
     Its orbit basis is _node_basis at its charges.
     """
     sector = _sector_index(charge)
-    return SectorFactor(sector, np.asarray(values, dtype=complex), int(sector.max()) + 1,
-                        partial(_node_basis, first=int(charge.min())))
+    width = int(sector.max()) + 1
+    return SectorFactor(sector, np.asarray(values, dtype=complex), width,
+                        partial(_node_basis, width=width, first=int(charge.min())))
 
 
 def _node_basis(n, width, first):

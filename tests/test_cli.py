@@ -744,10 +744,8 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     assert (captured.out, captured.err) == (report, "")
 
 
-@pytest.mark.parametrize("by_sectors", [True, False], ids=["sectors", "qr"])
-def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng, by_sectors):
-    # the guard used to count one joined factor, about a sixth of the peak; the
-    # sector path (a diagonal sigma) and the QR path (any other) are charged apart
+def traced_peaks_and_charges(tmp_path, rng, by_sectors):
+    """(half, traced peak, guard charge in bytes) of eb-report --phi at K = 8, 16, 32."""
     from eblab.cli import _phi_report_entries
     out = str(tmp_path / "report.json")
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "1", "--out", out]) == 0  # caches
@@ -764,7 +762,19 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng, by_secto
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = 16 * _phi_report_entries(half, by_sectors)
+        yield half, peak, 16 * _phi_report_entries(half, by_sectors)
+
+
+def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng):
+    # the guard used to count one joined factor, about a sixth of the peak; on the
+    # sector path (mixed sigma) it now counts what the per-sector residuals hold
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=True):
+        assert peak <= count <= 1.5 * peak, (half, count, peak)
+
+
+def test_eb_report_phi_qr_guard_bounds_the_traced_peak(tmp_path, rng):
+    # a non-diagonal sigma takes the QR path, whose charge is the joined factors'
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=False):
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
