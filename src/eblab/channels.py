@@ -27,8 +27,8 @@ holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
 factored chain as a rotation channel. The decomposition's trace distance
 and eb_extract's residual compare a Khatri-Rao factor with the target's
 factor (_difference_norms): sector by sector, as a certified bound, when
-the target is a SectorFactor (a rotation channel under a diagonal
-reference), and otherwise exactly, from one QR or one dense eigensolve.
+the target is a SectorFactor (a rotation channel under a reference
+whose eigenbasis is monomial, reference_eigensystem), and otherwise exactly, from one QR or one dense eigensolve.
 """
 
 from __future__ import annotations
@@ -420,6 +420,20 @@ def blocks_from_holevo(form):
     return ChannelBlocks(form.in_window, form.out_window, blocks)
 
 
+def reference_eigensystem(reference):
+    """(eigenvalues, eigenbasis, source) of a Choi reference.
+
+    The pair is eig_hermitian's. source is the row of each eigenvector's one
+    nonzero when every eigenvector has one (a diagonal reference), else
+    None. With a source the Choi congruence only moves and scales rows, so a
+    channel's SectorFactor stays one and the Choi state's checks run sector
+    by sector; without one they take the QR path. This is the one place
+    that choice is made.
+    """
+    lam, basis = eig_hermitian(reference)
+    return lam, basis, _monomial_rows(basis.T)
+
+
 class ChoiState(StateOperator):
     """Choi state sum_ij sqrt(l_i l_j) |i><j| x Phi(|i><j|) for a full-rank reference.
 
@@ -428,21 +442,20 @@ class ChoiState(StateOperator):
     and the reference); the marginal over the output factor is diag(l_i).
     transposed is its output partial transpose: the congruence of the
     channel's transposed factor when S is factored, else
-    partial_transpose(self), built on first read. When the eigenbasis has
-    one nonzero per column (a diagonal reference) the congruence only moves
-    and scales rows, so a SectorFactor stays one.
+    partial_transpose(self), built on first read. eigensystem is
+    reference_eigensystem(reference) when the caller has already taken it;
+    when it has a source the congruence keeps a SectorFactor one.
     """
 
-    def __init__(self, channel, reference):
+    def __init__(self, channel, reference, eigensystem=None):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
-        lam, basis = eig_hermitian(reference)
+        lam, basis, source = eigensystem or reference_eigensystem(reference)
         _at_least(lam[-1], CHOI_RANK_TOL, "reference state is rank deficient: min eigenvalue")
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)
         self._transposed = None
-        source = _monomial_rows(basis.T)  # the row of each column's one nonzero, if any
         if channel.stacked.sectors is not None or channel.stacked.factor is not None:
             def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
                 if op.sectors is not None and source is not None:  # only m = source[a] adds
@@ -484,9 +497,9 @@ class ChoiState(StateOperator):
         return self._transposed
 
 
-def choi(channel, sigma):
+def choi(channel, sigma, eigensystem=None):
     """The ChoiState of channel over sigma; StateOperator.maximally_mixed is the usual reference."""
-    return ChoiState(channel, sigma)
+    return ChoiState(channel, sigma, eigensystem)
 
 
 def eb_necessary_test(state):

@@ -100,8 +100,8 @@ def _phi_report_entries(half, by_sectors=True):
     """Complex entries eb-report --phi holds at its peak.
 
     Here d = 2K + 1 and the grid has G = 4K + 2 = 2d nodes. On the sector
-    path (by_sectors: a diagonal --sigma, whose eigenbasis only moves rows,
-    so the Choi state's factors stay sector factors) the peak is in the
+    path (by_sectors: a --sigma whose eigenbasis only moves rows, so the
+    Choi state's factors stay sector factors; channels.reference_eigensystem) the peak is in the
     extraction's per-sector residual. The chain then holds about 16 d^2
     entries (four sector factors of d^2 values and d^2 int64 sectors each,
     and the form's and the decomposition's four d x G vector arrays), the
@@ -133,7 +133,8 @@ def _check_size(args):
     per node. capacity holds only the d mode weights, whatever its --grid.
     eb-report --phi is charged what it holds at its peak on the sector path
     (_phi_report_entries), and cmd_eb_report charges the QR path's peak once
-    a non-diagonal --sigma is read. eb-report --channel does not read --k: a
+    --sigma is read and its eigenbasis sends the Choi state there
+    (channels.reference_eigensystem). eb-report --channel does not read --k: a
     blocks file holds every entry in its JSON, and an atoms file is measured
     once read (_check_atoms_size).
     """
@@ -191,6 +192,7 @@ def cmd_channel_apply(args):
 def cmd_eb_report(args):
     if args.channel is not None and args.phi is not None:
         raise SchemaError("eb-report takes --channel or --phi, not both")
+    eigensystem = None
     if args.channel is not None:
         raw = jsonio.read_json(args.channel)
         if isinstance(raw, dict) and "blocks" in raw:
@@ -206,8 +208,8 @@ def cmd_eb_report(args):
     elif args.phi is not None:
         phi = _resolve_phi(args.phi, args.k[0])
         sigma = _resolve_sigma(args.sigma, phi.window)
-        m = sigma.entries
-        if np.count_nonzero(m - np.diag(np.diagonal(m))):  # the QR path, charged once read
+        eigensystem = ch.reference_eigensystem(sigma)
+        if eigensystem[2] is None:  # the Choi state takes the QR path: charge it
             _refuse_above_limit(_phi_report_entries(args.k[0], by_sectors=False), "eb-report",
                                 "this --k request with a non-diagonal --sigma")
         channel_obj = rot.RotationChannel(phi)
@@ -218,7 +220,7 @@ def cmd_eb_report(args):
     is_cp, min_eig_stacked = ch.cp_check(channel)
     report = {"cp": bool(is_cp), "min_eig_stacked": float(min_eig_stacked)}
     if is_cp:  # a non-CP map has no Choi state to screen or decompose
-        state = ch.choi(channel, sigma)
+        state = ch.choi(channel, sigma, eigensystem)
         ppt, min_eig_pt = ch.eb_necessary_test(state)
         report.update(ppt=bool(ppt), min_eig_pt=float(min_eig_pt))
         if form is not None:

@@ -501,6 +501,62 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "eblab: error: the following arguments are required: command"),
+    (["prove"], "eblab: error: argument command: invalid choice: 'prove' (choose from "
+                "'channel-apply', 'eb-report', 'capacity', 'rho12', 'probe')"),
+    (["channel-apply", "--phi", "two-mode"],
+     "eblab channel-apply: error: the following arguments are required: --state"),
+    (["capacity", "--base", "3"],
+     "eblab capacity: error: argument --base: invalid choice: '3' (choose from 'e', '2')"),
+    (["capacity", "--base=3"],
+     "eblab capacity: error: argument --base: invalid choice: '3' (choose from 'e', '2')"),
+    (["eb-report", "--phi"], "eblab eb-report: error: argument --phi: expected one argument"),
+    (["eb-report", "--k", "--phi", "two-mode"],
+     "eblab eb-report: error: argument --k: expected one argument"),
+    (["probe", "--cand", "mode(0),mode(0)"],
+     "eblab probe: error: unrecognized arguments: --cand mode(0),mode(0)"),
+    (["eb-report", "--sig", "mixed", "--out=x.json", "--bogus=1"],
+     "eblab eb-report: error: unrecognized arguments: --sig mixed --bogus=1"),
+])
+def test_a_usage_error_exits_2_with_the_usage_and_the_message(argv, capsys, message):
+    # the parser never abbreviates a flag: --cand and --sig are refused, not expanded
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: eblab ") and error == message
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: eblab {channel-apply,eb-report,capacity,rho12,probe} [flags]"),
+    (["--help"], "usage: eblab {channel-apply,eb-report,capacity,rho12,probe} [flags]"),
+    (["capacity", "-h"], "usage: eblab capacity [--k K] [--phi PHI] [--out OUT] "
+                         "[--grid GRID] [--base {e,2}]"),
+    (["channel-apply", "--k", "1", "--help"],
+     "usage: eblab channel-apply [--k K] [--phi PHI] [--out OUT] --state STATE"),
+])
+def test_help_prints_the_usage_and_exits_0(argv, usage, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (usage + "\n", "")
+
+
+def test_a_joined_flag_reads_as_a_split_one_and_the_last_value_wins():
+    from eblab.cli import parse_args
+    split = parse_args(["rho12", "--phi", "two-mode", "--k", "3", "--n-sweep", "2,4"])
+    assert vars(split) == {"command": "rho12", "k": "3", "phi": "two-mode", "out": None,
+                           "phi2": None, "n_sweep": "2,4"}
+    assert parse_args(["rho12", "--phi=two-mode", "--k=3", "--n-sweep=2,4"]) == split
+    assert parse_args(["rho12", "--k", "7", "--phi", "mixed", "--n-sweep=1", "--k=3",
+                       "--phi", "two-mode", "--n-sweep", "2,4"]) == split
+    # only the first '=' splits, so a value may hold one
+    assert parse_args(["eb-report", "--sigma=a=b.json"]).sigma == "a=b.json"
+
+
 def readme_flag_table(text):
     """{subcommand: its own flags} from README's table under '| subcommand | its own flags |'."""
     table = text.split("| subcommand | its own flags |\n", 1)[1].split("\n\n", 1)[0]
@@ -913,7 +969,7 @@ def test_rho_out_with_a_tiny_negative_eigenvalue_is_split_as_stored(tmp_path):
     assert main(["eb-report", "--channel", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_a_state_passes_as_rho_out_wherever_it_reads_as_valid(tmp_path, capsys):
+def test_a_state_that_reads_as_valid_reads_as_rho_out(tmp_path, capsys):
     # diag(1 + 1.8e-10, -0.9e-10, 0) has trace defect 0.9e-10 and reads as a state; as
     # rho_out its split dropped the negative eigenvalue, and the kept trace 1 + 1.8e-10
     # failed the unit-trace gate. The gate now allows the dropped mass, so the atoms
@@ -925,6 +981,14 @@ def test_a_state_passes_as_rho_out_wherever_it_reads_as_valid(tmp_path, capsys):
     form = jsonio.holevo_from_json(_atoms((ONE, border)))
     assert abs(np.vdot(form.outputs, form.outputs).real - (1 + 1.8e-10)) < 1e-15
     capsys.readouterr()
+    # the channel built from that form is still refused, one gate later: the
+    # trace-preservation check sees the same 1.8e-10 (CHANGES.md FOUND)
+    atoms = tmp_path / "border_atoms.json"
+    jsonio.write_text(str(atoms), jsonio.dumps(_atoms((ONE, border))))
+    assert main(["eb-report", "--channel", str(atoms), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == ("invariant violation: factor not trace preserving: "
+                                       "max |Tr_out S - I| = 1.800e-10 > 1e-10\n")
+    assert not (tmp_path / "r.json").exists()
     off = tmp_path / "off_atoms.json"
     jsonio.write_text(str(off), jsonio.dumps(_atoms((ONE, _op(-1, 1, 1 + 2.5e-10, -0.5e-10, 0)))))
     assert main(["eb-report", "--channel", str(off), "--out", str(tmp_path / "s.json")]) == 3

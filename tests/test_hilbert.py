@@ -444,6 +444,10 @@ def test_sector_shaped_factor_expands_to_its_sector_blocks(rng, half):
     for s in range(3):
         block = np.flatnonzero((sector == s) & live)
         assert np.array_equal(entries[np.ix_(block, block)], _gram(x[block, s:s + 1]))
+    assert np.array_equal(entries, entries.conj().T)
+    dense = np.zeros((w.dimension, 3), dtype=complex)
+    dense[np.arange(w.dimension), sector] = values
+    assert np.abs(entries - dense @ dense.conj().T).max() < 1e-15
 
 
 @pytest.mark.parametrize("gate, value, bound, shown", [
