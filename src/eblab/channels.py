@@ -25,10 +25,12 @@ Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and each
 column-pair factor is a Khatri-Rao product (_khatri_rao), such as
 holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
 factored chain as a rotation channel. The decomposition's trace distance
-and eb_extract's residual compare a Khatri-Rao factor with the target's
-factor (_difference_norms): sector by sector, as a certified bound, when
-the target is a SectorFactor (a rotation channel under a reference
-whose eigenbasis is monomial, reference_eigensystem), and otherwise exactly, from one QR or one dense eigensolve.
+and eb_extract's residual compare a Khatri-Rao factor with an operator
+(_difference_norms): sector by sector, as a certified bound, when it is
+stored as a SectorFactor, and otherwise exactly, from one QR or one dense
+eigensolve. eb_extract's operator is the channel's stacked matrix; the
+decomposition's is the Choi state, a SectorFactor only under a reference
+whose eigenbasis is monomial (reference_eigensystem).
 """
 
 from __future__ import annotations
@@ -426,9 +428,9 @@ def reference_eigensystem(reference):
     The pair is eig_hermitian's. source is the row of each eigenvector's one
     nonzero when every eigenvector has one (a diagonal reference), else
     None. With a source the Choi congruence only moves and scales rows, so a
-    channel's SectorFactor stays one and the Choi state's checks run sector
-    by sector; without one they take the QR path. This is the one place
-    that choice is made.
+    channel's SectorFactor stays one and the decomposition's trace distance
+    runs sector by sector; without one it takes the QR path. It picks only
+    the Choi state's representation: the extraction compares with the channel.
     """
     lam, basis = eig_hermitian(reference)
     return lam, basis, _monomial_rows(basis.T)
@@ -545,8 +547,7 @@ class SeparableChoiDecomposition:
             array.setflags(write=False)
         self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
         self._reconstruction = None
-        distance = 0.5 * _difference_norms(lefts * np.sqrt(weights), rights, target,
-                                           target.sectors)[1]
+        distance = 0.5 * _difference_norms(lefts * np.sqrt(weights), rights, target)[1]
         _at_most(distance, EXTRACT_TOL, "decomposition misses the Choi target: trace distance")
 
     @property
@@ -599,14 +600,15 @@ def separable_choi_from_holevo(form, target):
         target, c[kept] * d[kept], _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept]))
 
 
-def _difference_norms(left, right, op, sectors):
+def _difference_norms(left, right, op):
     """Bounds on the operator and trace norms of K K^dag - op, for K = _khatri_rao(left, right).
 
-    Given op's SectorFactor, and at least as many columns of K as it has
-    sectors, they are the per-sector bounds (_sector_difference). Otherwise
-    they are exact, from the eigenvalues: one QR of [K, X] for a factored
-    op = X X^dag (_difference_eigenvalues), or one dense eigvalsh.
+    When op is stored as a SectorFactor and K has at least as many columns
+    as it has sectors, they are the per-sector bounds (_sector_difference);
+    otherwise they are exact, from the eigenvalues: one QR of [K, X] for a
+    factored op = X X^dag (_difference_eigenvalues), or one dense eigvalsh.
     """
+    sectors = op.sectors
     if sectors is not None and left.shape[1] >= sectors.width:
         return _sector_difference(left, right, sectors)
     k = _khatri_rao(left, right)
@@ -654,19 +656,10 @@ def _sector_difference(left, right, x):
     parts = [split(slice(i, i + step), x.sector[i * d_out:(i + step) * d_out])
              for i in range(0, len(left), step)]
     share = np.concatenate([part for part, _ in parts])
-    leak = sum(norm for _, norm in parts)
-
-    def per_sector(values):
-        return np.bincount(x.sector, values, x.width)
-
-    a2 = per_sector(np.abs(share) ** 2)
-    cross = share.conj() * x.values
-    overlap = per_sector(cross.real) + 1j * per_sector(cross.imag)
-    c = np.divide(overlap, a2, out=np.zeros_like(overlap), where=a2 > 0.0)
-    r2 = per_sector(np.abs(x.values - c[x.sector] * share) ** 2)
-    t = a2 - per_sector(np.abs(x.values) ** 2)
+    leak = np.sqrt(sum(norm for _, norm in parts))
+    a2, _, r2 = x.projection(share, x.values)
+    t = a2 - np.bincount(x.sector, np.abs(x.values) ** 2, x.width)
     spread = np.sqrt(0.25 * t * t + a2 * r2)
-    leak = np.sqrt(leak)
     return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
             float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))
 
@@ -685,10 +678,10 @@ def eb_extract(decomposition):
     with the prepared state |psi><psi|. The residual bounds the operator
     norm of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
     channel's stacked matrix; it bounds the largest entry difference. When
-    the Choi target and S are both sector-shaped it is the per-sector
-    bound (_sector_difference); otherwise it is the norm itself, from one
-    QR of [A, X] for a factored S = X X^dag, with no (d_in d_out)-square
-    array, or from one dense eigvalsh. Failure raises
+    S is stored as a SectorFactor (a rotation channel, under any reference)
+    it is the per-sector bound (_sector_difference); otherwise it is the
+    norm itself, from one QR of [A, X] for a factored S = X X^dag, with no
+    (d_in d_out)-square array, or from one dense eigvalsh. Failure raises
     ExtractionInconsistentError with the residual.
     """
     target = decomposition.target
@@ -699,9 +692,7 @@ def eb_extract(decomposition):
     form = HolevoForm.rank_one(channel.in_window, channel.out_window,
                                u * np.sqrt(decomposition.weights), decomposition.rights,
                                povm_tol=EXTRACT_TOL)
-    sectors = channel.stacked.sectors if target.sectors is not None else None
-    residual, _ = _difference_norms(*_kraus_vectors(form, form.inputs.conj()), channel.stacked,
-                                    sectors)
+    residual, _ = _difference_norms(*_kraus_vectors(form, form.inputs.conj()), channel.stacked)
     if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel's stacked matrix", residual)

@@ -109,16 +109,16 @@ def _phi_report_entries(half, by_sectors=True):
     and the residual 10 d^2 (each row's share, the G x (4K + 1) node basis)
     plus two chunks of the Khatri-Rao columns (channels._chunk_rows) and
     one 8192-entry ufunc buffer. Otherwise the Choi state's two factors are
-    dense d^2 x (4K + 1), as is the channel's factor the congruence reads,
-    and both the decomposition's trace distance and the extraction's
-    residual take a QR of a joined d^2 x (G + 4K + 1) factor, held three
-    times: the join, numpy's astype(copy=True) and the LAPACK work copy.
+    dense d^2 x (4K + 1), and the decomposition's trace distance takes a
+    QR of the d^2 x G Khatri-Rao columns joined to one, held three times:
+    the join, numpy's astype(copy=True) and the LAPACK work copy; the
+    extraction still runs sector by sector, below that peak.
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
     if by_sectors:
         chunk = min(d, ch._chunk_rows(d, nodes)) * d * nodes
         return 36 * d * d + 2 * chunk + 8192
-    columns = 4 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
+    columns = 2 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 
 

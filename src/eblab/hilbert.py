@@ -196,10 +196,23 @@ class SectorFactor:
 
     def adjoint(self, v):
         """X^dag v for a d x m array v, summed over the rows of each sector."""
-        sums = [np.bincount(self.sector, t.real, self.width)
-                + 1j * np.bincount(self.sector, t.imag, self.width)
-                for t in (self.values.conj()[:, None] * v).T]
-        return np.stack(sums, axis=1)
+        return np.stack([self.sums(t) for t in (self.values.conj()[:, None] * v).T], axis=1)
+
+    def sums(self, t):
+        """The sum of a complex d-vector t over the rows of each sector."""
+        return (np.bincount(self.sector, t.real, self.width)
+                + 1j * np.bincount(self.sector, t.imag, self.width))
+
+    def projection(self, x, w):
+        """(|x_s|^2, c_s, |w_s - c_s x_s|^2) for each sector s, of two d-vectors x and w.
+
+        x_s and w_s are their rows in sector s and c_s = <x_s, w_s> / |x_s|^2,
+        with c_s = 0 where x_s = 0: w_s's share along x_s and what is left.
+        """
+        norms = np.bincount(self.sector, np.abs(x) ** 2, self.width)
+        overlap = self.sums(x.conj() * w)
+        c = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0.0)
+        return norms, c, np.bincount(self.sector, np.abs(w - c[self.sector] * x) ** 2, self.width)
 
     def rows(self, source, scale):
         """The sector factor whose row n is scale[n] times row source[n] of this one."""
@@ -525,9 +538,10 @@ def trace_norm_distance(a, b):
     (_difference_eigenvalues), without a d x d eigensolve.
     """
     _require_same_window(a, b)
-    if a.factor is not None and b.factor is not None:
-        joined = np.hstack([a.factor, b.factor])
-        return 0.5 * float(np.abs(_difference_eigenvalues(joined, a.factor.shape[1])).sum())
+    if a._factor is not None and b._factor is not None:
+        x = a.factor  # a SectorFactor's dense array is built on each read
+        eigenvalues = _difference_eigenvalues(np.hstack([x, b.factor]), x.shape[1])
+        return 0.5 * float(np.abs(eigenvalues).sum())
     diff = a.entries - b.entries
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 

@@ -275,18 +275,12 @@ def rho12_probe(phi1, phi2, alpha, beta):
     smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
     if smallest[0] * smallest[1] < np.finfo(float).tiny:
         raise InvariantViolationError("fiducial amplitude products leave the normal double range")
-    sector = _sector_index(_charges(ProductWindow(phi1.window, phi2.window)))
-    v = np.kron(phi1.amplitudes, phi2.amplitudes)
-    w = np.kron(alpha.amplitudes, beta.amplitudes)
-    peak = np.zeros(sector.max() + 1)
-    np.maximum.at(peak, sector, np.abs(v))
+    v = rho12(phi1, phi2).sectors  # v.values is phi1 x phi2
+    peak = np.zeros(v.width)
+    np.maximum.at(peak, v.sector, np.abs(v.values))
     inv_scale = np.ldexp(1.0, -np.frexp(peak)[1])  # a power of two, so scaling is exact
-    u = v * inv_scale[sector]
-    weight = np.bincount(sector, np.abs(u) ** 2)
-    products = u.conj() * w
-    overlap = np.bincount(sector, products.real) + 1j * np.bincount(sector, products.imag)
-    coeff = np.divide(overlap, weight, out=np.zeros_like(overlap), where=weight > 0.0)
-    residual = np.bincount(sector, np.abs(w - coeff[sector] * u) ** 2)
+    _, coeff, residual = v.projection(v.values * inv_scale[v.sector],
+                                      np.kron(alpha.amplitudes, beta.amplitudes))
     _finite(coeff, "sector probe coefficient")
     _finite(residual, "sector probe residual")
     if np.sqrt(residual.max()) > EPS_RANGE:

@@ -3,20 +3,22 @@
     python tests/goldens/regen.py            rewrite manifest.json, print the calls that changed
     python tests/goldens/regen.py --digests  print the digests as JSON and write nothing
 
-Each call runs in this process through eblab.cli.main with one BLAS
-thread. Its digest is the exit code and the sha256 of its stdout, its
-stderr and every file it writes. The inputs (fiducial vectors, states, a
-blocks file and an atoms file) are built here from fixed seeds with numpy
-alone, so no data file is committed. A change that moves a digest lists
-the call with its old and new values in CHANGES.md.
+Each call runs in this process through eblab.cli.main, with the BLAS
+threads that OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set, one where they
+are unset; every call writes the same bytes on one and two. Its digest is
+the exit code and the sha256 of its stdout, its stderr and every file it
+writes. The inputs (fiducial vectors, states, a blocks file and an atoms
+file) are built here from fixed seeds with numpy alone, so no data file is
+committed. A change that moves a digest lists the call with its old and
+new values in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import os
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # numpy reads it when it is first imported
-os.environ["OMP_NUM_THREADS"] = "1"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy reads it when it is first imported
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

@@ -761,6 +761,18 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
         assert main(["eb-report", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
         assert calls == [("eigh", d)], half
         assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+    # a non-diagonal sigma (checked by an eigvalsh when read) makes the Choi factors
+    # dense, so the decomposition's trace distance runs one QR of d^2 rows and the
+    # eigvalsh of its R; the extraction compares with the channel's sector factor,
+    # so it runs no second QR
+    sigma = tmp_path / "sigma.json"
+    write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
+    calls.clear()
+    assert main(["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--sigma", str(sigma),
+                 "--out", str(out)]) == 0
+    assert calls == [("eigvalsh", d), ("eigh", d), ("qr", d * d),
+                     ("eigvalsh", 2 * (4 * half + 1) + 1)]
+    assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
@@ -777,8 +789,8 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
 
 def test_eb_report_phi_charges_the_qr_path_once_a_non_diagonal_sigma_is_read(tmp_path, rng,
                                                                             capsys):
-    # a non-diagonal reference takes the QR path, whose joined factors admit K <= 72
-    half, d = 73, 147
+    # a non-diagonal reference takes the QR path, whose joined factors admit K <= 77
+    half, d = 78, 157
     sigma = tmp_path / "sigma.json"
     write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
     assert main(["eb-report", "--phi", "two-mode", "--k", str(half), "--sigma", str(sigma)]) == 2
@@ -829,7 +841,8 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng):
 
 
 def test_eb_report_phi_qr_guard_bounds_the_traced_peak(tmp_path, rng):
-    # a non-diagonal sigma takes the QR path, whose charge is the joined factors'
+    # a non-diagonal sigma takes the QR path, whose charge is the Choi factors' and the
+    # decomposition's joined factor's; the extraction compares sector by sector
     for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=False):
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 

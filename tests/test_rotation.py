@@ -49,7 +49,14 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
-from eblab.channels import EXTRACT_TOL, _difference_norms, _kraus_vectors
+from eblab.channels import (
+    EXTRACT_TOL,
+    _difference_norms,
+    _khatri_rao,
+    _kraus_vectors,
+    _sector_difference,
+)
+from eblab.hilbert import _difference_eigenvalues
 from eblab.rotation import _charges
 from conftest import assert_same_channel, random_density, random_pure
 
@@ -625,10 +632,9 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
         assert eb_necessary_test(state) == (True, 0.0) and eb_necessary_test(oracle)[0]
         extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
         _, dense_residual = eb_extract(separable_choi_from_holevo(dense_form(form), oracle))
-        if state.sectors is None:  # both are the operator norm of the stacked-matrix difference
-            assert abs(residual - dense_residual) <= 1e-14, (residual, dense_residual)
-        else:  # the per-sector bound on it
-            assert dense_residual - 1e-14 <= residual <= max(20 * dense_residual, 1e-13)
+        # the per-sector bound on the operator norm of the stacked-matrix difference,
+        # whatever sigma: the extraction compares with the channel's sector factor
+        assert dense_residual - 1e-14 <= residual <= max(20 * dense_residual, 1e-13)
         assert residual <= EXTRACT_TOL
         # the round trip: the extracted form's rank-one Kraus family acts as the channel
         rho = StateOperator(phi.window, random_density(rng, d))
@@ -636,35 +642,48 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
         assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
 
 
-def sector_chain(half, seed, diagonal):
-    """The --phi chain on a random complex fiducial, under mixed or a random diagonal sigma."""
+def sector_chain(half, seed, sigma):
+    """The --phi chain on a random complex fiducial, under a mixed, diagonal or full sigma.
+
+    The diagonal and the full (non-diagonal) sigma are random.
+    """
     rng = np.random.default_rng(seed)
     d = 2 * half + 1
     phi = PureVector(ModeWindow.symmetric(half), rng.normal(size=d) + 1j * rng.normal(size=d))
-    sigma = (StateOperator(phi.window, np.diag(rng.dirichlet(np.ones(d)))) if diagonal
-             else StateOperator.maximally_mixed(phi.window))
+    entries = {"mixed": lambda: None, "diagonal": lambda: np.diag(rng.dirichlet(np.ones(d))),
+               "full": lambda: random_density(rng, d)}[sigma]()
+    reference = (StateOperator.maximally_mixed(phi.window) if entries is None
+                 else StateOperator(phi.window, entries))
     channel = RotationChannel(phi)
-    state = choi(factored_channel(channel), sigma)
+    state = choi(factored_channel(channel), reference)
     return holevo_form(channel), state
 
 
-@pytest.mark.parametrize("half", [1, 2, 4, 8, pytest.param(32, marks=pytest.mark.slow),
-                                  pytest.param(64, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("diagonal", [False, True], ids=["mixed", "diagonal"])
-def test_sector_bounds_bracket_the_qr_norms(half, diagonal):
-    # the per-sector bounds on the decomposition's trace norm and on the extraction's
-    # operator norm are at least the QR path's norms of the same factors, and at most
-    # 20 times them or 1e-13
-    form, state = sector_chain(half, 7000 + half, diagonal)
-    assert state.sectors is not None and state.transposed.sectors is not None
+def qr_norms(left, right, x):
+    """Operator and trace norms of K K^dag - X X^dag for K = _khatri_rao(left, right), by QR."""
+    k = _khatri_rao(left, right)
+    magnitudes = np.abs(_difference_eigenvalues(np.hstack([k, x]), k.shape[1]))
+    return float(magnitudes.max()), float(magnitudes.sum())
+
+
+@pytest.mark.parametrize("sigma, half", [
+    *((sigma, half) for sigma in ("mixed", "diagonal", "full") for half in (1, 2, 4, 8)),
+    *(pytest.param(sigma, half, marks=pytest.mark.slow)
+      for sigma in ("mixed", "diagonal") for half in (32, 64))])
+def test_sector_bounds_bracket_the_qr_norms(sigma, half):
+    # the decomposition's bound on its trace norm (per sector when sigma is diagonal,
+    # the QR norm itself when it is full) and the extraction's per-sector bound on its
+    # operator norm are at least the QR norms of the same factors, and at most 20 times
+    # them or 1e-13
+    form, state = sector_chain(half, 7000 + half, sigma)
+    assert (state.sectors is None) == (state.transposed.sectors is None) == (sigma == "full")
     decomposition = separable_choi_from_holevo(form, state)
     left = decomposition.lefts * np.sqrt(decomposition.weights)
     extracted, residual = eb_extract(decomposition)
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
-    stacked = state.channel.stacked
-    pairs = [(_difference_norms(left, decomposition.rights, state, state.sectors)[1],
-              _difference_norms(left, decomposition.rights, state, None)[1]),
-             (residual, _difference_norms(a, g, stacked, None)[0])]
+    pairs = [(_difference_norms(left, decomposition.rights, state)[1],
+              qr_norms(left, decomposition.rights, state.factor)[1]),
+             (residual, qr_norms(a, g, state.channel.stacked.factor)[0])]
     for bound, norm in pairs:
         assert norm <= bound <= max(20 * norm, 1e-13), (bound, norm)
     assert residual <= 1e-12
@@ -672,8 +691,8 @@ def test_sector_bounds_bracket_the_qr_norms(half, diagonal):
 
 def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
     # atom 2's prepared state turned by 1e-6 keeps the extracted form a valid form (its
-    # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL: on the
-    # per-sector path (mixed sigma) and on the QR path (a non-diagonal sigma). The
+    # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL, whether the
+    # Choi state keeps the sector factors (mixed sigma) or not (a non-diagonal sigma). The
     # decomposition's own trace-distance gate would refuse it first, so it is built
     # here without that gate. Scaling an atom's weight by 1 + 1e-6 instead fails the
     # extracted form's POVM completeness, with the same exit code
@@ -702,13 +721,16 @@ def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
 
 
 def test_a_non_diagonal_sigma_takes_the_qr_path():
-    # its eigenbasis mixes rows, so the Choi factors are dense and both checks are
-    # exact norms (the golden manifest pins the written bytes of two such calls)
-    form, state = sector_chain(3, 13, False)
-    rng = np.random.default_rng(14)
-    sigma = StateOperator(state.window.left, random_density(rng, 7))
-    dense_state = choi(state.channel, sigma)
-    assert dense_state.sectors is None and dense_state.transposed.sectors is None
-    extracted, residual = eb_extract(separable_choi_from_holevo(form, dense_state))
+    # its eigenbasis mixes rows, so the Choi factors are dense and the decomposition's
+    # trace distance is the exact norm from one QR; the extraction compares with the
+    # channel's stacked matrix, still a sector factor, so its residual is the per-sector
+    # bound (the golden manifest pins the written bytes of two such calls)
+    form, state = sector_chain(3, 13, "full")
+    assert state.sectors is None and state.transposed.sectors is None
+    decomposition = separable_choi_from_holevo(form, state)
+    left = decomposition.lefts * np.sqrt(decomposition.weights)
+    assert (_difference_norms(left, decomposition.rights, state)
+            == qr_norms(left, decomposition.rights, state.factor))
+    extracted, residual = eb_extract(decomposition)
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
-    assert residual == _difference_norms(a, g, state.channel.stacked, None)[0]
+    assert residual == _sector_difference(a, g, state.channel.stacked.sectors)[0]
