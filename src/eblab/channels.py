@@ -66,7 +66,7 @@ from .hilbert import (
 )
 from .measures import _check_weights
 
-CHOI_RANK_TOL = 1e-8      # reference states below this eigenvalue floor are rank-deficient
+CHOI_RANK_TOL = 1e-8      # references with l_min below this times l_max are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
 ATOM_DROP_TOL = 1e-14     # POVM atoms and spectral branches below this are noise
 SECTOR_CHUNK = 2 ** 18    # entries of one chunk of the columns _sector_difference splits
@@ -446,14 +446,17 @@ class ChoiState(StateOperator):
     channel's transposed factor when S is factored, else
     partial_transpose(self), built on first read. eigensystem is
     reference_eigensystem(reference) when the caller has already taken it;
-    when it has a source the congruence keeps a SectorFactor one.
+    when it has a source the congruence keeps a SectorFactor one. The
+    reference is full rank when l_min >= CHOI_RANK_TOL * l_max, a floor that
+    scales with its spectrum.
     """
 
     def __init__(self, channel, reference, eigensystem=None):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
         lam, basis, source = eigensystem or reference_eigensystem(reference)
-        _at_least(lam[-1], CHOI_RANK_TOL, "reference state is rank deficient: min eigenvalue")
+        _at_least(lam[-1], CHOI_RANK_TOL * lam[0],
+                  "reference state is rank deficient: min eigenvalue")
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)

@@ -171,17 +171,17 @@ class SectorFactor:
     Row i of the d x width factor X holds values[i] in column sector[i] and
     zeros elsewhere, so X X^dag is zero between sectors and rank one in
     each. rotation._sector_factor builds every such factor from the U(1)
-    charge of each row, and supplies orbit_basis(n): the width x n matrix
-    whose row s is the unit vector over n orbit nodes along which the rows
-    of sector s of an orbit's columns run (rotation._node_basis).
-    Construction checks nothing; factored_operator and factored_state
-    check the values.
+    charge of each row, first + s in sector s, and supplies orbit_basis(n):
+    the width x n matrix whose row s is the unit vector over n orbit nodes
+    along which the rows of sector s of an orbit's columns run
+    (rotation._node_basis). Construction checks nothing; factored_operator
+    and factored_state check the values.
     """
 
-    __slots__ = ("sector", "values", "width", "orbit_basis")
+    __slots__ = ("sector", "values", "width", "first", "orbit_basis")
 
-    def __init__(self, sector, values, width, orbit_basis):
-        self.sector, self.values, self.width = sector, values, width
+    def __init__(self, sector, values, width, first, orbit_basis):
+        self.sector, self.values, self.width, self.first = sector, values, width, first
         self.orbit_basis = orbit_basis
 
     @property
@@ -217,7 +217,7 @@ class SectorFactor:
     def rows(self, source, scale):
         """The sector factor whose row n is scale[n] times row source[n] of this one."""
         return SectorFactor(self.sector[source], scale * self.values[source], self.width,
-                            self.orbit_basis)
+                            self.first, self.orbit_basis)
 
 
 def _sector_cells(x):

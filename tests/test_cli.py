@@ -167,6 +167,35 @@ def test_eb_report_rank_deficient_sigma_exits_3(tmp_path):
                  "--sigma", str(sigma_file)]) == 3
 
 
+def spectrum_state(rng, half, smallest):
+    """A state on [-K, K] with random eigenvectors, eigenvalues near 1/d and the smallest given."""
+    d = 2 * half + 1
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = rng.uniform(0.5, 1.8, size=d)
+    lam[-1] = 0.0
+    lam *= (1.0 - smallest) / lam.sum()
+    lam[-1] = smallest
+    m = (q * lam) @ q.conj().T
+    return StateOperator(ModeWindow.symmetric(half), 0.5 * (m + m.conj().T))
+
+
+@pytest.mark.parametrize("smallest, code", [(8.6e-9, 0), (1e-11, 3)])
+def test_eb_report_rank_floor_scales_with_the_spectrum(tmp_path, capsys, smallest, code):
+    # full rank is l_min >= 1e-8 l_max: a sigma on d = 65 with l_max near 0.027
+    # and l_min = 8.6e-9, below an absolute 1e-8, is full rank; l_min = 1e-11 is not
+    sigma_file, out = tmp_path / "sigma.json", tmp_path / "report.json"
+    sigma = spectrum_state(np.random.default_rng(65), 32, smallest)
+    lam = np.linalg.eigvalsh(sigma.entries)
+    assert abs(lam[0] - smallest) < 1e-15 and 0.02 < lam[-1] < 0.03
+    write_state(sigma_file, sigma)
+    assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "32", "--sigma", str(sigma_file),
+                 "--out", str(out)]) == code
+    if code == 0:
+        assert jsonio.read_json(out)["extraction_residual"] <= 1e-12
+    else:
+        assert "rank deficient" in capsys.readouterr().err and not out.exists()
+
+
 def test_capacity_two_mode_csv(tmp_path):
     out = tmp_path / "capacity.csv"
     assert main(["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2",

@@ -311,6 +311,27 @@ def test_rho12_n_distance_on_the_sectors_matches_the_state(rng, half):
         rho12_n_distance(phi1, phi2, 0)
 
 
+@pytest.mark.parametrize("w1, w2", [
+    (ModeWindow(-20, 0), ModeWindow(-20, 0)), (ModeWindow(-1, 1), ModeWindow(0, 3)),
+    (ModeWindow(-3, -1), ModeWindow(-3, -1)), (ModeWindow(-10, 10), ModeWindow(-20, 20))])
+def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
+    # the product window has S = d1 + d2 - 1 total charges, so the grid has
+    # ceil(max(S, 32) / n) nodes: n = 1 is rho12 exactly (on [-20, 0]^2 a grid
+    # sized by the larger k_max has 32 nodes for 41 sectors), and the sector
+    # form matches the state at every n
+    phi1 = PureVector(w1, random_pure(rng, w1.dimension))
+    phi2 = PureVector(w2, random_pure(rng, w2.dimension))
+    sectors = w1.dimension + w2.dimension - 1
+    assert trace_norm_distance(rho12_n(phi1, phi2, 1), rho12(phi1, phi2)) < 1e-12
+    product = factored_state(ProductWindow(w1, w2),
+                             np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
+    for n in (1, 2, 3, 8):
+        approx = rho12_n(phi1, phi2, n)
+        assert approx.factor.shape[1] == int(np.ceil(max(sectors, 32) / n)), n
+        want = trace_norm_distance(approx, product)
+        assert abs(rho12_n_distance(phi1, phi2, n) - want) < 1e-12, n
+
+
 def test_rho12_matches_grid_oracle(rng):
     phi1 = phi_profile("geometric(0.7)", 2)
     phi2 = phi_profile("geometric(0.5)", 2)
@@ -370,7 +391,7 @@ def test_rho12_n_matches_node_loop(rng):
     phi2 = PureVector(window, random_pure(rng, window.dimension))
     modes = window.modes()
     for n in (1, 2, 3, 5):
-        nodes = int(np.ceil(32 / n))  # max(4K + 1, 32) = 32 at K = 3
+        nodes = int(np.ceil(32 / n))  # max(S, 32) = 32 for the S = 13 sectors at K = 3
         want = rho12_n_loop(phi1.amplitudes, modes, phi2.amplitudes, modes, n, nodes)
         assert np.abs(rho12_n(phi1, phi2, n).entries - want).max() < 1e-12, n
 
@@ -578,7 +599,7 @@ def test_rho12_n_factor_is_the_node_formula_exactly(rng, n):
     w1, w2 = ModeWindow.symmetric(2), ModeWindow.symmetric(3)
     phi1 = PureVector(w1, random_pure(rng, w1.dimension))
     phi2 = PureVector(w2, random_pure(rng, w2.dimension))
-    nodes = int(np.ceil(32 / n))  # max(4K + 1, 32) = 32 at K = 3
+    nodes = int(np.ceil(32 / n))  # max(S, 32) = 32 for the S = 5 + 7 - 1 sectors
     charge = np.add.outer(w1.modes(), w2.modes()).reshape(-1)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     factor = rho12_n(phi1, phi2, n).factor
