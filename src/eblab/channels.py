@@ -69,7 +69,6 @@ from .measures import _check_weights
 CHOI_RANK_TOL = 1e-8      # references with l_min below this times l_max are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
 ATOM_DROP_TOL = 1e-14     # POVM atoms and spectral branches below this are noise
-SECTOR_CHUNK = 2 ** 18    # entries of one chunk of the columns _sector_difference splits
 
 
 class ChannelBlocks:
@@ -639,37 +638,33 @@ def _sector_difference(left, right, x):
     and r = x - (a^dag x / |a|^2) a, formed directly so that no difference
     of squares cancels. The leakage adds at most 2 ||L||_F ||P|| +
     ||L||_F^2 to the operator norm, with ||P|| = max |a_s|, and
-    2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed in chunks
-    of _chunk_rows input rows, so no d_in d_out x n array is held.
+    2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed one input
+    index i at a time, its d_out x n rows (i, k), so no d_in d_out x n array
+    is held.
     """
     d_out, n = right.shape
-    conj_basis = x.orbit_basis(n).conj()
-
-    def split(inputs, sector):  # the chunk of K's rows (i, k) for i in inputs: (shares, leakage)
-        columns = _khatri_rao(left[inputs], right)
-        along = conj_basis[sector]  # row r: conj(E_s) for the sector s of row r
-        part = np.einsum("rg,rg->r", columns, along)
+    conj_basis = np.conjugate(x.orbit_basis(n), order="C")  # so np.take reads it in place
+    share = np.empty(len(x.values), dtype=complex)
+    columns, along = np.empty((2, d_out, n), dtype=complex)
+    leak = 0.0
+    for i, row in enumerate(left):  # K's rows (i, k), k < d_out, as _khatri_rao forms them
+        rows = slice(i * d_out, (i + 1) * d_out)
+        np.multiply(row, right, out=columns)
+        # along's row k is conj(E_s) for the sector s of K's row (i, k); "clip" skips a buffer
+        np.take(conj_basis, x.sector[rows], axis=0, out=along, mode="clip")
+        part = np.einsum("rg,rg->r", columns, along, out=share[rows])
         np.conjugate(along, out=along)
         along *= part[:, None]
         columns -= along
         parts = columns.view(float)
-        return part, np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
-
-    step = _chunk_rows(d_out, n)
-    parts = [split(slice(i, i + step), x.sector[i * d_out:(i + step) * d_out])
-             for i in range(0, len(left), step)]
-    share = np.concatenate([part for part, _ in parts])
-    leak = np.sqrt(sum(norm for _, norm in parts))
+        leak += np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
+    del conj_basis, columns, along, parts  # the walk's arrays go before the projection's
+    leak = np.sqrt(leak)
     a2, _, r2 = x.projection(share, x.values)
     t = a2 - np.bincount(x.sector, np.abs(x.values) ** 2, x.width)
     spread = np.sqrt(0.25 * t * t + a2 * r2)
     return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
             float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))
-
-
-def _chunk_rows(d_out, n):
-    """Input rows per chunk of _sector_difference: at most SECTOR_CHUNK entries, at least one."""
-    return max(1, SECTOR_CHUNK // (d_out * n))
 
 
 def eb_extract(decomposition):

@@ -106,9 +106,11 @@ def _phi_report_entries(half, by_sectors=True):
     entries (four sector factors of d^2 values and d^2 int64 sectors each,
     and the form's and the decomposition's four d x G vector arrays), the
     extraction about 10 d^2 more (its own vectors and their Kraus pairing),
-    and the residual 10 d^2 (each row's share, the G x (4K + 1) node basis)
-    plus two chunks of the Khatri-Rao columns (channels._chunk_rows) and
-    one 8192-entry ufunc buffer. Otherwise the Choi state's two factors are
+    and the residual, walking K's rows one input index at a time, each
+    row's share (d^2), the G x (4K + 1) node basis (G^2), two d x G row
+    blocks and numpy's ufunc buffers for the first, at most two blocks more
+    (4 d G). One more d^2 and 1024 entries cover the chain's small objects
+    (2.4 d^2 at K = 8, 0.2 d^2 at K = 32). Otherwise the Choi state's two factors are
     dense d^2 x (4K + 1), and the decomposition's trace distance takes a
     QR of the d^2 x G Khatri-Rao columns joined to one, held three times:
     the join, numpy's astype(copy=True) and the LAPACK work copy; the
@@ -116,8 +118,7 @@ def _phi_report_entries(half, by_sectors=True):
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
     if by_sectors:
-        chunk = min(d, ch._chunk_rows(d, nodes)) * d * nodes
-        return 36 * d * d + 2 * chunk + 8192
+        return 28 * d * d + nodes * nodes + 4 * d * nodes + 1024
     columns = 2 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 
@@ -261,10 +262,11 @@ def cmd_rho12(args):
     half = args.k[0]
     phi1 = _resolve_phi(args.phi, half)
     phi2 = _resolve_phi(args.phi2, half) if args.phi2 else phi1
-    pieces = jsonio.dump_pieces(jsonio.operator_to_json(rot.rho12(phi1, phi2)))
+    state = rot.rho12(phi1, phi2)
+    pieces = jsonio.dump_pieces(jsonio.operator_to_json(state))
     csv = None
     if args.n_sweep:
-        rows = [[n, rot.rho12_n_distance(phi1, phi2, n)] for n in args.n_sweep]
+        rows = [[n, rot.rho12_n_distance(state, n)] for n in args.n_sweep]
         csv = jsonio.csv_text(["n", "trace_distance_to_product"], rows)
     _emit(pieces, args.out)
     if csv is not None:

@@ -171,18 +171,18 @@ class SectorFactor:
     Row i of the d x width factor X holds values[i] in column sector[i] and
     zeros elsewhere, so X X^dag is zero between sectors and rank one in
     each. rotation._sector_factor builds every such factor from the U(1)
-    charge of each row, first + s in sector s, and supplies orbit_basis(n):
-    the width x n matrix whose row s is the unit vector over n orbit nodes
-    along which the rows of sector s of an orbit's columns run
-    (rotation._node_basis). Construction checks nothing; factored_operator
+    charge of each row, first + s in sector s, with node_basis: orbit_basis(n)
+    = rotation._node_basis(n, width, first) is the width x n matrix whose row
+    s is the unit vector over n orbit nodes along which the rows of sector s
+    of an orbit's columns run. Construction checks nothing; factored_operator
     and factored_state check the values.
     """
 
-    __slots__ = ("sector", "values", "width", "first", "orbit_basis")
+    __slots__ = ("sector", "values", "width", "first", "node_basis")
 
-    def __init__(self, sector, values, width, first, orbit_basis):
+    def __init__(self, sector, values, width, first, node_basis):
         self.sector, self.values, self.width, self.first = sector, values, width, first
-        self.orbit_basis = orbit_basis
+        self.node_basis = node_basis
 
     @property
     def shape(self):
@@ -214,10 +214,14 @@ class SectorFactor:
         c = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0.0)
         return norms, c, np.bincount(self.sector, np.abs(w - c[self.sector] * x) ** 2, self.width)
 
+    def orbit_basis(self, n):
+        """node_basis(n, width, first): the orbit basis at this factor's charges."""
+        return self.node_basis(n, self.width, self.first)
+
     def rows(self, source, scale):
         """The sector factor whose row n is scale[n] times row source[n] of this one."""
         return SectorFactor(self.sector[source], scale * self.values[source], self.width,
-                            self.first, self.orbit_basis)
+                            self.first, self.node_basis)
 
 
 def _sector_cells(x):

@@ -26,7 +26,6 @@ untruncated channel.
 from __future__ import annotations
 
 import re
-from functools import partial
 
 import numpy as np
 
@@ -141,14 +140,10 @@ def _sector_index(charge):
 
 
 def _sector_factor(charge, values):
-    """The SectorFactor with one column per U(1) sector, holding values on the rows of that sector.
-
-    Its orbit basis is _node_basis at its charges.
-    """
+    """The SectorFactor with one column per U(1) sector, holding values on that sector's rows."""
     sector = _sector_index(charge)
-    width, first = int(sector.max()) + 1, int(charge.min())
-    return SectorFactor(sector, np.asarray(values, dtype=complex), width, first,
-                        partial(_node_basis, width=width, first=first))
+    return SectorFactor(sector, np.asarray(values, dtype=complex), int(sector.max()) + 1,
+                        int(charge.min()), _node_basis)
 
 
 def _node_basis(n, width, first):
@@ -313,18 +308,21 @@ def rho12_n(phi1, phi2, n):
     return factored_state(window, rotated.T / np.sqrt(nodes))
 
 
-def rho12_n_distance(phi1, phi2, n):
-    """Trace distance from rho12_n(phi1, phi2, n) to the product state |phi1 phi2><phi1 phi2|.
+def rho12_n_distance(state, n):
+    """Trace distance from rho12_n(phi1, phi2, n) to |phi1 phi2><phi1 phi2|, for rho12(phi1, phi2).
 
     With v = phi1 x phi2 and N nodes, rho12_n's factor is B D E and the
     product state's is B D 1: B puts each sector's part of v, normalized,
     into its own column, D = diag(|v_s|) and E[s, g] = e^{i x_g q_s} / sqrt(N)
     for the sector of total charge q_s. B is an isometry on the sectors where
     v is nonzero, so the difference has the nonzero eigenvalues of the
-    S-row factors [D E, D 1] over the S sectors of rho12's factor, which
-    holds |v_s| and q_s; no d^2-row array is built.
+    S-row factors [D E, D 1] over the S sectors of state's sector factor,
+    which holds |v_s| and q_s; no d^2-row array is built. A state with no
+    sector factor raises InvariantViolationError.
     """
-    v = rho12(phi1, phi2).sectors  # v.values is phi1 x phi2
+    v = state.sectors  # v.values is phi1 x phi2
+    if v is None:
+        raise InvariantViolationError("rho12_n_distance needs rho12's sector factor")
     nodes = _partial_orbit_nodes(v.width, n)
     weight = np.sqrt(np.bincount(v.sector, np.abs(v.values) ** 2, v.width))  # |v_s|
     sectors = ModeWindow(v.first, v.first + v.width - 1)  # the total charges q_s

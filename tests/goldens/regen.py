@@ -130,6 +130,7 @@ CALLS = [
                            "--out", "report.json"]),
     ("eb_phi_diagonal_sigma_k2", ["eb-report", "--phi", "geometric(0.7)", "--k", "2",
                                   "--sigma", "@sigma_diag2.json"]),
+    ("eb_phi_geometric_k32", ["eb-report", "--phi", "geometric(0.7)", "--k", "32"]),
     ("eb_phi_sigma_k2", ["eb-report", "--phi", "@phi2.json", "--k", "2",
                          "--sigma", "@sigma2.json"]),
     ("eb_phi_sigma_k10", ["eb-report", "--phi", "@phi10.json", "--k", "10",

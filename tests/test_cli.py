@@ -1085,7 +1085,23 @@ def test_rho12_command_reads_no_dense_entries(tmp_path, monkeypatch):
     assert out.read_bytes() == expected.encode("utf-8")
     csv = (tmp_path / "rho12.n_sweep.csv").read_text().splitlines()
     assert [float(line.split(",")[1]) for line in csv[1:]] == [
-        rotation.rho12_n_distance(psi, psi, n) for n in (1, 2, 4, 8)]
+        rotation.rho12_n_distance(rotation.rho12(psi, psi), n) for n in (1, 2, 4, 8)]
+
+
+def test_rho12_n_sweep_builds_rho12_once(tmp_path, monkeypatch):
+    # the sweep reads the sector factor of the state the JSON is written from,
+    # so no n builds rho12 again
+    calls = []
+    build = rotation.rho12
+
+    def counted(phi1, phi2):
+        calls.append(None)
+        return build(phi1, phi2)
+
+    monkeypatch.setattr(rotation, "rho12", counted)
+    assert main(["rho12", "--phi", "geometric(0.7)", "--k", "3", "--n-sweep", "1,2,4,8",
+                 "--out", str(tmp_path / "rho12.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_rho12_at_k20_peaks_below_one_dense_state(tmp_path):

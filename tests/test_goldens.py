@@ -2,7 +2,8 @@
 
 tests/goldens/regen.py runs about thirty calls at K <= 10, covering every
 subcommand, every named profile, an asymmetric --phi2 and each input kind,
-in one cold process, and prints their digests. A call whose exit code,
+and one eb-report --phi at K = 32, whose residual walks more rows than a
+K = 10 call, in one cold process, and prints their digests. A call whose exit code,
 stdout, stderr or written files moved fails here by name; regen.py
 rewrites the manifest when the move is intended. The manifest holds on one
 BLAS thread and on two.

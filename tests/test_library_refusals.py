@@ -39,6 +39,7 @@ from eblab import (
     phi_profile,
     product_bound_probe,
     rho12_n,
+    rho12_n_distance,
 )
 
 W1, W2 = ModeWindow(0, 0), ModeWindow(0, 1)  # dimensions 1 and 2
@@ -110,6 +111,8 @@ REFUSALS = [
     ("quadrature_window", WindowMismatchError, lambda: apply_quadrature(channel(), mixed(W2))),
     ("rho12_n_zero", InvariantViolationError,
      lambda: rho12_n(unit(K1), unit(K1), 0)),
+    ("rho12_n_distance_no_sector_factor", InvariantViolationError,
+     lambda: rho12_n_distance(mixed(ProductWindow(K1, K1)), 1)),
 ]
 
 

@@ -6,9 +6,10 @@ bound or the QR; a sectors parameter beside op would let a caller choose
 a second time. eb_extract compares with the channel's stacked matrix, so
 the Choi target's representation must not steer it. The per-sector
 projection c_s = <x_s, w_s> / |x_s|^2 lives in SectorFactor.projection,
-the one np.divide(..., where=...) of the package. rotation.rho12_probe and
-rotation.rho12_n_distance read rho12's sector factor instead of building
-their own charge table and fiducial product, and the n-sweep's grid is sized
+the one np.divide(..., where=...) of the package. rotation.rho12_probe
+reads rho12's sector factor, and rotation.rho12_n_distance the one of the
+rho12 state it is handed, instead of building their own charge table and
+fiducial product, and the n-sweep's grid is sized
 by that factor's sector count, not by the fiducials' windows. This test
 fails on each.
 """
@@ -126,8 +127,8 @@ def rho12_probe(phi1, phi2, alpha, beta):
     v = rho12(phi1, phi2).sectors
     _, coeff, residual = v.projection(v.values, np.kron(alpha.amplitudes, beta.amplitudes))
 scaled = np.divide(a, b)
-def rho12_n_distance(phi1, phi2, n):
-    v = rho12(phi1, phi2).sectors
+def rho12_n_distance(state, n):
+    v = state.sectors
     weight = np.sqrt(np.bincount(v.sector, np.abs(v.values) ** 2, v.width))
 def _partial_orbit_nodes(sectors, n):
     return int(np.ceil(max(sectors, 32) / n))

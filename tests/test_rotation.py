@@ -56,8 +56,8 @@ from eblab.channels import (
     _kraus_vectors,
     _sector_difference,
 )
-from eblab.hilbert import _difference_eigenvalues
-from eblab.rotation import _charges
+from eblab.hilbert import SectorFactor, _difference_eigenvalues
+from eblab.rotation import _charges, _node_basis
 from conftest import assert_same_channel, random_density, random_pure
 
 from oracles import (
@@ -304,11 +304,12 @@ def test_rho12_n_distance_on_the_sectors_matches_the_state(rng, half):
     for phi1, phi2 in pairs:
         product = factored_state(ProductWindow(window, window),
                                  np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
+        state = rho12(phi1, phi2)
         for n in (1, 2, 3, 4, 8, 33):
             want = trace_norm_distance(rho12_n(phi1, phi2, n), product)
-            assert abs(rho12_n_distance(phi1, phi2, n) - want) < 1e-12, (half, n)
+            assert abs(rho12_n_distance(state, n) - want) < 1e-12, (half, n)
     with pytest.raises(InvariantViolationError, match="positive integer"):
-        rho12_n_distance(phi1, phi2, 0)
+        rho12_n_distance(state, 0)
 
 
 @pytest.mark.parametrize("w1, w2", [
@@ -325,11 +326,26 @@ def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
     assert trace_norm_distance(rho12_n(phi1, phi2, 1), rho12(phi1, phi2)) < 1e-12
     product = factored_state(ProductWindow(w1, w2),
                              np.kron(phi1.amplitudes, phi2.amplitudes)[:, None])
+    state = rho12(phi1, phi2)
     for n in (1, 2, 3, 8):
         approx = rho12_n(phi1, phi2, n)
         assert approx.factor.shape[1] == int(np.ceil(max(sectors, 32) / n)), n
         want = trace_norm_distance(approx, product)
-        assert abs(rho12_n_distance(phi1, phi2, n) - want) < 1e-12, n
+        assert abs(rho12_n_distance(state, n) - want) < 1e-12, n
+
+
+@pytest.mark.parametrize("first, width, n", [(-7, 3, 8), (2, 5, 5), (0, 1, 4)])
+def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n):
+    # the factor keeps the function and passes its own width and first: row s of
+    # orbit_basis(n) runs along the charge first + s over the nodes 2 pi g / n
+    factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex), width, first,
+                          _node_basis)
+    nodes = 2.0 * np.pi * np.arange(n) / n
+    want = np.exp(1j * np.outer(first + np.arange(width), nodes)) / np.sqrt(n)
+    assert np.abs(factor.orbit_basis(n) - want).max() <= 1e-15
+    moved = factor.rows(np.arange(width)[::-1], np.ones(width))
+    assert moved.node_basis is _node_basis and moved.first == first
+    assert np.array_equal(moved.orbit_basis(n), factor.orbit_basis(n))
 
 
 def test_rho12_matches_grid_oracle(rng):
