@@ -179,15 +179,13 @@ class ChannelBlocks:
 def _traced_out(x, d_in):
     """Tr_out X X^dag, d_in x d_in, of a factor whose rows (i, k) run i-major.
 
-    On a SectorFactor whose rows (i, k) and (j, k) lie in distinct sectors
-    for i != j, as the rotation channel's factors do, X X^dag has no entry
-    between them, so the partial trace is diagonal: one bincount.
+    On a SectorFactor u x v with d_in distinct offsets, as the rotation
+    channel's factors are, X X^dag has no entry between rows (i, k) and
+    (j, k) for i != j, so the partial trace is diagonal: |u_i|^2 |v|^2.
     """
     if isinstance(x, SectorFactor):
-        sector = x.sector.reshape(d_in, -1)
-        if (np.diff(np.sort(sector, axis=0), axis=0) > 0).all():
-            inputs = np.repeat(np.arange(d_in), sector.shape[1])
-            return np.diag(np.bincount(inputs, np.abs(x.values) ** 2, d_in))
+        if len(x.u) == d_in and (np.diff(np.sort(x.offset)) > 0).all():
+            return np.diag(np.abs(x.u) ** 2 * np.vdot(x.v, x.v).real)
         x = x.dense()
     rows = x.reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
     return rows @ rows.conj().T
@@ -463,8 +461,7 @@ class ChoiState(StateOperator):
         if channel.stacked.sectors is not None or channel.stacked.factor is not None:
             def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
                 if op.sectors is not None and source is not None:  # only m = source[a] adds
-                    rows = (source[:, None] * d_out + np.arange(d_out)).reshape(-1)
-                    return op.sectors.rows(rows, np.repeat(w[source, np.arange(d_in)], d_out))
+                    return op.sectors.rows(source, w[source, np.arange(d_in)])
                 return np.tensordot(w, op.factor.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
                     d_in * d_out, -1)
 
@@ -639,29 +636,26 @@ def _sector_difference(left, right, x):
     of squares cancels. The leakage adds at most 2 ||L||_F ||P|| +
     ||L||_F^2 to the operator norm, with ||P|| = max |a_s|, and
     2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed one input
-    index i at a time, its d_out x n rows (i, k), so no d_in d_out x n array
-    is held.
+    index i at a time, its d_out x n rows (i, k) in sectors offset[i] + k,
+    so no d_in d_out x n array is held and their conj(E_s) are one slice.
     """
     d_out, n = right.shape
-    conj_basis = np.conjugate(x.orbit_basis(n), order="C")  # so np.take reads it in place
-    share = np.empty(len(x.values), dtype=complex)
-    columns, along = np.empty((2, d_out, n), dtype=complex)
+    conj_basis = np.conjugate(x.orbit_basis(n), order="C")  # so each slice is C-contiguous
+    share = np.empty(x.shape[0], dtype=complex)
+    columns, scaled = np.empty((2, d_out, n), dtype=complex)  # reused, so no row allocates
     leak = 0.0
-    for i, row in enumerate(left):  # K's rows (i, k), k < d_out, as _khatri_rao forms them
-        rows = slice(i * d_out, (i + 1) * d_out)
+    for i, (row, first) in enumerate(zip(left, x.offset)):  # K's rows (i, k), as _khatri_rao's
+        along = conj_basis[first:first + d_out]  # row k is conj(E_s) for s = offset[i] + k
         np.multiply(row, right, out=columns)
-        # along's row k is conj(E_s) for the sector s of K's row (i, k); "clip" skips a buffer
-        np.take(conj_basis, x.sector[rows], axis=0, out=along, mode="clip")
-        part = np.einsum("rg,rg->r", columns, along, out=share[rows])
-        np.conjugate(along, out=along)
-        along *= part[:, None]
-        columns -= along
+        part = np.einsum("rg,rg->r", columns, along, out=share[i * d_out:(i + 1) * d_out])
+        np.multiply(np.conjugate(along, out=scaled), part[:, None], out=scaled)
+        columns -= scaled  # E_s a_r, kept in this operand order: numpy rounds a_r E_s apart
         parts = columns.view(float)
         leak += np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
-    del conj_basis, columns, along, parts  # the walk's arrays go before the projection's
     leak = np.sqrt(leak)
-    a2, _, r2 = x.projection(share, x.values)
-    t = a2 - np.bincount(x.sector, np.abs(x.values) ** 2, x.width)
+    values = x.values
+    a2, _, r2 = x.projection(share, values)
+    t = a2 - np.bincount(x.sector, np.abs(values) ** 2, x.width)
     spread = np.sqrt(0.25 * t * t + a2 * r2)
     return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
             float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))

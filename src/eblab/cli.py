@@ -100,25 +100,21 @@ def _phi_report_entries(half, by_sectors=True):
     """Complex entries eb-report --phi holds at its peak.
 
     Here d = 2K + 1 and the grid has G = 4K + 2 = 2d nodes. On the sector
-    path (by_sectors: a --sigma whose eigenbasis only moves rows, so the
-    Choi state's factors stay sector factors; channels.reference_eigensystem) the peak is in the
-    extraction's per-sector residual. The chain then holds about 16 d^2
-    entries (four sector factors of d^2 values and d^2 int64 sectors each,
-    and the form's and the decomposition's four d x G vector arrays), the
-    extraction about 10 d^2 more (its own vectors and their Kraus pairing),
-    and the residual, walking K's rows one input index at a time, each
-    row's share (d^2), the G x (4K + 1) node basis (G^2), two d x G row
-    blocks and numpy's ufunc buffers for the first, at most two blocks more
-    (4 d G). One more d^2 and 1024 entries cover the chain's small objects
-    (2.4 d^2 at K = 8, 0.2 d^2 at K = 32). Otherwise the Choi state's two factors are
-    dense d^2 x (4K + 1), and the decomposition's trace distance takes a
-    QR of the d^2 x G Khatri-Rao columns joined to one, held three times:
-    the join, numpy's astype(copy=True) and the LAPACK work copy; the
+    path (by_sectors: a --sigma whose eigenbasis only moves rows, so the Choi
+    state's factors stay sector factors; channels.reference_eigensystem) the
+    peak is in the extraction's per-sector residual: the chain's four d x G
+    vector arrays and the extraction's vectors and Kraus pairing (10 d^2
+    each), each row's share (d^2), the conjugated G x (4K + 1) node basis
+    (G^2), two d x G row buffers and the projection's flat arrays (4 d G),
+    and 2 d^2 + 1024 for small objects. Otherwise the Choi state's two
+    factors are dense d^2 x (4K + 1), and the decomposition's trace distance
+    takes a QR of the d^2 x G Khatri-Rao columns joined to one, held three
+    times: the join, numpy's astype(copy=True) and the LAPACK work copy; the
     extraction still runs sector by sector, below that peak.
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
     if by_sectors:
-        return 28 * d * d + nodes * nodes + 4 * d * nodes + 1024
+        return 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
     columns = 2 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
     return d * d * columns + nodes * d
 

@@ -166,42 +166,49 @@ def _gram(x):
 
 
 class SectorFactor:
-    """A factor with one nonzero per row, stored as the sector and the value of each row.
+    """A factor with one nonzero per row, the product u x v, stored as offset, u and v.
 
-    Row i of the d x width factor X holds values[i] in column sector[i] and
-    zeros elsewhere, so X X^dag is zero between sectors and rank one in
-    each. rotation._sector_factor builds every such factor from the U(1)
-    charge of each row, first + s in sector s, with node_basis: orbit_basis(n)
-    = rotation._node_basis(n, width, first) is the width x n matrix whose row
-    s is the unit vector over n orbit nodes along which the rows of sector s
-    of an orbit's columns run. Construction checks nothing; factored_operator
-    and factored_state check the values.
+    Row (i, k) of the len(u) len(v) x width factor X holds u[i] v[k] in
+    column offset[i] + k, so X X^dag is zero between sectors and rank one in
+    each; sector and values are these flat over the rows, built on each read.
+    rotation._sector_factor builds every such factor, sector s at charge
+    first + s; orbit_basis(n) = node_basis(n, width, first) is the width x n
+    matrix whose row s is the unit vector over n orbit nodes along which
+    sector s of an orbit's columns runs. Construction checks nothing;
+    factored_operator and factored_state check the values.
     """
 
-    __slots__ = ("sector", "values", "width", "first", "node_basis")
+    __slots__ = ("offset", "u", "v", "width", "first", "node_basis")
 
-    def __init__(self, sector, values, width, first, node_basis):
-        self.sector, self.values, self.width, self.first = sector, values, width, first
+    def __init__(self, offset, u, v, width, first, node_basis):
+        self.offset, self.u, self.v, self.width, self.first = offset, u, v, width, first
         self.node_basis = node_basis
 
     @property
     def shape(self):
-        return len(self.values), self.width
+        return len(self.u) * len(self.v), self.width
+
+    @property
+    def sector(self):
+        """The column offset[i] + k of each row (i, k), built on each read."""
+        return (self.offset[:, None] + np.arange(len(self.v))).reshape(-1)
+
+    @property
+    def values(self):
+        """The value u[i] v[k] of each row (i, k), built on each read."""
+        return np.kron(self.u, self.v)
 
     def dense(self):
         """The d x width array X, built on each call."""
         x = np.zeros(self.shape, dtype=complex)
-        x[np.arange(len(self.values)), self.sector] = self.values
+        x[np.arange(len(x)), self.sector] = self.values
         return x
 
     def adjoint(self, v):
         """X^dag v for a d x m array v, summed over the rows of each sector."""
-        return np.stack([self.sums(t) for t in (self.values.conj()[:, None] * v).T], axis=1)
-
-    def sums(self, t):
-        """The sum of a complex d-vector t over the rows of each sector."""
-        return (np.bincount(self.sector, t.real, self.width)
-                + 1j * np.bincount(self.sector, t.imag, self.width))
+        out = np.zeros((self.width, v.shape[1]), dtype=complex)
+        np.add.at(out, self.sector, self.values.conj()[:, None] * v)
+        return out
 
     def projection(self, x, w):
         """(|x_s|^2, c_s, |w_s - c_s x_s|^2) for each sector s, of two d-vectors x and w.
@@ -209,18 +216,20 @@ class SectorFactor:
         x_s and w_s are their rows in sector s and c_s = <x_s, w_s> / |x_s|^2,
         with c_s = 0 where x_s = 0: w_s's share along x_s and what is left.
         """
-        norms = np.bincount(self.sector, np.abs(x) ** 2, self.width)
-        overlap = self.sums(x.conj() * w)
+        sector, width = self.sector, self.width
+        norms = np.bincount(sector, np.abs(x) ** 2, width)
+        overlap = np.zeros(width, dtype=complex)
+        np.add.at(overlap, sector, x.conj() * w)
         c = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0.0)
-        return norms, c, np.bincount(self.sector, np.abs(w - c[self.sector] * x) ** 2, self.width)
+        return norms, c, np.bincount(sector, np.abs(w - c[sector] * x) ** 2, width)
 
     def orbit_basis(self, n):
         """node_basis(n, width, first): the orbit basis at this factor's charges."""
         return self.node_basis(n, self.width, self.first)
 
     def rows(self, source, scale):
-        """The sector factor whose row n is scale[n] times row source[n] of this one."""
-        return SectorFactor(self.sector[source], scale * self.values[source], self.width,
+        """The sector factor whose input row a is scale[a] times input row source[a] of this one."""
+        return SectorFactor(self.offset[source], scale * self.u[source], self.v, self.width,
                             self.first, self.node_basis)
 
 
@@ -232,13 +241,14 @@ def _sector_cells(x):
     such a factor are these cells (MatrixOperator._expand), so a writer that
     takes them from here writes the same bits.
     """
-    live = np.flatnonzero(x.values)
+    values = x.values
+    live = np.flatnonzero(values)
     sector = x.sector[live]
     counts = np.bincount(sector, minlength=x.width)
     groups = np.split(live[np.argsort(sector, kind="stable")], np.cumsum(counts)[:-1])
     rows = np.concatenate([np.repeat(g, g.size) for g in groups])
     cols = np.concatenate([np.tile(g, g.size) for g in groups])
-    values = np.concatenate([_gram(x.values[g, None]).ravel() for g in groups])
+    values = np.concatenate([_gram(values[g, None]).ravel() for g in groups])
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], values[order]
 
@@ -297,8 +307,7 @@ class MatrixOperator:
         if not isinstance(x, SectorFactor):
             return _gram(x)
         rows, cols, values = _sector_cells(x)
-        d = len(x.values)
-        m = np.zeros((d, d), dtype=complex)
+        m = np.zeros((x.shape[0],) * 2, dtype=complex)
         m[rows, cols] = values
         return m
 
@@ -370,13 +379,12 @@ def _init_factored(op, window, factor, dropped=0.0):
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
     values = x.values if sectors else x
-    if sectors:
-        x.sector.setflags(write=False)
     _finite(values, "factor")
     if isinstance(op, StateOperator):
         _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,
                  "state trace defect |Tr - 1|")
-    values.setflags(write=False)
+    for stored in (x.offset, x.u, x.v) if sectors else (x,):
+        stored.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x
 
 

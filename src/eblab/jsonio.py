@@ -113,8 +113,7 @@ def _write_operator(op, pieces):
     """
     x = op.sectors
     if x is not None:
-        d = len(x.values)
-        _write_rows((d, d), *_sector_cells(x), pieces)
+        _write_rows((x.shape[0],) * 2, *_sector_cells(x), pieces)
     else:
         _write(op.entries, pieces)
 

@@ -139,11 +139,14 @@ def _sector_index(charge):
     return charge - charge.min()
 
 
-def _sector_factor(charge, values):
-    """The SectorFactor with one column per U(1) sector, holding values on that sector's rows."""
-    sector = _sector_index(charge)
-    return SectorFactor(sector, np.asarray(values, dtype=complex), int(sector.max()) + 1,
-                        int(charge.min()), _node_basis)
+def _sector_factor(left, right, u, v):
+    """The SectorFactor of u x v with one column per U(1) sector, for the row charges left[i] + q_k.
+
+    q_k is mode k of the window right, so row (i, k) lies in sector left[i] - min(left) + k.
+    """
+    low = int(left.min())
+    return SectorFactor(left - low, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex),
+                        int(left.max()) - low + right.dimension, low + right.k_min, _node_basis)
 
 
 def _node_basis(n, width, first):
@@ -207,15 +210,14 @@ def factored_channel(channel):
     X X^dag with X[(i,k), t] = phi_k for k - i = t. Its output partial
     transpose phi_l conj(phi_k) delta_{i+k, j+l} conserves i + k, so it is
     X' X'^dag with X'[(i,k), t] = conj(phi_k) for i + k = t. Both are
-    d^2 x (4K+1) with d = 2K + 1, so the channel's stacked and transposed
-    operators are factored; its blocks match channel_blocks.
+    d^2 x (4K+1) with d = 2K + 1, stored as the sector factors of 1 x phi
+    and 1 x conj(phi) on the left charges -i and i, so the channel's stacked
+    and transposed operators are factored; its blocks match channel_blocks.
     """
-    window = channel.window
-    phi = channel.phi.amplitudes
+    window, phi = channel.window, channel.phi.amplitudes
     every_input = np.ones(window.dimension)
-    stacked = _sector_factor(_charge_gap(window).T.reshape(-1), np.kron(every_input, phi))
-    transposed = _sector_factor(_charges(ProductWindow(window, window)),
-                                np.kron(every_input, phi.conj()))
+    stacked = _sector_factor(-_charges(window), window, every_input, phi)
+    transposed = _sector_factor(_charges(window), window, every_input, phi.conj())
     return ChannelBlocks.from_factors(window, window, stacked, transposed)
 
 
@@ -244,9 +246,8 @@ def rho12(phi1, phi2):
     the sector of total charge k1 + k2 = s, so every entry off the rule is
     exactly 0.
     """
-    window = ProductWindow(phi1.window, phi2.window)
-    factor = _sector_factor(_charges(window), np.kron(phi1.amplitudes, phi2.amplitudes))
-    return factored_state(window, factor)
+    factor = _sector_factor(_charges(phi1.window), phi2.window, phi1.amplitudes, phi2.amplitudes)
+    return factored_state(ProductWindow(phi1.window, phi2.window), factor)
 
 
 def rho12_probe(phi1, phi2, alpha, beta):
@@ -270,12 +271,13 @@ def rho12_probe(phi1, phi2, alpha, beta):
     smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
     if smallest[0] * smallest[1] < np.finfo(float).tiny:
         raise InvariantViolationError("fiducial amplitude products leave the normal double range")
-    v = rho12(phi1, phi2).sectors  # v.values is phi1 x phi2
+    v = rho12(phi1, phi2).sectors
+    x = v.values  # phi1 x phi2, scaled in place
     peak = np.zeros(v.width)
-    np.maximum.at(peak, v.sector, np.abs(v.values))
+    np.maximum.at(peak, v.sector, np.abs(x))
     inv_scale = np.ldexp(1.0, -np.frexp(peak)[1])  # a power of two, so scaling is exact
-    _, coeff, residual = v.projection(v.values * inv_scale[v.sector],
-                                      np.kron(alpha.amplitudes, beta.amplitudes))
+    x *= inv_scale[v.sector]  # a second read: no sector table is held through the projection
+    _, coeff, residual = v.projection(x, np.kron(alpha.amplitudes, beta.amplitudes))
     _finite(coeff, "sector probe coefficient")
     _finite(residual, "sector probe residual")
     if np.sqrt(residual.max()) > EPS_RANGE:

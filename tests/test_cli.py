@@ -603,13 +603,13 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 @pytest.mark.parametrize("args", [
     ("capacity", "--phi", "two-mode", "--k", "10000", "--grid", "2"),
     ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
-    ("eb-report", "--phi", "two-mode", "--k", "648"),
+    ("eb-report", "--phi", "two-mode", "--k", "692"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
     # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
     # channel-apply's (4K+2) x (2K+1) quadrature phases, which pass the limit
     # at K = 3000 where (2K+1)^2 entries would not; what eb-report --phi holds
-    # on its sector path, which admits K <= 647
+    # on its sector path, which admits K <= 691
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -805,12 +805,12 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds about 36 d^2 entries and two chunks on its sector path, not d^4:
-    # K=647 passes the guard; --channel ignores --k, so the guard charges it nothing
+    # --phi holds about 33 d^2 entries on its sector path, not d^4: K=691 passes the
+    # guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, parse_args
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
-        args = parse_args(argv + ["--k", "647"])
-        args.k = [647]
+        args = parse_args(argv + ["--k", "691"])
+        args.k = [691]
         _check_size(args)
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
     assert "GiB" in capsys.readouterr().err
@@ -841,12 +841,12 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     assert (captured.out, captured.err) == (report, "")
 
 
-def traced_peaks_and_charges(tmp_path, rng, by_sectors):
-    """(half, traced peak, guard charge in bytes) of eb-report --phi at K = 8, 16, 32."""
+def traced_peaks_and_charges(tmp_path, rng, by_sectors, halves=(8, 16, 32)):
+    """(half, traced peak, guard charge in bytes) of eb-report --phi at each K of halves."""
     from eblab.cli import _phi_report_entries
     out = str(tmp_path / "report.json")
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "1", "--out", out]) == 0  # caches
-    for half in (8, 16, 32):
+    for half in halves:
         argv = ["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--out", out]
         if not by_sectors:
             sigma = tmp_path / f"sigma{half}.json"
@@ -866,6 +866,13 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng):
     # the guard used to count one joined factor, about a sixth of the peak; on the
     # sector path (mixed sigma) it now counts what the per-sector residuals hold
     for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=True):
+        assert peak <= count <= 1.5 * peak, (half, count, peak)
+
+
+@pytest.mark.slow
+def test_eb_report_phi_size_guard_bounds_the_traced_peak_at_large_k(tmp_path, rng):
+    # the charge's d^2 and G^2 terms lead from K = 64 on, where the guard decides
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, True, (64, 128)):
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 

@@ -424,15 +424,17 @@ def test_factored_state_builds_its_entries_on_first_access(rng):
 @pytest.mark.parametrize("half", [1, 3, 6])
 def test_sector_shaped_factor_expands_to_its_sector_blocks(rng, half):
     # a SectorFactor, as rho12's charge-sector factor is: one value per row in its
-    # sector's column, zero rows included. Each sector's block is _gram of its nonzero
-    # rows, every cell between sectors and of a zero row is +0.0, and the dense factor
-    # read from .factor is the same matrix
+    # sector's column, zero rows included; here one row per input (v = [1]), each at an
+    # arbitrary sector offset. Each sector's block is _gram of its nonzero rows, every
+    # cell between sectors and of a zero row is +0.0, and the dense factor read from
+    # .factor is the same matrix
     w = ModeWindow.symmetric(half)
     sector = rng.integers(0, 3, size=w.dimension)
     values = rng.normal(size=w.dimension) + 1j * rng.normal(size=w.dimension)
     values[rng.random(w.dimension) < 0.3] = 0.0
     values /= np.linalg.norm(values)
-    state = factored_state(w, SectorFactor(sector, values, 3, 0, None))
+    state = factored_state(w, SectorFactor(sector, values, np.ones(1, dtype=complex), 3, 0,
+                                           None))
     x = state.factor
     assert np.array_equal(x[np.arange(w.dimension), sector], values)
     assert np.count_nonzero(x) == np.count_nonzero(values)

@@ -338,8 +338,8 @@ def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
 def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n):
     # the factor keeps the function and passes its own width and first: row s of
     # orbit_basis(n) runs along the charge first + s over the nodes 2 pi g / n
-    factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex), width, first,
-                          _node_basis)
+    factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex),
+                          np.ones(1, dtype=complex), width, first, _node_basis)
     nodes = 2.0 * np.pi * np.arange(n) / n
     want = np.exp(1j * np.outer(first + np.arange(width), nodes)) / np.sqrt(n)
     assert np.abs(factor.orbit_basis(n) - want).max() <= 1e-15
@@ -651,8 +651,10 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     if zero_modes:
         amplitudes[rng.choice(d, size=half, replace=False)] = 0.0
     phi = PureVector(ModeWindow.symmetric(half), amplitudes)
-    sigmas = (StateOperator.maximally_mixed(phi.window),
-              StateOperator(phi.window, random_density(rng, d)))
+    full = StateOperator(phi.window, random_density(rng, d))
+    weights = rng.random(d) + 0.1  # unequal, so the eigenbasis permutes and scales the rows
+    sigmas = (StateOperator.maximally_mixed(phi.window), full,
+              StateOperator(phi.window, np.diag(weights / weights.sum())))
     channel = RotationChannel(phi)
     factored, dense = factored_channel(channel), channel_blocks(channel)
     x = factored.stacked.factor
@@ -663,6 +665,7 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     form = holevo_form(channel)
     for sigma in sigmas:
         state, oracle = choi(factored, sigma), choi(dense, sigma)
+        assert (state.sectors is None) == (sigma is full)  # a row move keeps a sector factor
         y, z = state.factor, state.transposed.factor
         assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
         assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
