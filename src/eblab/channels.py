@@ -24,13 +24,13 @@ read. A dense atom is split once, when the form is built. The rank-one
 Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and each
 column-pair factor is a Khatri-Rao product (_khatri_rao), such as
 holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
-factored chain as a rotation channel. The decomposition's trace distance
-and eb_extract's residual compare a Khatri-Rao factor with an operator
-(_difference_norms): sector by sector, as a certified bound, when it is
-stored as a SectorFactor, and otherwise exactly, from one QR or one dense
-eigensolve. eb_extract's operator is the channel's stacked matrix; the
-decomposition's is the Choi state, a SectorFactor only under a reference
-whose eigenbasis is monomial (reference_eigensystem).
+factored chain as a rotation channel. A chain makes one comparison
+(_difference_norms), of the extracted Kraus columns with the channel's
+stacked matrix: sector by sector, as a certified bound, when it is stored
+as a SectorFactor, and otherwise exactly, from one QR or one dense
+eigensolve. The decomposition makes it when it is built, and its trace
+distance to the Choi state follows by the congruence W^T x I, whatever
+the reference; eb_extract reads the result.
 """
 
 from __future__ import annotations
@@ -425,9 +425,7 @@ def reference_eigensystem(reference):
     The pair is eig_hermitian's. source is the row of each eigenvector's one
     nonzero when every eigenvector has one (a diagonal reference), else
     None. With a source the Choi congruence only moves and scales rows, so a
-    channel's SectorFactor stays one and the decomposition's trace distance
-    runs sector by sector; without one it takes the QR path. It picks only
-    the Choi state's representation: the extraction compares with the channel.
+    channel's SectorFactor stays one; without one the Choi factors are dense.
     """
     lam, basis = eig_hermitian(reference)
     return lam, basis, _monomial_rows(basis.T)
@@ -443,9 +441,9 @@ class ChoiState(StateOperator):
     channel's transposed factor when S is factored, else
     partial_transpose(self), built on first read. eigensystem is
     reference_eigensystem(reference) when the caller has already taken it;
-    when it has a source the congruence keeps a SectorFactor one. The
-    reference is full rank when l_min >= CHOI_RANK_TOL * l_max, a floor that
-    scales with its spectrum.
+    when it has a source the congruence keeps a SectorFactor one, else both
+    factors are dense, which no comparison reads. The reference is full
+    rank when l_min >= CHOI_RANK_TOL * l_max, a floor that scales with it.
     """
 
     def __init__(self, channel, reference, eigensystem=None):
@@ -521,8 +519,11 @@ class SeparableChoiDecomposition:
     the output window. They are kept as arrays: the weights and the columns
     phi_n of lefts and psi_n of rights; atoms builds the PureVector triples
     when it is read. The weighted sum must reproduce the target within
-    EXTRACT_TOL in trace distance, bounded by _difference_norms; this is
-    validated at construction.
+    EXTRACT_TOL in trace distance, checked at construction by congruence:
+    with W = B Lambda^(1/2), the atoms' factor is (W^T x I) A and the Choi
+    state's (W^T x I) X, for eb_extract's Kraus columns A and the channel's
+    S = X X^dag, so the distance is at most l_max ||A A^dag - S||_1 / 2,
+    which _difference_norms bounds; A's vectors and operator bound are kept.
     """
 
     def __init__(self, target, atoms):
@@ -546,8 +547,13 @@ class SeparableChoiDecomposition:
             array.setflags(write=False)
         self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
         self._reconstruction = None
-        distance = 0.5 * _difference_norms(lefts * np.sqrt(weights), rights, target)[1]
-        _at_most(distance, EXTRACT_TOL, "decomposition misses the Choi target: trace distance")
+        povm = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj(),
+                              np.ones(lefts.shape[1], dtype=int))
+        povm *= np.sqrt(weights)  # in place, so u is not held beside sqrt(w) u
+        self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
+        _at_most(0.5 * target.eigenvalues[0] * trace, EXTRACT_TOL,
+                 "decomposition misses the Choi target: trace distance bound")
+        self._povm = povm
 
     @property
     def target(self):
@@ -669,22 +675,17 @@ def eb_extract(decomposition):
     B Lambda B^dag and phi's coordinates are in the eigenbasis B, paired
     with the prepared state |psi><psi|. The residual bounds the operator
     norm of A A^dag - S, with A's columns conj(sqrt(w) u) x psi and S the
-    channel's stacked matrix; it bounds the largest entry difference. When
-    S is stored as a SectorFactor (a rotation channel, under any reference)
-    it is the per-sector bound (_sector_difference); otherwise it is the
-    norm itself, from one QR of [A, X] for a factored S = X X^dag, with no
-    (d_in d_out)-square array, or from one dense eigvalsh. Failure raises
-    ExtractionInconsistentError with the residual.
+    channel's stacked matrix; it bounds the largest entry difference. The
+    decomposition formed A and took it (_difference_norms: the per-sector
+    bound when S is a SectorFactor, as for a rotation channel under any
+    reference, else the norm itself), so no comparison runs here. A form
+    off POVM completeness by more than EXTRACT_TOL is refused, and a
+    residual above it raises ExtractionInconsistentError with the residual.
     """
-    target = decomposition.target
-    channel = target.channel
-    lefts = decomposition.lefts
-    u = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj(),
-                       np.ones(lefts.shape[1], dtype=int))
-    form = HolevoForm.rank_one(channel.in_window, channel.out_window,
-                               u * np.sqrt(decomposition.weights), decomposition.rights,
-                               povm_tol=EXTRACT_TOL)
-    residual, _ = _difference_norms(*_kraus_vectors(form, form.inputs.conj()), channel.stacked)
+    channel = decomposition.target.channel
+    form = HolevoForm.rank_one(channel.in_window, channel.out_window, decomposition._povm,
+                               decomposition.rights, povm_tol=EXTRACT_TOL)
+    residual = decomposition._residual
     if not residual <= EXTRACT_TOL:
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel's stacked matrix", residual)

@@ -102,21 +102,19 @@ def _phi_report_entries(half, by_sectors=True):
     Here d = 2K + 1 and the grid has G = 4K + 2 = 2d nodes. On the sector
     path (by_sectors: a --sigma whose eigenbasis only moves rows, so the Choi
     state's factors stay sector factors; channels.reference_eigensystem) the
-    peak is in the extraction's per-sector residual: the chain's four d x G
-    vector arrays and the extraction's vectors and Kraus pairing (10 d^2
-    each), each row's share (d^2), the conjugated G x (4K + 1) node basis
-    (G^2), two d x G row buffers and the projection's flat arrays (4 d G),
-    and 2 d^2 + 1024 for small objects. Otherwise the Choi state's two
-    factors are dense d^2 x (4K + 1), and the decomposition's trace distance
-    takes a QR of the d^2 x G Khatri-Rao columns joined to one, held three
-    times: the join, numpy's astype(copy=True) and the LAPACK work copy; the
-    extraction still runs sector by sector, below that peak.
+    peak is in the chain's one per-sector comparison, made when the
+    decomposition is built: the form's, the decomposition's and the
+    extraction's d x G vector arrays with their temporaries and each row's
+    share (23 d^2 together), the conjugated G x (4K + 1) node basis (G^2),
+    two d x G row buffers and the projection's flat arrays (4 d G), and 1024
+    for small objects. Otherwise the Choi state's two factors are dense
+    d^2 x (4K + 1): ChoiState holds three while it forms and copies the
+    second, and the finiteness check's mask adds a sixteenth of one; the
+    sector comparison then runs beside the two, so its charge is added.
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
-    if by_sectors:
-        return 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
-    columns = 2 * (4 * half + 1) + nodes + 3 * (nodes + 4 * half + 1)
-    return d * d * columns + nodes * d
+    sectors = 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
+    return sectors if by_sectors else 49 * d * d * (4 * half + 1) // 16 + sectors
 
 
 def _check_size(args):
@@ -129,8 +127,8 @@ def _check_size(args):
     channel-apply's quadrature holds the grid phases, one row of d
     per node. capacity holds only the d mode weights, whatever its --grid.
     eb-report --phi is charged what it holds at its peak on the sector path
-    (_phi_report_entries), and cmd_eb_report charges the QR path's peak once
-    --sigma is read and its eigenbasis sends the Choi state there
+    (_phi_report_entries), and cmd_eb_report charges the dense Choi factors
+    once --sigma is read and its eigenbasis mixes rows
     (channels.reference_eigensystem). eb-report --channel does not read --k: a
     blocks file holds every entry in its JSON, and an atoms file is measured
     once read (_check_atoms_size).
@@ -145,9 +143,9 @@ def _check_size(args):
 
 
 def _check_atoms_size(form, path):
-    """Refuse a Holevo form whose extraction would join more than MAX_DENSE_BYTES.
+    """Refuse a Holevo form whose chain would join more than MAX_DENSE_BYTES.
 
-    eb_extract's [A, X] has d_in d_out rows and at most 2c columns, with
+    The chain's one QR, of [A, X], has d_in d_out rows and at most 2c columns, with
     c = sum_b cols(F_b) cols(G_b) over the atoms' factors M_b = F_b F_b^dag
     and rho'_b = G_b G_b^dag; it is the largest array of the atoms path.
     """
@@ -206,7 +204,7 @@ def cmd_eb_report(args):
         phi = _resolve_phi(args.phi, args.k[0])
         sigma = _resolve_sigma(args.sigma, phi.window)
         eigensystem = ch.reference_eigensystem(sigma)
-        if eigensystem[2] is None:  # the Choi state takes the QR path: charge it
+        if eigensystem[2] is None:  # the Choi state's factors are dense: charge them
             _refuse_above_limit(_phi_report_entries(args.k[0], by_sectors=False), "eb-report",
                                 "this --k request with a non-diagonal --sigma")
         channel_obj = rot.RotationChannel(phi)

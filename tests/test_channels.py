@@ -13,6 +13,7 @@ from eblab import (
     ModeWindow,
     ProductWindow,
     PureVector,
+    RotationChannel,
     StateOperator,
     WindowMismatchError,
     apply,
@@ -27,10 +28,12 @@ from eblab import (
     eb_extract,
     eb_necessary_test,
     eig_hermitian,
+    factored_channel,
     factored_operator,
     factored_state,
     holevo_apply,
     holevo_channel,
+    holevo_form,
     identity_channel,
     kraus_apply,
     kraus_rank_one,
@@ -41,7 +44,7 @@ from eblab import (
     trace_norm_distance,
     transpose_channel,
 )
-from eblab.channels import EXTRACT_TOL
+from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao
 from conftest import assert_same_channel, random_density, random_pure
 
 
@@ -364,10 +367,11 @@ def test_eb_extract_rejects_foreign_decomposition(rng):
         separable_choi_from_holevo(form, choi(other, sigma))
 
 
-def test_eb_extract_refuses_a_decomposition_its_target_accepts(rng):
+def test_construction_refuses_a_decomposition_its_choi_distance_accepts(rng):
     # Lambda^{-1/2} amplifies a Choi-side error near sigma's small eigenvalue: bending the
     # output of the atom of weight 1e-6 by 1e-5 moves the Choi state by about 1e-11 in trace
-    # distance, which the decomposition accepts, but the extracted channel by about 1e-5
+    # distance, but the extracted channel by about 1e-5. Construction gates l_max / 2 times
+    # the extraction's trace norm, which bounds the first by the second, so it refuses
     w = ModeWindow.symmetric(1)
     form = HolevoForm([(basis_vector(w, k).projector(), PureVector(w, random_pure(rng, 3)).projector())
                        for k in (-1, 0, 1)])
@@ -377,13 +381,73 @@ def test_eb_extract_refuses_a_decomposition_its_target_accepts(rng):
     lightest = min(range(len(atoms)), key=lambda n: atoms[n][0])
     weight, phi, psi = atoms[lightest]
     atoms[lightest] = (weight, phi, PureVector(w, psi.amplitudes + 1e-5 * np.array([1j, 0, 1])))
-    bent = SeparableChoiDecomposition(decomposition.target, atoms)
-    assert trace_norm_distance(bent.reconstruction(), bent.target) <= EXTRACT_TOL
+    weights = np.array([weight for weight, _, _ in atoms])
+    lefts, rights = (np.stack([v.amplitudes for v in side], axis=1)
+                     for side in list(zip(*atoms))[1:])
+    reconstruction = factored_state(decomposition.target.window,
+                                    _khatri_rao(lefts, rights) * np.sqrt(weights))
+    assert 1e-12 < trace_norm_distance(reconstruction, decomposition.target) <= EXTRACT_TOL
+    with pytest.raises(InvariantViolationError, match="trace distance bound") as err:
+        SeparableChoiDecomposition(decomposition.target, atoms)
+    assert not isinstance(err.value, ExtractionInconsistentError)
+
+
+def test_the_extraction_gates_what_the_congruence_bound_lets_through():
+    # the congruence bound is l_max / 2 times the extraction's trace norm, so under the
+    # mixed reference on seven modes (l_max = 1/7) a decomposition passes construction
+    # while its extracted form misses the channel, or POVM completeness, by up to 7e-8
+    d = 7
+    w = window(d)
+    target = choi(dephasing_channel(w), StateOperator.maximally_mixed(w))
+    exact = [(1 / d, basis_vector(w, i), basis_vector(w, i)) for i in range(d)]
+    turned = list(exact)  # atom 0 prepares a state turned by 3e-8 towards |1>
+    turned[0] = (1 / d, exact[0][1], PureVector(w, np.sqrt(1 - 9e-16) * np.eye(d)[0]
+                                                 + 3e-8 * np.eye(d)[1]))
     with pytest.raises(ExtractionInconsistentError,
                        match="extracted form disagrees with the channel's stacked matrix") as err:
-        eb_extract(bent)
-    assert err.value.residual > EXTRACT_TOL
-    assert 1e-6 < err.value.residual < 1e-4
+        eb_extract(SeparableChoiDecomposition(target, turned))
+    assert abs(err.value.residual - 3e-8) < 1e-15
+    shifted = list(exact)  # 5e-9 of atom 1's weight moved to atom 0: POVM off by 3.5e-8
+    shifted[0], shifted[1] = (1 / d + 5e-9, *exact[0][1:]), (1 / d - 5e-9, *exact[1][1:])
+    with pytest.raises(InvariantViolationError, match="POVM incomplete") as err:
+        eb_extract(SeparableChoiDecomposition(target, shifted))
+    assert not isinstance(err.value, ExtractionInconsistentError)
+
+
+def congruence_chain(rng, kind, half):
+    """(form, Choi state) of a random rotation, atoms or blocks channel under a random full-rank sigma."""
+    if kind == "rotation":
+        d = 2 * half + 1
+        rotation = RotationChannel(PureVector(ModeWindow.symmetric(half),
+                                              rng.normal(size=d) + 1j * rng.normal(size=d)))
+        form, channel = holevo_form(rotation), factored_channel(rotation)
+    else:
+        form = random_holevo_form(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)),
+                                  int(rng.integers(2, 6)))
+        channel = holevo_channel(form) if kind == "atoms" else blocks_from_holevo(form)
+    d_in = channel.in_window.dimension
+    return form, choi(channel, StateOperator(channel.in_window, random_density(rng, d_in)))
+
+
+@pytest.mark.parametrize("kind, half", [*(("rotation", half) for half in (1, 2, 4, 8)),
+                                        ("atoms", None), ("blocks", None)])
+def test_the_congruence_bound_holds_the_exact_choi_distance(rng, kind, half):
+    # W^T x I maps the extraction's factor onto the decomposition's and the channel's onto
+    # the Choi state's, so l_max / 2 times the extraction's trace norm bounds the exact
+    # trace distance. Each prepared state is turned by about 1e-10, which puts both far
+    # above round-off: on an exact decomposition they are both noise, of order 1e-16
+    for _ in range(4):
+        form, state = congruence_chain(rng, kind, half)
+        exact = separable_choi_from_holevo(form, state)
+        rights = exact.rights + 1e-10 * (rng.normal(size=exact.rights.shape)
+                                         + 1j * rng.normal(size=exact.rights.shape))
+        decomposition = SeparableChoiDecomposition.from_vectors(
+            state, exact.weights, exact.lefts, rights / np.linalg.norm(rights, axis=0))
+        trace = _difference_norms(decomposition._povm.conj(), decomposition.rights,
+                                  state.channel.stacked)[1]
+        bound = 0.5 * state.eigenvalues[0] * trace
+        distance = trace_norm_distance(decomposition.reconstruction(), state)
+        assert 1e-13 < distance <= bound <= EXTRACT_TOL, (distance, bound)
 
 
 def test_kraus_rank_one_dephasing():

@@ -791,21 +791,19 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
         assert calls == [("eigh", d)], half
         assert jsonio.read_json(out)["extraction_residual"] < 1e-12
     # a non-diagonal sigma (checked by an eigvalsh when read) makes the Choi factors
-    # dense, so the decomposition's trace distance runs one QR of d^2 rows and the
-    # eigvalsh of its R; the extraction compares with the channel's sector factor,
-    # so it runs no second QR
+    # dense, but no comparison reads them: the chain's one comparison is with the
+    # channel's sector factor, so no QR runs
     sigma = tmp_path / "sigma.json"
     write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
     calls.clear()
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--sigma", str(sigma),
                  "--out", str(out)]) == 0
-    assert calls == [("eigvalsh", d), ("eigh", d), ("qr", d * d),
-                     ("eigvalsh", 2 * (4 * half + 1) + 1)]
+    assert calls == [("eigvalsh", d), ("eigh", d)]
     assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds about 33 d^2 entries on its sector path, not d^4: K=691 passes the
+    # --phi holds about 35 d^2 entries on its sector path, not d^4: K=691 passes the
     # guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, parse_args
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
@@ -818,8 +816,10 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
 
 def test_eb_report_phi_charges_the_qr_path_once_a_non_diagonal_sigma_is_read(tmp_path, rng,
                                                                             capsys):
-    # a non-diagonal reference takes the QR path, whose joined factors admit K <= 77
-    half, d = 78, 157
+    # a non-diagonal reference makes the Choi factors dense, which admit K <= 109
+    from eblab.cli import MAX_DENSE_BYTES, _phi_report_entries
+    assert 16 * _phi_report_entries(109, by_sectors=False) <= MAX_DENSE_BYTES
+    half, d = 110, 221
     sigma = tmp_path / "sigma.json"
     write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
     assert main(["eb-report", "--phi", "two-mode", "--k", str(half), "--sigma", str(sigma)]) == 2
@@ -871,21 +871,23 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng):
 
 @pytest.mark.slow
 def test_eb_report_phi_size_guard_bounds_the_traced_peak_at_large_k(tmp_path, rng):
-    # the charge's d^2 and G^2 terms lead from K = 64 on, where the guard decides
-    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, True, (64, 128)):
-        assert peak <= count <= 1.5 * peak, (half, count, peak)
+    # the charge's d^2 and G^2 terms lead from K = 64 on, where the guard decides; so does
+    # the d^2 (4K + 1) term of a non-diagonal sigma's dense Choi factors
+    for by_sectors, halves in ((True, (64, 128)), (False, (64,))):
+        for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors, halves):
+            assert peak <= count <= 1.5 * peak, (by_sectors, half, count, peak)
 
 
 def test_eb_report_phi_qr_guard_bounds_the_traced_peak(tmp_path, rng):
-    # a non-diagonal sigma takes the QR path, whose charge is the Choi factors' and the
-    # decomposition's joined factor's; the extraction compares sector by sector
+    # a non-diagonal sigma makes the Choi state's two factors dense; its charge is theirs
+    # and the transient third's, beside which the chain compares sector by sector
     for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=False):
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
 def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, monkeypatch,
                                                                       capsys, rng):
-    # a K=2 atoms file joins 25 rows and 2 x 8 columns in eb_extract; a limit
+    # a K=2 atoms file joins 25 rows and 2 x 8 columns in its one comparison; a limit
     # below that refuses it before holevo_channel allocates anything
     from eblab import channels, cli
 

@@ -1,10 +1,13 @@
-"""The sector comparison is chosen in one place, and its per-sector projection is written once.
+"""A chain makes one comparison, chosen in one place, and its per-sector projection is written once.
 
 channels._difference_norms compares a Khatri-Rao factor with an operator
 and reads how that operator is stored (op.sectors) to pick the per-sector
 bound or the QR; a sectors parameter beside op would let a caller choose
-a second time. eb_extract compares with the channel's stacked matrix, so
-the Choi target's representation must not steer it. The per-sector
+a second time. SeparableChoiDecomposition._init makes the chain's one
+comparison, of the extraction's vectors with the channel's stacked
+matrix, never with the Choi target, whose trace distance follows by
+congruence; eb_extract reads its result and compares nothing, so the Choi
+target's representation steers no comparison. The per-sector
 projection c_s = <x_s, w_s> / |x_s|^2 lives in SectorFactor.projection,
 the one np.divide(..., where=...) of the package. rotation.rho12_probe
 reads rho12's sector factor, and rotation.rho12_n_distance the one of the
@@ -55,6 +58,29 @@ def target_sector_reads(tree):
                   and "target" in names(node.value))
 
 
+def _method(tree, cls, name):
+    return _function(next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.ClassDef) and node.name == cls), name)
+
+
+def comparisons(node):
+    """The _difference_norms calls under node, each as the source of its arguments."""
+    return [[ast.unparse(arg) for arg in call.args] for call in ast.walk(node)
+            if _called(call) == "_difference_norms"]
+
+
+def extraction_work(tree):
+    """The calls in eb_extract that compare or form the extraction's vectors."""
+    return sorted(call for call in map(_called, ast.walk(_function(tree, "eb_extract")))
+                  if call in ("_difference_norms", "_basis_product"))
+
+
+def on_the_channel(arguments):
+    """Whether a comparison's operand is the channel's stacked matrix and no argument is the target."""
+    return ("channel.stacked" in arguments[-1]
+            and not any(text.split(".")[-1] in ("target", "_target") for text in arguments))
+
+
 def guarded_divides(tree):
     """Line numbers of the calls np.divide(..., where=...)."""
     return sorted(node.lineno for node in ast.walk(tree) if _called(node) == "divide"
@@ -77,6 +103,35 @@ def test_difference_norms_reads_the_path_off_the_operator():
 
 def test_eb_extract_does_not_consult_its_target():
     assert target_sector_reads(_parse("channels.py")) == []
+
+
+def test_eb_extract_compares_nothing():
+    assert extraction_work(_parse("channels.py")) == []
+
+
+def test_the_decomposition_makes_the_one_comparison_with_the_channel():
+    found = comparisons(_method(_parse("channels.py"), "SeparableChoiDecomposition", "_init"))
+    assert len(found) == 1 and on_the_channel(found[0]), found
+
+
+def test_a_chain_runs_one_comparison(monkeypatch):
+    # a rotation channel (sector path) and an atoms file's channel (QR path), each under a
+    # non-diagonal sigma, through the decomposition and the extraction
+    import numpy as np
+    from eblab import (RotationChannel, StateOperator, channels, choi, eb_extract,
+                       factored_channel, holevo_channel, holevo_form, phi_profile,
+                       separable_choi_from_holevo)
+    calls, real = [], channels._difference_norms
+    monkeypatch.setattr(channels, "_difference_norms",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    rotation = RotationChannel(phi_profile("geometric(0.7)", 2))
+    form = holevo_form(rotation)
+    sigma = StateOperator(rotation.window, np.diag(np.arange(1.0, 6.0)) / 15 + 0.01 * np.eye(5, k=1)
+                          + 0.01 * np.eye(5, k=-1))
+    for channel in (factored_channel(rotation), holevo_channel(form)):
+        calls.clear()
+        eb_extract(separable_choi_from_holevo(form, choi(channel, sigma)))
+        assert calls == [channel.stacked]
 
 
 def test_the_per_sector_projection_is_written_once():
@@ -104,6 +159,11 @@ def eb_extract(decomposition):
     target = decomposition.target
     sectors = channel.stacked.sectors if target.sectors is not None else None
     other = decomposition.target.sectors
+    residual, _ = _difference_norms(_basis_product(b, lefts, counts), rights, channel.stacked)
+class SeparableChoiDecomposition:
+    def _init(self, target, weights, lefts, rights):
+        _difference_norms(lefts, rights, target)
+        _difference_norms(povm.conj(), rights, target.channel.stacked)
 def rho12_probe(phi1, phi2, alpha, beta):
     sector = _sector_index(_charges(ProductWindow(phi1.window, phi2.window)))
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
@@ -122,7 +182,10 @@ def _difference_norms(left, right, op):
     sectors = op.sectors
 def eb_extract(decomposition):
     target = decomposition.target
-    residual, _ = _difference_norms(left, right, target.channel.stacked)
+    residual = decomposition._residual
+class SeparableChoiDecomposition:
+    def _init(self, target, weights, lefts, rights):
+        self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
 def rho12_probe(phi1, phi2, alpha, beta):
     v = rho12(phi1, phi2).sectors
     _, coeff, residual = v.projection(v.values, np.kron(alpha.amplitudes, beta.amplitudes))
@@ -136,7 +199,10 @@ def _partial_orbit_nodes(sectors, n):
     flagged_tree, passed_tree = ast.parse(flagged), ast.parse(passed)
     assert parameters(flagged_tree, "_difference_norms") == ["left", "right", "op", "sectors"]
     assert target_sector_reads(flagged_tree) == [6, 7]
-    assert guarded_divides(flagged_tree) == [12, 13]
+    assert guarded_divides(flagged_tree) == [17, 18]
+    assert extraction_work(flagged_tree) == ["_basis_product", "_difference_norms"]
+    assert [on_the_channel(arguments) for arguments in comparisons(
+        _method(flagged_tree, "SeparableChoiDecomposition", "_init"))] == [False, True]
     assert own_sector_tables(flagged_tree, "rho12_probe") == ["_charges", "_sector_index", "kron"]
     assert own_sector_tables(flagged_tree, "rho12_n_distance") == [
         "_charges", "_sector_index", "kron"]
@@ -144,6 +210,9 @@ def _partial_orbit_nodes(sectors, n):
     assert parameters(passed_tree, "_difference_norms") == ["left", "right", "op"]
     assert target_sector_reads(passed_tree) == []
     assert guarded_divides(passed_tree) == []
+    assert extraction_work(passed_tree) == []
+    assert [on_the_channel(arguments) for arguments in comparisons(
+        _method(passed_tree, "SeparableChoiDecomposition", "_init"))] == [True]
     assert own_sector_tables(passed_tree, "rho12_probe") == []
     assert own_sector_tables(passed_tree, "rho12_n_distance") == []
     assert parameters(passed_tree, "_partial_orbit_nodes") == ["sectors", "n"]

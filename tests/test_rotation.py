@@ -711,31 +711,36 @@ def qr_norms(left, right, x):
     *(pytest.param(sigma, half, marks=pytest.mark.slow)
       for sigma in ("mixed", "diagonal") for half in (32, 64))])
 def test_sector_bounds_bracket_the_qr_norms(sigma, half):
-    # the decomposition's bound on its trace norm (per sector when sigma is diagonal,
-    # the QR norm itself when it is full) and the extraction's per-sector bound on its
-    # operator norm are at least the QR norms of the same factors, and at most 20 times
-    # them or 1e-13
+    # the chain's one comparison, of the extraction's Kraus columns with the channel's
+    # sector factor, bounds the operator and trace norms of their difference per sector,
+    # whatever sigma: each bound is at least the QR norm of the same factors, and at most
+    # 20 times it or 1e-13. The residual is the operator-norm bound
     form, state = sector_chain(half, 7000 + half, sigma)
     assert (state.sectors is None) == (state.transposed.sectors is None) == (sigma == "full")
-    decomposition = separable_choi_from_holevo(form, state)
-    left = decomposition.lefts * np.sqrt(decomposition.weights)
-    extracted, residual = eb_extract(decomposition)
+    extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
-    pairs = [(_difference_norms(left, decomposition.rights, state)[1],
-              qr_norms(left, decomposition.rights, state.factor)[1]),
-             (residual, qr_norms(a, g, state.channel.stacked.factor)[0])]
-    for bound, norm in pairs:
+    bounds = _difference_norms(a, g, state.channel.stacked)
+    assert bounds[0] == residual <= 1e-12
+    for bound, norm in zip(bounds, qr_norms(a, g, state.channel.stacked.factor)):
         assert norm <= bound <= max(20 * norm, 1e-13), (bound, norm)
-    assert residual <= 1e-12
+
+
+def without_the_gate(state, weights, lefts, rights, povm):
+    """The decomposition of these arrays as _init stores it, with its comparison but not its gate."""
+    decomposition = SeparableChoiDecomposition.__new__(SeparableChoiDecomposition)
+    decomposition._target, decomposition._weights = state, weights
+    decomposition._lefts, decomposition._rights, decomposition._povm = lefts, rights, povm
+    decomposition._residual = _difference_norms(povm.conj(), rights, state.channel.stacked)[0]
+    return decomposition
 
 
 def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
     # atom 2's prepared state turned by 1e-6 keeps the extracted form a valid form (its
     # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL, whether the
     # Choi state keeps the sector factors (mixed sigma) or not (a non-diagonal sigma). The
-    # decomposition's own trace-distance gate would refuse it first, so it is built
-    # here without that gate. Scaling an atom's weight by 1 + 1e-6 instead fails the
-    # extracted form's POVM completeness, with the same exit code
+    # decomposition's own gate would refuse it first, so it is built here without that
+    # gate. Scaling an atom's POVM vector by sqrt(1 + 1e-6) instead fails the extracted
+    # form's POVM completeness, which is checked first, with the same exit code
     rng = np.random.default_rng(12)
     phi = PureVector(ModeWindow.symmetric(3), rng.normal(size=7) + 1j * rng.normal(size=7))
     channel = RotationChannel(phi)
@@ -747,30 +752,27 @@ def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
         rights = np.array(exact.rights)
         rights[:, 2] += 1e-6 * rights[::-1, 2].conj()
         rights[:, 2] /= np.linalg.norm(rights[:, 2])
-        bent = SeparableChoiDecomposition.__new__(SeparableChoiDecomposition)
-        bent._target, bent._weights = state, exact.weights
-        bent._lefts, bent._rights = exact.lefts, rights
         with pytest.raises(ExtractionInconsistentError) as failure:
-            eb_extract(bent)
+            eb_extract(without_the_gate(state, exact.weights, exact.lefts, rights, exact._povm))
         assert failure.value.residual > 1e-8
-        weights = np.array(exact.weights)
-        weights[2] *= 1 + 1e-6
-        bent._weights, bent._rights = weights, exact.rights
+        povm = np.array(exact._povm)
+        povm[:, 2] *= np.sqrt(1 + 1e-6)
         with pytest.raises(InvariantViolationError, match="POVM incomplete"):
-            eb_extract(bent)
+            eb_extract(without_the_gate(state, exact.weights, exact.lefts, exact.rights, povm))
 
 
-def test_a_non_diagonal_sigma_takes_the_qr_path():
-    # its eigenbasis mixes rows, so the Choi factors are dense and the decomposition's
-    # trace distance is the exact norm from one QR; the extraction compares with the
-    # channel's stacked matrix, still a sector factor, so its residual is the per-sector
-    # bound (the golden manifest pins the written bytes of two such calls)
+def test_a_non_diagonal_sigma_runs_no_qr(monkeypatch):
+    # its eigenbasis mixes rows, so the Choi factors are dense, but no comparison reads
+    # them: the chain's one comparison is with the channel's stacked matrix, still a sector
+    # factor, so no QR runs and the residual is the per-sector bound (the golden manifest
+    # pins the written bytes of two such calls)
     form, state = sector_chain(3, 13, "full")
     assert state.sectors is None and state.transposed.sectors is None
-    decomposition = separable_choi_from_holevo(form, state)
-    left = decomposition.lefts * np.sqrt(decomposition.weights)
-    assert (_difference_norms(left, decomposition.rights, state)
-            == qr_norms(left, decomposition.rights, state.factor))
-    extracted, residual = eb_extract(decomposition)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR ran")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
     assert residual == _sector_difference(a, g, state.channel.stacked.sectors)[0]
