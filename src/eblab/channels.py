@@ -11,9 +11,10 @@ ChannelBlocks is the one channel type: it holds S and its output partial
 transpose S^(T_out) as operators, dense from blocks and factored from
 from_factors (S = X X^dag, S^(T_out) = X' X'^dag; rotation.factored_channel
 gives 4K + 1 charge-sector columns against (2K+1)^2 rows). On factors the
-Choi state is the factored state (W^T x I) X with W = B Lambda^(1/2) from
-sigma = B Lambda B^dag and its partial transpose is (W^T x I) X', both
-positive by construction, and lowest_eigenvalue is exactly 0.0 below full
+Choi state and its partial transpose are the factored states (W^T x I) X
+and (W^T x I) X', W = B Lambda^(1/2) from sigma = B Lambda B^dag: sector
+factors under a diagonal sigma, else formed only when read. Both are
+positive by construction, so lowest_eigenvalue is exactly 0.0 below full
 rank. The blocks are read off S, so every function takes every channel.
 
 A HolevoForm keeps the factors of its POVM atoms M_b = F F^dag and
@@ -419,16 +420,18 @@ def blocks_from_holevo(form):
     return ChannelBlocks(form.in_window, form.out_window, blocks)
 
 
-def reference_eigensystem(reference):
-    """(eigenvalues, eigenbasis, source) of a Choi reference.
+class _Congruence:
+    """(W^T x I) X, W = B Lambda^(1/2), kept as B, Lambda and X; dense() forms it on each call."""
 
-    The pair is eig_hermitian's. source is the row of each eigenvector's one
-    nonzero when every eigenvector has one (a diagonal reference), else
-    None. With a source the Choi congruence only moves and scales rows, so a
-    channel's SectorFactor stays one; without one the Choi factors are dense.
-    """
-    lam, basis = eig_hermitian(reference)
-    return lam, basis, _monomial_rows(basis.T)
+    __slots__ = ("basis", "lam", "x", "shape")
+
+    def __init__(self, basis, lam, x):
+        self.basis, self.lam, self.x, self.shape = basis, lam, x, x.shape
+
+    def dense(self):
+        x, w = self.x, self.basis * np.sqrt(self.lam)
+        x = x.dense() if isinstance(x, SectorFactor) else x
+        return np.tensordot(w, x.reshape(len(w), -1, x.shape[1]), axes=(0, 0)).reshape(x.shape)
 
 
 class ChoiState(StateOperator):
@@ -437,19 +440,20 @@ class ChoiState(StateOperator):
     The first tensor factor is expressed in the reference's eigenbasis
     (descending eigenvalues, kept as eigenvalues/eigenbasis with the channel
     and the reference); the marginal over the output factor is diag(l_i).
-    transposed is its output partial transpose: the congruence of the
-    channel's transposed factor when S is factored, else
-    partial_transpose(self), built on first read. eigensystem is
-    reference_eigensystem(reference) when the caller has already taken it;
-    when it has a source the congruence keeps a SectorFactor one, else both
-    factors are dense, which no comparison reads. The reference is full
-    rank when l_min >= CHOI_RANK_TOL * l_max, a floor that scales with it.
+    The reference is full rank when l_min >= CHOI_RANK_TOL * l_max, a floor
+    that scales with it. On factors the state and transposed are the
+    congruences W^T x I of the channel's two factors (module docstring): a
+    SectorFactor X stays one under a diagonal reference, and any other is
+    kept unformed (_Congruence), its trace gated on W and Tr_out(X X^dag).
+    It needs no finiteness gate: from_factors' trace-preservation gate
+    bounds every entry of X by 1, and the reference's trace gate every entry
+    of W, within EPS_TRACE. On blocks transposed is partial_transpose(self).
     """
 
-    def __init__(self, channel, reference, eigensystem=None):
+    def __init__(self, channel, reference):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
-        lam, basis, source = eigensystem or reference_eigensystem(reference)
+        lam, basis = eig_hermitian(reference)
         _at_least(lam[-1], CHOI_RANK_TOL * lam[0],
                   "reference state is rank deficient: min eigenvalue")
         w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
@@ -457,13 +461,19 @@ class ChoiState(StateOperator):
         window = ProductWindow(channel.in_window, channel.out_window)
         self._transposed = None
         if channel.stacked.sectors is not None or channel.stacked.factor is not None:
-            def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
-                if op.sectors is not None and source is not None:  # only m = source[a] adds
-                    return op.sectors.rows(source, w[source, np.arange(d_in)])
-                return np.tensordot(w, op.factor.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(
-                    d_in * d_out, -1)
+            source = _monomial_rows(basis.T)
 
-            _init_factored(self, window, congruence(channel.stacked))
+            def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
+                x = op.sectors
+                if x is not None and source is not None:  # only m = source[a] adds
+                    return x.rows(source, w[source, np.arange(d_in)])
+                return _Congruence(basis, lam, op.factor if x is None else x)
+
+            factor = congruence(channel.stacked)
+            if isinstance(factor, _Congruence):  # Tr is Tr W^T Tr_out(X X^dag) conj(W)
+                trace = np.vdot(w.conj(), _traced_out(factor.x, d_in) @ w.conj()).real
+                _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
+            _init_factored(self, window, factor)
             self._transposed = factored_operator(window, congruence(channel.transposed))
         else:
             entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
@@ -496,9 +506,9 @@ class ChoiState(StateOperator):
         return self._transposed
 
 
-def choi(channel, sigma, eigensystem=None):
-    """The ChoiState of channel over sigma; StateOperator.maximally_mixed is the usual reference."""
-    return ChoiState(channel, sigma, eigensystem)
+def choi(channel, sigma):
+    """ChoiState(channel, sigma), which solves sigma itself; maximally_mixed is the usual sigma."""
+    return ChoiState(channel, sigma)
 
 
 def eb_necessary_test(state):

@@ -96,42 +96,35 @@ def _refuse_above_limit(entries, command, source):
                           f"above the {MAX_DENSE_BYTES / 2 ** 30:g} GiB limit")
 
 
-def _phi_report_entries(half, by_sectors=True):
-    """Complex entries eb-report --phi holds at its peak.
+def _phi_report_entries(half):
+    """Complex entries eb-report --phi holds at its peak, under any --sigma.
 
-    Here d = 2K + 1 and the grid has G = 4K + 2 = 2d nodes. On the sector
-    path (by_sectors: a --sigma whose eigenbasis only moves rows, so the Choi
-    state's factors stay sector factors; channels.reference_eigensystem) the
-    peak is in the chain's one per-sector comparison, made when the
-    decomposition is built: the form's, the decomposition's and the
-    extraction's d x G vector arrays with their temporaries and each row's
-    share (23 d^2 together), the conjugated G x (4K + 1) node basis (G^2),
-    two d x G row buffers and the projection's flat arrays (4 d G), and 1024
-    for small objects. Otherwise the Choi state's two factors are dense
-    d^2 x (4K + 1): ChoiState holds three while it forms and copies the
-    second, and the finiteness check's mask adds a sixteenth of one; the
-    sector comparison then runs beside the two, so its charge is added.
+    With d = 2K + 1 and G = 4K + 2 = 2d grid nodes, the peak is in the
+    chain's one per-sector comparison, made when the decomposition is built:
+    the form's, the decomposition's and the extraction's d x G vector arrays
+    with their temporaries and each row's share (23 d^2), the conjugated
+    G x (4K + 1) node basis (G^2), two d x G row buffers and the
+    projection's flat arrays (4 d G), and 1024 for small objects. No
+    --sigma adds an array past d x d: ChoiState keeps a non-diagonal one's
+    factors unformed.
     """
     d, nodes = 2 * half + 1, rot.grid_nodes(half)
-    sectors = 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
-    return sectors if by_sectors else 49 * d * d * (4 * half + 1) // 16 + sectors
+    return 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
 
 
 def _check_size(args):
     """Refuse a --k request whose dense arrays exceed MAX_DENSE_BYTES.
 
     With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
-    holds d^2 entries. rho12 builds no d^2-square matrix, but it writes the
-    text of all d^4 cells of one (at least 6 bytes each), which its charge
-    of d^4 entries bounds; that admits K up to 44, as before.
-    channel-apply's quadrature holds the grid phases, one row of d
-    per node. capacity holds only the d mode weights, whatever its --grid.
-    eb-report --phi is charged what it holds at its peak on the sector path
-    (_phi_report_entries), and cmd_eb_report charges the dense Choi factors
-    once --sigma is read and its eigenbasis mixes rows
-    (channels.reference_eigensystem). eb-report --channel does not read --k: a
-    blocks file holds every entry in its JSON, and an atoms file is measured
-    once read (_check_atoms_size).
+    holds d^2 entries. rho12 builds no d^2-square matrix, but writes the
+    text of all d^4 cells of one (at least 6 bytes each), which a charge of
+    d^4 entries bounds (K <= 44). channel-apply holds the grid phases, one
+    row of d per node; capacity only the d mode weights, whatever its
+    --grid. eb-report --phi is charged its peak (_phi_report_entries) under
+    every --sigma: parsing a --sigma file, before the chain runs, holds
+    about 14 d^2, below it. eb-report --channel does not read --k: a blocks
+    file holds every entry in its JSON, and an atoms file is measured once
+    read (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
@@ -187,7 +180,6 @@ def cmd_channel_apply(args):
 def cmd_eb_report(args):
     if args.channel is not None and args.phi is not None:
         raise SchemaError("eb-report takes --channel or --phi, not both")
-    eigensystem = None
     if args.channel is not None:
         raw = jsonio.read_json(args.channel)
         if isinstance(raw, dict) and "blocks" in raw:
@@ -203,10 +195,6 @@ def cmd_eb_report(args):
     elif args.phi is not None:
         phi = _resolve_phi(args.phi, args.k[0])
         sigma = _resolve_sigma(args.sigma, phi.window)
-        eigensystem = ch.reference_eigensystem(sigma)
-        if eigensystem[2] is None:  # the Choi state's factors are dense: charge them
-            _refuse_above_limit(_phi_report_entries(args.k[0], by_sectors=False), "eb-report",
-                                "this --k request with a non-diagonal --sigma")
         channel_obj = rot.RotationChannel(phi)
         channel = rot.factored_channel(channel_obj)
         form = rot.holevo_form(channel_obj)
@@ -215,7 +203,7 @@ def cmd_eb_report(args):
     is_cp, min_eig_stacked = ch.cp_check(channel)
     report = {"cp": bool(is_cp), "min_eig_stacked": float(min_eig_stacked)}
     if is_cp:  # a non-CP map has no Choi state to screen or decompose
-        state = ch.choi(channel, sigma, eigensystem)
+        state = ch.choi(channel, sigma)
         ppt, min_eig_pt = ch.eb_necessary_test(state)
         report.update(ppt=bool(ppt), min_eig_pt=float(min_eig_pt))
         if form is not None:

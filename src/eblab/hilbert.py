@@ -290,10 +290,10 @@ class MatrixOperator:
     def factor(self):
         """The d x m array X with entries X X^dag if the operator was built from one, else None.
 
-        A SectorFactor is returned as its dense array, built on each read.
+        A factor stored as anything but an array is returned as its dense().
         """
         x = self._factor
-        return x.dense() if isinstance(x, SectorFactor) else x
+        return x if x is None or isinstance(x, np.ndarray) else x.dense()
 
     @property
     def sectors(self):
@@ -305,7 +305,7 @@ class MatrixOperator:
         """Entries from the factor; a SectorFactor's are its sector blocks, zero between."""
         x = self._factor
         if not isinstance(x, SectorFactor):
-            return _gram(x)
+            return _gram(self.factor)
         rows, cols, values = _sector_cells(x)
         m = np.zeros((x.shape[0],) * 2, dtype=complex)
         m[rows, cols] = values
@@ -367,24 +367,25 @@ def _hermitian_part(m, what):
 def _init_factored(op, window, factor, dropped=0.0):
     """Make op the operator X X^dag of the d x m factor X, checked on X alone.
 
-    X is an array or a SectorFactor, which is kept as it is and checked on
-    its values. X must be finite, and a StateOperator's trace ||X||_F^2 must
-    be 1 within EPS_TRACE + dropped. X X^dag is positive by construction, so
-    no eigensolve runs; the d x d entries are built only on first access,
-    with exact zeros stored as +0.0.
+    X is an array or a SectorFactor, checked on its values: finite, and of
+    trace ||X||_F^2 within EPS_TRACE + dropped of 1 for a StateOperator. Any
+    other factor with a shape and a dense() is kept unformed, its maker's to
+    gate. X X^dag is positive by construction, so no eigensolve runs; the
+    d x d entries are built on first access, with exact zeros as +0.0.
     """
     sectors = isinstance(factor, SectorFactor)
-    x = factor if sectors else np.array(factor, dtype=complex)
+    x = factor if hasattr(factor, "dense") else np.array(factor, dtype=complex)
     if len(x.shape) != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
-    values = x.values if sectors else x
-    _finite(values, "factor")
-    if isinstance(op, StateOperator):
-        _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,
-                 "state trace defect |Tr - 1|")
-    for stored in (x.offset, x.u, x.v) if sectors else (x,):
-        stored.setflags(write=False)
+    if sectors or isinstance(x, np.ndarray):
+        values = x.values if sectors else x
+        _finite(values, "factor")
+        if isinstance(op, StateOperator):
+            _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,
+                     "state trace defect |Tr - 1|")
+        for stored in (x.offset, x.u, x.v) if sectors else (x,):
+            stored.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x
 
 

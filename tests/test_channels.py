@@ -45,6 +45,7 @@ from eblab import (
     transpose_channel,
 )
 from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao
+from eblab.hilbert import lowest_eigenvalue
 from conftest import assert_same_channel, random_density, random_pure
 
 
@@ -211,6 +212,60 @@ def test_choi_rejects_rank_deficient_reference():
     sigma = StateOperator(w, np.diag([1.0, 0.0]))
     with pytest.raises(InvariantViolationError):
         choi(identity_channel(w), sigma)
+
+
+def test_the_choi_trace_gate_refuses_what_two_passing_gates_add_up_to():
+    # a channel whose Tr_out S is (1 + 0.9e-10) I and a non-diagonal sigma of trace
+    # 1 + 0.9e-10 each pass their own gate, but the Choi state's trace is their product,
+    # 1 + 1.8e-10: the unformed congruence's trace gate refuses it, without forming it
+    w = window(2)
+    scale = np.sqrt(1 + 0.9e-10)
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # the dephasing channel
+    entries = np.array([[0.6, 0.2], [0.2, 0.4]])
+    long_channel = ChannelBlocks.from_factors(w, w, scale * x, scale * x)
+    heavy_sigma = StateOperator(w, scale ** 2 * entries)
+    with pytest.raises(InvariantViolationError, match="state trace defect .* = 1.800e-10"):
+        choi(long_channel, heavy_sigma)
+    for channel, sigma in ((long_channel, StateOperator(w, entries)),
+                           (ChannelBlocks.from_factors(w, w, x, x), heavy_sigma)):
+        assert abs(choi(channel, sigma).trace() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, half", [("rotation", 2), ("rotation", 4), ("atoms", 1)])
+def test_an_unformed_choi_congruence_reads_as_the_eager_one_bit_for_bit(kind, half, monkeypatch):
+    # under a random full-rank sigma the Choi state keeps its congruences unformed (no
+    # tensordot runs when it is built); its factors, entries and partial-transpose minimum
+    # eigenvalue are those of the eager congruence, formed here as the parent formed it
+    rng = np.random.default_rng(40 + half)
+    if kind == "rotation":
+        w = ModeWindow.symmetric(half)
+        d = w.dimension
+        channel = factored_channel(RotationChannel(PureVector(
+            w, rng.normal(size=d) + 1j * rng.normal(size=d))))
+    else:  # 3 x 3 x 2 = 18 Kraus columns against 3 x 2 rows, so the eigensolve runs
+        channel = holevo_channel(random_holevo_form(rng, 3, 2, 3))
+    d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
+    sigma = StateOperator(channel.in_window, random_density(rng, d_in))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensordot ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "tensordot", refuse)
+        state = choi(channel, sigma)
+    assert state.sectors is None and state.transposed.sectors is None
+    lam, basis = eig_hermitian(sigma)
+    w = basis * np.sqrt(lam)
+    window_pair = ProductWindow(channel.in_window, channel.out_window)
+    eager, eager_pt = (factored_operator(window_pair, np.tensordot(
+        w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(d_in * d_out, -1))
+        for x in (channel.stacked.factor, channel.transposed.factor))
+    for got, want in ((state.factor, eager.factor), (state.transposed.factor, eager_pt.factor),
+                      (state.entries, eager.entries)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    low = lowest_eigenvalue(state.transposed)
+    assert np.float64(low).tobytes() == np.float64(lowest_eigenvalue(eager_pt)).tobytes()
+    assert (low == 0.0) == (kind == "rotation")
 
 
 def test_choi_apply_reconstruction_on_matrix_units(rng):

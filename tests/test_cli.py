@@ -790,8 +790,8 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
         assert main(["eb-report", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
         assert calls == [("eigh", d)], half
         assert jsonio.read_json(out)["extraction_residual"] < 1e-12
-    # a non-diagonal sigma (checked by an eigvalsh when read) makes the Choi factors
-    # dense, but no comparison reads them: the chain's one comparison is with the
+    # a non-diagonal sigma (checked by an eigvalsh when read) leaves the Choi factors
+    # unformed, and no comparison reads them: the chain's one comparison is with the
     # channel's sector factor, so no QR runs
     sigma = tmp_path / "sigma.json"
     write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
@@ -814,17 +814,17 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
     assert "GiB" in capsys.readouterr().err
 
 
-def test_eb_report_phi_charges_the_qr_path_once_a_non_diagonal_sigma_is_read(tmp_path, rng,
-                                                                            capsys):
-    # a non-diagonal reference makes the Choi factors dense, which admit K <= 109
-    from eblab.cli import MAX_DENSE_BYTES, _phi_report_entries
-    assert 16 * _phi_report_entries(109, by_sectors=False) <= MAX_DENSE_BYTES
-    half, d = 110, 221
-    sigma = tmp_path / "sigma.json"
-    write_state(sigma, StateOperator(ModeWindow.symmetric(half), random_density(rng, d)))
-    assert main(["eb-report", "--phi", "two-mode", "--k", str(half), "--sigma", str(sigma)]) == 2
+def test_eb_report_phi_admits_a_non_diagonal_sigma_at_the_mixed_limit(capsys):
+    # the Choi state keeps a non-diagonal reference's factors unformed, so every --sigma
+    # is charged the same: K = 691 passes with a --sigma file, as with mixed, and
+    # K = 692 is refused before the file is read (it need not exist)
+    from eblab.cli import _check_size, parse_args
+    args = parse_args(["eb-report", "--phi", "two-mode", "--k", "691", "--sigma", "unread.json"])
+    args.k = [691]
+    _check_size(args)
+    assert main(["eb-report", "--phi", "two-mode", "--k", "692", "--sigma", "unread.json"]) == 2
     err = capsys.readouterr().err
-    assert "GiB" in err and "non-diagonal --sigma" in err
+    assert "GiB" in err and "unread.json" not in err
 
 
 def test_eb_report_channel_ignores_k(tmp_path, capsys):
@@ -841,48 +841,60 @@ def test_eb_report_channel_ignores_k(tmp_path, capsys):
     assert (captured.out, captured.err) == (report, "")
 
 
-def traced_peaks_and_charges(tmp_path, rng, by_sectors, halves=(8, 16, 32)):
-    """(half, traced peak, guard charge in bytes) of eb-report --phi at each K of halves."""
+def traced_peaks_and_charges(tmp_path, rng, sigma_file, halves=(8, 16, 32)):
+    """(half, traced peak, guard charge in bytes) of eb-report --phi at each K of halves.
+
+    With sigma_file, --sigma is a random full-rank state written to a file, and the
+    traced peak of reading that file alone is checked to be below the charge.
+    """
     from eblab.cli import _phi_report_entries
     out = str(tmp_path / "report.json")
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "1", "--out", out]) == 0  # caches
     for half in halves:
         argv = ["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--out", out]
-        if not by_sectors:
+        count = 16 * _phi_report_entries(half)
+        if sigma_file:
             sigma = tmp_path / f"sigma{half}.json"
             write_state(sigma, StateOperator(ModeWindow.symmetric(half),
                                              random_density(rng, 2 * half + 1)))
             argv += ["--sigma", str(sigma)]
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        yield half, peak, 16 * _phi_report_entries(half, by_sectors)
+            _, read = traced(lambda: jsonio.state_from_json(jsonio.read_json(str(sigma))))
+            assert read < count, (half, read, count)
+        code, peak = traced(lambda: main(argv))
+        assert code == 0, argv
+        yield half, peak, count
+
+
+def traced(call):
+    """call()'s result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_eb_report_phi_size_guard_bounds_the_traced_peak(tmp_path, rng):
     # the guard used to count one joined factor, about a sixth of the peak; on the
     # sector path (mixed sigma) it now counts what the per-sector residuals hold
-    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=True):
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, sigma_file=False):
+        assert peak <= count <= 1.5 * peak, (half, count, peak)
+
+
+def test_eb_report_phi_size_guard_bounds_the_traced_peak_under_a_sigma_file(tmp_path, rng):
+    # a non-diagonal sigma used to be charged its dense Choi factors; they are kept
+    # unformed now, so the one charge bounds the chain, and the file's read below it
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, sigma_file=True):
         assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
 @pytest.mark.slow
 def test_eb_report_phi_size_guard_bounds_the_traced_peak_at_large_k(tmp_path, rng):
-    # the charge's d^2 and G^2 terms lead from K = 64 on, where the guard decides; so does
-    # the d^2 (4K + 1) term of a non-diagonal sigma's dense Choi factors
-    for by_sectors, halves in ((True, (64, 128)), (False, (64,))):
-        for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors, halves):
-            assert peak <= count <= 1.5 * peak, (by_sectors, half, count, peak)
-
-
-def test_eb_report_phi_qr_guard_bounds_the_traced_peak(tmp_path, rng):
-    # a non-diagonal sigma makes the Choi state's two factors dense; its charge is theirs
-    # and the transient third's, beside which the chain compares sector by sector
-    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, by_sectors=False):
-        assert peak <= count <= 1.5 * peak, (half, count, peak)
+    # the charge's d^2 and G^2 terms lead from K = 64 on, where the guard decides,
+    # under mixed and under a random full-rank sigma alike
+    for sigma_file in (False, True):
+        for half, peak, count in traced_peaks_and_charges(tmp_path, rng, sigma_file, (64, 128)):
+            assert peak <= count <= 1.5 * peak, (sigma_file, half, count, peak)
 
 
 def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, monkeypatch,

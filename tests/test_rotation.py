@@ -762,10 +762,10 @@ def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
 
 
 def test_a_non_diagonal_sigma_runs_no_qr(monkeypatch):
-    # its eigenbasis mixes rows, so the Choi factors are dense, but no comparison reads
-    # them: the chain's one comparison is with the channel's stacked matrix, still a sector
-    # factor, so no QR runs and the residual is the per-sector bound (the golden manifest
-    # pins the written bytes of two such calls)
+    # its eigenbasis mixes rows, so the Choi factors are no sector factors, but no
+    # comparison reads them: the chain's one comparison is with the channel's stacked
+    # matrix, still a sector factor, so no QR runs and the residual is the per-sector
+    # bound (the golden manifest pins the written bytes of two such calls)
     form, state = sector_chain(3, 13, "full")
     assert state.sectors is None and state.transposed.sectors is None
 
@@ -776,3 +776,25 @@ def test_a_non_diagonal_sigma_runs_no_qr(monkeypatch):
     extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
     assert residual == _sector_difference(a, g, state.channel.stacked.sectors)[0]
+
+
+def test_eb_report_under_a_non_diagonal_sigma_runs_no_tensordot(tmp_path, monkeypatch):
+    # the Choi state keeps a non-diagonal reference's congruence unformed, and nothing
+    # eb-report --phi writes reads it, so no (2K+1)^2 x (4K+1) product is formed
+    from eblab import jsonio
+    from eblab.cli import main
+    half = 3
+    window = ModeWindow.symmetric(half)
+    sigma = tmp_path / "sigma.json"
+    rho = StateOperator(window, random_density(np.random.default_rng(31), window.dimension))
+    jsonio.write_text(str(sigma), jsonio.dumps(jsonio.operator_to_json(rho)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensordot ran")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    out = tmp_path / "report.json"
+    assert main(["eb-report", "--phi", "geometric(0.7)", "--k", str(half), "--sigma", str(sigma),
+                 "--out", str(out)]) == 0
+    report = jsonio.read_json(str(out))
+    assert report["min_eig_pt"] == 0.0 and report["extraction_residual"] < 1e-12
