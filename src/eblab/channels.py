@@ -53,6 +53,7 @@ from .hilbert import (
     StateOperator,
     _at_least,
     _at_most,
+    _checked_trace,
     _difference_eigenvalues,
     _finite,
     _hermitian_part,
@@ -127,7 +128,7 @@ class ChannelBlocks:
             if len(x.shape) != 2 or x.shape[0] != d_in * d_out:
                 raise InvariantViolationError(
                     f"{name} shape {x.shape} does not have {d_in * d_out} rows")
-            _finite(x.values if isinstance(x, SectorFactor) else x, name)
+            _checked_trace(x, name)
             _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
                      f"{name} not trace preserving: max |Tr_out S - I|")
             factors.append(x)
@@ -652,26 +653,25 @@ def _sector_difference(left, right, x):
     of squares cancels. The leakage adds at most 2 ||L||_F ||P|| +
     ||L||_F^2 to the operator norm, with ||P|| = max |a_s|, and
     2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed one input
-    index i at a time, its d_out x n rows (i, k) in sectors offset[i] + k,
-    so no d_in d_out x n array is held and their conj(E_s) are one slice.
+    index i at a time along x.walk(), so no d_in d_out x n array is held and
+    the conj(E_s) of its d_out x n rows (i, k) are one slice.
     """
     d_out, n = right.shape
     conj_basis = np.conjugate(x.orbit_basis(n), order="C")  # so each slice is C-contiguous
-    share = np.empty(x.shape[0], dtype=complex)
+    share = np.empty((len(left), d_out), dtype=complex)
     columns, scaled = np.empty((2, d_out, n), dtype=complex)  # reused, so no row allocates
     leak = 0.0
-    for i, (row, first) in enumerate(zip(left, x.offset)):  # K's rows (i, k), as _khatri_rao's
-        along = conj_basis[first:first + d_out]  # row k is conj(E_s) for s = offset[i] + k
-        np.multiply(row, right, out=columns)
-        part = np.einsum("rg,rg->r", columns, along, out=share[i * d_out:(i + 1) * d_out])
+    for i, cols, _ in x.walk():  # K's rows (i, k), as _khatri_rao's
+        along = conj_basis[cols]  # row k is conj(E_s) for the sector s of row (i, k)
+        np.multiply(left[i], right, out=columns)
+        part = np.einsum("rg,rg->r", columns, along, out=share[i])
         np.multiply(np.conjugate(along, out=scaled), part[:, None], out=scaled)
         columns -= scaled  # E_s a_r, kept in this operand order: numpy rounds a_r E_s apart
         parts = columns.view(float)
         leak += np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
     leak = np.sqrt(leak)
-    values = x.values
-    a2, _, r2 = x.projection(share, values)
-    t = a2 - np.bincount(x.sector, np.abs(values) ** 2, x.width)
+    a2, _, r2 = x.projection(lambda i, cols, row: share[i], lambda i, cols, row: row)
+    t = a2 - x.norms()
     spread = np.sqrt(0.25 * t * t + a2 * r2)
     return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
             float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))

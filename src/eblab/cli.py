@@ -103,8 +103,9 @@ def _phi_report_entries(half):
     chain's one per-sector comparison, made when the decomposition is built:
     the form's, the decomposition's and the extraction's d x G vector arrays
     with their temporaries and each row's share (23 d^2), the conjugated
-    G x (4K + 1) node basis (G^2), two d x G row buffers and the
-    projection's flat arrays (4 d G), and 1024 for small objects. No
+    G x (4K + 1) node basis (G^2), two d x G row buffers and numpy's
+    iteration buffers for their product, at most 16384 entries (4 d G), and
+    1024 for small objects; the per-sector sums walk the rows in O(d). No
     --sigma adds an array past d x d: ChoiState keeps a non-diagonal one's
     factors unformed.
     """
@@ -115,23 +116,26 @@ def _phi_report_entries(half):
 def _check_size(args):
     """Refuse a --k request whose dense arrays exceed MAX_DENSE_BYTES.
 
-    With d = 2 max(K) + 1, every subcommand, the O(K^2) probe included,
-    holds d^2 entries. rho12 builds no d^2-square matrix, but writes the
-    text of all d^4 cells of one (at least 6 bytes each), which a charge of
-    d^4 entries bounds (K <= 44). channel-apply holds the grid phases, one
-    row of d per node; capacity only the d mode weights, whatever its
-    --grid. eb-report --phi is charged its peak (_phi_report_entries) under
-    every --sigma: parsing a --sigma file, before the chain runs, holds
-    about 14 d^2, below it. eb-report --channel does not read --k: a blocks
-    file holds every entry in its JSON, and an atoms file is measured once
-    read (_check_atoms_size).
+    With d = 2 max(K) + 1, every subcommand is charged at least d^2 entries.
+    probe walks rho12's sector rows in O(K); its d^2 + 1024 (small objects)
+    bounds the walk's d^2 row products too (K <= 4095). rho12 writes the
+    text of all d^4 cells of a d^2-square matrix, at least 6 bytes each
+    (d^4, K <= 44). channel-apply writes the text of its d x d result beside
+    what it holds (20 d^2 + 4096), or sums the grid density beside 10 d^2
+    and numpy's iteration buffers (16384); its --state file's parse, about
+    15 d^2, lies below (K <= 915). capacity holds the d mode weights,
+    whatever its --grid. eb-report --phi is charged its peak
+    (_phi_report_entries) under every --sigma; a --sigma file's parse,
+    about 14 d^2, lies below it. eb-report --channel does not read --k: a
+    blocks file holds every entry in its JSON, and an atoms file is
+    measured once read (_check_atoms_size).
     """
     if args.command == "eb-report" and args.channel is not None:
         return
     half = max(args.k)
     d = 2 * half + 1
-    peak = {"channel-apply": rot.grid_nodes(half) * d, "eb-report": _phi_report_entries(half),
-            "rho12": d ** 4}
+    peak = {"channel-apply": max(20 * d * d + 4096, 10 * d * d + 16384),
+            "eb-report": _phi_report_entries(half), "probe": d * d + 1024, "rho12": d ** 4}
     _refuse_above_limit(max(d * d, peak.get(args.command, 0)), args.command, "this --k request")
 
 

@@ -169,13 +169,13 @@ class SectorFactor:
     """A factor with one nonzero per row, the product u x v, stored as offset, u and v.
 
     Row (i, k) of the len(u) len(v) x width factor X holds u[i] v[k] in
-    column offset[i] + k, so X X^dag is zero between sectors and rank one in
-    each; sector and values are these flat over the rows, built on each read.
+    column offset[i] + k (walk), so X X^dag is zero between sectors and rank
+    one in each. Readers sum over sectors along walk() in O(len(v)) memory;
+    only dense(), the oracle, and the writer, _sector_cells, lay X out flat.
     rotation._sector_factor builds every such factor, sector s at charge
     first + s; orbit_basis(n) = node_basis(n, width, first) is the width x n
     matrix whose row s is the unit vector over n orbit nodes along which
-    sector s of an orbit's columns runs. Construction checks nothing;
-    factored_operator and factored_state check the values.
+    sector s of an orbit's columns runs. _checked_trace checks the values.
     """
 
     __slots__ = ("offset", "u", "v", "width", "first", "node_basis")
@@ -188,40 +188,55 @@ class SectorFactor:
     def shape(self):
         return len(self.u) * len(self.v), self.width
 
-    @property
-    def sector(self):
-        """The column offset[i] + k of each row (i, k), built on each read."""
-        return (self.offset[:, None] + np.arange(len(self.v))).reshape(-1)
+    def walk(self):
+        """(i, cols, row) per input row i in order: row = u[i] * v (np.kron's operand order).
 
-    @property
-    def values(self):
-        """The value u[i] v[k] of each row (i, k), built on each read."""
-        return np.kron(self.u, self.v)
+        Row (i, k) lies in sector cols.start + k, cols = offset[i] : offset[i] +
+        len(v). Sums along the walk add in a flat bincount's order, with its bits.
+        """
+        n = len(self.v)
+        for i, first in enumerate(self.offset.tolist()):
+            yield i, slice(first, first + n), self.u[i] * self.v
 
     def dense(self):
-        """The d x width array X, built on each call."""
+        """The d x width array X, built on each call: the oracle of every reader."""
         x = np.zeros(self.shape, dtype=complex)
-        x[np.arange(len(x)), self.sector] = self.values
+        for i, cols, row in self.walk():
+            x[i * len(row):(i + 1) * len(row), cols] = np.diag(row)
         return x
 
-    def adjoint(self, v):
-        """X^dag v for a d x m array v, summed over the rows of each sector."""
-        out = np.zeros((self.width, v.shape[1]), dtype=complex)
-        np.add.at(out, self.sector, self.values.conj()[:, None] * v)
+    def norms(self):
+        """|x_s|^2 for each sector s, x_s this factor's rows in sector s."""
+        out = np.zeros(self.width)
+        for _, cols, row in self.walk():
+            out[cols] += np.abs(row) ** 2
+        return out
+
+    def adjoint(self, w):
+        """X^dag w for a d x m array w, summed over the rows of each sector."""
+        out = np.zeros((self.width, w.shape[1]), dtype=complex)
+        rows = w.reshape(len(self.u), len(self.v), w.shape[1])
+        for i, cols, row in self.walk():
+            out[cols] += row.conj()[:, None] * rows[i]
         return out
 
     def projection(self, x, w):
         """(|x_s|^2, c_s, |w_s - c_s x_s|^2) for each sector s, of two d-vectors x and w.
 
-        x_s and w_s are their rows in sector s and c_s = <x_s, w_s> / |x_s|^2,
-        with c_s = 0 where x_s = 0: w_s's share along x_s and what is left.
+        x(*step) and w(*step) give their rows at each step of the walk; x_s and
+        w_s are their rows in sector s and c_s = <x_s, w_s> / |x_s|^2 (0 where
+        x_s = 0): w_s's share along x_s and what is left.
         """
-        sector, width = self.sector, self.width
-        norms = np.bincount(sector, np.abs(x) ** 2, width)
-        overlap = np.zeros(width, dtype=complex)
-        np.add.at(overlap, sector, x.conj() * w)
+        norms, overlap = np.zeros(self.width), np.zeros(self.width, dtype=complex)
+        for step in self.walk():
+            row, cols = x(*step), step[1]
+            norms[cols] += np.abs(row) ** 2
+            overlap[cols] += row.conj() * w(*step)
         c = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0.0)
-        return norms, c, np.bincount(sector, np.abs(w - c[sector] * x) ** 2, width)
+        residual = np.zeros(self.width)
+        for step in self.walk():
+            residual[step[1]] += np.abs(w(*step) - c[step[1]] * x(*step)) ** 2
+        return norms, c, residual
 
     def orbit_basis(self, n):
         """node_basis(n, width, first): the orbit basis at this factor's charges."""
@@ -241,9 +256,11 @@ def _sector_cells(x):
     such a factor are these cells (MatrixOperator._expand), so a writer that
     takes them from here writes the same bits.
     """
-    values = x.values
+    steps = list(x.walk())  # the flat sector and value of each row (i, k), d long
+    sector = np.concatenate([np.arange(cols.start, cols.stop) for _, cols, _ in steps])
+    values = np.concatenate([row for _, _, row in steps])
     live = np.flatnonzero(values)
-    sector = x.sector[live]
+    sector = sector[live]
     counts = np.bincount(sector, minlength=x.width)
     groups = np.split(live[np.argsort(sector, kind="stable")], np.cumsum(counts)[:-1])
     rows = np.concatenate([np.repeat(g, g.size) for g in groups])
@@ -364,12 +381,24 @@ def _hermitian_part(m, what):
         return 0.5 * (m + m.conj().T)
 
 
+def _checked_trace(x, what):
+    """||X||_F^2 after refusing a non-finite X; a SectorFactor's is ||u||^2 ||v||^2.
+
+    Two finite vectors can have an infinite product, so u, v and max|u| max|v| are checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(x, SectorFactor):
+            return np.vdot(_finite(x, what), x).real
+        _finite(np.abs(_finite(x.u, what)).max() * np.abs(_finite(x.v, what)).max(), what)
+        return np.vdot(x.u, x.u).real * np.vdot(x.v, x.v).real
+
+
 def _init_factored(op, window, factor, dropped=0.0):
     """Make op the operator X X^dag of the d x m factor X, checked on X alone.
 
-    X is an array or a SectorFactor, checked on its values: finite, and of
-    trace ||X||_F^2 within EPS_TRACE + dropped of 1 for a StateOperator. Any
-    other factor with a shape and a dense() is kept unformed, its maker's to
+    An array or a SectorFactor is checked by _checked_trace: finite, and of
+    trace within EPS_TRACE + dropped of 1 for a StateOperator. Any other
+    factor with a shape and a dense() is kept unformed, its maker's to
     gate. X X^dag is positive by construction, so no eigensolve runs; the
     d x d entries are built on first access, with exact zeros as +0.0.
     """
@@ -379,11 +408,9 @@ def _init_factored(op, window, factor, dropped=0.0):
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
     if sectors or isinstance(x, np.ndarray):
-        values = x.values if sectors else x
-        _finite(values, "factor")
+        trace = _checked_trace(x, "factor")
         if isinstance(op, StateOperator):
-            _at_most(abs(np.vdot(values, values).real - 1.0), EPS_TRACE + dropped,
-                     "state trace defect |Tr - 1|")
+            _at_most(abs(trace - 1.0), EPS_TRACE + dropped, "state trace defect |Tr - 1|")
         for stored in (x.offset, x.u, x.v) if sectors else (x,):
             stored.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x

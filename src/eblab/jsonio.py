@@ -8,13 +8,11 @@ where each side is either a flat window or another product descriptor.
 operator_to_json keeps the operator itself as "entries", and dumps writes
 it through one row assembly: each row's cells that may be nonzero, with
 the gaps filled by cached runs of the literal [0,0]. A dense operator (or
-a complex array) supplies its written cells; a factored operator whose
-factor is a SectorFactor (one nonzero per row, stored as each row's sector
-and value), as rotation's charge-sector factors are, supplies the cells of
-its rank-one sector blocks, which are what its dense entries are made of
-(hilbert._sector_cells), so rho12 is written with no d^2 x d^2 array and
-with the bytes of its dense entries. dump_pieces returns the text as
-its pieces, which write_pieces writes without joining them.
+a complex array) supplies its written cells; one whose factor is a
+SectorFactor, as rotation's are, supplies the cells of its rank-one sector
+blocks (hilbert._sector_cells), so rho12 is written with no d^2 x d^2
+array and with the bytes of its dense entries. dump_pieces returns the
+text as its pieces, which write_pieces writes without joining them.
 Floats are written with up to 17 significant digits (lowercase exponent,
 "." separator), so identical inputs always produce identical bytes.
 Every reader names its context (the CLI passes the file path) in each

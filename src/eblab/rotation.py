@@ -264,20 +264,22 @@ def rho12_probe(phi1, phi2, alpha, beta):
     heavy ones. If sum_s |c_s|^2 overflows, the bound is below the smallest
     double and 0.0 is returned. A fiducial pair with a nonzero |phi1_k phi2_l|
     below the smallest normal double, or a non-finite intermediate, raises
-    InvariantViolationError. Runs in O(K^2); the dense matrix is never built.
+    InvariantViolationError. It walks rho12's sector rows and forms alpha x
+    beta row by row, alpha[i] beta: O(K^2) time and O(K) memory.
     """
     if alpha.window != phi1.window or beta.window != phi2.window:
         raise WindowMismatchError("candidate vectors must match the fiducial windows")
     smallest = [np.abs(p.amplitudes[p.amplitudes != 0]).min() for p in (phi1, phi2)]
     if smallest[0] * smallest[1] < np.finfo(float).tiny:
         raise InvariantViolationError("fiducial amplitude products leave the normal double range")
-    v = rho12(phi1, phi2).sectors
-    x = v.values  # phi1 x phi2, scaled in place
+    v = rho12(phi1, phi2).sectors  # row i is phi1[i] phi2
     peak = np.zeros(v.width)
-    np.maximum.at(peak, v.sector, np.abs(x))
+    for _, cols, row in v.walk():
+        np.maximum(peak[cols], np.abs(row), out=peak[cols])
     inv_scale = np.ldexp(1.0, -np.frexp(peak)[1])  # a power of two, so scaling is exact
-    x *= inv_scale[v.sector]  # a second read: no sector table is held through the projection
-    _, coeff, residual = v.projection(x, np.kron(alpha.amplitudes, beta.amplitudes))
+    a, b = alpha.amplitudes, beta.amplitudes
+    _, coeff, residual = v.projection(lambda i, cols, row: row * inv_scale[cols],
+                                      lambda i, cols, row: a[i] * b)  # row i of alpha x beta
     _finite(coeff, "sector probe coefficient")
     _finite(residual, "sector probe residual")
     if np.sqrt(residual.max()) > EPS_RANGE:
@@ -322,11 +324,11 @@ def rho12_n_distance(state, n):
     which holds |v_s| and q_s; no d^2-row array is built. A state with no
     sector factor raises InvariantViolationError.
     """
-    v = state.sectors  # v.values is phi1 x phi2
+    v = state.sectors  # the product phi1 x phi2
     if v is None:
         raise InvariantViolationError("rho12_n_distance needs rho12's sector factor")
     nodes = _partial_orbit_nodes(v.width, n)
-    weight = np.sqrt(np.bincount(v.sector, np.abs(v.values) ** 2, v.width))  # |v_s|
+    weight = np.sqrt(v.norms())  # |v_s|
     sectors = ModeWindow(v.first, v.first + v.width - 1)  # the total charges q_s
     rotated = _orbit(sectors, weight, _nodes(nodes, 2.0 * np.pi / n))  # row g: e^{i x_g q} |v_q|
     joined = np.hstack([rotated.T / np.sqrt(nodes), weight[:, None]])

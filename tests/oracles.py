@@ -204,3 +204,86 @@ def ba_pure_outputs(outputs, max_iter=10000, tol=1e-9, support=1e-12):
         weights = weights * np.exp(divergences - divergences.max())
         weights = weights / weights.sum()
     return chi, iterations, converged, tuple(values)
+
+
+def flat_sector_table(factor):
+    """The sector offset[i] + k and the value u[i] v[k] of each row (i, k) of a sector factor.
+
+    Both are d-long, as SectorFactor's readers built them before they
+    walked the input rows.
+    """
+    sector = (factor.offset[:, None] + np.arange(len(factor.v))).reshape(-1)
+    return sector, np.kron(factor.u, factor.v)
+
+
+def flat_sector_norms(factor):
+    """|x_s|^2 of a sector factor's own rows, by one bincount over the flat table."""
+    sector, values = flat_sector_table(factor)
+    return np.bincount(sector, np.abs(values) ** 2, factor.width)
+
+
+def flat_adjoint(factor, w):
+    """X^dag w for a sector factor X, scattered by np.add.at over the flat table."""
+    sector, values = flat_sector_table(factor)
+    out = np.zeros((factor.width, w.shape[1]), dtype=complex)
+    np.add.at(out, sector, values.conj()[:, None] * w)
+    return out
+
+
+def flat_projection(factor, x, w):
+    """(|x_s|^2, c_s, |w_s - c_s x_s|^2) per sector of two flat d-vectors, by bincount and add.at."""
+    sector, _ = flat_sector_table(factor)
+    width = factor.width
+    norms = np.bincount(sector, np.abs(x) ** 2, width)
+    overlap = np.zeros(width, dtype=complex)
+    np.add.at(overlap, sector, x.conj() * w)
+    c = np.divide(overlap, norms, out=np.zeros_like(overlap), where=norms > 0.0)
+    return norms, c, np.bincount(sector, np.abs(w - c[sector] * x) ** 2, width)
+
+
+def flat_rho12_probe(factor, alpha, beta, range_tol=1e-10):
+    """The sector probe of rho12's sector factor on its flat tables, for candidate alpha x beta.
+
+    Each sector is scaled by the power of two just above its largest |v|,
+    the candidate is np.kron(alpha, beta), and the bound is 1 / sum |c_s|^2
+    when every residual is at most range_tol, else 0.
+    """
+    sector, x = flat_sector_table(factor)
+    peak = np.zeros(factor.width)
+    np.maximum.at(peak, sector, np.abs(x))
+    inv_scale = np.ldexp(1.0, -np.frexp(peak)[1])
+    x *= inv_scale[sector]
+    _, coeff, residual = flat_projection(factor, x, np.kron(alpha, beta))
+    if np.sqrt(residual.max()) > range_tol:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))
+
+
+def flat_sector_difference(left, right, x):
+    """The per-sector difference bounds, with the shares held flat and summed over the flat table.
+
+    The same row walk as the library's for K's rows and the leakage; the
+    projection and the sector norms are flat_projection and
+    flat_sector_norms.
+    """
+    d_out, n = right.shape
+    conj_basis = np.conjugate(x.orbit_basis(n), order="C")
+    share = np.empty(len(left) * d_out, dtype=complex)
+    columns, scaled = np.empty((2, d_out, n), dtype=complex)
+    leak = 0.0
+    for i, (row, first) in enumerate(zip(left, x.offset)):
+        along = conj_basis[first:first + d_out]
+        np.multiply(row, right, out=columns)
+        part = np.einsum("rg,rg->r", columns, along, out=share[i * d_out:(i + 1) * d_out])
+        np.multiply(np.conjugate(along, out=scaled), part[:, None], out=scaled)
+        columns -= scaled
+        parts = columns.view(float)
+        leak += np.einsum("ij,ij->", parts, parts)
+    leak = np.sqrt(leak)
+    _, values = flat_sector_table(x)
+    a2, _, r2 = flat_projection(x, share, values)
+    t = a2 - flat_sector_norms(x)
+    spread = np.sqrt(0.25 * t * t + a2 * r2)
+    return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
+            float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))

@@ -19,6 +19,7 @@ from eblab import (
     rotation,
 )
 from eblab.cli import main
+from eblab.errors import SchemaError
 from conftest import random_density, random_pure
 from oracles import per_cell_json
 
@@ -607,9 +608,8 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
     # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
-    # channel-apply's (4K+2) x (2K+1) quadrature phases, which pass the limit
-    # at K = 3000 where (2K+1)^2 entries would not; what eb-report --phi holds
-    # on its sector path, which admits K <= 691
+    # channel-apply's written result, about 20 (2K+1)^2 entries, which admits
+    # K <= 915; what eb-report --phi holds on its sector path, which admits K <= 691
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -895,6 +895,49 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak_at_large_k(tmp_path, rn
     for sigma_file in (False, True):
         for half, peak, count in traced_peaks_and_charges(tmp_path, rng, sigma_file, (64, 128)):
             assert peak <= count <= 1.5 * peak, (sigma_file, half, count, peak)
+
+
+def refused_under(argv, limit, monkeypatch):
+    """Whether the size guard refuses argv when MAX_DENSE_BYTES is limit."""
+    from eblab import cli
+    args = cli.parse_args(argv)
+    args.k = cli._parse_int_list(args.k, "--k")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "MAX_DENSE_BYTES", limit)
+        try:
+            cli._check_size(args)
+        except SchemaError:
+            return True
+    return False
+
+
+def test_probe_size_guard_bounds_the_traced_peak(capsys, monkeypatch):
+    # the probe held the d^2-long flat sector tables and their temporaries, about 4.5
+    # times its charge of d^2 entries; it walks the sector rows now and holds O(K)
+    assert main(["probe", "--phi", "uniform", "--k", "1"]) == 0  # caches
+    for half in (8, 16, 32, 64):
+        argv = ["probe", "--phi", "uniform", "--k", str(half)]
+        code, peak = traced(lambda: main(argv))
+        assert code == 0
+        assert refused_under(argv, peak - 1, monkeypatch), (half, peak)
+    capsys.readouterr()
+
+
+def test_channel_apply_size_guard_bounds_the_traced_peak(tmp_path, rng, monkeypatch):
+    # channel-apply was charged its grid phases, about 2 d^2 entries, but holds about
+    # 20 d^2 with a full-rank --state file, most of it the text of its written result
+    out = str(tmp_path / "out.json")
+    for half in (1, 8, 16, 32):
+        state = tmp_path / f"state{half}.json"
+        write_state(state, StateOperator(ModeWindow.symmetric(half),
+                                         random_density(rng, 2 * half + 1)))
+        argv = ["channel-apply", "--phi", "geometric(0.7)", "--k", str(half),
+                "--state", str(state), "--out", out]
+        code, peak = traced(lambda: main(argv))
+        assert code == 0
+        if half > 1:  # K = 1 fills the caches
+            assert refused_under(argv, peak - 1, monkeypatch), (half, peak)
+            assert not refused_under(argv, int(1.5 * peak), monkeypatch), (half, peak)
 
 
 def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, monkeypatch,

@@ -11,8 +11,9 @@ target's representation steers no comparison. The per-sector
 projection c_s = <x_s, w_s> / |x_s|^2 lives in SectorFactor.projection,
 the one np.divide(..., where=...) of the package. rotation.rho12_probe
 reads rho12's sector factor, and rotation.rho12_n_distance the one of the
-rho12 state it is handed, instead of building their own charge table and
-fiducial product, and the n-sweep's grid is sized
+rho12 state it is handed, instead of building their own charge table or
+a flat product (np.kron; the probe forms its candidate row by row), and
+the n-sweep's grid is sized
 by that factor's sector count, not by the fiducials' windows. This test
 fails on each.
 """
@@ -87,14 +88,10 @@ def guarded_divides(tree):
                   and any(keyword.arg == "where" for keyword in node.keywords))
 
 
-OWN_KRONS = {"rho12_probe": 1, "rho12_n_distance": 0}  # rho12_probe's one is the candidate's
-
-
 def own_sector_tables(tree, name):
-    """Calls in name that rebuild rho12's sectors: charge tables, and krons past its own."""
+    """Calls in name that rebuild rho12's sectors or a product flat: charge tables and krons."""
     calls = [_called(node) for node in ast.walk(_function(tree, name))]
-    tables = sorted(call for call in calls if call in ("_charges", "_sector_index"))
-    return tables + ["kron"] * max(0, calls.count("kron") - OWN_KRONS[name])
+    return sorted(call for call in calls if call in ("_charges", "_sector_index", "kron"))
 
 
 def test_difference_norms_reads_the_path_off_the_operator():
@@ -188,11 +185,12 @@ class SeparableChoiDecomposition:
         self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
 def rho12_probe(phi1, phi2, alpha, beta):
     v = rho12(phi1, phi2).sectors
-    _, coeff, residual = v.projection(v.values, np.kron(alpha.amplitudes, beta.amplitudes))
+    a, b = alpha.amplitudes, beta.amplitudes
+    _, coeff, residual = v.projection(lambda i, cols, row: row, lambda i, cols, row: a[i] * b)
 scaled = np.divide(a, b)
 def rho12_n_distance(state, n):
     v = state.sectors
-    weight = np.sqrt(np.bincount(v.sector, np.abs(v.values) ** 2, v.width))
+    weight = np.sqrt(v.norms())
 def _partial_orbit_nodes(sectors, n):
     return int(np.ceil(max(sectors, 32) / n))
 """
@@ -203,7 +201,8 @@ def _partial_orbit_nodes(sectors, n):
     assert extraction_work(flagged_tree) == ["_basis_product", "_difference_norms"]
     assert [on_the_channel(arguments) for arguments in comparisons(
         _method(flagged_tree, "SeparableChoiDecomposition", "_init"))] == [False, True]
-    assert own_sector_tables(flagged_tree, "rho12_probe") == ["_charges", "_sector_index", "kron"]
+    assert own_sector_tables(flagged_tree, "rho12_probe") == [
+        "_charges", "_sector_index", "kron", "kron"]
     assert own_sector_tables(flagged_tree, "rho12_n_distance") == [
         "_charges", "_sector_index", "kron"]
     assert parameters(flagged_tree, "_partial_orbit_nodes") == ["phi1", "phi2", "n"]
