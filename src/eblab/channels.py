@@ -71,6 +71,10 @@ from .measures import _check_weights
 CHOI_RANK_TOL = 1e-8      # references with l_min below this times l_max are rank-deficient
 EXTRACT_TOL = 1e-8        # decomposition / extraction verification tolerance
 ATOM_DROP_TOL = 1e-14     # POVM atoms and spectral branches below this are noise
+_U = 2.0 ** -53           # unit round-off u: k roundings move a value by gamma_k = k u / (1 - k u)
+_PHASE_ERROR = np.pi * 3 * _U / (1 - 3 * _U) + 2 * _U  # pi gamma_3 + 2u: a node phase's error
+_ROUNDING = 2 * _PHASE_ERROR + (12 * np.sqrt(2) / (1 - 2 * _U) + 10 / (1 - 10 * _U)) * _U
+_ROUNDING /= 1 - _ROUNDING  # rho = S / (1 - S) of _sector_difference
 
 
 class ChannelBlocks:
@@ -638,39 +642,73 @@ def _difference_norms(left, right, op):
     return float(magnitudes.max()), float(magnitudes.sum())
 
 
+def _squares(a):
+    """sum_i |a[i, ...]|^2 over the first axis, in numpy's own loops (no BLAS, no thread count)."""
+    return np.einsum("i...,i...->...", a.real, a.real) + np.einsum("i...,i...->...", a.imag, a.imag)
+
+
 def _sector_difference(left, right, x):
     """Certified bounds on the operator and trace norms of K K^dag - X X^dag, X a SectorFactor.
 
-    K = _khatri_rao(left, right) has n columns, at least X's width. The rows
-    E_s of x.orbit_basis(n) are orthonormal, so they extend to a unitary
-    mixing of K's columns, which leaves K K^dag alone. Row r of K, in
-    sector s, splits into its share a_r = <E_s, K_r> along E_s and the
-    leakage K_r - a_r E_s: K K^dag = (P + L)(P + L)^dag, where P holds
-    each row's share in its sector's column. P P^dag - X X^dag is block
-    diagonal, and each block a_s a_s^dag - x_s x_s^dag has rank two, with
-    the eigenvalues t/2 +- sqrt(t^2/4 + |a|^2 |r|^2) for t = |a|^2 - |x|^2
-    and r = x - (a^dag x / |a|^2) a, formed directly so that no difference
-    of squares cancels. The leakage adds at most 2 ||L||_F ||P|| +
-    ||L||_F^2 to the operator norm, with ||P|| = max |a_s|, and
-    2 ||L||_F ||P||_F + ||L||_F^2 to the trace norm. K is formed one input
-    index i at a time along x.walk(), so no d_in d_out x n array is held and
-    the conj(E_s) of its d_out x n rows (i, k) are one slice.
+    Row r = (i, k) of K = _khatri_rao(left, right) (n >= width columns) is in
+    sector s = offset[i] + k; the phases c_i, d_k of charges offset[i] and
+    first + k (x.node_phases) multiply to e_s = sqrt(n) E_s, E_s the
+    orthonormal DFT rows at the sector charges. So K_r = e_s A_i B_k for
+    A_i = h conj(c_i) left_i, B_k = conj(d_k) right_k / h, any column scale h;
+    h makes A's columns unit and in phase with its longest, so neither a
+    column pair's common scale nor a shifted charge split moves A, B off their
+    node means. K is P' = SectorFactor(offset, sqrt(n) Abar, Bbar) plus L, row
+    r of L being e_s (Abar_i dB_k + Bbar_k dA_i + dA_i dB_k) for dA = A - Abar,
+    dB = B - Bbar formed directly: ||L||_F^2 is a sum over the nodes of
+    products of O(d) sums. Per sector P' P'^dag - X X^dag is a a^dag - x x^dag,
+    of eigenvalues t/2 +- sqrt(t^2/4 + |a|^2 |r|^2), t = |a|^2 - |x|^2, r = x -
+    (a^dag x / |a|^2) a formed directly (SectorFactor.projection); L adds
+    2 ||L||_F max |a_s| + ||L||_F^2 to the operator norm and
+    2 ||L||_F ||P'||_F + ||L||_F^2 to the trace norm.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3,
+    with u = 2^-53 and gamma_k = k u / (1 - k u)). A node phase is within
+    p = _PHASE_ERROR of exact (rotation._node_phases), and a complex product
+    within sqrt(2) gamma_2, relatively, with or without a fused multiply-add
+    (Lemma 3.5). A computed A_i[g] B_k[g] is conj(e_s[g]) K_r[g] times the
+    factors of two phases, four products (demodulation and scaling), and h
+    times its computed inverse, within gamma_8 of 1 (|turn|^2 within gamma_4,
+    1 / norm and two componentwise roundings). Forming K in floating point,
+    as a reader of _khatri_rao does, is a fifth product, and a share row
+    sqrt(n) Abar_i Bbar_k is two roundings and a sixth. With the sum
+    S = 2 p + 6 sqrt(2) gamma_2 + gamma_10 (about 50 u) of their bounds, the
+    product of the factors is within exp(S) - 1 <= rho = S / (1 - S) of 1, so
+    each entry of L, for K or for its rounded form, moves by at most rho of
+    |K_r[g]| or of |P'_r|, and ||L||_F by rho max(||K||_F, ||P'||_F), with
+    ||K||_F^2 = sum_g |left_g|^2 |right_g|^2 (_ROUNDING is rho). Each sum
+    here has fewer than m = n + d_in + d_out + 8 terms and products, so it
+    rounds by at most gamma_m of its terms' magnitudes ((3.4), (3.5)); the
+    overlaps are at most twice the squares (AM-GM), so the squares are taken
+    3 gamma_m high, and ||L||_F gamma_m high. The sector sums and the closed
+    form are evaluated as they stand.
     """
     d_out, n = right.shape
-    conj_basis = np.conjugate(x.orbit_basis(n), order="C")  # so each slice is C-contiguous
-    share = np.empty((len(left), d_out), dtype=complex)
-    columns, scaled = np.empty((2, d_out, n), dtype=complex)  # reused, so no row allocates
-    leak = 0.0
-    for i, cols, _ in x.walk():  # K's rows (i, k), as _khatri_rao's
-        along = conj_basis[cols]  # row k is conj(E_s) for the sector s of row (i, k)
-        np.multiply(left[i], right, out=columns)
-        part = np.einsum("rg,rg->r", columns, along, out=share[i])
-        np.multiply(np.conjugate(along, out=scaled), part[:, None], out=scaled)
-        columns -= scaled  # E_s a_r, kept in this operand order: numpy rounds a_r E_s apart
-        parts = columns.view(float)
-        leak += np.einsum("ij,ij->", parts, parts)  # no BLAS, so no thread count moves it
-    leak = np.sqrt(leak)
-    a2, _, r2 = x.projection(lambda i, cols, row: share[i], lambda i, cols, row: row)
+    a, b = x.node_phases(n, -x.offset), x.node_phases(n, -x.first - np.arange(d_out))
+    a *= left  # conj(c_i) left_i
+    b *= right  # conj(d_k) right_k
+    norms = np.sqrt(_squares(a))
+    turn = np.exp(-1j * np.angle(np.einsum("i,ig->g", a[:, np.argmax(norms)].conj(), a)))
+    norms[norms == 0.0] = 1.0
+    a *= turn / norms  # h
+    b *= turn.conj() * norms  # 1 / h
+    a_mean, b_mean = a.mean(axis=1), b.mean(axis=1)
+    a -= a_mean[:, None]
+    b -= b_mean[:, None]
+    x2, y2 = _squares(a), _squares(b)  # per node
+    v, w = np.einsum("i,ig->g", a_mean.conj(), a), np.einsum("k,kg->g", b_mean.conj(), b)
+    squares = np.sum(_squares(a_mean) * y2 + _squares(b_mean) * x2 + x2 * y2)
+    overlaps = 2.0 * np.sum((v * w.conj()).real + v.real * y2 + x2 * w.real)
+    share = np.sqrt(n) * a_mean  # P' = SectorFactor(offset, share, b_mean, ...)
+    a2, _, r2 = x.projection(lambda i, cols, row: share[i] * b_mean, lambda i, cols, row: row)
+    m = 1.0 / (1.0 / ((n + len(left) + d_out + 8) * _U) - 1.0)  # gamma_m
+    k_norm = np.sqrt(np.einsum("g,g->", _squares(left), _squares(right)))
+    leak = (1 + m) * (np.sqrt((1 + 3 * m) * squares + overlaps)
+                      + _ROUNDING * max(k_norm, np.sqrt(a2.sum())))
     t = a2 - x.norms()
     spread = np.sqrt(0.25 * t * t + a2 * r2)
     return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),

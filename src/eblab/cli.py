@@ -99,18 +99,16 @@ def _refuse_above_limit(entries, command, source):
 def _phi_report_entries(half):
     """Complex entries eb-report --phi holds at its peak, under any --sigma.
 
-    With d = 2K + 1 and G = 4K + 2 = 2d grid nodes, the peak is in the
-    chain's one per-sector comparison, made when the decomposition is built:
-    the form's, the decomposition's and the extraction's d x G vector arrays
-    with their temporaries and each row's share (23 d^2), the conjugated
-    G x (4K + 1) node basis (G^2), two d x G row buffers and numpy's
-    iteration buffers for their product, at most 16384 entries (4 d G), and
-    1024 for small objects; the per-sector sums walk the rows in O(d). No
-    --sigma adds an array past d x d: ChoiState keeps a non-diagonal one's
-    factors unformed.
+    With d = 2K + 1, the peak is in the chain's one comparison as it
+    demodulates K's columns: eleven d x 2d arrays (the form's, the
+    decomposition's with temporaries, the two demodulated sides: 22 d^2), a
+    node-phase index (int64, d^2), sigma's entries and eigenbasis (2 d^2),
+    numpy's iteration buffer (at most 8192 entries or 2 d^2) and 2048 for
+    small objects. No --sigma adds more: ChoiState keeps a non-diagonal
+    one's factors unformed.
     """
-    d, nodes = 2 * half + 1, rot.grid_nodes(half)
-    return 23 * d * d + nodes * nodes + 4 * d * nodes + 1024
+    d = 2 * half + 1
+    return 27 * d * d + 2048
 
 
 def _check_size(args):

@@ -173,16 +173,16 @@ class SectorFactor:
     one in each. Readers sum over sectors along walk() in O(len(v)) memory;
     only dense(), the oracle, and the writer, _sector_cells, lay X out flat.
     rotation._sector_factor builds every such factor, sector s at charge
-    first + s; orbit_basis(n) = node_basis(n, width, first) is the width x n
-    matrix whose row s is the unit vector over n orbit nodes along which
-    sector s of an orbit's columns runs. _checked_trace checks the values.
+    first + s, along the phases e^{i x_g (first + s)} over n orbit nodes x_g =
+    2 pi g / n: node_phases(n, charges) gives them, each within
+    channels._PHASE_ERROR of exact, for any charges. _checked_trace checks the values.
     """
 
-    __slots__ = ("offset", "u", "v", "width", "first", "node_basis")
+    __slots__ = ("offset", "u", "v", "width", "first", "node_phases")
 
-    def __init__(self, offset, u, v, width, first, node_basis):
+    def __init__(self, offset, u, v, width, first, node_phases):
         self.offset, self.u, self.v, self.width, self.first = offset, u, v, width, first
-        self.node_basis = node_basis
+        self.node_phases = node_phases
 
     @property
     def shape(self):
@@ -238,14 +238,10 @@ class SectorFactor:
             residual[step[1]] += np.abs(w(*step) - c[step[1]] * x(*step)) ** 2
         return norms, c, residual
 
-    def orbit_basis(self, n):
-        """node_basis(n, width, first): the orbit basis at this factor's charges."""
-        return self.node_basis(n, self.width, self.first)
-
     def rows(self, source, scale):
         """The sector factor whose input row a is scale[a] times input row source[a] of this one."""
         return SectorFactor(self.offset[source], scale * self.u[source], self.v, self.width,
-                            self.first, self.node_basis)
+                            self.first, self.node_phases)
 
 
 def _sector_cells(x):
@@ -357,10 +353,11 @@ class StateOperator(MatrixOperator):
 
     @staticmethod
     def maximally_mixed(window):
-        """I / d; its spectrum is known, so no eigensolve checks it."""
+        """I / d; its spectrum is known, so no eigensolve checks it or solves it (eig_hermitian)."""
         d = window.dimension
         state = StateOperator.__new__(StateOperator)
         MatrixOperator.__init__(state, window, np.eye(d) / d)
+        state._mixed = True
         return state
 
     @staticmethod
@@ -550,7 +547,13 @@ def partial_transpose(op):
 
 
 def eig_hermitian(op):
-    """Eigenvalues (descending, ties keep solver order) and matching eigenvector columns."""
+    """Eigenvalues (descending, ties keep solver order) and matching eigenvector columns.
+
+    A maximally_mixed state's are the bits eigh gives for I / d, taken with no eigh.
+    """
+    if getattr(op, "_mixed", False):
+        d = op.window.dimension
+        return np.full(d, 1.0 / d), np.eye(d, dtype=complex)
     m = op.entries if isinstance(op, MatrixOperator) else np.asarray(op, dtype=complex)
     vals, vecs = np.linalg.eigh(_hermitian_part(m, "eig_hermitian input"))
     order = np.argsort(-vals, kind="stable")

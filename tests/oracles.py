@@ -260,30 +260,26 @@ def flat_rho12_probe(factor, alpha, beta, range_tol=1e-10):
         return 1.0 / float(np.sum(np.abs(coeff * inv_scale) ** 2))
 
 
-def flat_sector_difference(left, right, x):
-    """The per-sector difference bounds, with the shares held flat and summed over the flat table.
+def qr_difference_norms(left, right, factor, rows=4096):
+    """Operator and trace norms of K K^dag - X X^dag, K = Khatri-Rao(left, right), X a sector factor.
 
-    The same row walk as the library's for K's rows and the leakage; the
-    projection and the sector norms are flat_projection and
-    flat_sector_norms.
+    The nonzero eigenvalues are those of R J R^dag for the R of one QR of
+    [K, X] (J = +1 on K's columns, -1 on X's), taken here a block of about
+    `rows` rows at a time (tall-skinny QR: R of [R; next block]), so no
+    d_in d_out-row array is held. Every row is built from its definition.
     """
-    d_out, n = right.shape
-    conj_basis = np.conjugate(x.orbit_basis(n), order="C")
-    share = np.empty(len(left) * d_out, dtype=complex)
-    columns, scaled = np.empty((2, d_out, n), dtype=complex)
-    leak = 0.0
-    for i, (row, first) in enumerate(zip(left, x.offset)):
-        along = conj_basis[first:first + d_out]
-        np.multiply(row, right, out=columns)
-        part = np.einsum("rg,rg->r", columns, along, out=share[i * d_out:(i + 1) * d_out])
-        np.multiply(np.conjugate(along, out=scaled), part[:, None], out=scaled)
-        columns -= scaled
-        parts = columns.view(float)
-        leak += np.einsum("ij,ij->", parts, parts)
-    leak = np.sqrt(leak)
-    _, values = flat_sector_table(x)
-    a2, _, r2 = flat_projection(x, share, values)
-    t = a2 - flat_sector_norms(x)
-    spread = np.sqrt(0.25 * t * t + a2 * r2)
-    return (float((0.5 * np.abs(t) + spread).max() + leak * (2.0 * np.sqrt(a2.max()) + leak)),
-            float(2.0 * spread.sum() + leak * (2.0 * np.sqrt(a2.sum()) + leak)))
+    n, width, d_out = right.shape[1], factor.width, len(right)
+    r = np.zeros((0, n + width), dtype=complex)
+    step = max(1, rows // d_out)
+    for start in range(0, len(left), step):
+        block = np.zeros((0, n + width), dtype=complex)
+        for i in range(start, min(start + step, len(left))):
+            rows_i = np.zeros((d_out, n + width), dtype=complex)
+            for k in range(d_out):
+                rows_i[k, :n] = left[i] * right[k]
+                rows_i[k, n + factor.offset[i] + k] = factor.u[i] * factor.v[k]
+            block = np.vstack([block, rows_i])
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    diff = (r * np.concatenate([np.ones(n), -np.ones(width)])) @ r.conj().T
+    magnitudes = np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))
+    return float(magnitudes.max()), float(magnitudes.sum())

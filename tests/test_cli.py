@@ -604,12 +604,12 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 @pytest.mark.parametrize("args", [
     ("capacity", "--phi", "two-mode", "--k", "10000", "--grid", "2"),
     ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
-    ("eb-report", "--phi", "two-mode", "--k", "692"),
+    ("eb-report", "--phi", "two-mode", "--k", "788"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
     # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
     # channel-apply's written result, about 20 (2K+1)^2 entries, which admits
-    # K <= 915; what eb-report --phi holds on its sector path, which admits K <= 691
+    # K <= 915; what eb-report --phi holds on its sector path, which admits K <= 787
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -773,7 +773,7 @@ def random_phi_file(tmp_path, rng, half):
 
 
 def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypatch):
-    # one solve: sigma's (2K+1)-square eigensystem. Factored states are positive
+    # no solve under mixed, whose eigensystem is known. Factored states are positive
     # by construction, so no min_eigenvalue (an eigvalsh) runs, and both residuals
     # are taken sector by sector, so no QR or eigvalsh of at least d rows runs either
     calls = []
@@ -788,7 +788,7 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
         calls.clear()
         out = tmp_path / "report.json"
         assert main(["eb-report", "--phi", phi, "--k", str(half), "--out", str(out)]) == 0
-        assert calls == [("eigh", d)], half
+        assert calls == [], half
         assert jsonio.read_json(out)["extraction_residual"] < 1e-12
     # a non-diagonal sigma (checked by an eigvalsh when read) leaves the Choi factors
     # unformed, and no comparison reads them: the chain's one comparison is with the
@@ -802,13 +802,25 @@ def test_eb_report_phi_runs_no_product_window_eigensolve(tmp_path, rng, monkeypa
     assert jsonio.read_json(out)["extraction_residual"] < 1e-12
 
 
+def test_eb_report_phi_under_mixed_runs_no_eigh(tmp_path, monkeypatch):
+    # maximally_mixed knows its eigensystem, so the chain completes with eigh refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigh ran")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    out = tmp_path / "report.json"
+    for profile in ("geometric(0.7)", "two-mode", "uniform"):
+        assert main(["eb-report", "--phi", profile, "--k", "6", "--sigma", "mixed",
+                     "--out", str(out)]) == 0, profile
+        assert jsonio.read_json(out)["extraction_residual"] < 1e-12
+
+
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds about 35 d^2 entries on its sector path, not d^4: K=691 passes the
+    # --phi holds about 27 d^2 entries on its sector path, not d^4: K=787 passes the
     # guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, parse_args
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
-        args = parse_args(argv + ["--k", "691"])
-        args.k = [691]
+        args = parse_args(argv + ["--k", "787"])
+        args.k = [787]
         _check_size(args)
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
     assert "GiB" in capsys.readouterr().err
@@ -816,13 +828,13 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
 
 def test_eb_report_phi_admits_a_non_diagonal_sigma_at_the_mixed_limit(capsys):
     # the Choi state keeps a non-diagonal reference's factors unformed, so every --sigma
-    # is charged the same: K = 691 passes with a --sigma file, as with mixed, and
-    # K = 692 is refused before the file is read (it need not exist)
+    # is charged the same: K = 787 passes with a --sigma file, as with mixed, and
+    # K = 788 is refused before the file is read (it need not exist)
     from eblab.cli import _check_size, parse_args
-    args = parse_args(["eb-report", "--phi", "two-mode", "--k", "691", "--sigma", "unread.json"])
-    args.k = [691]
+    args = parse_args(["eb-report", "--phi", "two-mode", "--k", "787", "--sigma", "unread.json"])
+    args.k = [787]
     _check_size(args)
-    assert main(["eb-report", "--phi", "two-mode", "--k", "692", "--sigma", "unread.json"]) == 2
+    assert main(["eb-report", "--phi", "two-mode", "--k", "788", "--sigma", "unread.json"]) == 2
     err = capsys.readouterr().err
     assert "GiB" in err and "unread.json" not in err
 
@@ -895,6 +907,14 @@ def test_eb_report_phi_size_guard_bounds_the_traced_peak_at_large_k(tmp_path, rn
     for sigma_file in (False, True):
         for half, peak, count in traced_peaks_and_charges(tmp_path, rng, sigma_file, (64, 128)):
             assert peak <= count <= 1.5 * peak, (sigma_file, half, count, peak)
+
+
+@pytest.mark.slow
+def test_eb_report_phi_at_k256_exits_0_inside_the_guard(tmp_path, rng):
+    # the demodulated comparison is O(K^2) in time; K = 256 took seconds while K's rows
+    # were walked one input mode at a time
+    for half, peak, count in traced_peaks_and_charges(tmp_path, rng, False, (256,)):
+        assert peak <= count <= 1.5 * peak, (half, count, peak)
 
 
 def refused_under(argv, limit, monkeypatch):

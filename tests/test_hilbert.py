@@ -198,6 +198,23 @@ def test_eig_hermitian_degenerate_ties_keep_order():
     assert np.abs(vecs - np.eye(2)).max() < 1e-12
 
 
+def test_eig_hermitian_of_the_maximally_mixed_state_is_eighs_without_an_eigh(monkeypatch):
+    # eigh of I / d gives exactly (1/d, ..., 1/d) and I; maximally_mixed's eigensystem is
+    # those bits with no solve, and a state with the same entries built otherwise still
+    # runs eigh: only maximally_mixed is taken on trust
+    real = np.linalg.eigh
+    for half in range(1, 65):
+        window = ModeWindow.symmetric(half)
+        other = StateOperator(window, np.eye(window.dimension) / window.dimension)
+        want = eig_hermitian(other)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        got = eig_hermitian(StateOperator.maximally_mixed(window))
+        with pytest.raises(TypeError):
+            eig_hermitian(other)
+        monkeypatch.setattr(np.linalg, "eigh", real)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want)), half
+
+
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(InvariantViolationError):
         eig_hermitian(MatrixOperator(W2, np.array([[0.0, 1.0], [0.0, 0.0]])))

@@ -14,8 +14,11 @@ reads rho12's sector factor, and rotation.rho12_n_distance the one of the
 rho12 state it is handed, instead of building their own charge table or
 a flat product (np.kron; the probe forms its candidate row by row), and
 the n-sweep's grid is sized
-by that factor's sector count, not by the fiducials' windows. This test
-fails on each.
+by that factor's sector count, not by the fiducials' windows.
+channels._sector_difference reads K's columns demodulated, as a sector
+factor plus round-off, so it has no loop (K's rows are never walked) and
+conjugates no orbit basis (the width x n node basis it once sliced). This
+test fails on each.
 """
 
 import ast
@@ -92,6 +95,46 @@ def own_sector_tables(tree, name):
     """Calls in name that rebuild rho12's sectors or a product flat: charge tables and krons."""
     calls = [_called(node) for node in ast.walk(_function(tree, name))]
     return sorted(call for call in calls if call in ("_charges", "_sector_index", "kron"))
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def row_walks(tree, name):
+    """Line numbers of the loops in name and of its conjugations of an orbit_basis(...) call."""
+    function = _function(tree, name)
+    loops = [node.lineno for node in ast.walk(function) if isinstance(node, LOOPS)]
+    conjugated = [node.lineno for node in ast.walk(function) if _called(node) in ("conj", "conjugate")
+                  and any(_called(inner) == "orbit_basis" for inner in ast.walk(node))]
+    return sorted(loops + conjugated)
+
+
+def test_the_sector_difference_walks_no_row_and_conjugates_no_orbit_basis():
+    assert row_walks(_parse("channels.py"), "_sector_difference") == []
+
+
+def test_the_row_walk_guard_flags_a_loop_and_a_conjugated_basis():
+    flagged = """
+def _sector_difference(left, right, x):
+    conj_basis = np.conjugate(x.orbit_basis(n), order="C")
+    along = x.orbit_basis(n).conj()
+    for i, cols, _ in x.walk():
+        leak += 1.0
+    total = sum(row @ row for row in left)
+"""
+    passed = """
+def _sector_difference(left, right, x):
+    a = x.node_phases(n, -x.offset)
+    a *= left
+    v = np.einsum("i,ig->g", a_mean.conj(), a)
+    a2, _, r2 = x.projection(lambda i, cols, row: share.u[i] * share.v, lambda i, cols, row: row)
+def elsewhere(x):
+    for step in x.walk():
+        np.conjugate(x.orbit_basis(n))
+"""
+    assert row_walks(ast.parse(flagged), "_sector_difference") == [3, 4, 5, 7]
+    assert row_walks(ast.parse(passed), "_sector_difference") == []
 
 
 def test_difference_norms_reads_the_path_off_the_operator():

@@ -51,13 +51,14 @@ from eblab import (
 )
 from eblab.channels import (
     EXTRACT_TOL,
+    _PHASE_ERROR,
     _difference_norms,
     _khatri_rao,
     _kraus_vectors,
     _sector_difference,
 )
 from eblab.hilbert import SectorFactor, _difference_eigenvalues
-from eblab.rotation import _charges, _node_basis
+from eblab.rotation import _charges, _node_phases
 from conftest import assert_same_channel, random_density, random_pure
 
 from oracles import (
@@ -334,18 +335,22 @@ def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
         assert abs(rho12_n_distance(state, n) - want) < 1e-12, n
 
 
-@pytest.mark.parametrize("first, width, n", [(-7, 3, 8), (2, 5, 5), (0, 1, 4)])
-def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n):
-    # the factor keeps the function and passes its own width and first: row s of
-    # orbit_basis(n) runs along the charge first + s over the nodes 2 pi g / n
-    factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex),
-                          np.ones(1, dtype=complex), width, first, _node_basis)
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    want = np.exp(1j * np.outer(first + np.arange(width), nodes)) / np.sqrt(n)
-    assert np.abs(factor.orbit_basis(n) - want).max() <= 1e-15
-    moved = factor.rows(np.arange(width)[::-1], np.ones(width))
-    assert moved.node_basis is _node_basis and moved.first == first
-    assert np.array_equal(moved.orbit_basis(n), factor.orbit_basis(n))
+@pytest.mark.parametrize("charges, n", [([-7, -6, -5], 8), ([2, 3, 4, 5, 6], 5), ([0], 4),
+                                        ([-1000, -41, 7, 513, 2049], 2050)])
+def test_node_phases_are_within_the_phase_error_whatever_the_charge(charges, n):
+    # row q of node_phases(n, charges) is e^{i x_g q} over the nodes x_g = 2 pi g / n,
+    # its exponent reduced mod n, so each entry is within _PHASE_ERROR of exact even
+    # where x_g q is far past 2 pi; the reference is taken in long double, and a
+    # sector factor's rows() keeps the function
+    charges = np.array(charges)
+    angle = 2 * np.pi * (np.outer(charges, np.arange(n)) % n).astype(np.longdouble) / n
+    exact = np.cos(angle) + 1j * np.sin(angle)
+    slack = 16 * float(np.finfo(np.longdouble).eps)  # the reference's own error
+    assert float(np.abs(_node_phases(n, charges) - exact).max()) <= _PHASE_ERROR + slack
+    factor = SectorFactor(np.arange(3), np.ones(3, dtype=complex), np.ones(1, dtype=complex),
+                          3, int(charges[0]), _node_phases)
+    moved = factor.rows(np.arange(3)[::-1], np.ones(3))
+    assert moved.node_phases is _node_phases and moved.first == factor.first
 
 
 def test_rho12_matches_grid_oracle(rng):

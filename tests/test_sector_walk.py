@@ -6,9 +6,10 @@ sector's terms along it in row order, which is the order in which a
 bincount or np.add.at over the d-long flat tables sums them. So each reader
 equals its flat oracle in tests/oracles.py bit for bit, with == and no
 tolerance: the projection, the sector norms (rho12_n_distance's weights),
-the adjoint, rho12_probe and channels._sector_difference. rho12_probe
-holds O(K) numbers: at K = 990 it traces under 5 MB (slow tier), where the
-flat tables took 283 MB.
+the adjoint and rho12_probe. rho12_probe holds O(K) numbers: at K = 990 it
+traces under 5 MB (slow tier), where the flat tables took 283 MB.
+channels._sector_difference reads K's columns demodulated, not row by row;
+its bounds bracket the norms of a chunked QR of the same factors.
 """
 
 import tracemalloc
@@ -20,9 +21,9 @@ from eblab import (ModeWindow, PureVector, RotationChannel, StateOperator, choi,
                    factored_channel, holevo_form, phi_profile, separable_choi_from_holevo)
 from eblab.channels import _kraus_vectors, _sector_difference
 from eblab.hilbert import SectorFactor
-from eblab.rotation import _node_basis, rho12, rho12_probe
-from oracles import (flat_adjoint, flat_projection, flat_rho12_probe, flat_sector_difference,
-                     flat_sector_norms)
+from eblab.rotation import _node_phases, rho12, rho12_probe
+from oracles import (flat_adjoint, flat_projection, flat_rho12_probe, flat_sector_norms,
+                     qr_difference_norms)
 
 
 def same_bits(a, b):
@@ -42,7 +43,7 @@ def random_factor(rng):
     u, v = complex_normal(rng, d_in), complex_normal(rng, d_out)
     u[rng.random(d_in) < 0.2] = 0.0
     v[rng.random(d_out) < 0.2] = 0.0
-    return SectorFactor(offset, u, v, int(offset.max()) + d_out, 0, _node_basis)
+    return SectorFactor(offset, u, v, int(offset.max()) + d_out, 0, _node_phases)
 
 
 def test_the_walk_and_dense_put_row_i_k_in_sector_offset_i_plus_k():
@@ -108,8 +109,18 @@ def test_rho12_probe_is_the_flat_probe_bit_for_bit_on_the_named_candidates(half)
                 assert_probe_is_flat(phi, phi, profiles[alpha], profiles[beta])
 
 
-@pytest.mark.parametrize("half", [1, 2, 4, 8])
-def test_sector_difference_is_the_flat_one_bit_for_bit(half):
+def rescaled(left, right, h):
+    """The column pairs left[:, g] h[g], right[:, g] / h[g]: the same Kraus columns, rounded anew."""
+    return left * h, right / h
+
+
+@pytest.mark.parametrize("half", [1, 2, 4, 8, pytest.param(128, marks=pytest.mark.slow)])
+def test_sector_difference_brackets_the_qr_norms(half):
+    # the extraction's own columns (the grid form), the same columns with each pair
+    # rescaled by a random h[g] of random modulus and phase, and the same with the
+    # shifted charge split h[g] = e^{3 i x_g}: each bound is at least the QR norm of the
+    # same factors, and at most 20 times it or 1e-13. Columns moved off the grid form
+    # by 1e-3 need only be bounded
     rng = np.random.default_rng(half)
     d = 2 * half + 1
     phi = PureVector(ModeWindow.symmetric(half), complex_normal(rng, d))
@@ -120,10 +131,17 @@ def test_sector_difference_is_the_flat_one_bit_for_bit(half):
     extracted, _ = eb_extract(separable_choi_from_holevo(form, state))
     left, right = _kraus_vectors(extracted, extracted.inputs.conj())
     sectors = state.channel.stacked.sectors
-    assert same_bits(_sector_difference(left, right, sectors),
-                     flat_sector_difference(left, right, sectors))
+    n = right.shape[1]
+    scale = np.exp(rng.uniform(-2.0, 2.0, n) + 2j * np.pi * rng.random(n))
+    for pair in ((left, right), rescaled(left, right, scale),
+                 rescaled(left, right, np.exp(6j * np.pi * np.arange(n) / n))):
+        bounds, norms = _sector_difference(*pair, sectors), qr_difference_norms(*pair, sectors)
+        assert all(norm <= bound <= max(20 * norm, 1e-13)
+                   for bound, norm in zip(bounds, norms)), (bounds, norms)
     noisy = left + 1e-3 * complex_normal(rng, *left.shape), right
-    assert same_bits(_sector_difference(*noisy, sectors), flat_sector_difference(*noisy, sectors))
+    bounds, norms = _sector_difference(*noisy, sectors), qr_difference_norms(*noisy, sectors)
+    assert all(norm <= bound for bound, norm in zip(bounds, norms)), (bounds, norms)
+    assert bounds[0] > 1e-4
 
 
 @pytest.mark.slow
