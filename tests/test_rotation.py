@@ -335,22 +335,35 @@ def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
         assert abs(rho12_n_distance(state, n) - want) < 1e-12, n
 
 
+@pytest.mark.parametrize("first, width, n", [(-7, 3, 8), (2, 5, 5), (0, 1, 4)])
+def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n):
+    # the factor keeps the function and its own first: node_phases(n, first + s)
+    # runs along the charge first + s of sector s over the nodes 2 pi g / n, and
+    # rows() keeps both, so the moved factor's sectors have the same phases; the
+    # reference's exponent is reduced mod n too, so both are within _PHASE_ERROR
+    factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex),
+                          np.ones(1, dtype=complex), width, first, _node_phases)
+    turns = np.outer(first + np.arange(width), np.arange(n)) % n
+    want = np.exp(2j * np.pi * turns / n)
+    charges = factor.first + np.arange(factor.width)
+    assert np.abs(factor.node_phases(n, charges) - want).max() <= 2 * _PHASE_ERROR
+    moved = factor.rows(np.arange(width)[::-1], np.ones(width))
+    assert moved.node_phases is _node_phases and moved.first == first
+    assert np.array_equal(moved.node_phases(n, moved.first + np.arange(moved.width)),
+                          factor.node_phases(n, charges))
+
+
 @pytest.mark.parametrize("charges, n", [([-7, -6, -5], 8), ([2, 3, 4, 5, 6], 5), ([0], 4),
                                         ([-1000, -41, 7, 513, 2049], 2050)])
 def test_node_phases_are_within_the_phase_error_whatever_the_charge(charges, n):
     # row q of node_phases(n, charges) is e^{i x_g q} over the nodes x_g = 2 pi g / n,
     # its exponent reduced mod n, so each entry is within _PHASE_ERROR of exact even
-    # where x_g q is far past 2 pi; the reference is taken in long double, and a
-    # sector factor's rows() keeps the function
+    # where x_g q is far past 2 pi; the reference is taken in long double
     charges = np.array(charges)
     angle = 2 * np.pi * (np.outer(charges, np.arange(n)) % n).astype(np.longdouble) / n
     exact = np.cos(angle) + 1j * np.sin(angle)
     slack = 16 * float(np.finfo(np.longdouble).eps)  # the reference's own error
     assert float(np.abs(_node_phases(n, charges) - exact).max()) <= _PHASE_ERROR + slack
-    factor = SectorFactor(np.arange(3), np.ones(3, dtype=complex), np.ones(1, dtype=complex),
-                          3, int(charges[0]), _node_phases)
-    moved = factor.rows(np.arange(3)[::-1], np.ones(3))
-    assert moved.node_phases is _node_phases and moved.first == factor.first
 
 
 def test_rho12_matches_grid_oracle(rng):
