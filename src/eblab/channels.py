@@ -12,10 +12,10 @@ transpose S^(T_out) as operators, dense from blocks and factored from
 from_factors (S = X X^dag, S^(T_out) = X' X'^dag; rotation.factored_channel
 gives 4K + 1 charge-sector columns against (2K+1)^2 rows). On factors the
 Choi state and its partial transpose are the factored states (W^T x I) X
-and (W^T x I) X', W = B Lambda^(1/2) from sigma = B Lambda B^dag: sector
-factors under a diagonal sigma, else formed only when read. Both are
-positive by construction, so lowest_eigenvalue is exactly 0.0 below full
-rank. The blocks are read off S, so every function takes every channel.
+and (W^T x I) X', W = B Lambda^(1/2) from sigma = B Lambda B^dag, kept
+unformed under every sigma (_Congruence) and formed only when read. Both
+are positive by construction, so lowest_eigenvalue is exactly 0.0 below
+full rank. The blocks are read off S, so every function takes every channel.
 
 A HolevoForm keeps the factors of its POVM atoms M_b = F F^dag and
 prepared states rho'_b = G G^dag as two arrays, and a
@@ -426,7 +426,11 @@ def blocks_from_holevo(form):
 
 
 class _Congruence:
-    """(W^T x I) X, W = B Lambda^(1/2), kept as B, Lambda and X; dense() forms it on each call."""
+    """(W^T x I) X, W = B Lambda^(1/2), kept as B, Lambda and X; dense() forms it on each call.
+
+    X is an array or a SectorFactor, kept as it is: the one factored form of
+    a Choi state, whatever the reference.
+    """
 
     __slots__ = ("basis", "lam", "x", "shape")
 
@@ -447,12 +451,14 @@ class ChoiState(StateOperator):
     and the reference); the marginal over the output factor is diag(l_i).
     The reference is full rank when l_min >= CHOI_RANK_TOL * l_max, a floor
     that scales with it. On factors the state and transposed are the
-    congruences W^T x I of the channel's two factors (module docstring): a
-    SectorFactor X stays one under a diagonal reference, and any other is
-    kept unformed (_Congruence), its trace gated on W and Tr_out(X X^dag).
-    It needs no finiteness gate: from_factors' trace-preservation gate
-    bounds every entry of X by 1, and the reference's trace gate every entry
-    of W, within EPS_TRACE. On blocks transposed is partial_transpose(self).
+    congruences W^T x I of the channel's two factors (module docstring),
+    kept unformed (_Congruence) under every reference. Their trace
+    Tr W^T T conj(W), T = Tr_out(X X^dag), is gated as sum_ij T_ij sigma_ij,
+    since conj(W) W^T = conj(sigma): O(d_in^2) with no eigenbasis, T being
+    diagonal for the rotation channel's SectorFactor. It needs no finiteness
+    gate: from_factors' trace-preservation gate bounds every entry of X by
+    1, and the reference's trace gate every entry of W, within EPS_TRACE.
+    On blocks transposed is partial_transpose(self).
     """
 
     def __init__(self, channel, reference):
@@ -461,26 +467,18 @@ class ChoiState(StateOperator):
         lam, basis = eig_hermitian(reference)
         _at_least(lam[-1], CHOI_RANK_TOL * lam[0],
                   "reference state is rank deficient: min eigenvalue")
-        w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
         window = ProductWindow(channel.in_window, channel.out_window)
         self._transposed = None
         if channel.stacked.sectors is not None or channel.stacked.factor is not None:
-            source = _monomial_rows(basis.T)
-
-            def congruence(op):  # (W^T x I) X: row (a, k) is sum_m w[m, a] X[(m, k), :]
-                x = op.sectors
-                if x is not None and source is not None:  # only m = source[a] adds
-                    return x.rows(source, w[source, np.arange(d_in)])
-                return _Congruence(basis, lam, op.factor if x is None else x)
-
-            factor = congruence(channel.stacked)
-            if isinstance(factor, _Congruence):  # Tr is Tr W^T Tr_out(X X^dag) conj(W)
-                trace = np.vdot(w.conj(), _traced_out(factor.x, d_in) @ w.conj()).real
-                _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
-            _init_factored(self, window, factor)
-            self._transposed = factored_operator(window, congruence(channel.transposed))
+            x, y = (op.factor if op.sectors is None else op.sectors
+                    for op in (channel.stacked, channel.transposed))
+            trace = np.sum(_traced_out(x, d_in) * reference.entries).real
+            _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
+            _init_factored(self, window, _Congruence(basis, lam, x))
+            self._transposed = factored_operator(window, _Congruence(basis, lam, y))
         else:
+            w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
             entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
                                 optimize=True).reshape(d_in * d_out, d_in * d_out)
             super().__init__(window, entries)
@@ -614,10 +612,11 @@ def separable_choi_from_holevo(form, target):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
     branches = _basis_product(target.eigenbasis.conj().T, form.inputs, form._counts[0])
     lefts, rights = _kraus_vectors(form, np.sqrt(target.eigenvalues)[:, None] * branches.conj())
+    del branches  # freed, with the unscaled lefts and rights, before the chain's comparison
     c, d = (np.einsum("ij,ij->j", x.conj(), x).real for x in (lefts, rights))
     kept = (c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL)
-    return SeparableChoiDecomposition.from_vectors(
-        target, c[kept] * d[kept], _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept]))
+    lefts, rights = _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept])
+    return SeparableChoiDecomposition.from_vectors(target, c[kept] * d[kept], lefts, rights)
 
 
 def _difference_norms(left, right, op):
@@ -668,7 +667,7 @@ def _sector_difference(left, right, x):
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3,
     with u = 2^-53 and gamma_k = k u / (1 - k u)). A node phase is within
-    p = _PHASE_ERROR of exact (rotation._node_phases), and a complex product
+    p = _PHASE_ERROR of exact (SectorFactor.node_phases), and a complex product
     within sqrt(2) gamma_2, relatively, with or without a fused multiply-add
     (Lemma 3.5). A computed A_i[g] B_k[g] is conj(e_s[g]) K_r[g] times the
     factors of two phases, four products (demodulation and scaling), and h

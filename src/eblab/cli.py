@@ -100,15 +100,15 @@ def _phi_report_entries(half):
     """Complex entries eb-report --phi holds at its peak, under any --sigma.
 
     With d = 2K + 1, the peak is in the chain's one comparison as it
-    demodulates K's columns: eleven d x 2d arrays (the form's, the
-    decomposition's with temporaries, the two demodulated sides: 22 d^2), a
-    node-phase index (int64, d^2), sigma's entries and eigenbasis (2 d^2),
-    numpy's iteration buffer (at most 8192 entries or 2 d^2) and 2048 for
-    small objects. No --sigma adds more: ChoiState keeps a non-diagonal
-    one's factors unformed.
+    demodulates K's columns: eight d x 2d arrays (the form's two, the
+    decomposition's two unit sides, its POVM vectors and their conjugate,
+    the two demodulated sides: 16 d^2), a node-phase index (int64, d^2),
+    sigma's entries and eigenbasis (2 d^2), numpy's iteration buffer (at
+    most 8192 entries or 2 d^2) and 2048 for small objects. No --sigma adds
+    more: ChoiState keeps every reference's factors unformed.
     """
     d = 2 * half + 1
-    return 27 * d * d + 2048
+    return 21 * d * d + 2048
 
 
 def _check_size(args):

@@ -174,15 +174,28 @@ class SectorFactor:
     only dense(), the oracle, and the writer, _sector_cells, lay X out flat.
     rotation._sector_factor builds every such factor, sector s at charge
     first + s, along the phases e^{i x_g (first + s)} over n orbit nodes x_g =
-    2 pi g / n: node_phases(n, charges) gives them, each within
-    channels._PHASE_ERROR of exact, for any charges. _checked_trace checks the values.
+    2 pi g / n, which node_phases gives. _checked_trace checks the values.
     """
 
-    __slots__ = ("offset", "u", "v", "width", "first", "node_phases")
+    __slots__ = ("offset", "u", "v", "width", "first")
 
-    def __init__(self, offset, u, v, width, first, node_phases):
+    def __init__(self, offset, u, v, width, first):
         self.offset, self.u, self.v, self.width, self.first = offset, u, v, width, first
-        self.node_phases = node_phases
+
+    @staticmethod
+    def node_phases(n, charges):
+        """The len(charges) x n matrix whose row is e^{i x_g q} over the nodes x_g = 2 pi g / n.
+
+        Column g of an orbit over these nodes is V_{x_g} v, whose row of charge q
+        is e^{i x_g q} v_q. The exponent's g q is reduced mod n in integers, so
+        each entry is a root e^{2 pi i j / n}, taken at the angle 2 pi j / n with
+        j in (-n/2, n/2]: three roundings (pi, the product, the quotient) move an
+        angle of at most pi by pi gamma_3, and cos and sin, one ulp each, add 2u,
+        so every entry is within channels._PHASE_ERROR of exact, whatever q.
+        """
+        j = np.arange(n)
+        roots = np.exp(1j * (2.0 * np.pi * (j - n * (2 * j > n)) / n))
+        return roots[np.outer(charges, j) % n]
 
     @property
     def shape(self):
@@ -237,11 +250,6 @@ class SectorFactor:
         for step in self.walk():
             residual[step[1]] += np.abs(w(*step) - c[step[1]] * x(*step)) ** 2
         return norms, c, residual
-
-    def rows(self, source, scale):
-        """The sector factor whose input row a is scale[a] times input row source[a] of this one."""
-        return SectorFactor(self.offset[source], scale * self.u[source], self.v, self.width,
-                            self.first, self.node_phases)
 
 
 def _sector_cells(x):

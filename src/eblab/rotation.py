@@ -146,22 +146,7 @@ def _sector_factor(left, right, u, v):
     """
     low = int(left.min())
     return SectorFactor(left - low, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex),
-                        int(left.max()) - low + right.dimension, low + right.k_min, _node_phases)
-
-
-def _node_phases(n, charges):
-    """The len(charges) x n matrix whose row is e^{i x_g q} over the nodes x_g = 2 pi g / n.
-
-    Column g of an orbit over these nodes is V_{x_g} v, whose row of charge q
-    is e^{i x_g q} v_q. The exponent's g q is reduced mod n in integers, so
-    each entry is a root e^{2 pi i j / n}, taken at the angle 2 pi j / n with
-    j in (-n/2, n/2]: three roundings (pi, the product, the quotient) move an
-    angle of at most pi by pi gamma_3, and cos and sin, one ulp each, add 2u,
-    so every entry is within channels._PHASE_ERROR of exact, whatever q.
-    """
-    j = np.arange(n)
-    roots = np.exp(1j * (2.0 * np.pi * (j - n * (2 * j > n)) / n))
-    return roots[np.outer(charges, j) % n]
+                        int(left.max()) - low + right.dimension, low + right.k_min)
 
 
 def _diagonal_sums(entries, gap):

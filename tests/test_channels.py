@@ -39,13 +39,14 @@ from eblab import (
     kraus_rank_one,
     partial_trace,
     partial_transpose,
+    phi_profile,
     separable_choi_from_holevo,
     tensor,
     trace_norm_distance,
     transpose_channel,
 )
 from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao
-from eblab.hilbert import lowest_eigenvalue
+from eblab.hilbert import _unit_vector, lowest_eigenvalue
 from conftest import assert_same_channel, random_density, random_pure
 
 
@@ -215,27 +216,40 @@ def test_choi_rejects_rank_deficient_reference():
 
 
 def test_the_choi_trace_gate_refuses_what_two_passing_gates_add_up_to():
-    # a channel whose Tr_out S is (1 + 0.9e-10) I and a non-diagonal sigma of trace
-    # 1 + 0.9e-10 each pass their own gate, but the Choi state's trace is their product,
-    # 1 + 1.8e-10: the unformed congruence's trace gate refuses it, without forming it
-    w = window(2)
+    # a channel whose Tr_out S is (1 + 0.9e-10) I and a sigma of trace 1 + 0.9e-10 each
+    # pass their own gate, but the Choi state's trace is their product, 1 + 1.8e-10: the
+    # unformed congruence's trace gate refuses it, without forming it. So it does for a
+    # dense factor under a non-diagonal sigma and for the rotation channel's sector
+    # factors under a diagonal one, whose gate reads sigma's entries all the same
     scale = np.sqrt(1 + 0.9e-10)
     x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # the dephasing channel
-    entries = np.array([[0.6, 0.2], [0.2, 0.4]])
-    long_channel = ChannelBlocks.from_factors(w, w, scale * x, scale * x)
-    heavy_sigma = StateOperator(w, scale ** 2 * entries)
-    with pytest.raises(InvariantViolationError, match="state trace defect .* = 1.800e-10"):
-        choi(long_channel, heavy_sigma)
-    for channel, sigma in ((long_channel, StateOperator(w, entries)),
-                           (ChannelBlocks.from_factors(w, w, x, x), heavy_sigma)):
-        assert abs(choi(channel, sigma).trace() - 1.0) <= 1e-10
+    phi = phi_profile("geometric(0.7)", 2)
+
+    def dephasing(s):
+        return ChannelBlocks.from_factors(window(2), window(2), s * x, s * x)
+
+    def rotation(s):  # the channel of the fiducial scaled by s, kept as its sector factors
+        channel = factored_channel(RotationChannel(_unit_vector(phi.window, s * phi.amplitudes)))
+        assert channel.stacked.sectors is not None
+        return channel
+
+    for channel, entries in ((dephasing, np.array([[0.6, 0.2], [0.2, 0.4]])),
+                             (rotation, np.diag([0.3, 0.25, 0.2, 0.15, 0.1]))):
+        long_channel = channel(scale)
+        w = long_channel.in_window
+        heavy_sigma = StateOperator(w, scale ** 2 * entries)
+        with pytest.raises(InvariantViolationError, match="state trace defect .* = 1.800e-10"):
+            choi(long_channel, heavy_sigma)
+        for one, sigma in ((long_channel, StateOperator(w, entries)), (channel(1.0), heavy_sigma)):
+            assert abs(choi(one, sigma).trace() - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("kind, half", [("rotation", 2), ("rotation", 4), ("atoms", 1)])
 def test_an_unformed_choi_congruence_reads_as_the_eager_one_bit_for_bit(kind, half, monkeypatch):
-    # under a random full-rank sigma the Choi state keeps its congruences unformed (no
-    # tensordot runs when it is built); its factors, entries and partial-transpose minimum
-    # eigenvalue are those of the eager congruence, formed here as the parent formed it
+    # under the mixed sigma, a random diagonal one and a random full-rank one the Choi
+    # state keeps its congruences unformed (no tensordot runs when it is built); its
+    # factors, entries and partial-transpose minimum eigenvalue are those of the eager
+    # congruence, formed here by the tensordot that is every factored Choi state's oracle
     rng = np.random.default_rng(40 + half)
     if kind == "rotation":
         w = ModeWindow.symmetric(half)
@@ -245,27 +259,31 @@ def test_an_unformed_choi_congruence_reads_as_the_eager_one_bit_for_bit(kind, ha
     else:  # 3 x 3 x 2 = 18 Kraus columns against 3 x 2 rows, so the eigensolve runs
         channel = holevo_channel(random_holevo_form(rng, 3, 2, 3))
     d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
-    sigma = StateOperator(channel.in_window, random_density(rng, d_in))
+    full = StateOperator(channel.in_window, random_density(rng, d_in))
+    weights = rng.random(d_in) + 0.1  # unequal, so the eigenbasis permutes the rows
+    diagonal = StateOperator(channel.in_window, np.diag(weights / weights.sum()))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tensordot ran")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "tensordot", refuse)
-        state = choi(channel, sigma)
-    assert state.sectors is None and state.transposed.sectors is None
-    lam, basis = eig_hermitian(sigma)
-    w = basis * np.sqrt(lam)
     window_pair = ProductWindow(channel.in_window, channel.out_window)
-    eager, eager_pt = (factored_operator(window_pair, np.tensordot(
-        w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(d_in * d_out, -1))
-        for x in (channel.stacked.factor, channel.transposed.factor))
-    for got, want in ((state.factor, eager.factor), (state.transposed.factor, eager_pt.factor),
-                      (state.entries, eager.entries)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    low = lowest_eigenvalue(state.transposed)
-    assert np.float64(low).tobytes() == np.float64(lowest_eigenvalue(eager_pt)).tobytes()
-    assert (low == 0.0) == (kind == "rotation")
+    for sigma in (StateOperator.maximally_mixed(channel.in_window), diagonal, full):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "tensordot", refuse)
+            state = choi(channel, sigma)
+        assert state.sectors is None and state.transposed.sectors is None
+        lam, basis = eig_hermitian(sigma)
+        w = basis * np.sqrt(lam)
+        eager, eager_pt = (factored_operator(window_pair, np.tensordot(
+            w, x.reshape(d_in, d_out, -1), axes=(0, 0)).reshape(d_in * d_out, -1))
+            for x in (channel.stacked.factor, channel.transposed.factor))
+        for got, want in ((state.factor, eager.factor),
+                          (state.transposed.factor, eager_pt.factor),
+                          (state.entries, eager.entries)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        low = lowest_eigenvalue(state.transposed)
+        assert np.float64(low).tobytes() == np.float64(lowest_eigenvalue(eager_pt)).tobytes()
+        assert (low == 0.0) == (kind == "rotation")
 
 
 def test_choi_apply_reconstruction_on_matrix_units(rng):

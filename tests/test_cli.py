@@ -604,12 +604,12 @@ def test_readme_flag_table_lists_each_subcommands_own_flags():
 @pytest.mark.parametrize("args", [
     ("capacity", "--phi", "two-mode", "--k", "10000", "--grid", "2"),
     ("channel-apply", "--phi", "two-mode", "--k", "3000", "--state", "unread.json"),
-    ("eb-report", "--phi", "two-mode", "--k", "788"),
+    ("eb-report", "--phi", "two-mode", "--k", "894"),
 ])
 def test_oversized_grid_and_nodes_exit_2_before_allocating(args):
     # capacity's (2K+1)^2 entries at K = 10000 (its --grid is not charged);
     # channel-apply's written result, about 20 (2K+1)^2 entries, which admits
-    # K <= 915; what eb-report --phi holds on its sector path, which admits K <= 787
+    # K <= 915; what eb-report --phi holds on its sector path, which admits K <= 893
     result = run_cli(*args)
     assert_clean_schema_exit(result)
     assert "GiB" in result.stderr
@@ -815,12 +815,12 @@ def test_eb_report_phi_under_mixed_runs_no_eigh(tmp_path, monkeypatch):
 
 
 def test_eb_report_phi_size_guard_counts_the_factors(capsys):
-    # --phi holds about 27 d^2 entries on its sector path, not d^4: K=787 passes the
+    # --phi holds about 21 d^2 entries on its sector path, not d^4: K=893 passes the
     # guard; --channel ignores --k, so the guard charges it nothing
     from eblab.cli import _check_size, parse_args
     for argv in (["eb-report", "--phi", "geometric(0.7)"], ["eb-report", "--channel", "unread.json"]):
-        args = parse_args(argv + ["--k", "787"])
-        args.k = [787]
+        args = parse_args(argv + ["--k", "893"])
+        args.k = [893]
         _check_size(args)
     assert main(["eb-report", "--phi", "geometric(0.7)", "--k", "100000"]) == 2
     assert "GiB" in capsys.readouterr().err
@@ -828,13 +828,13 @@ def test_eb_report_phi_size_guard_counts_the_factors(capsys):
 
 def test_eb_report_phi_admits_a_non_diagonal_sigma_at_the_mixed_limit(capsys):
     # the Choi state keeps a non-diagonal reference's factors unformed, so every --sigma
-    # is charged the same: K = 787 passes with a --sigma file, as with mixed, and
-    # K = 788 is refused before the file is read (it need not exist)
+    # is charged the same: K = 893 passes with a --sigma file, as with mixed, and
+    # K = 894 is refused before the file is read (it need not exist)
     from eblab.cli import _check_size, parse_args
-    args = parse_args(["eb-report", "--phi", "two-mode", "--k", "787", "--sigma", "unread.json"])
-    args.k = [787]
+    args = parse_args(["eb-report", "--phi", "two-mode", "--k", "893", "--sigma", "unread.json"])
+    args.k = [893]
     _check_size(args)
-    assert main(["eb-report", "--phi", "two-mode", "--k", "788", "--sigma", "unread.json"]) == 2
+    assert main(["eb-report", "--phi", "two-mode", "--k", "894", "--sigma", "unread.json"]) == 2
     err = capsys.readouterr().err
     assert "GiB" in err and "unread.json" not in err
 

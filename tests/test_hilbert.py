@@ -450,8 +450,7 @@ def test_sector_shaped_factor_expands_to_its_sector_blocks(rng, half):
     values = rng.normal(size=w.dimension) + 1j * rng.normal(size=w.dimension)
     values[rng.random(w.dimension) < 0.3] = 0.0
     values /= np.linalg.norm(values)
-    state = factored_state(w, SectorFactor(sector, values, np.ones(1, dtype=complex), 3, 0,
-                                           None))
+    state = factored_state(w, SectorFactor(sector, values, np.ones(1, dtype=complex), 3, 0))
     x = state.factor
     assert np.array_equal(x[np.arange(w.dimension), sector], values)
     assert np.count_nonzero(x) == np.count_nonzero(values)

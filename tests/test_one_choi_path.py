@@ -7,7 +7,12 @@ ChoiState.__init__ would let a caller hand in a second solve; a name of
 channels.reference_eigensystem in cli.py would let the front end choose a
 path and a charge beside ChoiState's own; a second parameter of
 cli._phi_report_entries would let the guard charge --sigma files
-differently again. This test fails on each.
+differently again. ChoiState keeps every factored channel's congruence
+unformed, under every reference: a call of rows or _monomial_rows in
+ChoiState.__init__ would bring back a second factored form (the channel's
+sector factor with its rows moved), and a SectorFactor.rows method or a
+node_phases slot or constructor argument would keep what only that copy
+needed. This test fails on each.
 """
 
 import ast
@@ -32,11 +37,35 @@ def parameters(function):
             + [a for a in (args.vararg, args.kwarg) if a]]
 
 
+def _class(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
+
 def choi_parameters(tree):
     """The parameter names of choi and of ChoiState.__init__."""
-    cls = next(node for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) and node.name == "ChoiState")
-    return parameters(_function(tree, "choi")), parameters(_function(cls, "__init__"))
+    return (parameters(_function(tree, "choi")),
+            parameters(_function(_class(tree, "ChoiState"), "__init__")))
+
+
+def row_moves(tree):
+    """Line numbers of the calls of rows or _monomial_rows in ChoiState.__init__."""
+    init = _function(_class(tree, "ChoiState"), "__init__")
+    return sorted(node.lineno for node in ast.walk(init) if isinstance(node, ast.Call)
+                  and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                  & {"rows", "_monomial_rows"})
+
+
+def copy_members(tree):
+    """SectorFactor's rows method, node_phases slot and node_phases constructor argument, if any."""
+    cls = _class(tree, "SectorFactor")
+    slots = [ast.literal_eval(node.value) for node in cls.body if isinstance(node, ast.Assign)
+             and any(getattr(target, "id", None) == "__slots__" for target in node.targets)]
+    return sorted({f"def {node.name}" for node in cls.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "rows"}
+                  | {f"slot {name}" for names in slots for name in names if name == "node_phases"}
+                  | {f"argument {name}" for name in parameters(_function(cls, "__init__"))
+                     if name == "node_phases"})
 
 
 def names_read(tree, name):
@@ -59,6 +88,45 @@ def test_the_cli_never_names_reference_eigensystem():
 
 def test_the_phi_charge_takes_only_the_half_width():
     assert parameters(_function(_parse("cli.py"), "_phi_report_entries")) == ["half"]
+
+
+def test_choi_state_moves_no_rows_and_sector_factors_carry_no_copy_fields():
+    assert row_moves(_parse("channels.py")) == []
+    assert copy_members(_parse("hilbert.py")) == []
+
+
+def test_the_guard_flags_a_row_move_and_the_fields_a_copy_needs():
+    flagged = """
+class SectorFactor:
+    __slots__ = ("offset", "u", "v", "width", "first", "node_phases")
+    def __init__(self, offset, u, v, width, first, node_phases):
+        pass
+    def rows(self, source, scale):
+        return SectorFactor(self.offset[source], scale * self.u[source])
+class ChoiState(StateOperator):
+    def __init__(self, channel, reference):
+        source = _monomial_rows(basis.T)
+        def congruence(op):
+            return op.sectors.rows(source, w[source, np.arange(d_in)])
+"""
+    passed = """
+class SectorFactor:
+    __slots__ = ("offset", "u", "v", "width", "first")
+    def __init__(self, offset, u, v, width, first):
+        pass
+    @staticmethod
+    def node_phases(n, charges):
+        return roots[np.outer(charges, j) % n]
+class ChoiState(StateOperator):
+    def __init__(self, channel, reference):
+        x, y = (op.factor if op.sectors is None else op.sectors for op in channels)
+        _init_factored(self, window, _Congruence(basis, lam, x))
+"""
+    flagged_tree, passed_tree = ast.parse(flagged), ast.parse(passed)
+    assert row_moves(flagged_tree) == [10, 12]
+    assert copy_members(flagged_tree) == ["argument node_phases", "def rows", "slot node_phases"]
+    assert row_moves(passed_tree) == []
+    assert copy_members(passed_tree) == []
 
 
 def test_the_guard_flags_an_eigensystem_a_second_path_and_a_second_charge():

@@ -3,16 +3,15 @@
 Every charge-sector factor is a product u x v whose row (i, k) lies in
 sector offset[i] + k, so hilbert.SectorFactor stores offset, u and v, and
 its walk() hands out each input row i with its sector slice. No reader
-needs a flat sector table: _traced_out compares the offsets, ChoiState
-moves input rows, and the projection, the norms, the adjoint, the probe
-and _sector_difference walk the rows. Only SectorFactor.dense, the
-oracle, and hilbert._sector_cells, the writer of d^4 cells, lay the rows
-out in d-long flat tables. A subscript or .reshape of a .sector read in
-channels.py rebuilds the (i, k) layout from the flat table; a .sector or
-.values read, a ufunc's .at scatter, or a bincount or kron over a
-factor's .sector, .offset, .u or .v anywhere else in src/eblab builds or
-sums over one; and an array of d^2 entries stored on a factor undoes the
-product. This test fails on each.
+needs a flat sector table: _traced_out compares the offsets, and the
+projection, the norms, the adjoint, the probe and _sector_difference walk
+the rows. Only SectorFactor.dense, the oracle, and hilbert._sector_cells,
+the writer of d^4 cells, lay the rows out in d-long flat tables. A
+subscript or .reshape of a .sector read in channels.py rebuilds the (i, k)
+layout from the flat table; a .sector or .values read, a ufunc's .at
+scatter, or a bincount or kron over a factor's .sector, .offset, .u or .v
+anywhere else in src/eblab builds or sums over one; and an array of d^2
+entries stored on a factor undoes the product. This test fails on each.
 """
 
 import ast
@@ -20,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eblab import ModeWindow, PureVector, StateOperator
-from eblab.channels import choi
+from eblab import ModeWindow, PureVector
 from eblab.rotation import RotationChannel, factored_channel, rho12
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eblab"
@@ -99,11 +97,8 @@ def test_no_sector_factor_stores_more_than_a_window():
     d = window.dimension
     phi1, phi2 = (PureVector(window, rng.normal(size=d) + 1j * rng.normal(size=d))
                   for _ in range(2))
-    weights = rng.random(d) + 0.1
     channel = factored_channel(RotationChannel(phi1))
-    state = choi(channel, StateOperator(window, np.diag(weights / weights.sum())))
-    factors = [channel.stacked.sectors, channel.transposed.sectors, state.sectors,
-               state.transposed.sectors, rho12(phi1, phi2).sectors]
+    factors = [channel.stacked.sectors, channel.transposed.sectors, rho12(phi1, phi2).sectors]
     assert all(factor is not None for factor in factors)
     for factor in factors:
         sizes = stored_sizes(factor)

@@ -58,7 +58,7 @@ from eblab.channels import (
     _sector_difference,
 )
 from eblab.hilbert import SectorFactor, _difference_eigenvalues
-from eblab.rotation import _charges, _node_phases
+from eblab.rotation import _charges
 from conftest import assert_same_channel, random_density, random_pure
 
 from oracles import (
@@ -337,20 +337,15 @@ def test_rho12_n_grid_follows_the_sectors_off_symmetric_windows(rng, w1, w2):
 
 @pytest.mark.parametrize("first, width, n", [(-7, 3, 8), (2, 5, 5), (0, 1, 4)])
 def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n):
-    # the factor keeps the function and its own first: node_phases(n, first + s)
-    # runs along the charge first + s of sector s over the nodes 2 pi g / n, and
-    # rows() keeps both, so the moved factor's sectors have the same phases; the
-    # reference's exponent is reduced mod n too, so both are within _PHASE_ERROR
+    # the factor keeps its own first: node_phases(n, first + s) runs along the charge
+    # first + s of sector s over the nodes 2 pi g / n; the reference's exponent is
+    # reduced mod n too, so both are within _PHASE_ERROR
     factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex),
-                          np.ones(1, dtype=complex), width, first, _node_phases)
+                          np.ones(1, dtype=complex), width, first)
     turns = np.outer(first + np.arange(width), np.arange(n)) % n
     want = np.exp(2j * np.pi * turns / n)
     charges = factor.first + np.arange(factor.width)
     assert np.abs(factor.node_phases(n, charges) - want).max() <= 2 * _PHASE_ERROR
-    moved = factor.rows(np.arange(width)[::-1], np.ones(width))
-    assert moved.node_phases is _node_phases and moved.first == first
-    assert np.array_equal(moved.node_phases(n, moved.first + np.arange(moved.width)),
-                          factor.node_phases(n, charges))
 
 
 @pytest.mark.parametrize("charges, n", [([-7, -6, -5], 8), ([2, 3, 4, 5, 6], 5), ([0], 4),
@@ -363,7 +358,8 @@ def test_node_phases_are_within_the_phase_error_whatever_the_charge(charges, n):
     angle = 2 * np.pi * (np.outer(charges, np.arange(n)) % n).astype(np.longdouble) / n
     exact = np.cos(angle) + 1j * np.sin(angle)
     slack = 16 * float(np.finfo(np.longdouble).eps)  # the reference's own error
-    assert float(np.abs(_node_phases(n, charges) - exact).max()) <= _PHASE_ERROR + slack
+    phases = SectorFactor.node_phases(n, charges)
+    assert float(np.abs(phases - exact).max()) <= _PHASE_ERROR + slack
 
 
 def test_rho12_matches_grid_oracle(rng):
@@ -683,7 +679,7 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
     form = holevo_form(channel)
     for sigma in sigmas:
         state, oracle = choi(factored, sigma), choi(dense, sigma)
-        assert (state.sectors is None) == (sigma is full)  # a row move keeps a sector factor
+        assert state.sectors is None  # the congruence is kept unformed under every sigma
         y, z = state.factor, state.transposed.factor
         assert np.abs(y @ y.conj().T - oracle.entries).max() <= 1e-14
         assert np.abs(z @ z.conj().T - partial_transpose(oracle).entries).max() <= 1e-14
@@ -734,7 +730,7 @@ def test_sector_bounds_bracket_the_qr_norms(sigma, half):
     # whatever sigma: each bound is at least the QR norm of the same factors, and at most
     # 20 times it or 1e-13. The residual is the operator-norm bound
     form, state = sector_chain(half, 7000 + half, sigma)
-    assert (state.sectors is None) == (state.transposed.sectors is None) == (sigma == "full")
+    assert state.sectors is None and state.transposed.sectors is None
     extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
     a, g = _kraus_vectors(extracted, extracted.inputs.conj())
     bounds = _difference_norms(a, g, state.channel.stacked)
@@ -754,18 +750,17 @@ def without_the_gate(state, weights, lefts, rights, povm):
 
 def test_an_atom_turned_off_the_channel_fails_the_extraction_on_both_paths():
     # atom 2's prepared state turned by 1e-6 keeps the extracted form a valid form (its
-    # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL, whether the
-    # Choi state keeps the sector factors (mixed sigma) or not (a non-diagonal sigma). The
-    # decomposition's own gate would refuse it first, so it is built here without that
-    # gate. Scaling an atom's POVM vector by sqrt(1 + 1e-6) instead fails the extracted
-    # form's POVM completeness, which is checked first, with the same exit code
+    # POVM is unchanged), but moves its stacked matrix past EXTRACT_TOL, under a mixed
+    # and under a non-diagonal sigma alike. The decomposition's own gate would refuse it
+    # first, so it is built here without that gate. Scaling an atom's POVM vector by
+    # sqrt(1 + 1e-6) instead fails the extracted form's POVM completeness, which is
+    # checked first, with the same exit code
     rng = np.random.default_rng(12)
     phi = PureVector(ModeWindow.symmetric(3), rng.normal(size=7) + 1j * rng.normal(size=7))
     channel = RotationChannel(phi)
-    for sigma, sectors in ((StateOperator.maximally_mixed(phi.window), True),
-                           (StateOperator(phi.window, random_density(rng, 7)), False)):
+    for sigma in (StateOperator.maximally_mixed(phi.window),
+                  StateOperator(phi.window, random_density(rng, 7))):
         state = choi(factored_channel(channel), sigma)
-        assert (state.sectors is not None) == sectors
         exact = separable_choi_from_holevo(holevo_form(channel), state)
         rights = np.array(exact.rights)
         rights[:, 2] += 1e-6 * rights[::-1, 2].conj()

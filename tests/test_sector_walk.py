@@ -21,7 +21,7 @@ from eblab import (ModeWindow, PureVector, RotationChannel, StateOperator, choi,
                    factored_channel, holevo_form, phi_profile, separable_choi_from_holevo)
 from eblab.channels import _kraus_vectors, _sector_difference
 from eblab.hilbert import SectorFactor
-from eblab.rotation import _node_phases, rho12, rho12_probe
+from eblab.rotation import rho12, rho12_probe
 from oracles import (flat_adjoint, flat_projection, flat_rho12_probe, flat_sector_norms,
                      qr_difference_norms)
 
@@ -43,7 +43,7 @@ def random_factor(rng):
     u, v = complex_normal(rng, d_in), complex_normal(rng, d_out)
     u[rng.random(d_in) < 0.2] = 0.0
     v[rng.random(d_out) < 0.2] = 0.0
-    return SectorFactor(offset, u, v, int(offset.max()) + d_out, 0, _node_phases)
+    return SectorFactor(offset, u, v, int(offset.max()) + d_out, 0)
 
 
 def test_the_walk_and_dense_put_row_i_k_in_sector_offset_i_plus_k():
