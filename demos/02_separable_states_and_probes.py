@@ -11,7 +11,6 @@ from eblab import (
     fourier_necessary_check,
     orbit_state,
     phi_profile,
-    product_bound_probe,
     rho12,
     rho12_probe,
     separable_from_measure,
@@ -36,22 +35,22 @@ print("4-point orbit assembly matches the closed-form rho12:",
       np.abs(assembled.entries - direct.entries).max() < 1e-12)
 
 # The domination probe finds the largest eps with
-# rho - eps |alpha><alpha| x |beta><beta| still positive. For the two-mode
-# rho12 and the candidate |0>|0> the answer is exactly 1/4.
+# rho12 - eps |alpha><alpha| x |beta><beta| still positive. rho12 is rank
+# one in each sector of total charge k1 + k2, so the probe works sector by
+# sector, in O(K^2). For the two-mode rho12 and the candidate |0>|0> the
+# answer is exactly 1/4.
 e0 = basis_vector(phi.window, 0)
-print("\nprobe(rho12, |0>, |0>) =", product_bound_probe(direct, e0, e0))
+print("\nprobe(rho12, |0>, |0>) =", rho12_probe(phi, phi, e0, e0))
 
 # With all Fourier coefficients nonvanishing the probes shrink as the
 # window grows: evidence that no pure product state fits under the orbit
 # average in the untruncated limit.
 for half in (2, 4, 8):
     geo = phi_profile("geometric(0.7)", half)
-    state = rho12(geo, geo)
-    eps = product_bound_probe(state, geo, geo)
+    eps = rho12_probe(geo, geo, geo, geo)
     print(f"K={half}: probe(rho12, phi, phi) = {eps:.6f}  (analytic 1/(4K+1) = {1/(4*half+1):.6f})")
 
-# rho12 is rank one in each sector of total charge k1 + k2, so the same
-# bound has an O(K^2) sector form that reaches windows far past the dense one.
+# The sector form reaches windows far past a dense eigensolve.
 for half in (16, 64, 256):
     geo = phi_profile("geometric(0.7)", half)
     eps = rho12_probe(geo, geo, geo, geo)

@@ -4,40 +4,42 @@
 import numpy as np
 
 from eblab import (
+    ChannelBlocks,
+    HolevoForm,
     MatrixOperator,
     ModeWindow,
     StateOperator,
-    blocks_from_holevo,
     choi,
-    constant_channel,
     cp_check,
     eb_extract,
     eb_necessary_test,
     holevo_apply,
     holevo_channel,
-    HolevoForm,
-    identity_channel,
     kraus_apply,
     kraus_rank_one,
     separable_choi_from_holevo,
-    transpose_channel,
 )
 
 w = ModeWindow(0, 2)
 rng = np.random.default_rng(3)
 
-# A channel is pinned down by its blocks Phi(|i><j|); complete positivity
-# is the positivity of the stacked block matrix.
-print("identity channel cp:", cp_check(identity_channel(w)))
-print("transposition map cp:", cp_check(transpose_channel(w)), "(swap spectrum: not a channel)")
+# A channel is pinned down by its blocks B[i, j] = Phi(|i><j|); complete
+# positivity is the positivity of the stacked block matrix. The identity
+# has B[i, j] = |i><j|, the transposition map |j><i|.
+eye = np.eye(w.dimension)
+identity = ChannelBlocks(w, w, np.einsum("ik,jl->ijkl", eye, eye))
+transposition = ChannelBlocks(w, w, np.einsum("il,jk->ijkl", eye, eye))
+print("identity channel cp:", cp_check(identity))
+print("transposition map cp:", cp_check(transposition), "(swap spectrum: not a channel)")
 
 # The Choi state over a full-rank reference separates the entanglement-
 # breaking candidates from the rest: the identity fails PPT, a constant
-# channel passes.
+# channel Phi(A) = Tr(A) target (B[i, j] = delta_ij target) passes.
 sigma = StateOperator.maximally_mixed(w)
-print("\nidentity channel PPT:", eb_necessary_test(choi(identity_channel(w), sigma)))
+print("\nidentity channel PPT:", eb_necessary_test(choi(identity, sigma)))
 target = StateOperator(w, np.diag([0.5, 0.3, 0.2]))
-print("constant channel PPT:", eb_necessary_test(choi(constant_channel(w, target), sigma)))
+constant = ChannelBlocks(w, w, np.einsum("ij,kl->ijkl", eye, target.entries))
+print("constant channel PPT:", eb_necessary_test(choi(constant, sigma)))
 
 # A measure-and-prepare form: measure a POVM, prepare a state per outcome.
 form = HolevoForm([
@@ -54,11 +56,14 @@ print("\nmeasure-and-prepare output diag:",
 # channel and the reference's eigensystem through both steps. The form keeps
 # each atom and prepared state as a factor, so holevo_channel builds its
 # channel from the columns conj(f_n) x g_n of its rank-one Kraus vectors
-# (f_n, g_n), with no block array; the dense blocks give the same Choi state.
+# (f_n, g_n), with no block array; the dense blocks
+# B[i, j] = sum_b (M_b)_ji rho'_b give the same Choi state.
 sigma_full = StateOperator(w, 0.5 * np.eye(3) / 3 + 0.5 * np.diag([0.5, 0.3, 0.2]))
 state = choi(holevo_channel(form), sigma_full)
+povm, prepared = (np.stack([op.entries for op in side]) for side in zip(*form.atoms))
+dense = ChannelBlocks(w, w, np.einsum("bji,bkl->ijkl", povm, prepared))
 print("\nfactored vs dense Choi state:",
-      np.abs(state.entries - choi(blocks_from_holevo(form), sigma_full).entries).max())
+      np.abs(state.entries - choi(dense, sigma_full).entries).max())
 print("reference eigenvalues (descending):", np.round(state.eigenvalues, 6))
 decomposition = separable_choi_from_holevo(form, state)
 extracted, residual = eb_extract(decomposition)

@@ -8,16 +8,14 @@ from eblab import (
     StateOperator,
     apply_closed_form,
     apply_quadrature,
-    channel_blocks,
     choi,
     covariance_residual,
     eb_necessary_test,
+    factored_channel,
     mu_density,
     phi_profile,
     rho12,
-    rho12_n,
-    tensor,
-    trace_norm_distance,
+    rho12_n_distance,
 )
 
 phi = phi_profile("two-mode", 1)
@@ -44,18 +42,16 @@ residuals = [covariance_residual(channel, rho, u) for u in rng.uniform(0, 2 * np
 print("covariance residuals:", [format(r, ".2e") for r in residuals])
 
 # The channel is entanglement breaking; its Choi state passes the PPT screen.
-blocks = channel_blocks(channel)
+# factored_channel keeps the stacked matrix as one column per charge sector.
 sigma = StateOperator.maximally_mixed(channel.window)
-print("rotation channel Choi PPT:", eb_necessary_test(choi(blocks, sigma)))
+print("rotation channel Choi PPT:", eb_necessary_test(choi(factored_channel(channel), sigma)))
 
 # Simultaneous orbit averaging of a pure product state: the result keeps
 # only coherences with matched total mode, and partial-interval averages
 # approach the product state as the interval shrinks.
 state = rho12(phi, phi)
 print("\nrho12 eigenvalues:", np.round(np.linalg.eigvalsh(state.entries), 6))
-product = StateOperator.from_operator(tensor(phi.projector(), phi.projector()))
 print("distance of partial-orbit averages to the product state:")
 for n in (1, 2, 4, 8, 16, 32):
-    d = trace_norm_distance(rho12_n(phi, phi, n), product)
-    print(f"  n={n:>2}: {d:.6f}")
+    print(f"  n={n:>2}: {rho12_n_distance(state, n):.6f}")
 print("(note the rise at n=2: the one-sided interval offsets the orbit center)")

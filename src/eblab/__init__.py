@@ -55,20 +55,15 @@ from .channels import (
     apply,
     apply_matrix,
     apply_with_identity,
-    blocks_from_holevo,
     choi,
-    constant_channel,
     cp_check,
-    dephasing_channel,
     eb_extract,
     eb_necessary_test,
     holevo_apply,
     holevo_channel,
-    identity_channel,
     kraus_apply,
     kraus_rank_one,
     separable_choi_from_holevo,
-    transpose_channel,
 )
 from .rotation import (
     ProbeSweepRow,

@@ -16,6 +16,8 @@ and (W^T x I) X', W = B Lambda^(1/2) from sigma = B Lambda B^dag, kept
 unformed under every sigma (_Congruence) and formed only when read. Both
 are positive by construction, so lowest_eigenvalue is exactly 0.0 below
 full rank. The blocks are read off S, so every function takes every channel.
+A dense channel is built from its block array, ChannelBlocks(in, out, B);
+the module ships no example maps.
 
 A HolevoForm keeps the factors of its POVM atoms M_b = F F^dag and
 prepared states rho'_b = G G^dag as two arrays, and a
@@ -178,9 +180,6 @@ class ChannelBlocks:
         d_in, d_out = self.in_window.dimension, self.out_window.dimension
         return self._stacked.entries.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3)
 
-    def block(self, i, j):
-        return MatrixOperator(self.out_window, self.blocks[i, j])
-
 
 def _traced_out(x, d_in):
     """Tr_out X X^dag, d_in x d_in, of a factor whose rows (i, k) run i-major.
@@ -221,26 +220,6 @@ def apply_matrix(channel, op):
 def apply(channel, rho):
     """Channel action on a state; valid whenever cp_check passes."""
     return StateOperator.from_operator(apply_matrix(channel, rho))
-
-
-def identity_channel(window):
-    return ChannelBlocks.from_map(lambda m: m, window, window)
-
-
-def constant_channel(in_window, rho_out):
-    """Phi(A) = Tr(A) rho_out."""
-    return ChannelBlocks.from_map(lambda m: np.trace(m) * rho_out.entries,
-                                  in_window, rho_out.window)
-
-
-def transpose_channel(window):
-    """The transposition map; trace preserving but not completely positive."""
-    return ChannelBlocks.from_map(lambda m: m.T, window, window)
-
-
-def dephasing_channel(window):
-    """Phi(A) = sum_i A_ii |i><i|."""
-    return ChannelBlocks.from_map(lambda m: np.diag(np.diag(m)), window, window)
 
 
 class HolevoForm:
@@ -415,14 +394,6 @@ def holevo_channel(form):
     f, g = _kraus_vectors(form, form.inputs.conj())
     return ChannelBlocks.from_factors(form.in_window, form.out_window,
                                       _khatri_rao(f, g), _khatri_rao(f, g.conj()))
-
-
-def blocks_from_holevo(form):
-    """Equivalent block family: B[i,j] = sum_b (M_b)_{ji} rho'_b."""
-    m_stack = np.stack([m_op.entries for m_op, _ in form.atoms])
-    r_stack = np.stack([rho_out.entries for _, rho_out in form.atoms])
-    blocks = np.einsum("bji,bkl->ijkl", m_stack, r_stack)
-    return ChannelBlocks(form.in_window, form.out_window, blocks)
 
 
 class _Congruence:

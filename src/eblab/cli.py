@@ -119,9 +119,8 @@ def _check_size(args):
     bounds the walk's d^2 row products too (K <= 4095). rho12 writes the
     text of all d^4 cells of a d^2-square matrix, at least 6 bytes each
     (d^4, K <= 44). channel-apply writes the text of its d x d result beside
-    what it holds (20 d^2 + 4096), or sums the grid density beside 10 d^2
-    and numpy's iteration buffers (16384); its --state file's parse, about
-    15 d^2, lies below (K <= 915). capacity holds the d mode weights,
+    what it holds (20 d^2 + 4096); its --state file's parse, about 15 d^2,
+    lies below (K <= 915). capacity holds the d mode weights,
     whatever its --grid. eb-report --phi is charged its peak
     (_phi_report_entries) under every --sigma; a --sigma file's parse,
     about 14 d^2, lies below it. eb-report --channel does not read --k: a
@@ -132,7 +131,7 @@ def _check_size(args):
         return
     half = max(args.k)
     d = 2 * half + 1
-    peak = {"channel-apply": max(20 * d * d + 4096, 10 * d * d + 16384),
+    peak = {"channel-apply": 20 * d * d + 4096,
             "eb-report": _phi_report_entries(half), "probe": d * d + 1024, "rho12": d ** 4}
     _refuse_above_limit(max(d * d, peak.get(args.command, 0)), args.command, "this --k request")
 

@@ -305,12 +305,12 @@ def pure_vector_from_json(raw, context="pure vector"):
 
 
 def channel_to_json(channel):
-    d = channel.in_window.dimension
+    out_window = channel.out_window
     return {
         "in": window_to_json(channel.in_window),
-        "out": window_to_json(channel.out_window),
-        "blocks": [[operator_to_json(channel.block(i, j)) for j in range(d)]
-                   for i in range(d)],
+        "out": window_to_json(out_window),
+        "blocks": [[operator_to_json(MatrixOperator(out_window, block)) for block in row]
+                   for row in channel.blocks],
     }
 
 

@@ -123,7 +123,7 @@ def mu_density(channel, rho):
     if rho.window != channel.window:
         raise WindowMismatchError("state window differs from the channel window")
     phases = _orbit(channel.window, 1.0, _nodes(channel.quadrature_nodes))
-    p = np.real(np.einsum("gm,mn,gn->g", phases.conj(), rho.entries, phases))
+    p = np.real(((phases.conj() @ rho.entries) * phases).sum(1))
     _at_least(float(p.min()), -DENSITY_CLIP, "readout density dipped: minimum")
     return np.clip(p, 0.0, None)
 

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from eblab import ModeWindow, ProductWindow, StateOperator, apply, apply_with_identity, jsonio
+from eblab import (
+    ChannelBlocks,
+    ModeWindow,
+    ProductWindow,
+    StateOperator,
+    apply,
+    apply_with_identity,
+    jsonio,
+)
+from oracles import map_blocks
 
 
 @pytest.fixture
@@ -24,6 +33,37 @@ def random_pure(rng, dim):
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+def identity_channel(window):
+    d = window.dimension
+    return ChannelBlocks(window, window, map_blocks(lambda m: m, d, d))
+
+
+def constant_channel(in_window, rho_out):
+    """Phi(A) = Tr(A) rho_out."""
+    return ChannelBlocks(in_window, rho_out.window, map_blocks(
+        lambda m: np.trace(m) * rho_out.entries, in_window.dimension, rho_out.window.dimension))
+
+
+def transpose_channel(window):
+    """The transposition map; trace preserving but not completely positive."""
+    d = window.dimension
+    return ChannelBlocks(window, window, map_blocks(lambda m: m.T, d, d))
+
+
+def dephasing_channel(window):
+    """Phi(A) = sum_i A_ii |i><i|."""
+    d = window.dimension
+    return ChannelBlocks(window, window, map_blocks(lambda m: np.diag(np.diag(m)), d, d))
+
+
+def blocks_from_holevo(form):
+    """The dense block family B[i,j] = sum_b (M_b)_{ji} rho'_b of a Holevo form, as a channel."""
+    m_stack = np.stack([m_op.entries for m_op, _ in form.atoms])
+    r_stack = np.stack([rho_out.entries for _, rho_out in form.atoms])
+    blocks = np.einsum("bji,bkl->ijkl", m_stack, r_stack)
+    return ChannelBlocks(form.in_window, form.out_window, blocks)
 
 
 def assert_same_channel(channel, dense, rng, tol=1e-14):

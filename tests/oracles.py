@@ -9,6 +9,17 @@ import json
 import numpy as np
 
 
+def map_blocks(fn, d_in, d_out):
+    """The block family B[i, j] = fn(|i><j|) of a linear map, fed one matrix unit at a time."""
+    blocks = np.zeros((d_in, d_in, d_out, d_out), dtype=complex)
+    for i in range(d_in):
+        for j in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[i, j] = 1.0
+            blocks[i, j] = fn(unit)
+    return blocks
+
+
 def rotation_matrix(modes, x):
     """Dense V_x = diag(e^{ixk}) over explicit mode labels."""
     return np.diag(np.exp(1j * x * np.asarray(modes, dtype=float)))

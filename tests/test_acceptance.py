@@ -17,7 +17,6 @@ from eblab import (
     apply_quadrature,
     ba_optimize,
     basis_vector,
-    blocks_from_holevo,
     channel_blocks,
     chi_quantity,
     choi,
@@ -28,7 +27,6 @@ from eblab import (
     eb_extract,
     eb_necessary_test,
     holevo_apply,
-    identity_channel,
     InputEnsemble,
     jsonio,
     kraus_apply,
@@ -43,7 +41,7 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
-from conftest import random_density
+from conftest import blocks_from_holevo, identity_channel, random_density
 
 from test_channels import random_full_rank_state, random_holevo_form
 

@@ -20,11 +20,8 @@ from eblab import (
     apply_matrix,
     apply_with_identity,
     basis_vector,
-    blocks_from_holevo,
     choi,
-    constant_channel,
     cp_check,
-    dephasing_channel,
     eb_extract,
     eb_necessary_test,
     eig_hermitian,
@@ -34,7 +31,6 @@ from eblab import (
     holevo_apply,
     holevo_channel,
     holevo_form,
-    identity_channel,
     kraus_apply,
     kraus_rank_one,
     partial_trace,
@@ -43,11 +39,19 @@ from eblab import (
     separable_choi_from_holevo,
     tensor,
     trace_norm_distance,
-    transpose_channel,
 )
 from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao
 from eblab.hilbert import _unit_vector, lowest_eigenvalue
-from conftest import assert_same_channel, random_density, random_pure
+from conftest import (
+    assert_same_channel,
+    blocks_from_holevo,
+    constant_channel,
+    dephasing_channel,
+    identity_channel,
+    random_density,
+    random_pure,
+    transpose_channel,
+)
 
 
 def window(dim):

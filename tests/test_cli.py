@@ -13,14 +13,13 @@ from eblab import (
     ProductWindow,
     PureVector,
     StateOperator,
-    identity_channel,
     jsonio,
     phi_profile,
     rotation,
 )
 from eblab.cli import main
 from eblab.errors import SchemaError
-from conftest import random_density, random_pure
+from conftest import identity_channel, random_density, random_pure, transpose_channel
 from oracles import per_cell_json
 
 
@@ -123,10 +122,10 @@ def test_eb_report_atoms_file_runs_on_factors(tmp_path, rng, monkeypatch):
     # rows, so both minimum eigenvalues are exactly 0, and no block family is built
     from eblab import channels
 
-    def refuse(form):
+    def refuse(self, *args):
         raise AssertionError("the atoms path built a block family")
 
-    monkeypatch.setattr(channels, "blocks_from_holevo", refuse)
+    monkeypatch.setattr(channels.ChannelBlocks, "__init__", refuse)
     a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     vals, vecs = np.linalg.eigh(a @ a.conj().T)
     u = ((vecs * vals ** -0.5) @ vecs.conj().T) @ a  # columns resolve the identity
@@ -733,7 +732,7 @@ def test_single_k_subcommands_refuse_a_k_list(tmp_path, capsys):
 
 def test_eb_report_on_a_non_cp_map_reports_only_cp(tmp_path, monkeypatch):
     # the Choi matrix of the transposition map is no state; the report used to exit 3
-    from eblab import channels, transpose_channel
+    from eblab import channels
     chan_file = tmp_path / "transpose.json"
     jsonio.write_text(str(chan_file),
                       jsonio.dumps(jsonio.channel_to_json(transpose_channel(ModeWindow.symmetric(1)))))

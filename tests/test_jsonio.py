@@ -11,12 +11,11 @@ from eblab import (
     SchemaError,
     StateOperator,
     factored_operator,
-    identity_channel,
     phi_profile,
     rho12,
 )
 from eblab import jsonio
-from conftest import random_density, random_pure
+from conftest import identity_channel, random_density, random_pure
 from oracles import per_cell_json
 
 

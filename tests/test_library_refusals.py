@@ -31,7 +31,6 @@ from eblab import (
     chi_quantity,
     fourier_necessary_check,
     holevo_apply,
-    identity_channel,
     kraus_apply,
     kraus_rank_one,
     mu_density,
@@ -41,6 +40,7 @@ from eblab import (
     rho12_n,
     rho12_n_distance,
 )
+from conftest import identity_channel
 
 W1, W2 = ModeWindow(0, 0), ModeWindow(0, 1)  # dimensions 1 and 2
 K1 = ModeWindow.symmetric(1)
