@@ -19,14 +19,13 @@ full rank. The blocks are read off S, so every function takes every channel.
 A dense channel is built from its block array, ChannelBlocks(in, out, B);
 the module ships no example maps.
 
-A HolevoForm keeps the factors of its POVM atoms M_b = F F^dag and
-prepared states rho'_b = G G^dag as two arrays, and a
-SeparableChoiDecomposition keeps its weights and vectors as arrays, as
-KrausRankOne does; each builds its per-atom objects only when atoms is
-read. A dense atom is split once, when the form is built. The rank-one
-Kraus operators |g_n><f_n| are paired once (_kraus_vectors), and each
-column-pair factor is a Khatri-Rao product (_khatri_rao), such as
-holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
+A HolevoForm keeps its rank-one Kraus operators |g_n><f_n| as two arrays
+of vectors, and a SeparableChoiDecomposition keeps its weights and vectors
+as arrays, as KrausRankOne does; each builds its per-atom objects only
+when atoms is read. A dense atom is split once, when the form is built,
+and its factors paired once, when the pairs are first read; every reader
+takes the pairs as kept, and each column-pair factor is a Khatri-Rao
+product (_khatri_rao), such as holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
 factored chain as a rotation channel. A chain makes one comparison
 (_difference_norms), of the extracted Kraus columns with the channel's
 stacked matrix: sector by sector, as a certified bound, when it is stored
@@ -86,7 +85,9 @@ class ChannelBlocks:
     S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)]. Construction from blocks
     enforces Hermiticity (B[j,i] = B[i,j]^dag) and trace preservation
     (Tr B[i,j] = delta_ij) but not complete positivity, so non-CP candidates
-    (e.g. the transposition map) can be diagnosed via cp_check.
+    (e.g. the transposition map) can be diagnosed via cp_check. Entries near
+    the double range's edge overflow in those gates to inf or NaN without a
+    warning, and the gates refuse them.
     """
 
     def __init__(self, in_window, out_window, blocks):
@@ -95,10 +96,11 @@ class ChannelBlocks:
         if b.shape != (d_in, d_in, d_out, d_out):
             raise InvariantViolationError(
                 f"blocks shape {b.shape} does not match windows ({d_in}, {d_in}, {d_out}, {d_out})")
-        _at_most(float(np.abs(b - b.conj().transpose(1, 0, 3, 2)).max()), EPS_HERM,
-                 "block family not Hermitian: max |B_ij - B_ji^dag|")
-        _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
-                 "block family not trace preserving: max |Tr B_ij - delta_ij|")
+        with np.errstate(over="ignore", invalid="ignore"):
+            _at_most(float(np.abs(b - b.conj().transpose(1, 0, 3, 2)).max()), EPS_HERM,
+                     "block family not Hermitian: max |B_ij - B_ji^dag|")
+            _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
+                     "block family not trace preserving: max |Tr B_ij - delta_ij|")
         self._stacked = MatrixOperator(ProductWindow(in_window, out_window),
                                        b.transpose(0, 2, 1, 3).reshape(d_in * d_out, -1))
         self._transposed = None
@@ -227,12 +229,18 @@ class HolevoForm:
 
     Every atom and prepared state is a factored operator, M_b = F_b F_b^dag
     and rho'_b = G_b G_b^dag. One that carries a factor keeps it; a dense one
-    is checked and split once, here (_factored). The form keeps the factors
-    as two arrays, inputs = [F_1, F_2, ...] and outputs = [G_1, G_2, ...],
-    with each atom's column counts; a form built from vectors (rank_one)
-    builds its operator pairs only when atoms is first read. The atoms must
-    sum to the identity within povm_tol in max-entry norm, which is checked
-    as U U^dag = I on U = inputs.
+    is checked and split once, here (_factored). The atoms must sum to the
+    identity within povm_tol in max-entry norm, which is checked as
+    U U^dag = I on U = [F_1, F_2, ...]. Its rank-one Kraus operators
+    |g_n><f_n| are two arrays, inputs = [f_1, f_2, ...] and
+    outputs = [g_1, g_2, ...], paired once, atom by atom, with f over the
+    columns of F_b outer and g over those of G_b inner, so
+    sum_n |f_n><g_n|g_n><f_n| = sum_b Tr(rho'_b) M_b = I. The pairs can
+    outnumber the factors' columns by far (sum_b p_b q_b against
+    sum_b p_b + q_b), so a form built from atoms forms them only when
+    inputs or outputs is first read, and its pair count can be taken from
+    atoms before that. A form built from vectors (rank_one) stores them as
+    given and builds its operator pairs only when atoms is first read.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
@@ -244,10 +252,8 @@ class HolevoForm:
         out_window = atoms[0][1].window
         if any(m_op.window != in_window or rho_out.window != out_window for m_op, rho_out in atoms):
             raise WindowMismatchError("all Holevo atoms share the same windows")
-        inputs, outputs = ([op.factor for op in side] for side in zip(*atoms))
-        self._init(in_window, out_window, np.hstack(inputs), np.hstack(outputs),
-                   [f.shape[1] for f in inputs], [g.shape[1] for g in outputs], povm_tol)
-        self._atoms = tuple(atoms)
+        _check_povm(np.hstack([m_op.factor for m_op, _ in atoms]), povm_tol)
+        self._init(in_window, out_window, None, tuple(atoms))
 
     @classmethod
     def rank_one(cls, in_window, out_window, inputs, outputs, povm_tol=1e-10):
@@ -265,37 +271,42 @@ class HolevoForm:
                                       f"the windows {in_window}, {out_window}")
         _at_most(float(np.abs(np.einsum("kn,kn->n", g.conj(), g).real - 1.0).max()), EPS_TRACE,
                  "state trace defect |Tr - 1|")
+        _check_povm(f, povm_tol)
         form = cls.__new__(cls)
-        ones = np.ones(f.shape[1], dtype=int)
-        form._init(in_window, out_window, f, g, ones, ones, povm_tol)
+        form._init(in_window, out_window, _frozen((f, g)), None)
         return form
 
-    def _init(self, in_window, out_window, inputs, outputs, in_counts, out_counts, povm_tol):
-        _at_most(float(np.abs(inputs @ inputs.conj().T - np.eye(in_window.dimension)).max()),
-                 povm_tol, "POVM incomplete: max |sum M - I|")
-        for array in (inputs, outputs):
-            array.setflags(write=False)
-        self._inputs, self._outputs = inputs, outputs
-        self._counts = np.asarray(in_counts), np.asarray(out_counts)
+    def _init(self, in_window, out_window, pairs, atoms):
+        self._pairs, self._atoms = pairs, atoms
         self._in_window = in_window
         self._out_window = out_window
-        self._atoms = None
 
     @property
     def inputs(self):
-        """The POVM factors F_b side by side, d_in x (sum of their column counts)."""
-        return self._inputs
+        """The Kraus vectors f_n side by side, d_in x n."""
+        return self._kraus_pairs()[0]
 
     @property
     def outputs(self):
-        """The prepared-state factors G_b side by side, d_out x (sum of their column counts)."""
-        return self._outputs
+        """The Kraus vectors g_n side by side, d_out x n, paired with inputs column by column."""
+        return self._kraus_pairs()[1]
+
+    def _kraus_pairs(self):
+        """(inputs, outputs), paired from the atoms' factors on first read, each side in one array."""
+        if self._pairs is None:
+            (f, p), (g, q) = ((np.hstack(side), np.array([x.shape[1] for x in side]))
+                              for side in zip(*((m.factor, r.factor) for m, r in self._atoms)))
+            g_columns = [np.tile(np.arange(start, start + q_b), p_b)
+                         for start, p_b, q_b in zip(np.cumsum(q) - q, p, q)]
+            self._pairs = _frozen((np.repeat(f, np.repeat(q, p), axis=1),
+                                   g[:, np.concatenate(g_columns)]))
+        return self._pairs
 
     @property
     def atoms(self):
         """The pairs (M_b, rho'_b) as factored operators."""
         if self._atoms is None:
-            f, g = self._inputs, self._outputs
+            f, g = self._pairs
             self._atoms = tuple((factored_operator(self._in_window, f[:, n:n + 1]),
                                  factored_state(self._out_window, g[:, n:n + 1]))
                                 for n in range(f.shape[1]))
@@ -308,6 +319,19 @@ class HolevoForm:
     @property
     def out_window(self):
         return self._out_window
+
+
+def _frozen(arrays):
+    """The arrays, each made read-only."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _check_povm(u, povm_tol):
+    """Refuse the POVM factor U = [F_1, F_2, ...] unless U U^dag is I within povm_tol."""
+    _at_most(float(np.abs(u @ u.conj().T - np.eye(len(u))).max()),
+             povm_tol, "POVM incomplete: max |sum M - I|")
 
 
 def holevo_apply(form, rho):
@@ -326,38 +350,24 @@ def _factored(op, what):
     EPS_HERM or when an entry overflows there) and runs one eigh (refused when
     its minimum eigenvalue is below -EPS_PSD). The eigenpairs (l, v) above
     ATOM_DROP_TOL are the columns sqrt(l) v, descending. A state stays a state:
-    its split passes factored_state's unit-trace gate, widened by the mass of
-    the dropped eigenvalues (negative round-off included), so a state that
-    StateOperator accepts passes here too, and a trace off 1 by more than
-    EPS_TRACE plus that mass is refused.
+    its kept trace t, the sum of the kept eigenvalues, is gated within
+    EPS_TRACE plus the mass of the dropped ones (negative round-off included)
+    of 1, so a state that StateOperator accepts passes here too and a trace
+    off 1 by more than that is refused; its columns are then sqrt(l / t) v,
+    of unit trace, so every gate after sees a state.
     """
     if op.factor is None:
         vals, vecs = np.linalg.eigh(_finite(_hermitian_part(op.entries, what), what))
         _at_least(vals[0], -EPS_PSD, f"{what} not positive: min eigenvalue")
         keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > ATOM_DROP_TOL)]
-        x = vecs[:, keep] * np.sqrt(vals[keep])
         if isinstance(op, StateOperator):
-            dropped = float(np.abs(vals[vals <= ATOM_DROP_TOL]).sum())
-            op = factored_state(op.window, x, dropped)
+            kept = vals[keep].sum()
+            _at_most(abs(kept - 1.0), EPS_TRACE + float(np.abs(vals[vals <= ATOM_DROP_TOL]).sum()),
+                     "state trace defect |Tr - 1|")
+            op = factored_state(op.window, vecs[:, keep] * np.sqrt(vals[keep] / kept))
         else:
-            op = factored_operator(op.window, x)
+            op = factored_operator(op.window, vecs[:, keep] * np.sqrt(vals[keep]))
     return op
-
-
-def _kraus_vectors(form, inputs=None):
-    """(F, G) of a form's Kraus operators |g_n><f_n|: per atom, f over F_b outer, g over G_b inner.
-
-    The columns of F are taken from inputs, one column per column of
-    form.inputs (by default form.inputs itself).
-    """
-    p, q = form._counts
-    atom = np.repeat(np.arange(p.size), p * q)  # the atom of each Kraus operator
-    start = np.cumsum(p * q) - p * q
-    pair = np.arange(atom.size) - start[atom]  # its place among its atom's pairs
-    f_first, g_first = np.cumsum(p) - p, np.cumsum(q) - q
-    inputs = form.inputs if inputs is None else inputs
-    return (inputs[:, f_first[atom] + pair // q[atom]],
-            form.outputs[:, g_first[atom] + pair % q[atom]])
 
 
 def _monomial_rows(m):
@@ -368,18 +378,12 @@ def _monomial_rows(m):
     return None
 
 
-def _basis_product(m, vectors, counts):
-    """m @ vectors, taken block by block over runs of counts columns.
-
-    Each block is its own product, so its bits are those it would have
-    alone: a wider matrix product may block, and round, differently. A
-    monomial m (the eigenbasis of a diagonal reference) only moves and
-    scales rows, which gives those bits at once.
-    """
+def _basis_product(m, vectors):
+    """m @ vectors, in one product; a monomial m (a diagonal reference's eigenbasis) moves rows."""
     source = _monomial_rows(m)
     if source is not None:
         return m[np.arange(len(m)), source][:, None] * vectors[source]
-    return np.hstack([m @ block for block in np.split(vectors, np.cumsum(counts)[:-1], axis=1)])
+    return m @ vectors
 
 
 def _khatri_rao(a, b):
@@ -391,7 +395,7 @@ def _khatri_rao(a, b):
 
 def holevo_channel(form):
     """The channel of a Holevo form from its Kraus vectors: X's columns are conj(f_n) x g_n."""
-    f, g = _kraus_vectors(form, form.inputs.conj())
+    f, g = form.inputs.conj(), form.outputs
     return ChannelBlocks.from_factors(form.in_window, form.out_window,
                                       _khatri_rao(f, g), _khatri_rao(f, g.conj()))
 
@@ -531,8 +535,7 @@ class SeparableChoiDecomposition:
             array.setflags(write=False)
         self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
         self._reconstruction = None
-        povm = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj(),
-                              np.ones(lefts.shape[1], dtype=int))
+        povm = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj())
         povm *= np.sqrt(weights)  # in place, so u is not held beside sqrt(w) u
         self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
         _at_most(0.5 * target.eigenvalues[0] * trace, EXTRACT_TOL,
@@ -581,9 +584,9 @@ def separable_choi_from_holevo(form, target):
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
-    branches = _basis_product(target.eigenbasis.conj().T, form.inputs, form._counts[0])
-    lefts, rights = _kraus_vectors(form, np.sqrt(target.eigenvalues)[:, None] * branches.conj())
-    del branches  # freed, with the unscaled lefts and rights, before the chain's comparison
+    lefts = np.sqrt(target.eigenvalues)[:, None] * _basis_product(
+        target.eigenbasis.conj().T, form.inputs).conj()
+    rights = form.outputs
     c, d = (np.einsum("ij,ij->j", x.conj(), x).real for x in (lefts, rights))
     kept = (c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL)
     lefts, rights = _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept])
@@ -761,13 +764,8 @@ def kraus_apply(kraus, rho):
 
 
 def kraus_rank_one(form):
-    """Rank-one Kraus family |g_n><f_n| of a Holevo form, with no eigensolve.
-
-    f runs over the columns of each POVM atom's factor and, inside, g over
-    the columns of its prepared state's factor, so sum |f><g|g><f| =
-    sum_b Tr(rho'_b) M_b = I.
-    """
-    return KrausRankOne(form.in_window, form.out_window, *_kraus_vectors(form))
+    """Rank-one Kraus family |g_n><f_n| of a Holevo form: its stored pairs, with no eigensolve."""
+    return KrausRankOne(form.in_window, form.out_window, form.inputs, form.outputs)
 
 
 def apply_with_identity(channel, omega):

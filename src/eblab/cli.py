@@ -140,8 +140,9 @@ def _check_atoms_size(form, path):
     """Refuse a Holevo form whose chain would join more than MAX_DENSE_BYTES.
 
     The chain's one QR, of [A, X], has d_in d_out rows and at most 2c columns, with
-    c = sum_b cols(F_b) cols(G_b) over the atoms' factors M_b = F_b F_b^dag
-    and rho'_b = G_b G_b^dag; it is the largest array of the atoms path.
+    c = sum_b cols(F_b) cols(G_b) the form's Kraus pair count over the atoms' factors
+    M_b = F_b F_b^dag and rho'_b = G_b G_b^dag; it is the largest array of the atoms
+    path. The count is read off the atoms, before the form forms its pairs.
     """
     columns = sum(m_op.factor.shape[1] * rho_out.factor.shape[1] for m_op, rho_out in form.atoms)
     rows = form.in_window.dimension * form.out_window.dimension

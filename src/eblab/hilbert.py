@@ -398,14 +398,14 @@ def _checked_trace(x, what):
         return np.vdot(x.u, x.u).real * np.vdot(x.v, x.v).real
 
 
-def _init_factored(op, window, factor, dropped=0.0):
+def _init_factored(op, window, factor):
     """Make op the operator X X^dag of the d x m factor X, checked on X alone.
 
     An array or a SectorFactor is checked by _checked_trace: finite, and of
-    trace within EPS_TRACE + dropped of 1 for a StateOperator. Any other
-    factor with a shape and a dense() is kept unformed, its maker's to
-    gate. X X^dag is positive by construction, so no eigensolve runs; the
-    d x d entries are built on first access, with exact zeros as +0.0.
+    trace within EPS_TRACE of 1 for a StateOperator. Any other factor with
+    a shape and a dense() is kept unformed, its maker's to gate. X X^dag is
+    positive by construction, so no eigensolve runs; the d x d entries are
+    built on first access, with exact zeros as +0.0.
     """
     sectors = isinstance(factor, SectorFactor)
     x = factor if hasattr(factor, "dense") else np.array(factor, dtype=complex)
@@ -415,7 +415,7 @@ def _init_factored(op, window, factor, dropped=0.0):
     if sectors or isinstance(x, np.ndarray):
         trace = _checked_trace(x, "factor")
         if isinstance(op, StateOperator):
-            _at_most(abs(trace - 1.0), EPS_TRACE + dropped, "state trace defect |Tr - 1|")
+            _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
         for stored in (x.offset, x.u, x.v) if sectors else (x,):
             stored.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x
@@ -428,15 +428,10 @@ def factored_operator(window, factor):
     return op
 
 
-def factored_state(window, factor, dropped=0.0):
-    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor.
-
-    dropped is the summed magnitude of the eigenvalues split off the state X
-    was taken from (channels._factored); the unit-trace gate allows that
-    much more.
-    """
+def factored_state(window, factor):
+    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor."""
     state = StateOperator.__new__(StateOperator)
-    _init_factored(state, window, factor, dropped)
+    _init_factored(state, window, factor)
     return state
 
 

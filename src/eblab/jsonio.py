@@ -327,13 +327,13 @@ def channel_from_json(raw, context="channel"):
     if not isinstance(rows, list) or len(rows) != d or any(
             not isinstance(r, list) or len(r) != d for r in rows):
         raise SchemaError(f"{context}: blocks must form a {d} x {d} grid")
-    blocks = np.empty((d, d, out_window.dimension, out_window.dimension), dtype=complex)
+    blocks = [[None] * d for _ in range(d)]  # every block read and window-checked, then stacked
     for i in range(d):
         for j in range(d):
             op = operator_from_json(rows[i][j], f"{context}.blocks[{i}][{j}]")
             if op.window != out_window:
                 raise SchemaError(f"{context}: block ({i},{j}) window differs from 'out'")
-            blocks[i, j] = op.entries
+            blocks[i][j] = op.entries
     return _built(context, ChannelBlocks, in_window, out_window, blocks)
 
 

@@ -7,9 +7,9 @@ Each call runs in this process through eblab.cli.main, with the BLAS
 threads that OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set, one where they
 are unset; every call writes the same bytes on one and two. Its digest is
 the exit code and the sha256 of its stdout, its stderr and every file it
-writes. The inputs (fiducial vectors, states, a blocks file and an atoms
-file) are built here from fixed seeds with numpy alone, so no data file is
-committed. A change that moves a digest lists the call with its old and
+writes. The inputs (fiducial vectors, states, blocks files and atoms
+files) are built here with numpy alone, from fixed seeds where they are
+random, so no data file is committed. A change that moves a digest lists the call with its old and
 new values in CHANGES.md.
 """
 
@@ -104,6 +104,17 @@ def write_inputs(directory):
         "transpose1.json": _blocks(1, lambda m: m.T),
         "kraus1.json": _blocks(1, lambda m: sum(k @ m @ k.conj().T for k in kraus)),
         "atoms2.json": _atoms(rng, 2, 8),
+        # a rho_out that reads as a state, trace defect 0.9e-10, whose kept trace is 1 + 1.8e-10
+        "border_atoms1.json": {"atoms": [{"M": _operator(np.eye(3), 1), "rho_out": _operator(
+            np.diag([1 + 1.8e-10, -0.9e-10, 0.0]), 1)}]},
+        # a 1 x 1 block on [0, 0] under an 'out' window of 100 001 modes
+        "wide_out_blocks.json": {"in": {"k_min": 0, "k_max": 0},
+                                 "out": {"k_min": -50000, "k_max": 50000},
+                                 "blocks": [[_operator(np.eye(1), 0)]]},
+        # B - B^dag overflows to inf at the double range's edge
+        "edge_blocks.json": {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 1},
+                             "blocks": [[{"k_min": 0, "k_max": 1, "entries": [
+                                 [[0.5, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]}]]},
     }
     for name, doc in docs.items():
         (directory / name).write_text(json.dumps(doc), encoding="utf-8")
@@ -140,6 +151,7 @@ CALLS = [
     ("eb_blocks_kraus", ["eb-report", "--channel", "@kraus1.json", "--sigma", "@state1.json"]),
     ("eb_atoms", ["eb-report", "--channel", "@atoms2.json", "--out", "report.json"]),
     ("eb_atoms_sigma", ["eb-report", "--channel", "@atoms2.json", "--sigma", "@sigma2.json"]),
+    ("eb_atoms_border", ["eb-report", "--channel", "@border_atoms1.json"]),
     ("capacity_geometric", ["capacity", "--phi", "geometric(0.7)", "--k", "2,4,8",
                             "--grid", "8,64", "--base", "2", "--out", "capacity.csv"]),
     ("capacity_two_mode", ["capacity", "--phi", "two-mode", "--k", "1", "--grid", "2"]),
@@ -162,6 +174,8 @@ CALLS = [
                        "--candidates", "uniform(1),uniform(1);mode(1),mode(0)"]),
     ("exit2_window", ["rho12", "--phi", "@phi2.json", "--k", "3"]),
     ("exit3_probe", ["probe", "--phi", "geometric(0.3)", "--k", "1000"]),
+    ("exit2_blocks_out_window", ["eb-report", "--channel", "@wide_out_blocks.json"]),
+    ("exit3_blocks_edge", ["eb-report", "--channel", "@edge_blocks.json"]),
 ]
 
 

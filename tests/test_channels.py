@@ -756,38 +756,38 @@ def branches_loop(matrix):
 
 
 def test_split_atoms_follow_the_descending_branches(rng):
-    # a dense atom or prepared state is split once, into the columns sqrt(l) v
-    # of its descending eigenpairs; decomposition atoms and Kraus operators then
-    # run over the factor columns: POVM atom, then its column f, then output column g
+    # a dense atom is split once, into the columns sqrt(l) v of its descending
+    # eigenpairs, and a dense state into sqrt(l / t) v, t its kept trace; the form
+    # stores the Kraus pairs over the factor columns (POVM atom, then its column f,
+    # then output column g), and decomposition atoms and Kraus operators run over them
     for pure_outputs in (False, True):
         dense = random_holevo_atoms(rng, 3, 2, 3, pure_outputs=pure_outputs)
         form = HolevoForm(dense)
         target = choi(blocks_from_holevo(form), random_full_rank_state(rng, 3))
         root, basis = np.sqrt(target.eigenvalues), target.eigenbasis
-        atoms, operators = [], []
         for (m_dense, rho_dense), (m_op, rho_out) in zip(dense, form.atoms):
             for matrix, op in ((m_dense, m_op), (rho_dense, rho_out)):
-                columns = [np.sqrt(c) * v for c, v in branches_loop(matrix.entries)]
+                branches = branches_loop(matrix.entries)
+                kept = np.sum([c for c, _ in branches]) if op is rho_out else 1.0
+                columns = [np.sqrt(c / kept) * v for c, v in branches]
                 assert np.array_equal(op.factor, np.stack(columns, axis=1))
-            lefts = root[:, None] * (basis.conj().T @ m_op.factor).conj()
-            weights = np.einsum("ij,ij->j", lefts.conj(), lefts).real
-            out_weights = np.einsum("ij,ij->j", rho_out.factor.conj(), rho_out.factor).real
-            for c, phi, f in zip(weights, lefts.T, m_op.factor.T):
-                for d, g in zip(out_weights, rho_out.factor.T):
-                    atoms.append((c * d, phi, g))
-                    operators.append(np.outer(g, f.conj()))
+        pairs = [(f, g) for m_op, rho_out in form.atoms
+                 for f in m_op.factor.T for g in rho_out.factor.T]
+        f_pairs, g_pairs = (np.stack(side, axis=1) for side in zip(*pairs))
+        assert np.array_equal(form.inputs, f_pairs) and np.array_equal(form.outputs, g_pairs)
+        lefts = root[:, None] * (basis.conj().T @ f_pairs).conj()
+        weights = np.einsum("ij,ij->j", lefts.conj(), lefts).real
+        out_weights = np.einsum("ij,ij->j", g_pairs.conj(), g_pairs).real
         split = separable_choi_from_holevo(form, target).atoms
-        assert [w for w, _, _ in split] == [w for w, _, _ in atoms]
-        for (_, phi, psi), (_, phi_ref, psi_ref) in zip(split, atoms):
+        assert [w for w, _, _ in split] == list(weights * out_weights)
+        for (_, phi, psi), phi_ref, psi_ref in zip(split, lefts.T, g_pairs.T):
             assert np.array_equal(phi.amplitudes, phi_ref / np.linalg.norm(phi_ref))
             assert np.array_equal(psi.amplitudes, psi_ref / np.linalg.norm(psi_ref))
         kraus = kraus_rank_one(form).operators
-        assert len(kraus) == len(operators)
-        assert all(np.array_equal(a, b) for a, b in zip(kraus, operators))
+        assert len(kraus) == len(pairs)
+        assert all(np.array_equal(a, np.outer(g, f.conj())) for a, (f, g) in zip(kraus, pairs))
         # the channel's factor columns run over the same pairing, bit for bit
         channel = holevo_channel(form)
-        pairs = [(f, g) for m_op, rho_out in form.atoms
-                 for f in m_op.factor.T for g in rho_out.factor.T]
         for n, (f, g) in enumerate(pairs):
             assert np.array_equal(channel.stacked.factor[:, n], np.kron(f.conj(), g))
             assert np.array_equal(channel.transposed.factor[:, n], np.kron(f.conj(), g.conj()))

@@ -438,6 +438,21 @@ REFUSED_FILES = [
     ("block_window", ("eb-report",), "--channel",
      {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 0},
       "blocks": [[_op(1, 1, 1)]]}, 2, "window differs from 'out'"),
+    # an 'out' window far beyond its blocks: refused from the blocks, before any
+    # d x d x d_out x d_out array is allocated (was a MemoryError or a ValueError)
+    ("out_window_beyond_the_blocks", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": -50000, "k_max": 50000},
+      "blocks": [[ONE]]}, 2, "block (0,0) window differs from 'out'"),
+    ("out_window_beyond_any_array", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 10 ** 30},
+      "blocks": [[ONE]]}, 2, "block (0,0) window differs from 'out'"),
+    # entries at the double range's edge overflow the Hermiticity gate's difference
+    # to inf; the gate refuses it without a RuntimeWarning
+    ("block_entries_at_the_double_edge", ("eb-report",), "--channel",
+     {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 1},
+      "blocks": [[{"k_min": 0, "k_max": 1, "entries": [[[0.5, 0], [1e308, 0]],
+                                                       [[-1e308, 0], [0.5, 0]]]}]]},
+     3, "block family not Hermitian: max |B_ij - B_ji^dag| = inf"),
     ("missing_entries", ("channel-apply", "--phi", "two-mode", "--k", "1"), "--state",
      {"k_min": -1, "k_max": 1}, 2, "missing 'entries'"),
     ("one_sided_product", ("channel-apply", "--phi", "two-mode", "--k", "1"), "--state",
@@ -988,6 +1003,30 @@ def test_eb_report_atoms_file_is_measured_before_the_channel_is_built(tmp_path, 
     assert main(["eb-report", "--channel", str(chan_file)]) == 0
 
 
+def test_eb_report_counts_full_rank_atoms_before_pairing_them(tmp_path, monkeypatch, capsys):
+    # M = I and rho_out = I/5 split into 5 columns each and pair into 25 Kraus operators,
+    # 25 rows and 2 x 25 columns in the comparison; the pairs were formed while the form
+    # was built, before the guard could refuse them
+    from eblab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the atoms were paired before the size guard")
+
+    window = ModeWindow.symmetric(2)
+    doc = {"atoms": [{"M": jsonio.operator_to_json(MatrixOperator(window, np.eye(5))),
+                      "rho_out": jsonio.operator_to_json(MatrixOperator(window, np.eye(5) / 5))}]}
+    chan_file = tmp_path / "atoms.json"
+    jsonio.write_text(str(chan_file), jsonio.dumps(doc))
+    monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 16 * 25 * 50 - 1)
+    monkeypatch.setattr(np, "repeat", refuse)
+    monkeypatch.setattr(np, "tile", refuse)
+    assert main(["eb-report", "--channel", str(chan_file)]) == 2
+    assert f"the atoms in {chan_file}" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 16 * 25 * 50)
+    assert main(["eb-report", "--channel", str(chan_file)]) == 0
+
+
 @pytest.mark.parametrize("content, message", [
     (b"[" * 100000 + b"]" * 100000, "invalid JSON: nested too deeply"),
     (b"\xff\xfe", "not UTF-8 text"),
@@ -1096,24 +1135,22 @@ def test_rho_out_with_a_tiny_negative_eigenvalue_is_split_as_stored(tmp_path):
 
 def test_a_state_that_reads_as_valid_reads_as_rho_out(tmp_path, capsys):
     # diag(1 + 1.8e-10, -0.9e-10, 0) has trace defect 0.9e-10 and reads as a state; as
-    # rho_out its split dropped the negative eigenvalue, and the kept trace 1 + 1.8e-10
-    # failed the unit-trace gate. The gate now allows the dropped mass, so the atoms
-    # file reads too; a trace off 1 by more than EPS_TRACE still exits 3, naming the file
+    # rho_out its split drops the negative eigenvalue, and the kept trace 1 + 1.8e-10
+    # passes the unit-trace gate, widened by the dropped mass. The kept factor is
+    # scaled to unit trace, so the atoms file runs end to end; a trace off 1 by more
+    # than EPS_TRACE still exits 3, naming the file
     border = _op(-1, 1, 1 + 1.8e-10, -0.9e-10, 0)
     state = tmp_path / "border_state.json"
     state.write_text(jsonio.dumps(border))
     assert main(["channel-apply", "--phi", "two-mode", "--k", "1", "--state", str(state)]) == 0
     form = jsonio.holevo_from_json(_atoms((ONE, border)))
-    assert abs(np.vdot(form.outputs, form.outputs).real - (1 + 1.8e-10)) < 1e-15
+    assert np.abs(np.linalg.norm(form.outputs, axis=0) - 1.0).max() < 1e-15
     capsys.readouterr()
-    # the channel built from that form is still refused, one gate later: the
-    # trace-preservation check sees the same 1.8e-10 (CHANGES.md FOUND)
     atoms = tmp_path / "border_atoms.json"
     jsonio.write_text(str(atoms), jsonio.dumps(_atoms((ONE, border))))
-    assert main(["eb-report", "--channel", str(atoms), "--out", str(tmp_path / "r.json")]) == 3
-    assert capsys.readouterr().err == ("invariant violation: factor not trace preserving: "
-                                       "max |Tr_out S - I| = 1.800e-10 > 1e-10\n")
-    assert not (tmp_path / "r.json").exists()
+    assert main(["eb-report", "--channel", str(atoms), "--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "r.json").exists()
     off = tmp_path / "off_atoms.json"
     jsonio.write_text(str(off), jsonio.dumps(_atoms((ONE, _op(-1, 1, 1 + 2.5e-10, -0.5e-10, 0)))))
     assert main(["eb-report", "--channel", str(off), "--out", str(tmp_path / "s.json")]) == 3

@@ -56,7 +56,7 @@ def _column_branches(factor):
 u, s, vh = svd(a)
 """
     passed = """
-f, g = _kraus_vectors(pairs)
+f, g = form.inputs, form.outputs
 factor = _khatri_rao(f.conj(), g)
 svd_free = True
 '''_kraus_columns and KRAUS_RANK_TOL are gone.'''

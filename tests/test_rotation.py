@@ -54,7 +54,6 @@ from eblab.channels import (
     _PHASE_ERROR,
     _difference_norms,
     _khatri_rao,
-    _kraus_vectors,
     _sector_difference,
 )
 from eblab.hilbert import SectorFactor, _difference_eigenvalues
@@ -732,7 +731,7 @@ def test_sector_bounds_bracket_the_qr_norms(sigma, half):
     form, state = sector_chain(half, 7000 + half, sigma)
     assert state.sectors is None and state.transposed.sectors is None
     extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
-    a, g = _kraus_vectors(extracted, extracted.inputs.conj())
+    a, g = extracted.inputs.conj(), extracted.outputs
     bounds = _difference_norms(a, g, state.channel.stacked)
     assert bounds[0] == residual <= 1e-12
     for bound, norm in zip(bounds, qr_norms(a, g, state.channel.stacked.factor)):
@@ -787,7 +786,7 @@ def test_a_non_diagonal_sigma_runs_no_qr(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     extracted, residual = eb_extract(separable_choi_from_holevo(form, state))
-    a, g = _kraus_vectors(extracted, extracted.inputs.conj())
+    a, g = extracted.inputs.conj(), extracted.outputs
     assert residual == _sector_difference(a, g, state.channel.stacked.sectors)[0]
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from eblab import (ModeWindow, PureVector, RotationChannel, StateOperator, choi, eb_extract,
                    factored_channel, holevo_form, phi_profile, separable_choi_from_holevo)
-from eblab.channels import _kraus_vectors, _sector_difference
+from eblab.channels import _sector_difference
 from eblab.hilbert import SectorFactor
 from eblab.rotation import rho12, rho12_probe
 from oracles import (flat_adjoint, flat_projection, flat_rho12_probe, flat_sector_norms,
@@ -129,7 +129,7 @@ def test_sector_difference_brackets_the_qr_norms(half):
     state = choi(factored_channel(channel), StateOperator(phi.window,
                                                           np.diag(rng.dirichlet(np.ones(d)))))
     extracted, _ = eb_extract(separable_choi_from_holevo(form, state))
-    left, right = _kraus_vectors(extracted, extracted.inputs.conj())
+    left, right = extracted.inputs.conj(), extracted.outputs
     sectors = state.channel.stacked.sectors
     n = right.shape[1]
     scale = np.exp(rng.uniform(-2.0, 2.0, n) + 2j * np.pi * rng.random(n))
