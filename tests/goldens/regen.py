@@ -9,7 +9,9 @@ are unset; every call writes the same bytes on one and two. Its digest is
 the exit code and the sha256 of its stdout, its stderr and every file it
 writes. The inputs (fiducial vectors, states, blocks files and atoms
 files) are built here with numpy alone, from fixed seeds where they are
-random, so no data file is committed. A change that moves a digest lists the call with its old and
+random, so no data file is committed. Each demos/*.py script runs here
+too, as __main__ (runpy), and demo_<stem> records its exit code and the
+sha256 of its stdout. A change that moves a digest lists the call with its old and
 new values in CHANGES.md.
 """
 
@@ -24,6 +26,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import runpy  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -32,6 +35,7 @@ import numpy as np  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "manifest.json"
+DEMOS = sorted((HERE.parents[1] / "demos").glob("*.py"))
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 
@@ -200,15 +204,28 @@ def run_call(main, argv, inputs, out_dir):
             "files": {path.name: _sha(path.read_bytes()) for path in sorted(out_dir.iterdir())}}
 
 
+def run_demo(path):
+    """Run one demo script as __main__: its exit code and the digest of its stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        try:
+            runpy.run_path(str(path), run_name="__main__")
+            code = 0
+        except SystemExit as stop:
+            code = stop.code
+    return {"exit": code, "stdout": _sha(stdout.getvalue().encode("utf-8"))}
+
+
 def digests():
-    """{call name: digest} for every call, run in a temporary directory."""
+    """{call name: digest} for every call, run in a temporary directory, and every demo."""
     from eblab.cli import main
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         inputs = root / "inputs"
         inputs.mkdir()
         write_inputs(inputs)
-        return {name: run_call(main, argv, inputs, root / name) for name, argv in CALLS}
+        calls = {name: run_call(main, argv, inputs, root / name) for name, argv in CALLS}
+    return calls | {f"demo_{path.stem}": run_demo(path) for path in DEMOS}
 
 
 def changed(old, new):

@@ -3,10 +3,11 @@
 tests/goldens/regen.py runs about thirty calls at K <= 10, covering every
 subcommand, every named profile, an asymmetric --phi2 and each input kind,
 and one eb-report --phi at K = 32, whose residual walks more rows than a
-K = 10 call, in one cold process, and prints their digests. A call whose exit code,
-stdout, stderr or written files moved fails here by name; regen.py
-rewrites the manifest when the move is intended. The manifest holds on one
-BLAS thread and on two.
+K = 10 call, in one cold process, and prints their digests. It runs each
+demos/*.py script there too and digests its exit code and stdout
+(demo_<stem>). A call or demo whose exit code, stdout, stderr or written
+files moved fails here by name; regen.py rewrites the manifest when the
+move is intended. The manifest holds on one BLAS thread and on two.
 """
 
 import json
@@ -23,7 +24,7 @@ GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def calls_off_the_manifest(threads):
-    """Names of the calls whose digest on this many BLAS threads differs from the manifest."""
+    """Names of the calls and demos whose digest on this many BLAS threads differs from the manifest."""
     result = subprocess.run([sys.executable, str(GOLDENS / "regen.py"), "--digests"],
                             capture_output=True, text=True,
                             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
