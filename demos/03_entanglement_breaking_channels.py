@@ -15,8 +15,6 @@ from eblab import (
     eb_necessary_test,
     holevo_apply,
     holevo_channel,
-    kraus_apply,
-    kraus_rank_one,
     separable_choi_from_holevo,
 )
 
@@ -70,12 +68,14 @@ extracted, residual = eb_extract(decomposition)
 print("extraction residual (operator norm):", residual)
 print("extracted atom count:", len(extracted.atoms), "(one per factor column pair)")
 
-# Atomic forms synthesize rank-one Kraus families with the same action; the
-# family keeps its vectors, so each |g_n><f_n| has rank one by construction.
-kraus = kraus_rank_one(form)
-out_difference = np.abs(kraus_apply(kraus, rho).entries
-                        - holevo_apply(form, rho).entries).max()
-print("\nrank-one Kraus operators:", len(kraus.operators),
+# The form is its rank-one Kraus family |g_n><f_n| (Horodecki-Shor-Ruskai):
+# it keeps the vectors, so each operator has rank one by construction, and
+# holevo_apply is G diag(<f_n|rho|f_n>) G^dag, the per-atom sum
+# sum_b Tr(rho M_b) rho'_b read off the pairs.
+per_atom = StateOperator(w, sum(float(np.trace(rho.entries @ m_op.entries).real)
+                                * rho_out.entries for m_op, rho_out in form.atoms))
+out_difference = np.abs(holevo_apply(form, rho).entries - per_atom.entries).max()
+print("\nrank-one Kraus operators:", len(form.operators),
       "| action residual:", out_difference)
-completeness = sum(a.conj().T @ a for a in kraus.operators)
+completeness = sum(a.conj().T @ a for a in form.operators)
 print("completeness residual:", np.abs(completeness - np.eye(3)).max())

@@ -50,7 +50,6 @@ from .channels import (
     ChannelBlocks,
     ChoiState,
     HolevoForm,
-    KrausRankOne,
     SeparableChoiDecomposition,
     apply,
     apply_matrix,
@@ -61,8 +60,6 @@ from .channels import (
     eb_necessary_test,
     holevo_apply,
     holevo_channel,
-    kraus_apply,
-    kraus_rank_one,
     separable_choi_from_holevo,
 )
 from .rotation import (

@@ -19,13 +19,14 @@ full rank. The blocks are read off S, so every function takes every channel.
 A dense channel is built from its block array, ChannelBlocks(in, out, B);
 the module ships no example maps.
 
-A HolevoForm keeps its rank-one Kraus operators |g_n><f_n| as two arrays
-of vectors, and a SeparableChoiDecomposition keeps its weights and vectors
-as arrays, as KrausRankOne does; each builds its per-atom objects only
-when atoms is read. A dense atom is split once, when the form is built,
+A HolevoForm is its rank-one (Horodecki-Shor-Ruskai) Kraus family
+|g_n><f_n|, kept as two arrays of vectors, and a SeparableChoiDecomposition
+keeps its weights and vectors as arrays; each builds its per-atom objects
+only when atoms is read. A dense atom is split once, when the form is built,
 and its factors paired once, when the pairs are first read; every reader
-takes the pairs as kept, and each column-pair factor is a Khatri-Rao
-product (_khatri_rao), such as holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
+takes the pairs as kept: holevo_apply is G diag(<f_n|rho|f_n>) G^dag, and
+each column-pair factor is a Khatri-Rao product (_khatri_rao), such as
+holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
 factored chain as a rotation channel. A chain makes one comparison
 (_difference_norms), of the extracted Kraus columns with the channel's
 stacked matrix: sector by sector, as a certified bound, when it is stored
@@ -231,11 +232,14 @@ class HolevoForm:
     and rho'_b = G_b G_b^dag. One that carries a factor keeps it; a dense one
     is checked and split once, here (_factored). The atoms must sum to the
     identity within povm_tol in max-entry norm, which is checked as
-    U U^dag = I on U = [F_1, F_2, ...]. Its rank-one Kraus operators
-    |g_n><f_n| are two arrays, inputs = [f_1, f_2, ...] and
-    outputs = [g_1, g_2, ...], paired once, atom by atom, with f over the
-    columns of F_b outer and g over those of G_b inner, so
-    sum_n |f_n><g_n|g_n><f_n| = sum_b Tr(rho'_b) M_b = I. The pairs can
+    U U^dag = I on U = [F_1, F_2, ...]. The form is its rank-one
+    (Horodecki-Shor-Ruskai) Kraus family: the operators |g_n><f_n| are kept
+    as two arrays, inputs = [f_1, f_2, ...] and outputs = [g_1, g_2, ...],
+    paired once, atom by atom, with f over the columns of F_b outer and g
+    over those of G_b inner, so the family's completeness,
+    sum_n |f_n><g_n|g_n><f_n| = sum_b Tr(rho'_b) M_b = I, is the POVM gate
+    at povm_tol. holevo_apply reads the pairs, and operators forms each
+    |g_n><f_n| densely. The pairs can
     outnumber the factors' columns by far (sum_b p_b q_b against
     sum_b p_b + q_b), so a form built from atoms forms them only when
     inputs or outputs is first read, and its pair count can be taken from
@@ -303,6 +307,11 @@ class HolevoForm:
         return self._pairs
 
     @property
+    def operators(self):
+        """The dense Kraus operators |g_n><f_n|, built on each read."""
+        return tuple(np.outer(g, f.conj()) for f, g in zip(self.inputs.T, self.outputs.T))
+
+    @property
     def atoms(self):
         """The pairs (M_b, rho'_b) as factored operators."""
         if self._atoms is None:
@@ -335,12 +344,16 @@ def _check_povm(u, povm_tol):
 
 
 def holevo_apply(form, rho):
-    """sum_b Tr(rho M_b) rho'_b; trace preserving by the POVM completeness HolevoForm checks."""
+    """sum_b Tr(rho M_b) rho'_b = sum_n A_n rho A_n^dag = G diag(<f_n|rho|f_n>) G^dag, O(n d^2).
+
+    It reads the form's Kraus pairs (f_n, g_n) and is trace preserving by
+    the POVM completeness HolevoForm checks.
+    """
     if rho.window != form.in_window:
         raise WindowMismatchError("state window differs from the form input window")
-    out = sum(float(np.trace(rho.entries @ m_op.entries).real) * rho_out.entries
-              for m_op, rho_out in form.atoms)
-    return StateOperator(form.out_window, out)
+    f, g = form.inputs, form.outputs
+    weights = np.einsum("in,in->n", f.conj(), rho.entries @ f).real
+    return StateOperator(form.out_window, (g * weights) @ g.conj().T)
 
 
 def _factored(op, what):
@@ -711,61 +724,6 @@ def eb_extract(decomposition):
         raise ExtractionInconsistentError(
             "extracted form disagrees with the channel's stacked matrix", residual)
     return form, residual
-
-
-class KrausRankOne:
-    """Rank-one operators A_n = |g_n><f_n|, kept as the columns f_n of inputs and g_n of outputs.
-
-    Construction checks finiteness, shapes and F diag(|g_n|^2) F^dag = I within EPS_TRACE.
-    """
-
-    def __init__(self, in_window, out_window, inputs, outputs):
-        f, g = (_finite(np.array(v, dtype=complex), f"Kraus {side} vectors")
-                for v, side in ((inputs, "input"), (outputs, "output")))
-        d_in, d_out = in_window.dimension, out_window.dimension
-        if g.ndim != 2 or f.shape != (d_in, g.shape[1]) or len(g) != d_out:
-            raise InvariantViolationError(f"Kraus vector shapes {f.shape}, {g.shape} do not match")
-        total = (f * np.einsum("kn,kn->n", g.conj(), g).real) @ f.conj().T
-        _at_most(float(np.abs(total - np.eye(d_in)).max()), EPS_TRACE,
-                 "Kraus family incomplete: max |sum A^dag A - I|")
-        f.setflags(write=False)
-        g.setflags(write=False)
-        self._inputs, self._outputs, self._in_window, self._out_window = f, g, in_window, out_window
-
-    @property
-    def inputs(self):
-        return self._inputs
-
-    @property
-    def outputs(self):
-        return self._outputs
-
-    @property
-    def operators(self):
-        """The dense |g_n><f_n|, built on each read."""
-        return tuple(np.outer(g, f.conj()) for f, g in zip(self._inputs.T, self._outputs.T))
-
-    @property
-    def in_window(self):
-        return self._in_window
-
-    @property
-    def out_window(self):
-        return self._out_window
-
-
-def kraus_apply(kraus, rho):
-    """sum_n A_n rho A_n^dag = G diag(<f_n|rho|f_n>) G^dag as a state, O(n d^2)."""
-    if rho.window != kraus.in_window:
-        raise WindowMismatchError("state window differs from the Kraus input window")
-    f, g = kraus.inputs, kraus.outputs
-    weights = np.einsum("in,in->n", f.conj(), rho.entries @ f).real
-    return StateOperator(kraus.out_window, (g * weights) @ g.conj().T)
-
-
-def kraus_rank_one(form):
-    """Rank-one Kraus family |g_n><f_n| of a Holevo form: its stored pairs, with no eigensolve."""
-    return KrausRankOne(form.in_window, form.out_window, form.inputs, form.outputs)
 
 
 def apply_with_identity(channel, omega):

@@ -11,8 +11,8 @@ writes. The inputs (fiducial vectors, states, blocks files and atoms
 files) are built here with numpy alone, from fixed seeds where they are
 random, so no data file is committed. Each demos/*.py script runs here
 too, as __main__ (runpy), and demo_<stem> records its exit code and the
-sha256 of its stdout. A change that moves a digest lists the call with its old and
-new values in CHANGES.md.
+sha256 of its stdout. A change that moves a digest lists the call with
+its old and new values in CHANGES.md.
 """
 
 from __future__ import annotations

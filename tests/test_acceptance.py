@@ -13,6 +13,7 @@ import numpy as np
 from eblab import (
     ModeWindow,
     StateOperator,
+    apply,
     apply_closed_form,
     apply_quadrature,
     ba_optimize,
@@ -29,8 +30,6 @@ from eblab import (
     holevo_apply,
     InputEnsemble,
     jsonio,
-    kraus_apply,
-    kraus_rank_one,
     phi_profile,
     product_bound_probe,
     rho12,
@@ -134,15 +133,14 @@ def test_criterion_5_extraction_round_trip():
         extracted, _ = eb_extract(decomposition)
         worst_block = max(worst_block, float(
             np.abs(blocks_from_holevo(extracted).blocks - chan.blocks).max()))
-        kraus = kraus_rank_one(form)
-        completeness = sum(a.conj().T @ a for a in kraus.operators)
+        completeness = sum(a.conj().T @ a for a in form.operators)
         worst_kraus_id = max(worst_kraus_id, float(
             np.abs(completeness - np.eye(d_in)).max()))
         for _ in range(3):
             rho = _random_state(rng, form.in_window)
             worst_action = max(worst_action, float(
-                np.abs(kraus_apply(kraus, rho).entries
-                       - holevo_apply(form, rho).entries).max()))
+                np.abs(holevo_apply(form, rho).entries
+                       - apply(chan, rho).entries).max()))
     ok = worst_block <= 1e-8 and worst_kraus_id <= 1e-10 and worst_action <= 1e-10
     assert _report(5, ok, f"20 random forms: extraction block residual {worst_block:.3e} "
                           f"(<= 1e-8), Kraus completeness {worst_kraus_id:.3e} (<= 1e-10), "

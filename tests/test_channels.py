@@ -8,7 +8,6 @@ from eblab import (
     SeparableChoiDecomposition,
     HolevoForm,
     InvariantViolationError,
-    KrausRankOne,
     MatrixOperator,
     ModeWindow,
     ProductWindow,
@@ -31,8 +30,6 @@ from eblab import (
     holevo_apply,
     holevo_channel,
     holevo_form,
-    kraus_apply,
-    kraus_rank_one,
     partial_trace,
     partial_transpose,
     phi_profile,
@@ -532,7 +529,7 @@ def test_kraus_rank_one_dephasing():
     w = window(dim)
     atoms = [(MatrixOperator(w, np.diag([1.0 if i == j else 0.0 for j in range(dim)])),
               basis_vector(w, i).projector()) for i in range(dim)]
-    kraus = kraus_rank_one(HolevoForm(atoms))
+    kraus = HolevoForm(atoms)
     assert len(kraus.operators) == dim
     total = sum(np.abs(a) for a in kraus.operators)
     assert np.abs(total - np.eye(dim)).max() < 1e-12
@@ -543,33 +540,35 @@ def test_kraus_rank_one_identity_povm(rng):
     w = window(dim)
     psi0 = PureVector(window(2), random_pure(rng, 2))
     form = HolevoForm([(MatrixOperator(w, np.eye(dim)), psi0.projector())])
-    kraus = kraus_rank_one(form)
-    assert len(kraus.operators) == dim
-    for a in kraus.operators:
+    assert len(form.operators) == dim
+    for a in form.operators:
         s = np.linalg.svd(a, compute_uv=False)
         assert s[1] < 1e-12
 
 
 def test_kraus_rank_one_action_matches_holevo(rng):
+    # holevo_apply is G diag(<f_n|rho|f_n>) G^dag over the form's pairs; the oracles
+    # are the dense blocks of its atoms and the sum over its dense Kraus operators
     form = random_holevo_form(rng, 3, 3, 4, pure_outputs=True)
-    kraus = kraus_rank_one(form)
-    total = sum(a.conj().T @ a for a in kraus.operators)
+    chan = blocks_from_holevo(form)
+    total = sum(a.conj().T @ a for a in form.operators)
     assert np.abs(total - np.eye(3)).max() < 1e-10
     for _ in range(20):
         rho = StateOperator(window(3), random_density(rng, 3))
-        out = kraus_apply(kraus, rho).entries
-        assert np.abs(out - holevo_apply(form, rho).entries).max() < 1e-10
-        dense = sum(a @ rho.entries @ a.conj().T for a in kraus.operators)
+        out = holevo_apply(form, rho).entries
+        assert np.abs(out - apply(chan, rho).entries).max() < 1e-10
+        dense = sum(a @ rho.entries @ a.conj().T for a in form.operators)
         assert np.abs(out - dense).max() < 1e-12
 
 
 def test_kraus_rank_one_splits_mixed_outputs(rng):
+    # a mixed prepared state splits into several pairs; the oracle is the dense blocks
     form = random_holevo_form(rng, 3, 3, 3, pure_outputs=False)
-    kraus = kraus_rank_one(form)
+    chan = blocks_from_holevo(form)
     for _ in range(5):
         rho = StateOperator(window(3), random_density(rng, 3))
-        assert np.abs(kraus_apply(kraus, rho).entries
-                      - holevo_apply(form, rho).entries).max() < 1e-10
+        assert np.abs(holevo_apply(form, rho).entries
+                      - apply(chan, rho).entries).max() < 1e-10
 
 
 def test_extension_by_identity_outputs_are_ppt(rng):
@@ -617,13 +616,19 @@ def test_decomposition_weights_use_their_own_tolerance():
 
 def test_holevo_apply_takes_forms_checked_at_their_own_tolerance():
     # a form accepted at the extraction tolerance may miss completeness by more
-    # than 1e-10; the check belongs to HolevoForm, not to every application
+    # than 1e-10; the check belongs to HolevoForm, not to every application or
+    # to its Kraus family, which is the form itself
     w = window(2)
     out = StateOperator(w, np.eye(2) / 2)
     m_op = MatrixOperator(w, [[1.0, 5e-10], [5e-10, 1.0]])
     form = HolevoForm([(m_op, out)], povm_tol=1e-8)
     rho = StateOperator(w, np.diag([0.25, 0.75]))
-    assert np.abs(holevo_apply(form, rho).entries - out.entries).max() < 1e-12
+    applied = holevo_apply(form, rho).entries
+    assert np.abs(applied - out.entries).max() < 1e-12
+    completeness = sum(a.conj().T @ a for a in form.operators)
+    assert 1e-10 < np.abs(completeness - np.eye(2)).max() <= 1e-8
+    dense = sum(a @ rho.entries @ a.conj().T for a in form.operators)
+    assert np.abs(applied - dense).max() < 1e-12
 
 
 def test_decomposition_reconstruction_is_the_weighted_atom_sum(rng):
@@ -727,27 +732,29 @@ def test_block_family_with_a_nan_entry_is_refused():
 
 def test_kraus_family_with_a_nan_entry_is_refused():
     w = window(2)
-    with pytest.raises(InvariantViolationError, match="input vectors has non-finite"):
-        KrausRankOne(w, w, [[1.0, 0.0], [0.0, np.nan]], np.eye(2))
-    with pytest.raises(InvariantViolationError, match="output vectors has non-finite"):
-        KrausRankOne(w, w, np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(InvariantViolationError, match="POVM vectors has non-finite"):
+        HolevoForm.rank_one(w, w, [[1.0, 0.0], [0.0, np.nan]], np.eye(2))
+    with pytest.raises(InvariantViolationError, match="prepared states has non-finite"):
+        HolevoForm.rank_one(w, w, np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
 
 
 def test_kraus_family_incomplete_or_mismatched_is_refused():
     # the dephasing family |i><i| is complete; dropping or scaling a vector is not
     w2, w3 = window(2), window(3)
-    kraus = KrausRankOne(w2, w2, np.eye(2), np.eye(2))
+    kraus = HolevoForm.rank_one(w2, w2, np.eye(2), np.eye(2))
     assert all(np.array_equal(a, np.diag(row)) for a, row in zip(kraus.operators, np.eye(2)))
-    for inputs, outputs in ((np.eye(2)[:, :1], np.eye(2)[:, :1]),
-                            (np.eye(2), 2 * np.eye(2))):
-        with pytest.raises(InvariantViolationError, match="Kraus family incomplete"):
-            KrausRankOne(w2, w2, inputs, outputs)
-    for inputs, outputs, out_window in ((np.eye(2), np.eye(2), w3),        # g rows != d_out
-                                        (np.eye(3), np.eye(3), w3),        # f rows != d_in
-                                        (np.eye(2), np.eye(3)[:, :1], w3),  # column counts
+    for inputs, outputs, message in ((np.eye(2)[:, :1], np.eye(2)[:, :1], "POVM incomplete"),
+                                     (np.eye(2), 2 * np.eye(2), "state trace defect")):
+        with pytest.raises(InvariantViolationError, match=message):
+            HolevoForm.rank_one(w2, w2, inputs, outputs)
+    for inputs, outputs, out_window in ((np.eye(2), np.eye(2), w3),   # g rows != d_out
+                                        (np.eye(3), np.eye(3), w3)):  # f rows != d_in
+        with pytest.raises(WindowMismatchError, match="Holevo vector shapes"):
+            HolevoForm.rank_one(w2, out_window, inputs, outputs)
+    for inputs, outputs, out_window in ((np.eye(2), np.eye(3)[:, :1], w3),  # column counts
                                         (np.ones(2), np.ones(2), w2)):     # not 2-D
-        with pytest.raises(InvariantViolationError, match="Kraus vector shapes"):
-            KrausRankOne(w2, out_window, inputs, outputs)
+        with pytest.raises(InvariantViolationError, match="Holevo vector shapes"):
+            HolevoForm.rank_one(w2, out_window, inputs, outputs)
 
 
 def branches_loop(matrix):
@@ -783,7 +790,7 @@ def test_split_atoms_follow_the_descending_branches(rng):
         for (_, phi, psi), phi_ref, psi_ref in zip(split, lefts.T, g_pairs.T):
             assert np.array_equal(phi.amplitudes, phi_ref / np.linalg.norm(phi_ref))
             assert np.array_equal(psi.amplitudes, psi_ref / np.linalg.norm(psi_ref))
-        kraus = kraus_rank_one(form).operators
+        kraus = form.operators
         assert len(kraus) == len(pairs)
         assert all(np.array_equal(a, np.outer(g, f.conj())) for a, (f, g) in zip(kraus, pairs))
         # the channel's factor columns run over the same pairing, bit for bit
@@ -879,7 +886,7 @@ def test_holevo_channel_factors_match_the_blocks(rng, d_in, d_out, pure_outputs)
         state = choi(channel, random_full_rank_state(rng, d_in))
         extracted, _ = eb_extract(separable_choi_from_holevo(form, state))
         rho = random_full_rank_state(rng, d_in)
-        kraus = kraus_apply(kraus_rank_one(extracted), rho)
+        kraus = holevo_apply(extracted, rho)
         assert np.abs(kraus.entries - apply(dense, rho).entries).max() <= 1e-13
 
 

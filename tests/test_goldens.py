@@ -24,7 +24,7 @@ GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def calls_off_the_manifest(threads):
-    """Names of the calls and demos whose digest on this many BLAS threads differs from the manifest."""
+    """Names of the calls and demos whose digest on this many BLAS threads is off the manifest."""
     result = subprocess.run([sys.executable, str(GOLDENS / "regen.py"), "--digests"],
                             capture_output=True, text=True,
                             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,

@@ -31,8 +31,6 @@ from eblab import (
     chi_quantity,
     fourier_necessary_check,
     holevo_apply,
-    kraus_apply,
-    kraus_rank_one,
     mu_density,
     partial_trace,
     phi_profile,
@@ -76,8 +74,6 @@ REFUSALS = [
     ("holevo_apply_window", WindowMismatchError, lambda: holevo_apply(form(), mixed(W2))),
     ("choi_reference_window", WindowMismatchError,
      lambda: ChoiState(identity_channel(W2), mixed(K1))),
-    ("kraus_apply_window", WindowMismatchError,
-     lambda: kraus_apply(kraus_rank_one(form()), mixed(W2))),
     ("apply_with_identity_not_product", WindowMismatchError,
      lambda: apply_with_identity(identity_channel(W2), mixed(W2))),
     # hilbert

@@ -1,16 +1,19 @@
 """Rank one is a property of the Kraus type, and one pairing feeds every column-pair factor.
 
-KrausRankOne keeps its vectors, so no stage of eblab re-proves rank one
-with a singular value decomposition. A call to svd, or the return of the
-retired per-loop pairing helpers and the rank tolerance they needed, would
-bring back a second path; this test fails on each.
+HolevoForm is the rank-one Kraus type: it keeps its vectors f_n and g_n,
+so no stage of eblab re-proves rank one with a singular value
+decomposition. A call to svd, or the return of the retired per-loop
+pairing helpers, the rank tolerance they needed, or the second rank-one
+type with its action and converter, would bring back a second path; this
+test fails on each.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eblab"
-RETIRED = {"_kraus_columns", "_column_branches", "KRAUS_RANK_TOL"}
+RETIRED = {"_kraus_columns", "_column_branches", "KRAUS_RANK_TOL",
+           "KrausRankOne", "kraus_apply", "kraus_rank_one"}
 
 
 def _identifier(node):
@@ -54,12 +57,18 @@ for column in _kraus_columns(form, conjugate_output=True):
 def _column_branches(factor):
     pass
 u, s, vh = svd(a)
+class KrausRankOne:
+    pass
+out = kraus_apply(kraus_rank_one(form), rho)
+from eblab import kraus_rank_one
 """
     passed = """
 f, g = form.inputs, form.outputs
 factor = _khatri_rao(f.conj(), g)
 svd_free = True
-'''_kraus_columns and KRAUS_RANK_TOL are gone.'''
+out = holevo_apply(form, rho)
+operators = form.operators
+'''_kraus_columns, KRAUS_RANK_TOL and KrausRankOne are gone.'''
 """
-    assert rank_one_checks(ast.parse(flagged)) == [2, 3, 4, 6, 8]
+    assert rank_one_checks(ast.parse(flagged)) == [2, 3, 4, 6, 8, 9, 11, 12]
     assert rank_one_checks(ast.parse(passed)) == []

@@ -31,8 +31,6 @@ from eblab import (
     factored_state,
     holevo_apply,
     holevo_form,
-    kraus_apply,
-    kraus_rank_one,
     mu_density,
     orbit_state,
     partial_trace,
@@ -691,7 +689,7 @@ def test_factored_eb_chain_matches_the_dense_oracle(half, zero_modes):
         assert residual <= EXTRACT_TOL
         # the round trip: the extracted form's rank-one Kraus family acts as the channel
         rho = StateOperator(phi.window, random_density(rng, d))
-        kraus = kraus_apply(kraus_rank_one(extracted), rho)
+        kraus = holevo_apply(extracted, rho)
         assert np.abs(kraus.entries - apply_closed_form(channel, rho).entries).max() <= 1e-13
 
 
