@@ -9,8 +9,9 @@ screen implemented here; it is necessary-only beyond 2x2 and 2x3.
 
 ChannelBlocks is the one channel type: it holds S and its output partial
 transpose S^(T_out) as operators, dense from blocks and factored from
-from_factors (S = X X^dag, S^(T_out) = X' X'^dag; rotation.factored_channel
-gives 4K + 1 charge-sector columns against (2K+1)^2 rows). On factors the
+from_factors (S = X X^dag for one factor X, and S^(T_out) = X' X'^dag for
+the X' derived from it; rotation.factored_channel gives 4K + 1
+charge-sector columns against (2K+1)^2 rows). On factors the
 Choi state and its partial transpose are the factored states (W^T x I) X
 and (W^T x I) X', W = B Lambda^(1/2) from sigma = B Lambda B^dag, kept
 unformed under every sigma (_Congruence) and formed only when read. Both
@@ -83,11 +84,12 @@ class ChannelBlocks:
     """Channel as two operators on ProductWindow(in, out): stacked S and transposed S^(T_out).
 
     S[(i,k),(j,l)] = B[i,j][k,l] for the blocks B[i, j] = Phi(|i><j|), and
-    S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)]. Construction from blocks
-    enforces Hermiticity (B[j,i] = B[i,j]^dag) and trace preservation
-    (Tr B[i,j] = delta_ij) but not complete positivity, so non-CP candidates
-    (e.g. the transposition map) can be diagnosed via cp_check. Entries near
-    the double range's edge overflow in those gates to inf or NaN without a
+    S^(T_out)[(i,k),(j,l)] = S[(i,l),(j,k)]; from_factors keeps both
+    factored, from one factor of S. Construction from blocks enforces
+    Hermiticity (B[j,i] = B[i,j]^dag) and trace preservation (Tr B[i,j] =
+    delta_ij) but not complete positivity, so non-CP candidates (e.g. the
+    transposition map) can be diagnosed via cp_check. Entries near the
+    double range's edge overflow in those gates to inf or NaN without a
     warning, and the gates refuse them.
     """
 
@@ -119,42 +121,34 @@ class ChannelBlocks:
         return cls(in_window, out_window, b)
 
     @classmethod
-    def from_factors(cls, in_window, out_window, factor, transposed_factor):
-        """The channel with S = X X^dag and S^(T_out) = X' X'^dag, both kept as factored operators.
+    def from_factors(cls, in_window, out_window, factor):
+        """The channel with S = X X^dag and S^(T_out) = X' X'^dag, X' derived from X.
 
-        It is completely positive by construction. Construction checks that
-        both factors are finite and trace preserving, Tr_out S = I (the
-        output partial transpose leaves Tr_out unchanged), and screens that
-        X' belongs to X: on a product vector a x b, <a x b| S^(T_out) |a x b>
-        is <a x conj(b)| S |a x conj(b)>, compared on three fixed generic
-        unit probes at O(d_in d_out m) each. Nothing (d_in d_out)-square is
-        built until the entries or the blocks are read.
+        factor is a pair (a, b) of d_in x n and d_out x n arrays, for the
+        columns a_n x b_n of X and a_n x conj(b_n) of X' (_khatri_rao), or a
+        SectorFactor X, whose X' is its mirror (_mirrored): X' X'^dag is
+        S^(T_out) by construction, and both are kept as factored operators.
+        Construction checks that X is finite and trace preserving,
+        Tr_out S = I; X' passes with it, as Tr_out X' X'^dag = Tr_out X X^dag.
+        It is completely positive by construction, and nothing
+        (d_in d_out)-square is built until the entries or blocks are read.
         """
         d_in, d_out = in_window.dimension, out_window.dimension
-        factors = []
-        for name, f in (("factor", factor), ("partial-transpose factor", transposed_factor)):
-            x = f if isinstance(f, SectorFactor) else np.asarray(f, dtype=complex)
-            if len(x.shape) != 2 or x.shape[0] != d_in * d_out:
-                raise InvariantViolationError(
-                    f"{name} shape {x.shape} does not have {d_in * d_out} rows")
-            _checked_trace(x, name)
-            _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
-                     f"{name} not trace preserving: max |Tr_out S - I|")
-            factors.append(x)
-        a, b = (_generic_unit_columns(n) for n in (d_in, d_out))
-
-        def expectations(x, right):  # <a_p x right_p| X X^dag |a_p x right_p> for each probe p
-            probes = _khatri_rao(a, right)
-            if isinstance(x, SectorFactor):
-                return np.linalg.norm(x.adjoint(probes), axis=0) ** 2
-            return np.linalg.norm(x.conj().T @ probes, axis=0) ** 2
-
-        defect = np.abs(expectations(factors[1], b) - expectations(factors[0], b.conj())).max()
-        _at_most(float(defect), EPS_TRACE,
-                 "partial-transpose factor does not match the factor: max probe defect")
+        sectors = isinstance(factor, SectorFactor)
+        a, b = ((factor.u[:, None], factor.v[:, None]) if sectors
+                else (np.asarray(side, dtype=complex) for side in factor))
+        if a.ndim != 2 or a.shape[1:] != b.shape[1:] or (len(a), len(b)) != (d_in, d_out):
+            raise InvariantViolationError(
+                f"factor shape {a.shape} x {b.shape} does not have {d_in} x {d_out} rows")
+        x = factor if sectors else _khatri_rao(a, b)
+        _checked_trace(x, "factor")
+        _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
+                 "factor not trace preserving: max |Tr_out S - I|")
+        transposed = _mirrored(x, out_window.k_min) if sectors else _khatri_rao(a, b.conj())
         window = ProductWindow(in_window, out_window)
         channel = cls.__new__(cls)
-        channel._stacked, channel._transposed = (factored_operator(window, x) for x in factors)
+        channel._stacked = factored_operator(window, x)
+        channel._transposed = factored_operator(window, transposed)
         return channel
 
     @property
@@ -199,11 +193,15 @@ def _traced_out(x, d_in):
     return rows @ rows.conj().T
 
 
-def _generic_unit_columns(n):
-    """Three fixed unit vectors in C^n with irrational phases and unequal moduli."""
-    t = np.arange(1.0, n + 1.0)[:, None]
-    z = np.exp(1j * np.sqrt([2.0, 3.0, 5.0]) * t * t) * np.sqrt(t + np.sqrt([7.0, 11.0, 13.0]))
-    return z / np.linalg.norm(z, axis=0)
+def _mirrored(x, k_min):
+    """The SectorFactor X' with X' X'^dag = (X X^dag)^(T_out), for outputs from charge k_min.
+
+    Rows (i, k), (j, l) share a sector of X' when (i, l), (j, k) share one
+    of X, so offset' = top - offset, top = max(offset), with u and conj(v);
+    the output charges change sign, so first' = 2 k_min - first - top.
+    """
+    top = int(x.offset.max())
+    return SectorFactor(top - x.offset, x.u, x.v.conj(), 2 * k_min - x.first - top)
 
 
 def cp_check(channel):
@@ -230,21 +228,22 @@ class HolevoForm:
 
     Every atom and prepared state is a factored operator, M_b = F_b F_b^dag
     and rho'_b = G_b G_b^dag. One that carries a factor keeps it; a dense one
-    is checked and split once, here (_factored). The atoms must sum to the
-    identity within povm_tol in max-entry norm, which is checked as
-    U U^dag = I on U = [F_1, F_2, ...]. The form is its rank-one
-    (Horodecki-Shor-Ruskai) Kraus family: the operators |g_n><f_n| are kept
-    as two arrays, inputs = [f_1, f_2, ...] and outputs = [g_1, g_2, ...],
-    paired once, atom by atom, with f over the columns of F_b outer and g
-    over those of G_b inner, so the family's completeness,
-    sum_n |f_n><g_n|g_n><f_n| = sum_b Tr(rho'_b) M_b = I, is the POVM gate
-    at povm_tol. holevo_apply reads the pairs, and operators forms each
-    |g_n><f_n| densely. The pairs can
-    outnumber the factors' columns by far (sum_b p_b q_b against
-    sum_b p_b + q_b), so a form built from atoms forms them only when
-    inputs or outputs is first read, and its pair count can be taken from
-    atoms before that. A form built from vectors (rank_one) stores them as
-    given and builds its operator pairs only when atoms is first read.
+    is checked and split once, here (_factored). Every prepared state's
+    trace ||G_b||_F^2, whatever its class, must be within EPS_TRACE of 1, as
+    rank_one checks it. The atoms must sum to the identity within povm_tol
+    in max-entry norm, which is checked as U U^dag = I on U = [F_1, F_2, ...].
+    The form is its rank-one (Horodecki-Shor-Ruskai) Kraus family: the
+    operators |g_n><f_n| are kept as two arrays, inputs = [f_1, f_2, ...]
+    and outputs = [g_1, g_2, ...], paired once, atom by atom, with f over
+    the columns of F_b outer and g over those of G_b inner, so the family's
+    completeness, sum_n |f_n><g_n|g_n><f_n| = sum_b Tr(rho'_b) M_b = I, is
+    the POVM gate at povm_tol. holevo_apply reads the pairs, and operators
+    forms each |g_n><f_n| densely. The pairs can outnumber the factors'
+    columns by far (sum_b p_b q_b against sum_b p_b + q_b), so a form built
+    from atoms forms them only when inputs or outputs is first read, and its
+    pair count can be taken from atoms before that. A form built from
+    vectors (rank_one) stores them as given and builds its operator pairs
+    only when atoms is first read.
     """
 
     def __init__(self, atoms, povm_tol=1e-10):
@@ -256,6 +255,8 @@ class HolevoForm:
         out_window = atoms[0][1].window
         if any(m_op.window != in_window or rho_out.window != out_window for m_op, rho_out in atoms):
             raise WindowMismatchError("all Holevo atoms share the same windows")
+        defect = max(abs(_checked_trace(r.factor, "prepared state") - 1.0) for _, r in atoms)
+        _at_most(float(defect), EPS_TRACE, "state trace defect |Tr - 1|")
         _check_povm(np.hstack([m_op.factor for m_op, _ in atoms]), povm_tol)
         self._init(in_window, out_window, None, tuple(atoms))
 
@@ -408,9 +409,8 @@ def _khatri_rao(a, b):
 
 def holevo_channel(form):
     """The channel of a Holevo form from its Kraus vectors: X's columns are conj(f_n) x g_n."""
-    f, g = form.inputs.conj(), form.outputs
     return ChannelBlocks.from_factors(form.in_window, form.out_window,
-                                      _khatri_rao(f, g), _khatri_rao(f, g.conj()))
+                                      (form.inputs.conj(), form.outputs))
 
 
 class _Congruence:

@@ -170,17 +170,19 @@ class SectorFactor:
 
     Row (i, k) of the len(u) len(v) x width factor X holds u[i] v[k] in
     column offset[i] + k (walk), so X X^dag is zero between sectors and rank
-    one in each. Readers sum over sectors along walk() in O(len(v)) memory;
-    only dense(), the oracle, and the writer, _sector_cells, lay X out flat.
-    rotation._sector_factor builds every such factor, sector s at charge
-    first + s, along the phases e^{i x_g (first + s)} over n orbit nodes x_g =
+    one in each; width = max(offset) + len(v). Readers sum over sectors
+    along walk() in O(len(v)) memory; only dense(), the oracle, and the
+    writer, _sector_cells, lay X out flat. rotation._sector_factor and
+    channels._mirrored build every such factor, sector s at charge first + s,
+    along the phases e^{i x_g (first + s)} over n orbit nodes x_g =
     2 pi g / n, which node_phases gives. _checked_trace checks the values.
     """
 
     __slots__ = ("offset", "u", "v", "width", "first")
 
-    def __init__(self, offset, u, v, width, first):
-        self.offset, self.u, self.v, self.width, self.first = offset, u, v, width, first
+    def __init__(self, offset, u, v, first):
+        self.offset, self.u, self.v, self.first = offset, u, v, first
+        self.width = int(np.max(offset)) + len(v)
 
     @staticmethod
     def node_phases(n, charges):

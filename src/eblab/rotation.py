@@ -146,7 +146,7 @@ def _sector_factor(left, right, u, v):
     """
     low = int(left.min())
     return SectorFactor(left - low, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex),
-                        int(left.max()) - low + right.dimension, low + right.k_min)
+                        low + right.k_min)
 
 
 def _diagonal_sums(entries, gap):
@@ -196,18 +196,15 @@ def factored_channel(channel):
 
     The stacked matrix S[(i,k),(j,l)] = phi_k conj(phi_l) delta_{k-i, l-j}
     (channel_blocks) conserves the charge k - i of the row (i, k), so it is
-    X X^dag with X[(i,k), t] = phi_k for k - i = t. Its output partial
-    transpose phi_l conj(phi_k) delta_{i+k, j+l} conserves i + k, so it is
-    X' X'^dag with X'[(i,k), t] = conj(phi_k) for i + k = t. Both are
-    d^2 x (4K+1) with d = 2K + 1, stored as the sector factors of 1 x phi
-    and 1 x conj(phi) on the left charges -i and i, so the channel's stacked
-    and transposed operators are factored; its blocks match channel_blocks.
+    X X^dag with X[(i,k), t] = phi_k for k - i = t: d^2 x (4K+1) with
+    d = 2K + 1, stored as the sector factor of 1 x phi on the left charges
+    -i. from_factors derives the output partial transpose's factor, of
+    conj(phi_k) for i + k = t, as its mirror, so the channel's stacked and
+    transposed operators are factored; its blocks match channel_blocks.
     """
-    window, phi = channel.window, channel.phi.amplitudes
-    every_input = np.ones(window.dimension)
-    stacked = _sector_factor(-_charges(window), window, every_input, phi)
-    transposed = _sector_factor(_charges(window), window, every_input, phi.conj())
-    return ChannelBlocks.from_factors(window, window, stacked, transposed)
+    window = channel.window
+    return ChannelBlocks.from_factors(window, window, _sector_factor(
+        -_charges(window), window, np.ones(window.dimension), channel.phi.amplitudes))
 
 
 def holevo_form(channel):

@@ -18,6 +18,12 @@ def rng():
     return np.random.default_rng(20260809)
 
 
+def same_bits(a, b):
+    """Whether two results are equal bit for bit, -0.0 and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def random_density(rng, dim):
     """Full-rank random density matrix via a Wishart draw."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -37,8 +37,9 @@ from eblab import (
     tensor,
     trace_norm_distance,
 )
-from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao
-from eblab.hilbert import _unit_vector, lowest_eigenvalue
+from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao, _mirrored
+from eblab.hilbert import SectorFactor, _unit_vector, lowest_eigenvalue
+from eblab.rotation import _charges, _sector_factor
 from conftest import (
     assert_same_channel,
     blocks_from_holevo,
@@ -47,6 +48,7 @@ from conftest import (
     identity_channel,
     random_density,
     random_pure,
+    same_bits,
     transpose_channel,
 )
 
@@ -223,11 +225,10 @@ def test_the_choi_trace_gate_refuses_what_two_passing_gates_add_up_to():
     # dense factor under a non-diagonal sigma and for the rotation channel's sector
     # factors under a diagonal one, whose gate reads sigma's entries all the same
     scale = np.sqrt(1 + 0.9e-10)
-    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # the dephasing channel
     phi = phi_profile("geometric(0.7)", 2)
 
-    def dephasing(s):
-        return ChannelBlocks.from_factors(window(2), window(2), s * x, s * x)
+    def dephasing(s):  # the pair (s I, I): X's columns are s e_i x e_i
+        return ChannelBlocks.from_factors(window(2), window(2), (s * np.eye(2), np.eye(2)))
 
     def rotation(s):  # the channel of the fiducial scaled by s, kept as its sector factors
         channel = factored_channel(RotationChannel(_unit_vector(phi.window, s * phi.amplitudes)))
@@ -802,27 +803,102 @@ def test_split_atoms_follow_the_descending_branches(rng):
 
 
 def test_from_factors_checks_its_factors():
-    # dephasing: S = sum_i |ii><ii| is its own output partial transpose
+    # dephasing: the pair (I, I) gives X with columns e_i x e_i, and S = sum_i |ii><ii| is
+    # its own output partial transpose
     w = window(2)
     x = np.zeros((4, 2))
     x[0, 0] = x[3, 1] = 1.0
-    channel = ChannelBlocks.from_factors(w, w, x, x)
+    channel = ChannelBlocks.from_factors(w, w, (np.eye(2), np.eye(2)))
     assert np.array_equal(channel.stacked.factor, x) and np.array_equal(channel.transposed.factor, x)
     assert np.array_equal(channel.stacked.entries, dephasing_channel(w).stacked.entries)
     assert cp_check(channel) == (True, 0.0)
-    for bad, match in ((2 * x, "^factor not trace preserving"),
-                       (np.full((4, 1), np.nan), "^factor has non-finite"),
-                       (np.ones((3, 1)), "^factor shape .* rows")):
+    one = np.ones(1, dtype=complex)
+    for bad, match in (((2 * np.eye(2), np.eye(2)), "^factor not trace preserving"),
+                       ((np.eye(2), np.full((2, 2), np.nan)), "^factor has non-finite"),
+                       ((np.ones((3, 1)), np.ones((2, 1))), "^factor shape .* rows"),
+                       ((np.eye(2), np.eye(2)[:, :1]), "^factor shape .* rows"),
+                       # the row counts are checked one by one, not only their product
+                       ((np.ones((1, 1)), np.ones((4, 1))), "^factor shape .* rows"),
+                       (SectorFactor(np.zeros(1, dtype=int), one, np.ones(4), 0),
+                        "^factor shape .* rows")):
         with pytest.raises(InvariantViolationError, match=match):
-            ChannelBlocks.from_factors(w, w, bad, x)
-    # the identity channel's S^(T_out) is the swap, which has no factor; I_4 fails Tr_out
-    with pytest.raises(InvariantViolationError, match="partial-transpose factor not trace"):
-        ChannelBlocks.from_factors(w, w, np.eye(2).reshape(4, 1), np.eye(4))
-    # a trace-preserving X' of another channel: the identity with the dephasing
-    # X' used to pass, so its Choi state passed the PPT screen with min_eig_pt 0.0
-    with pytest.raises(InvariantViolationError, match="partial-transpose factor does not match"):
-        ChannelBlocks.from_factors(w, w, np.eye(2).reshape(4, 1), x)
-    assert cp_check(ChannelBlocks.from_factors(window(1), window(1), [[1.0]], [[1.0]])) == (True, 1.0)
+            ChannelBlocks.from_factors(w, w, bad)
+    assert cp_check(ChannelBlocks.from_factors(window(1), window(1), ([[1.0]], [[1.0]]))) == (
+        True, 1.0)
+
+
+def random_trace_preserving_pair(rng, d_in, d_out, n):
+    """(a, b) with a a^dag = I and unit columns b_n, so Tr_out of X = _khatri_rao(a, b) is I."""
+    draws = rng.normal(size=(d_in, n)) + 1j * rng.normal(size=(d_in, n))
+    vals, vecs = np.linalg.eigh(draws @ draws.conj().T)
+    b = rng.normal(size=(d_out, n)) + 1j * rng.normal(size=(d_out, n))
+    return (vecs * vals ** -0.5) @ vecs.conj().T @ draws, b / np.linalg.norm(b, axis=0)
+
+
+def random_trace_preserving_sectors(rng, d_in, d_out):
+    """A SectorFactor of distinct offsets, zeros in v, and |u_i| |v| = 1, so Tr_out is I."""
+    v = rng.normal(size=d_out) + 1j * rng.normal(size=d_out)
+    v[1:][rng.random(d_out - 1) < 0.3] = 0.0
+    u = np.exp(2j * np.pi * rng.random(d_in)) / np.linalg.norm(v)
+    offset = rng.choice(3 * d_in, size=d_in, replace=False)
+    return SectorFactor(offset, u, v, int(rng.integers(-5, 5)))
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (3, 2), (4, 4)])
+def test_the_derived_partial_transpose_factor_is_the_partial_transpose(rng, d_in, d_out):
+    # the factor X' that from_factors derives, for a Khatri-Rao pair and for a sector
+    # factor's mirror, gives X' X'^dag = S^(T_out), whatever the output window's start
+    in_window, out_window = window(d_in), ModeWindow(-3, d_out - 4)
+    for _ in range(5):
+        for factor in (random_trace_preserving_pair(rng, d_in, d_out, int(rng.integers(d_in, 7))),
+                       random_trace_preserving_sectors(rng, d_in, d_out)):
+            channel = ChannelBlocks.from_factors(in_window, out_window, factor)
+            want = partial_transpose(channel.stacked).entries
+            assert np.abs(channel.transposed.entries - want).max() <= 1e-14
+
+
+def test_a_mirrored_sector_factor_is_the_partial_transpose_with_repeated_offsets(rng):
+    # the mirror needs no distinct offsets, which only the trace gate asks of a channel
+    for _ in range(20):
+        d_in, d_out = rng.integers(1, 8, size=2)
+        x = SectorFactor(rng.integers(0, d_in, size=d_in),
+                         rng.normal(size=d_in) + 1j * rng.normal(size=d_in),
+                         rng.normal(size=d_out) + 1j * rng.normal(size=d_out), 0)
+        y, dense = _mirrored(x, 0).dense(), x.dense()
+        want = (dense @ dense.conj().T).reshape(d_in, d_out, d_in, d_out).transpose(
+            0, 3, 2, 1).reshape(d_in * d_out, -1)
+        assert np.abs(y @ y.conj().T - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("half", [1, 2, 5, 16])
+@pytest.mark.parametrize("spec", ["two-mode", "geometric(0.7)", "uniform", "uniform(1)",
+                                  "mode(0)", "mode(-1)"])
+def test_the_rotation_channel_mirror_is_the_transposed_sector_factor_bit_for_bit(spec, half):
+    # the sector factor of 1 x conj(phi) on the left charges i, which the rotation
+    # channel built for its partial transpose before it derived it
+    phi = phi_profile(spec, half)
+    w = phi.window
+    got = factored_channel(RotationChannel(phi)).transposed.sectors
+    want = _sector_factor(_charges(w), w, np.ones(w.dimension), phi.amplitudes.conj())
+    for name in ("offset", "u", "v"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name in ("width", "first"):
+        assert (type(getattr(got, name)), getattr(got, name)) == (
+            type(getattr(want, name)), getattr(want, name)), name
+
+
+def test_holevo_form_gates_every_prepared_state_trace():
+    # a prepared state of trace 2 or 0.7 passed as a MatrixOperator or a factor, and was
+    # only caught later, in holevo_apply or holevo_channel
+    w = window(2)
+    povm = MatrixOperator(w, np.eye(2))
+    for rho_out in (MatrixOperator(w, np.eye(2)), MatrixOperator(w, np.diag([0.7, 0.0])),
+                    factored_operator(w, np.eye(2))):
+        with pytest.raises(InvariantViolationError, match="state trace defect"):
+            HolevoForm([(povm, rho_out)])
+    for rho_out in (MatrixOperator(w, np.diag([0.7, 0.3 + 5e-11])),  # within EPS_TRACE
+                    factored_operator(w, np.array([[0.6], [0.8]]))):
+        HolevoForm([(povm, rho_out)])
 
 
 def test_factored_operator_keeps_its_factor(rng):

@@ -99,7 +99,7 @@ def test_the_guard_flags_a_row_move_and_the_fields_a_copy_needs():
     flagged = """
 class SectorFactor:
     __slots__ = ("offset", "u", "v", "width", "first", "node_phases")
-    def __init__(self, offset, u, v, width, first, node_phases):
+    def __init__(self, offset, u, v, first, node_phases):
         pass
     def rows(self, source, scale):
         return SectorFactor(self.offset[source], scale * self.u[source])
@@ -112,7 +112,7 @@ class ChoiState(StateOperator):
     passed = """
 class SectorFactor:
     __slots__ = ("offset", "u", "v", "width", "first")
-    def __init__(self, offset, u, v, width, first):
+    def __init__(self, offset, u, v, first):
         pass
     @staticmethod
     def node_phases(n, charges):

@@ -338,7 +338,7 @@ def test_a_sector_factor_calls_its_node_basis_at_its_own_charges(first, width, n
     # first + s of sector s over the nodes 2 pi g / n; the reference's exponent is
     # reduced mod n too, so both are within _PHASE_ERROR
     factor = SectorFactor(np.arange(width), np.ones(width, dtype=complex),
-                          np.ones(1, dtype=complex), width, first)
+                          np.ones(1, dtype=complex), first)
     turns = np.outer(first + np.arange(width), np.arange(n)) % n
     want = np.exp(2j * np.pi * turns / n)
     charges = factor.first + np.arange(factor.width)

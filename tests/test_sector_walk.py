@@ -22,14 +22,9 @@ from eblab import (ModeWindow, PureVector, RotationChannel, StateOperator, choi,
 from eblab.channels import _sector_difference
 from eblab.hilbert import SectorFactor
 from eblab.rotation import rho12, rho12_probe
+from conftest import same_bits
 from oracles import (flat_adjoint, flat_projection, flat_rho12_probe, flat_sector_norms,
                      qr_difference_norms)
-
-
-def same_bits(a, b):
-    """Whether two results are equal bit for bit, -0.0 and NaN payloads included."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def complex_normal(rng, *shape):
@@ -43,7 +38,7 @@ def random_factor(rng):
     u, v = complex_normal(rng, d_in), complex_normal(rng, d_out)
     u[rng.random(d_in) < 0.2] = 0.0
     v[rng.random(d_out) < 0.2] = 0.0
-    return SectorFactor(offset, u, v, int(offset.max()) + d_out, 0)
+    return SectorFactor(offset, u, v, 0)
 
 
 def test_the_walk_and_dense_put_row_i_k_in_sector_offset_i_plus_k():
