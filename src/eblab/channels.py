@@ -21,13 +21,14 @@ A dense channel is built from its block array, ChannelBlocks(in, out, B);
 the module ships no example maps.
 
 A HolevoForm is its rank-one (Horodecki-Shor-Ruskai) Kraus family
-|g_n><f_n|, kept as two arrays of vectors, and a SeparableChoiDecomposition
-keeps its weights and vectors as arrays; each builds its per-atom objects
-only when atoms is read. A dense atom is split once, when the form is built,
-and its factors paired once, when the pairs are first read; every reader
-takes the pairs as kept: holevo_apply is G diag(<f_n|rho|f_n>) G^dag, and
-each column-pair factor is a Khatri-Rao product (_khatri_rao), such as
-holevo_channel's columns conj(f_n) x g_n. An atoms file runs the same
+|g_n><f_n|, kept as two arrays of vectors, and builds its per-atom objects
+only when atoms is read; a SeparableChoiDecomposition is its arrays of
+weights and unit vectors, built and read as arrays only. A dense atom is
+split once, when the form is built, and its factors paired once, when the
+pairs are first read; every reader takes the pairs as kept: holevo_apply
+is G diag(<f_n|rho|f_n>) G^dag, and each column-pair factor is a
+Khatri-Rao product (_khatri_rao), such as holevo_channel's columns
+conj(f_n) x g_n. An atoms file runs the same
 factored chain as a rotation channel. A chain makes one comparison
 (_difference_norms), of the extracted Kraus columns with the channel's
 stacked matrix: sector by sector, as a certified bound, when it is stored
@@ -62,7 +63,6 @@ from .hilbert import (
     _hermitian_part,
     _init_factored,
     _unit_columns,
-    _unit_vector,
     eig_hermitian,
     factored_operator,
     factored_state,
@@ -141,13 +141,12 @@ class ChannelBlocks:
             raise InvariantViolationError(
                 f"factor shape {a.shape} x {b.shape} does not have {d_in} x {d_out} rows")
         x = factor if sectors else _khatri_rao(a, b)
-        _checked_trace(x, "factor")
+        window = ProductWindow(in_window, out_window)
+        channel = cls.__new__(cls)
+        channel._stacked = factored_operator(window, x)  # refuses a non-finite X
         _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
                  "factor not trace preserving: max |Tr_out S - I|")
         transposed = _mirrored(x, out_window.k_min) if sectors else _khatri_rao(a, b.conj())
-        window = ProductWindow(in_window, out_window)
-        channel = cls.__new__(cls)
-        channel._stacked = factored_operator(window, x)
         channel._transposed = factored_operator(window, transposed)
         return channel
 
@@ -513,37 +512,30 @@ def eb_necessary_test(state):
 
 
 class SeparableChoiDecomposition:
-    """Pure-product decomposition of a ChoiState target.
+    """Pure-product decomposition of a ChoiState target, kept as its arrays.
 
-    Atoms are (weight, phi, psi) with phi a unit vector whose amplitudes are
-    coordinates in the target's reference eigenbasis and psi a unit vector on
-    the output window. They are kept as arrays: the weights and the columns
-    phi_n of lefts and psi_n of rights; atoms builds the PureVector triples
-    when it is read. The weighted sum must reproduce the target within
-    EXTRACT_TOL in trace distance, checked at construction by congruence:
-    with W = B Lambda^(1/2), the atoms' factor is (W^T x I) A and the Choi
-    state's (W^T x I) X, for eb_extract's Kraus columns A and the channel's
-    S = X X^dag, so the distance is at most l_max ||A A^dag - S||_1 / 2,
-    which _difference_norms bounds; A's vectors and operator bound are kept.
+    Atom n is (weights[n], phi_n, psi_n), for the unit columns phi_n of
+    lefts, whose amplitudes are coordinates in the target's reference
+    eigenbasis, and psi_n of rights, on the output window. lefts and rights
+    must have the rows of the target's two windows and the weights' column
+    count. The weighted sum must reproduce the target within EXTRACT_TOL in
+    trace distance, checked at construction by congruence: with W = B
+    Lambda^(1/2), the atoms' factor is (W^T x I) A and the Choi state's
+    (W^T x I) X, for eb_extract's Kraus columns A and the channel's S = X
+    X^dag, so the distance is at most l_max ||A A^dag - S||_1 / 2, which
+    _difference_norms bounds; A's vectors and operator bound are kept.
     """
 
-    def __init__(self, target, atoms):
-        atoms = [(float(w), phi, psi) for w, phi, psi in atoms]
-        if not atoms:
-            raise InvariantViolationError("measure needs at least one atom")
-        self._init(target, [w for w, _, _ in atoms],
-                   *(np.stack([v.amplitudes for v in side], axis=1)
-                     for side in list(zip(*atoms))[1:]))
-
-    @classmethod
-    def from_vectors(cls, target, weights, lefts, rights):
-        """The decomposition of weights[n] and the unit columns phi_n, psi_n of lefts, rights."""
-        decomposition = cls.__new__(cls)
-        decomposition._init(target, weights, lefts, rights)
-        return decomposition
-
-    def _init(self, target, weights, lefts, rights):
+    def __init__(self, target, weights, lefts, rights):
         weights = _check_weights(weights, tol=1e-10)
+        window = target.window
+        if (weights.ndim, lefts.ndim, rights.ndim) != (1, 2, 2) or not (
+                len(weights) == lefts.shape[1] == rights.shape[1]):
+            raise InvariantViolationError(f"decomposition shapes {weights.shape}, {lefts.shape}, "
+                                          f"{rights.shape} differ")
+        if (len(lefts), len(rights)) != (window.left.dimension, window.right.dimension):
+            raise WindowMismatchError(f"decomposition vector shapes {lefts.shape}, {rights.shape} "
+                                      f"do not match the windows {window.left}, {window.right}")
         for array in (weights, lefts, rights):
             array.setflags(write=False)
         self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
@@ -571,13 +563,6 @@ class SeparableChoiDecomposition:
     def rights(self):
         return self._rights
 
-    @property
-    def atoms(self):
-        """The triples (weight, phi, psi) with phi and psi as PureVectors, built on each read."""
-        window = self._target.window
-        return tuple((float(w), _unit_vector(window.left, phi), _unit_vector(window.right, psi))
-                     for w, phi, psi in zip(self._weights, self._lefts.T, self._rights.T))
-
     def reconstruction(self):
         """The weighted atom sum as a factored state, built on the first call."""
         if self._reconstruction is None:
@@ -592,8 +577,9 @@ def separable_choi_from_holevo(form, target):
     In the reference eigenbasis (sigma = B Lambda B^dag), the Kraus vectors
     f_n and g_n give the branches sqrt(Lambda) conj(B^dag f_n) and g_n; each
     pair of branches with squared norms above ATOM_DROP_TOL is a
-    pure-product atom, and no eigensolve runs. A form of another channel
-    fails validation.
+    pure-product atom: its weight is the product of the two squared norms,
+    and its unit columns phi_n, psi_n go to lefts and rights. No eigensolve
+    runs. A form of another channel fails validation.
     """
     if target.window != ProductWindow(form.in_window, form.out_window):
         raise WindowMismatchError("Holevo form windows differ from the Choi state's factors")
@@ -603,7 +589,7 @@ def separable_choi_from_holevo(form, target):
     c, d = (np.einsum("ij,ij->j", x.conj(), x).real for x in (lefts, rights))
     kept = (c > ATOM_DROP_TOL) & (d > ATOM_DROP_TOL)
     lefts, rights = _unit_columns(lefts[:, kept]), _unit_columns(rights[:, kept])
-    return SeparableChoiDecomposition.from_vectors(target, c[kept] * d[kept], lefts, rights)
+    return SeparableChoiDecomposition(target, c[kept] * d[kept], lefts, rights)
 
 
 def _difference_norms(left, right, op):

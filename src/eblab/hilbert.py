@@ -227,14 +227,6 @@ class SectorFactor:
             out[cols] += np.abs(row) ** 2
         return out
 
-    def adjoint(self, w):
-        """X^dag w for a d x m array w, summed over the rows of each sector."""
-        out = np.zeros((self.width, w.shape[1]), dtype=complex)
-        rows = w.reshape(len(self.u), len(self.v), w.shape[1])
-        for i, cols, row in self.walk():
-            out[cols] += row.conj()[:, None] * rows[i]
-        return out
-
     def projection(self, x, w):
         """(|x_s|^2, c_s, |w_s - c_s x_s|^2) for each sector s, of two d-vectors x and w.
 
@@ -492,15 +484,6 @@ class PureVector:
 
     def __repr__(self):
         return f"PureVector(window={self._window})"
-
-
-def _unit_vector(window, amplitudes):
-    """The PureVector of amplitudes that are already of unit norm, kept as they are."""
-    psi = PureVector.__new__(PureVector)
-    v = np.array(amplitudes, dtype=complex)
-    v.setflags(write=False)
-    psi._window, psi._amplitudes = window, v
-    return psi
 
 
 def _unit_columns(v):

@@ -5,6 +5,7 @@ from eblab import (
     ChannelBlocks,
     ModeWindow,
     ProductWindow,
+    PureVector,
     StateOperator,
     apply,
     apply_with_identity,
@@ -34,6 +35,14 @@ def random_density(rng, dim):
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def unit_vector(window, amplitudes):
+    """The PureVector of these amplitudes as they are, skipping PureVector's normalization."""
+    psi = PureVector.__new__(PureVector)
+    psi._window, psi._amplitudes = window, np.array(amplitudes, dtype=complex)
+    psi._amplitudes.setflags(write=False)
+    return psi
 
 
 def random_hermitian(rng, dim):

@@ -233,14 +233,6 @@ def flat_sector_norms(factor):
     return np.bincount(sector, np.abs(values) ** 2, factor.width)
 
 
-def flat_adjoint(factor, w):
-    """X^dag w for a sector factor X, scattered by np.add.at over the flat table."""
-    sector, values = flat_sector_table(factor)
-    out = np.zeros((factor.width, w.shape[1]), dtype=complex)
-    np.add.at(out, sector, values.conj()[:, None] * w)
-    return out
-
-
 def flat_projection(factor, x, w):
     """(|x_s|^2, c_s, |w_s - c_s x_s|^2) per sector of two flat d-vectors, by bincount and add.at."""
     sector, _ = flat_sector_table(factor)

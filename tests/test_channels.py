@@ -38,7 +38,7 @@ from eblab import (
     trace_norm_distance,
 )
 from eblab.channels import EXTRACT_TOL, _difference_norms, _khatri_rao, _mirrored
-from eblab.hilbert import SectorFactor, _unit_vector, lowest_eigenvalue
+from eblab.hilbert import SectorFactor, lowest_eigenvalue
 from eblab.rotation import _charges, _sector_factor
 from conftest import (
     assert_same_channel,
@@ -50,11 +50,18 @@ from conftest import (
     random_pure,
     same_bits,
     transpose_channel,
+    unit_vector,
 )
 
 
 def window(dim):
     return ModeWindow(0, dim - 1)
+
+
+def arrays(atoms):
+    """(weights, lefts, rights) of (weight, phi, psi) triples: phi and psi stacked as columns."""
+    weights, *sides = zip(*atoms)
+    return (np.array(weights), *(np.stack([v.amplitudes for v in side], axis=1) for side in sides))
 
 
 def random_holevo_atoms(rng, d_in, d_out, atom_count, pure_outputs=False):
@@ -231,7 +238,7 @@ def test_the_choi_trace_gate_refuses_what_two_passing_gates_add_up_to():
         return ChannelBlocks.from_factors(window(2), window(2), (s * np.eye(2), np.eye(2)))
 
     def rotation(s):  # the channel of the fiducial scaled by s, kept as its sector factors
-        channel = factored_channel(RotationChannel(_unit_vector(phi.window, s * phi.amplitudes)))
+        channel = factored_channel(RotationChannel(unit_vector(phi.window, s * phi.amplitudes)))
         assert channel.stacked.sectors is not None
         return channel
 
@@ -355,7 +362,7 @@ def test_npt_choi_admits_no_valid_decomposition(rng):
     candidates.append(atoms)
     for atom_list in candidates:
         with pytest.raises(InvariantViolationError):
-            SeparableChoiDecomposition(target, atom_list)
+            SeparableChoiDecomposition(target, *arrays(atom_list))
 
 
 def test_eb_necessary_test_identity_vs_constant(rng):
@@ -390,7 +397,7 @@ def test_eb_extract_constant_channel(rng):
     chan = constant_channel(w, psi0.projector())
     atoms = [(lam[i], basis_vector(w, i), psi0) for i in range(dim)]
     decomposition = SeparableChoiDecomposition(
-        choi(chan, sigma), atoms)
+        choi(chan, sigma), *arrays(atoms))
     form, _ = eb_extract(decomposition)
     total = sum(m.entries for m, _ in form.atoms)
     assert np.abs(total - np.eye(dim)).max() < 1e-10
@@ -406,7 +413,7 @@ def test_eb_extract_dephasing_channel():
     chan = dephasing_channel(w)
     atoms = [(lam[i], basis_vector(w, i), basis_vector(w, i)) for i in range(dim)]
     decomposition = SeparableChoiDecomposition(
-        choi(chan, sigma), atoms)
+        choi(chan, sigma), *arrays(atoms))
     form, _ = eb_extract(decomposition)
     # POVM elements are the basis projectors, outputs the basis states
     got = sorted(form.atoms, key=lambda a: int(np.argmax(np.abs(np.diag(a[0].entries)))))
@@ -452,18 +459,14 @@ def test_construction_refuses_a_decomposition_its_choi_distance_accepts(rng):
                        for k in (-1, 0, 1)])
     sigma = StateOperator(w, np.diag([0.5 - 5e-7, 1e-6, 0.5 - 5e-7]))
     decomposition = separable_choi_from_holevo(form, choi(holevo_channel(form), sigma))
-    atoms = list(decomposition.atoms)
-    lightest = min(range(len(atoms)), key=lambda n: atoms[n][0])
-    weight, phi, psi = atoms[lightest]
-    atoms[lightest] = (weight, phi, PureVector(w, psi.amplitudes + 1e-5 * np.array([1j, 0, 1])))
-    weights = np.array([weight for weight, _, _ in atoms])
-    lefts, rights = (np.stack([v.amplitudes for v in side], axis=1)
-                     for side in list(zip(*atoms))[1:])
+    weights, lefts, rights = decomposition.weights, decomposition.lefts, decomposition.rights.copy()
+    lightest = int(np.argmin(weights))
+    rights[:, lightest] = PureVector(w, rights[:, lightest] + 1e-5 * np.array([1j, 0, 1])).amplitudes
     reconstruction = factored_state(decomposition.target.window,
                                     _khatri_rao(lefts, rights) * np.sqrt(weights))
     assert 1e-12 < trace_norm_distance(reconstruction, decomposition.target) <= EXTRACT_TOL
     with pytest.raises(InvariantViolationError, match="trace distance bound") as err:
-        SeparableChoiDecomposition(decomposition.target, atoms)
+        SeparableChoiDecomposition(decomposition.target, weights, lefts, rights)
     assert not isinstance(err.value, ExtractionInconsistentError)
 
 
@@ -480,12 +483,12 @@ def test_the_extraction_gates_what_the_congruence_bound_lets_through():
                                                  + 3e-8 * np.eye(d)[1]))
     with pytest.raises(ExtractionInconsistentError,
                        match="extracted form disagrees with the channel's stacked matrix") as err:
-        eb_extract(SeparableChoiDecomposition(target, turned))
+        eb_extract(SeparableChoiDecomposition(target, *arrays(turned)))
     assert abs(err.value.residual - 3e-8) < 1e-15
     shifted = list(exact)  # 5e-9 of atom 1's weight moved to atom 0: POVM off by 3.5e-8
     shifted[0], shifted[1] = (1 / d + 5e-9, *exact[0][1:]), (1 / d - 5e-9, *exact[1][1:])
     with pytest.raises(InvariantViolationError, match="POVM incomplete") as err:
-        eb_extract(SeparableChoiDecomposition(target, shifted))
+        eb_extract(SeparableChoiDecomposition(target, *arrays(shifted)))
     assert not isinstance(err.value, ExtractionInconsistentError)
 
 
@@ -516,13 +519,68 @@ def test_the_congruence_bound_holds_the_exact_choi_distance(rng, kind, half):
         exact = separable_choi_from_holevo(form, state)
         rights = exact.rights + 1e-10 * (rng.normal(size=exact.rights.shape)
                                          + 1j * rng.normal(size=exact.rights.shape))
-        decomposition = SeparableChoiDecomposition.from_vectors(
+        decomposition = SeparableChoiDecomposition(
             state, exact.weights, exact.lefts, rights / np.linalg.norm(rights, axis=0))
         trace = _difference_norms(decomposition._povm.conj(), decomposition.rights,
                                   state.channel.stacked)[1]
         bound = 0.5 * state.eigenvalues[0] * trace
         distance = trace_norm_distance(decomposition.reconstruction(), state)
         assert 1e-13 < distance <= bound <= EXTRACT_TOL, (distance, bound)
+
+
+def rotation_chain_arrays():
+    """(Choi state, weights, lefts, rights) of the K = 3 geometric(0.7) chain under the mixed sigma."""
+    rotation = RotationChannel(phi_profile("geometric(0.7)", 3))
+    state = choi(factored_channel(rotation), StateOperator.maximally_mixed(rotation.window))
+    exact = separable_choi_from_holevo(holevo_form(rotation), state)
+    return state, exact.weights, exact.lefts, exact.rights
+
+
+def test_the_decomposition_refuses_rows_off_its_windows_and_columns_that_disagree():
+    # the arrays carry no window, so the constructor checks their shapes against the
+    # target's two windows (WindowMismatchError) and against each other (InvariantViolation)
+    state, weights, lefts, rights = rotation_chain_arrays()
+    extra = np.zeros((1, lefts.shape[1]))
+    for off in ((np.vstack([lefts, extra]), rights), (lefts, np.vstack([rights, extra])),
+                (lefts, rights[:-1])):
+        with pytest.raises(WindowMismatchError, match="^decomposition vector shapes .* windows"):
+            SeparableChoiDecomposition(state, weights, *off)
+    for off in ((lefts[:, :-1], rights), (lefts, rights[:, 1:]), (lefts[:, 0], rights)):
+        with pytest.raises(InvariantViolationError, match="^decomposition shapes .* differ"):
+            SeparableChoiDecomposition(state, weights, *off)
+    with pytest.raises(InvariantViolationError, match="^decomposition shapes .* differ"):
+        SeparableChoiDecomposition(state, weights[:, None], lefts, rights)
+
+
+def test_lefts_off_unit_norm_fail_the_trace_distance_gate():
+    # scaling every phi_n by 1 + 1e-6 scales the Choi factor alike: about 2e-6 of Tr S =
+    # 7 in trace norm, times l_max / 2 = 1 / 14, far above EXTRACT_TOL
+    state, weights, lefts, rights = rotation_chain_arrays()
+    SeparableChoiDecomposition(state, weights, lefts, rights)
+    with pytest.raises(InvariantViolationError, match="trace distance bound") as err:
+        SeparableChoiDecomposition(state, weights, (1 + 1e-6) * lefts, rights)
+    assert not isinstance(err.value, ExtractionInconsistentError)
+
+
+def test_the_array_constructor_keeps_the_chains_residual_bits():
+    # the residuals from_vectors gave before it was folded into the constructor, on one and
+    # two BLAS threads: the sector path under the mixed and a non-diagonal sigma, and the QR
+    # path of the atoms file's channel; the same arrays built again give the same bits
+    rotation = RotationChannel(phi_profile("geometric(0.7)", 3))
+    form = holevo_form(rotation)
+    sigma = StateOperator(rotation.window, np.diag(np.arange(1.0, 8.0)) / 28
+                          + 0.01 * np.eye(7, k=1) + 0.01 * np.eye(7, k=-1))
+    for channel, reference, want in (
+            (factored_channel(rotation), StateOperator.maximally_mixed(rotation.window),
+             "0x1.3e4c732cfe5e8p-45"),
+            (factored_channel(rotation), sigma, "0x1.44fc5122f9db6p-45"),
+            (holevo_channel(form), sigma, "0x1.96e06d0b0b7e6p-50")):
+        state = choi(channel, reference)
+        chain = separable_choi_from_holevo(form, state)
+        again = SeparableChoiDecomposition(state, *(np.array(array) for array in (
+            chain.weights, chain.lefts, chain.rights)))
+        assert chain._residual.hex() == want
+        assert same_bits(again._residual, chain._residual)
 
 
 def test_kraus_rank_one_dephasing():
@@ -607,12 +665,12 @@ def test_decomposition_weights_use_their_own_tolerance():
     target = choi(blocks_from_holevo(form), sigma)
     exact = separable_choi_from_holevo(form, target)
     for scale, accepted in ((1.0 + 5e-11, True), (1.0 + 1e-9, False)):
-        atoms = [(scale * weight, phi, psi) for weight, phi, psi in exact.atoms]
+        scaled = (scale * exact.weights, exact.lefts, exact.rights)
         if accepted:
-            SeparableChoiDecomposition(target, atoms)
+            SeparableChoiDecomposition(target, *scaled)
         else:
             with pytest.raises(InvariantViolationError):
-                SeparableChoiDecomposition(target, atoms)
+                SeparableChoiDecomposition(target, *scaled)
 
 
 def test_holevo_apply_takes_forms_checked_at_their_own_tolerance():
@@ -636,9 +694,9 @@ def test_decomposition_reconstruction_is_the_weighted_atom_sum(rng):
     form = random_holevo_form(rng, 3, 2, 3)
     sigma = random_full_rank_state(rng, 3)
     decomposition = separable_choi_from_holevo(form, choi(blocks_from_holevo(form), sigma))
-    want = sum(w * np.outer(np.kron(phi.amplitudes, psi.amplitudes),
-                            np.kron(phi.amplitudes, psi.amplitudes).conj())
-               for w, phi, psi in decomposition.atoms)
+    want = sum(w * np.outer(np.kron(phi, psi), np.kron(phi, psi).conj())
+               for w, phi, psi in zip(decomposition.weights, decomposition.lefts.T,
+                                      decomposition.rights.T))
     assert decomposition.reconstruction() is decomposition.reconstruction()
     assert np.abs(decomposition.reconstruction().entries - want).max() < 1e-14
 
@@ -668,7 +726,7 @@ def test_reconstruction_is_a_factored_state(rng):
     form = random_holevo_form(rng, 3, 2, 3)
     decomposition = separable_choi_from_holevo(form, choi(blocks_from_holevo(form),
                                                           random_full_rank_state(rng, 3)))
-    weights = np.array([w for w, _, _ in decomposition.atoms])
+    weights = decomposition.weights
     factor = decomposition.reconstruction().factor
     assert factor.shape == (decomposition.target.window.dimension, len(weights))
     assert np.allclose(np.linalg.norm(factor, axis=0) ** 2, weights, rtol=0.0, atol=1e-15)
@@ -699,7 +757,7 @@ def test_eb_extract_returns_the_block_residual_it_checked(rng):
         decomposition = separable_choi_from_holevo(form, choi(chan, random_full_rank_state(rng, 3)))
         extracted, residual = eb_extract(decomposition)
         a = stacked_columns(extracted)
-        assert a.shape == (6, len(decomposition.atoms))
+        assert a.shape == (6, len(decomposition.weights))
         diff = a @ a.conj().T - chan.stacked.entries
         assert residual == np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).max()
         entries = blocks_from_holevo(extracted).stacked.entries - chan.stacked.entries
@@ -786,11 +844,11 @@ def test_split_atoms_follow_the_descending_branches(rng):
         lefts = root[:, None] * (basis.conj().T @ f_pairs).conj()
         weights = np.einsum("ij,ij->j", lefts.conj(), lefts).real
         out_weights = np.einsum("ij,ij->j", g_pairs.conj(), g_pairs).real
-        split = separable_choi_from_holevo(form, target).atoms
-        assert [w for w, _, _ in split] == list(weights * out_weights)
-        for (_, phi, psi), phi_ref, psi_ref in zip(split, lefts.T, g_pairs.T):
-            assert np.array_equal(phi.amplitudes, phi_ref / np.linalg.norm(phi_ref))
-            assert np.array_equal(psi.amplitudes, psi_ref / np.linalg.norm(psi_ref))
+        split = separable_choi_from_holevo(form, target)
+        assert list(split.weights) == list(weights * out_weights)
+        for phi, psi, phi_ref, psi_ref in zip(split.lefts.T, split.rights.T, lefts.T, g_pairs.T):
+            assert np.array_equal(phi, phi_ref / np.linalg.norm(phi_ref))
+            assert np.array_equal(psi, psi_ref / np.linalg.norm(psi_ref))
         kraus = form.operators
         assert len(kraus) == len(pairs)
         assert all(np.array_equal(a, np.outer(g, f.conj())) for a, (f, g) in zip(kraus, pairs))
@@ -842,6 +900,23 @@ def random_trace_preserving_sectors(rng, d_in, d_out):
     u = np.exp(2j * np.pi * rng.random(d_in)) / np.linalg.norm(v)
     offset = rng.choice(3 * d_in, size=d_in, replace=False)
     return SectorFactor(offset, u, v, int(rng.integers(-5, 5)))
+
+
+def test_a_factored_channel_checks_each_factor_once(rng, monkeypatch):
+    # X is checked finite when its operator is built, and X' when its own is: two checks in
+    # all, for a pair and for a sector factor alike, each on the factor the operator keeps
+    from eblab import channels, hilbert
+    calls, real = [], hilbert._checked_trace
+    for module in (channels, hilbert):
+        monkeypatch.setattr(module, "_checked_trace", lambda x, what: calls.append(x) or real(x, what))
+    for factor, d_out, stored in ((random_trace_preserving_pair(rng, 3, 2, 4), 2,
+                                   lambda op: op.factor),
+                                  (random_trace_preserving_sectors(rng, 3, 4), 4,
+                                   lambda op: op.sectors)):
+        calls.clear()
+        channel = ChannelBlocks.from_factors(window(3), window(d_out), factor)
+        kept = [stored(channel.stacked), stored(channel.transposed)]
+        assert len(calls) == 2 and all(a is b for a, b in zip(calls, kept)), len(calls)
 
 
 @pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 3), (3, 2), (4, 4)])
@@ -980,11 +1055,12 @@ def test_factored_atoms_split_along_their_columns(rng):
     target = choi(blocks_from_holevo(dense), random_full_rank_state(rng, 3))
     split = separable_choi_from_holevo(form, target)
     root, basis = np.sqrt(target.eigenvalues), target.eigenbasis
-    assert len(split.atoms) == 5
-    for (weight, phi, psi), u, out in zip(split.atoms, vectors.T, outputs):
+    assert len(split.weights) == 5
+    for weight, phi, psi, u, out in zip(split.weights, split.lefts.T, split.rights.T, vectors.T,
+                                        outputs):
         left = root * (basis.conj().T @ u).conj()
         assert abs(weight - np.vdot(left, left).real) < 1e-15
-        assert abs(abs(np.vdot(phi.amplitudes, left)) ** 2 - weight) < 1e-14
-        assert np.abs(psi.amplitudes - out.factor[:, 0]).max() < 1e-15
+        assert abs(abs(np.vdot(phi, left)) ** 2 - weight) < 1e-14
+        assert np.abs(psi - out.factor[:, 0]).max() < 1e-15
     dense_split = separable_choi_from_holevo(dense, target)
     assert trace_norm_distance(split.reconstruction(), dense_split.reconstruction()) < 1e-13

@@ -3,7 +3,7 @@
 channels._difference_norms compares a Khatri-Rao factor with an operator
 and reads how that operator is stored (op.sectors) to pick the per-sector
 bound or the QR; a sectors parameter beside op would let a caller choose
-a second time. SeparableChoiDecomposition._init makes the chain's one
+a second time. SeparableChoiDecomposition.__init__ makes the chain's one
 comparison, of the extraction's vectors with the channel's stacked
 matrix, never with the Choi target, whose trace distance follows by
 congruence; eb_extract reads its result and compares nothing, so the Choi
@@ -14,7 +14,11 @@ reads rho12's sector factor, and rotation.rho12_n_distance the one of the
 rho12 state it is handed, instead of building their own charge table or
 a flat product (np.kron; the probe forms its candidate row by row), and
 the n-sweep's grid is sized
-by that factor's sector count, not by the fiducials' windows.
+by that factor's sector count, not by the fiducials' windows. A
+decomposition is built from its arrays alone, (target, weights, lefts,
+rights), and read as them: no from_vectors, no atoms view of PureVector
+triples, no hilbert._unit_vector to build them, and no SectorFactor.adjoint
+that nothing reads.
 channels._sector_difference reads K's columns demodulated, as a sector
 factor plus round-off, so it has no loop (K's rows are never walked) and
 conjugates no orbit basis (the width x n node basis it once sliced). This
@@ -46,7 +50,11 @@ def _called(node):
 
 def parameters(tree, name):
     """The parameter names of the function name."""
-    args = _function(tree, name).args
+    return _arguments(_function(tree, name))
+
+
+def _arguments(function):
+    args = function.args
     return [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
             + [a for a in (args.vararg, args.kwarg) if a]]
 
@@ -62,9 +70,30 @@ def target_sector_reads(tree):
                   and "target" in names(node.value))
 
 
+def _class(tree, cls):
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == cls)
+
+
 def _method(tree, cls, name):
-    return _function(next(node for node in ast.walk(tree)
-                          if isinstance(node, ast.ClassDef) and node.name == cls), name)
+    return _function(_class(tree, cls), name)
+
+
+def methods(tree, cls):
+    """The names of the functions defined in the body of class cls."""
+    return [node.name for node in _class(tree, cls).body if isinstance(node, ast.FunctionDef)]
+
+
+RETIRED = ("_unit_vector", "adjoint")
+
+
+def retired_names(tree):
+    """Line numbers of the definitions, imports, names and attributes spelled as a RETIRED name."""
+    def name(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+            return node.name
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    return sorted(node.lineno for node in ast.walk(tree) if name(node) in RETIRED)
 
 
 def comparisons(node):
@@ -150,8 +179,22 @@ def test_eb_extract_compares_nothing():
 
 
 def test_the_decomposition_makes_the_one_comparison_with_the_channel():
-    found = comparisons(_method(_parse("channels.py"), "SeparableChoiDecomposition", "_init"))
+    found = comparisons(_method(_parse("channels.py"), "SeparableChoiDecomposition", "__init__"))
     assert len(found) == 1 and on_the_channel(found[0]), found
+
+
+def test_a_decomposition_is_built_and_read_as_its_arrays():
+    tree = _parse("channels.py")
+    assert _arguments(_method(tree, "SeparableChoiDecomposition", "__init__")) == [
+        "self", "target", "weights", "lefts", "rights"]
+    assert {"from_vectors", "atoms"} & set(methods(tree, "SeparableChoiDecomposition")) == set()
+
+
+def test_no_retired_name_is_left_in_eblab():
+    found = {path.name: retired_names(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) > 5
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_a_chain_runs_one_comparison(monkeypatch):
@@ -201,9 +244,15 @@ def eb_extract(decomposition):
     other = decomposition.target.sectors
     residual, _ = _difference_norms(_basis_product(b, lefts, counts), rights, channel.stacked)
 class SeparableChoiDecomposition:
-    def _init(self, target, weights, lefts, rights):
+    def __init__(self, target, atoms):
         _difference_norms(lefts, rights, target)
         _difference_norms(povm.conj(), rights, target.channel.stacked)
+    @classmethod
+    def from_vectors(cls, target, weights, lefts, rights):
+        pass
+    @property
+    def atoms(self):
+        return tuple(_unit_vector(window.left, phi) for phi in self._lefts.T)
 def rho12_probe(phi1, phi2, alpha, beta):
     sector = _sector_index(_charges(ProductWindow(phi1.window, phi2.window)))
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
@@ -216,6 +265,9 @@ def rho12_n_distance(phi1, phi2, n):
     weight = np.sqrt(np.bincount(_sector_index(charge), amplitude ** 2))
 def _partial_orbit_nodes(phi1, phi2, n):
     half = max(phi1.window.k_max, phi2.window.k_max)
+from .hilbert import _unit_vector
+def adjoint(w):
+    return x.adjoint(w)
 """
     passed = """
 def _difference_norms(left, right, op):
@@ -224,8 +276,11 @@ def eb_extract(decomposition):
     target = decomposition.target
     residual = decomposition._residual
 class SeparableChoiDecomposition:
-    def _init(self, target, weights, lefts, rights):
+    def __init__(self, target, weights, lefts, rights):
         self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
+    @property
+    def weights(self):
+        return self._weights
 def rho12_probe(phi1, phi2, alpha, beta):
     v = rho12(phi1, phi2).sectors
     a, b = alpha.amplitudes, beta.amplitudes
@@ -236,25 +291,36 @@ def rho12_n_distance(state, n):
     weight = np.sqrt(v.norms())
 def _partial_orbit_nodes(sectors, n):
     return int(np.ceil(max(sectors, 32) / n))
+from .hilbert import _unit_columns
+def adjoints(x):
+    return x.self_adjoint
 """
     flagged_tree, passed_tree = ast.parse(flagged), ast.parse(passed)
     assert parameters(flagged_tree, "_difference_norms") == ["left", "right", "op", "sectors"]
     assert target_sector_reads(flagged_tree) == [6, 7]
-    assert guarded_divides(flagged_tree) == [17, 18]
+    assert guarded_divides(flagged_tree) == [23, 24]
     assert extraction_work(flagged_tree) == ["_basis_product", "_difference_norms"]
     assert [on_the_channel(arguments) for arguments in comparisons(
-        _method(flagged_tree, "SeparableChoiDecomposition", "_init"))] == [False, True]
+        _method(flagged_tree, "SeparableChoiDecomposition", "__init__"))] == [False, True]
     assert own_sector_tables(flagged_tree, "rho12_probe") == [
         "_charges", "_sector_index", "kron", "kron"]
     assert own_sector_tables(flagged_tree, "rho12_n_distance") == [
         "_charges", "_sector_index", "kron"]
     assert parameters(flagged_tree, "_partial_orbit_nodes") == ["phi1", "phi2", "n"]
+    assert _arguments(_method(flagged_tree, "SeparableChoiDecomposition", "__init__")) == [
+        "self", "target", "atoms"]
+    assert methods(flagged_tree, "SeparableChoiDecomposition") == ["__init__", "from_vectors", "atoms"]
+    assert retired_names(flagged_tree) == [18, 31, 32, 33]
     assert parameters(passed_tree, "_difference_norms") == ["left", "right", "op"]
     assert target_sector_reads(passed_tree) == []
     assert guarded_divides(passed_tree) == []
     assert extraction_work(passed_tree) == []
     assert [on_the_channel(arguments) for arguments in comparisons(
-        _method(passed_tree, "SeparableChoiDecomposition", "_init"))] == [True]
+        _method(passed_tree, "SeparableChoiDecomposition", "__init__"))] == [True]
     assert own_sector_tables(passed_tree, "rho12_probe") == []
     assert own_sector_tables(passed_tree, "rho12_n_distance") == []
     assert parameters(passed_tree, "_partial_orbit_nodes") == ["sectors", "n"]
+    assert _arguments(_method(passed_tree, "SeparableChoiDecomposition", "__init__")) == [
+        "self", "target", "weights", "lefts", "rights"]
+    assert methods(passed_tree, "SeparableChoiDecomposition") == ["__init__", "weights"]
+    assert retired_names(passed_tree) == []

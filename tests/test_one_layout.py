@@ -4,9 +4,9 @@ Every charge-sector factor is a product u x v whose row (i, k) lies in
 sector offset[i] + k, so hilbert.SectorFactor stores offset, u and v, and
 its walk() hands out each input row i with its sector slice. No reader
 needs a flat sector table: _traced_out compares the offsets, and the
-projection, the norms, the adjoint, the probe and _sector_difference walk
-the rows. Only SectorFactor.dense, the oracle, and hilbert._sector_cells,
-the writer of d^4 cells, lay the rows out in d-long flat tables. A
+projection, the norms, the probe and _sector_difference walk the rows.
+Only SectorFactor.dense, the oracle, and hilbert._sector_cells, the
+writer of d^4 cells, lay the rows out in d-long flat tables. A
 subscript or .reshape of a .sector read in channels.py rebuilds the (i, k)
 layout from the flat table; a .sector or .values read, a ufunc's .at
 scatter, or a bincount or kron over a factor's .sector, .offset, .u or .v

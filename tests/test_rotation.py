@@ -737,7 +737,7 @@ def test_sector_bounds_bracket_the_qr_norms(sigma, half):
 
 
 def without_the_gate(state, weights, lefts, rights, povm):
-    """The decomposition of these arrays as _init stores it, with its comparison but not its gate."""
+    """The decomposition of these arrays as __init__ stores it, with its comparison but not its gate."""
     decomposition = SeparableChoiDecomposition.__new__(SeparableChoiDecomposition)
     decomposition._target, decomposition._weights = state, weights
     decomposition._lefts, decomposition._rights, decomposition._povm = lefts, rights, povm
