@@ -62,10 +62,9 @@ from .hilbert import (
     _finite,
     _hermitian_part,
     _init_factored,
+    _owned,
     _unit_columns,
     eig_hermitian,
-    factored_operator,
-    factored_state,
     lowest_eigenvalue,
     partial_transpose,
 )
@@ -94,7 +93,7 @@ class ChannelBlocks:
     """
 
     def __init__(self, in_window, out_window, blocks):
-        b = np.array(blocks, dtype=complex)
+        b = np.asarray(blocks, dtype=complex)
         d_in, d_out = in_window.dimension, out_window.dimension
         if b.shape != (d_in, d_in, d_out, d_out):
             raise InvariantViolationError(
@@ -104,8 +103,9 @@ class ChannelBlocks:
                      "block family not Hermitian: max |B_ij - B_ji^dag|")
             _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
                      "block family not trace preserving: max |Tr B_ij - delta_ij|")
-        self._stacked = MatrixOperator(ProductWindow(in_window, out_window),
-                                       b.transpose(0, 2, 1, 3).reshape(d_in * d_out, -1))
+        stacked = b.transpose(0, 2, 1, 3).copy()  # the one copy of the caller's blocks, row-major
+        self._stacked = MatrixOperator.__new__(MatrixOperator)._adopt(
+            ProductWindow(in_window, out_window), stacked.reshape(d_in * d_out, -1))
         self._transposed = None
 
     @classmethod
@@ -126,8 +126,8 @@ class ChannelBlocks:
 
         factor is a pair (a, b) of d_in x n and d_out x n arrays, for the
         columns a_n x b_n of X and a_n x conj(b_n) of X' (_khatri_rao), or a
-        SectorFactor X, whose X' is its mirror (_mirrored): X' X'^dag is
-        S^(T_out) by construction, and both are kept as factored operators.
+        SectorFactor X, copied, whose X' is its mirror (_mirrored): X' X'^dag is
+        S^(T_out) by construction; both are kept, uncopied, as factored operators.
         Construction checks that X is finite and trace preserving,
         Tr_out S = I; X' passes with it, as Tr_out X' X'^dag = Tr_out X X^dag.
         It is completely positive by construction, and nothing
@@ -140,14 +140,14 @@ class ChannelBlocks:
         if a.ndim != 2 or a.shape[1:] != b.shape[1:] or (len(a), len(b)) != (d_in, d_out):
             raise InvariantViolationError(
                 f"factor shape {a.shape} x {b.shape} does not have {d_in} x {d_out} rows")
-        x = factor if sectors else _khatri_rao(a, b)
+        x = _owned(factor) if sectors else _khatri_rao(a, b)
         window = ProductWindow(in_window, out_window)
         channel = cls.__new__(cls)
-        channel._stacked = factored_operator(window, x)  # refuses a non-finite X
+        channel._stacked = _init_factored(MatrixOperator, window, x)  # refuses a non-finite X
         _at_most(float(np.abs(_traced_out(x, d_in) - np.eye(d_in)).max()), EPS_TRACE,
                  "factor not trace preserving: max |Tr_out S - I|")
         transposed = _mirrored(x, out_window.k_min) if sectors else _khatri_rao(a, b.conj())
-        channel._transposed = factored_operator(window, transposed)
+        channel._transposed = _init_factored(MatrixOperator, window, transposed)
         return channel
 
     @property
@@ -241,7 +241,7 @@ class HolevoForm:
     columns by far (sum_b p_b q_b against sum_b p_b + q_b), so a form built
     from atoms forms them only when inputs or outputs is first read, and its
     pair count can be taken from atoms before that. A form built from
-    vectors (rank_one) stores them as given and builds its operator pairs
+    vectors (rank_one) stores one copy of them and builds its operator pairs
     only when atoms is first read.
     """
 
@@ -266,7 +266,7 @@ class HolevoForm:
         Each column g_n must be a unit vector within the state trace gate,
         |g_n|^2 - 1 at most EPS_TRACE, as factored_state checks it.
         """
-        f, g = (_finite(np.array(v, dtype=complex), what)
+        f, g = (_finite(_owned(v, complex), what)
                 for v, what in ((inputs, "POVM vectors"), (outputs, "prepared states")))
         if f.ndim != 2 or g.ndim != 2 or f.shape[1] != g.shape[1] or not f.shape[1]:
             raise InvariantViolationError(f"Holevo vector shapes {f.shape}, {g.shape} differ")
@@ -276,14 +276,13 @@ class HolevoForm:
         _at_most(float(np.abs(np.einsum("kn,kn->n", g.conj(), g).real - 1.0).max()), EPS_TRACE,
                  "state trace defect |Tr - 1|")
         _check_povm(f, povm_tol)
-        form = cls.__new__(cls)
-        form._init(in_window, out_window, _frozen((f, g)), None)
-        return form
+        return cls.__new__(cls)._init(in_window, out_window, (f, g), None)
 
     def _init(self, in_window, out_window, pairs, atoms):
         self._pairs, self._atoms = pairs, atoms
         self._in_window = in_window
         self._out_window = out_window
+        return self
 
     @property
     def inputs(self):
@@ -302,8 +301,8 @@ class HolevoForm:
                               for side in zip(*((m.factor, r.factor) for m, r in self._atoms)))
             g_columns = [np.tile(np.arange(start, start + q_b), p_b)
                          for start, p_b, q_b in zip(np.cumsum(q) - q, p, q)]
-            self._pairs = _frozen((np.repeat(f, np.repeat(q, p), axis=1),
-                                   g[:, np.concatenate(g_columns)]))
+            self._pairs = (_owned(np.repeat(f, np.repeat(q, p), axis=1), copy=False),
+                           _owned(g[:, np.concatenate(g_columns)], copy=False))
         return self._pairs
 
     @property
@@ -316,8 +315,8 @@ class HolevoForm:
         """The pairs (M_b, rho'_b) as factored operators."""
         if self._atoms is None:
             f, g = self._pairs
-            self._atoms = tuple((factored_operator(self._in_window, f[:, n:n + 1]),
-                                 factored_state(self._out_window, g[:, n:n + 1]))
+            self._atoms = tuple((_init_factored(MatrixOperator, self._in_window, f[:, n:n + 1]),
+                                 _init_factored(StateOperator, self._out_window, g[:, n:n + 1]))
                                 for n in range(f.shape[1]))
         return self._atoms
 
@@ -328,13 +327,6 @@ class HolevoForm:
     @property
     def out_window(self):
         return self._out_window
-
-
-def _frozen(arrays):
-    """The arrays, each made read-only."""
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
 
 
 def _check_povm(u, povm_tol):
@@ -377,9 +369,9 @@ def _factored(op, what):
             kept = vals[keep].sum()
             _at_most(abs(kept - 1.0), EPS_TRACE + float(np.abs(vals[vals <= ATOM_DROP_TOL]).sum()),
                      "state trace defect |Tr - 1|")
-            op = factored_state(op.window, vecs[:, keep] * np.sqrt(vals[keep] / kept))
+            op = _init_factored(StateOperator, op.window, vecs[:, keep] * np.sqrt(vals[keep] / kept))
         else:
-            op = factored_operator(op.window, vecs[:, keep] * np.sqrt(vals[keep]))
+            op = _init_factored(MatrixOperator, op.window, vecs[:, keep] * np.sqrt(vals[keep]))
     return op
 
 
@@ -402,7 +394,8 @@ def _basis_product(m, vectors):
 def _khatri_rao(a, b):
     """Column n is a[:, n] x b[:, n], one product per entry, in a C-ordered array."""
     out = np.empty((len(a), len(b), a.shape[1]), dtype=complex)
-    np.multiply(a[:, None, :], b[None, :, :], out=out)
+    for i, row in enumerate(a):  # row by row, as one broadcast multiply takes ufunc buffers
+        np.multiply(row, b, out=out[i])
     return out.reshape(len(a) * len(b), -1)
 
 
@@ -451,7 +444,7 @@ class ChoiState(StateOperator):
     def __init__(self, channel, reference):
         if reference.window != channel.in_window:
             raise WindowMismatchError("reference state window differs from the channel input window")
-        lam, basis = eig_hermitian(reference)
+        lam, basis = (_owned(a, copy=False) for a in eig_hermitian(reference))
         _at_least(lam[-1], CHOI_RANK_TOL * lam[0],
                   "reference state is rank deficient: min eigenvalue")
         d_in, d_out = channel.in_window.dimension, channel.out_window.dimension
@@ -463,14 +456,12 @@ class ChoiState(StateOperator):
             trace = np.sum(_traced_out(x, d_in) * reference.entries).real
             _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
             _init_factored(self, window, _Congruence(basis, lam, x))
-            self._transposed = factored_operator(window, _Congruence(basis, lam, y))
+            self._transposed = _init_factored(MatrixOperator, window, _Congruence(basis, lam, y))
         else:
             w = basis * np.sqrt(lam)  # column a is sqrt(l_a) times the a-th eigenvector
             entries = np.einsum("ma,nb,mnkl->akbl", w, w.conj(), channel.blocks,
                                 optimize=True).reshape(d_in * d_out, d_in * d_out)
             super().__init__(window, entries)
-        lam.setflags(write=False)
-        basis.setflags(write=False)
         self._channel, self._reference, self._lam, self._basis = channel, reference, lam, basis
 
     @property
@@ -527,8 +518,7 @@ class SeparableChoiDecomposition:
     """
 
     def __init__(self, target, weights, lefts, rights):
-        weights = _check_weights(weights, tol=1e-10)
-        window = target.window
+        weights, window = _check_weights(weights, tol=EPS_TRACE), target.window
         if (weights.ndim, lefts.ndim, rights.ndim) != (1, 2, 2) or not (
                 len(weights) == lefts.shape[1] == rights.shape[1]):
             raise InvariantViolationError(f"decomposition shapes {weights.shape}, {lefts.shape}, "
@@ -536,16 +526,14 @@ class SeparableChoiDecomposition:
         if (len(lefts), len(rights)) != (window.left.dimension, window.right.dimension):
             raise WindowMismatchError(f"decomposition vector shapes {lefts.shape}, {rights.shape} "
                                       f"do not match the windows {window.left}, {window.right}")
-        for array in (weights, lefts, rights):
-            array.setflags(write=False)
-        self._target, self._weights, self._lefts, self._rights = target, weights, lefts, rights
-        self._reconstruction = None
+        self._target, self._reconstruction = target, None
         povm = _basis_product(target.eigenbasis, target.eigenvalues[:, None] ** -0.5 * lefts.conj())
         povm *= np.sqrt(weights)  # in place, so u is not held beside sqrt(w) u
         self._residual, trace = _difference_norms(povm.conj(), rights, target.channel.stacked)
         _at_most(0.5 * target.eigenvalues[0] * trace, EXTRACT_TOL,
                  "decomposition misses the Choi target: trace distance bound")
-        self._povm = povm
+        self._povm = povm  # the arrays handed in are copied only now, past the comparison's peak
+        self._weights, self._lefts, self._rights = _owned(weights), _owned(lefts), _owned(rights)
 
     @property
     def target(self):
@@ -566,7 +554,7 @@ class SeparableChoiDecomposition:
     def reconstruction(self):
         """The weighted atom sum as a factored state, built on the first call."""
         if self._reconstruction is None:
-            self._reconstruction = factored_state(self._target.window, _khatri_rao(
+            self._reconstruction = _init_factored(StateOperator, self._target.window, _khatri_rao(
                 self._lefts, self._rights) * np.sqrt(self._weights))
         return self._reconstruction
 

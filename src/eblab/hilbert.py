@@ -7,7 +7,8 @@ product window and use lexicographic (left, right) row ordering,
 matching np.kron.
 Values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads (the lazily
-built entries of a factored operator are at worst built twice).
+built entries of a factored operator are at worst built twice). Every
+array kept is read-only and eblab's own: _owned states the copy rule.
 """
 
 from __future__ import annotations
@@ -151,6 +152,21 @@ def _finite(x, what):
     return a
 
 
+def _owned(x, dtype=None, copy=True):
+    """x as a read-only array of dtype, or a SectorFactor of read-only arrays, eblab's to keep.
+
+    A public constructor copies what its caller hands in, once (copy=True), so
+    the caller's array keeps its flags and a later write to it changes nothing
+    kept; an array eblab has just made is frozen where it is (copy=False).
+    This is the one place an array is made read-only.
+    """
+    if isinstance(x, SectorFactor):
+        return SectorFactor(*(_owned(a, None, copy) for a in (x.offset, x.u, x.v)), x.first)
+    a = np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def min_eigenvalue(matrix):
     """Smallest eigenvalue of a Hermitian matrix; non-finite entries are rejected."""
     return float(np.linalg.eigvalsh(_finite(matrix, "matrix"))[0])
@@ -279,15 +295,18 @@ class MatrixOperator:
     _factor = None
 
     def __init__(self, window, entries):
-        m = np.array(entries, dtype=complex)
+        m = np.array(entries, dtype=complex)  # the one copy of the caller's entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolationError(f"operator entries must be square, got {m.shape}")
+        self._adopt(window, m)
+
+    def _adopt(self, window, m):
+        """Keep eblab's own square complex array m as the entries on window, without a copy."""
         if m.shape[0] != window.dimension:
             raise WindowMismatchError(
                 f"entries shape {m.shape} does not match window dimension {window.dimension}")
-        m.setflags(write=False)
-        self._window = window
-        self._entries = m
+        self._window, self._entries = window, _owned(m, copy=False)
+        return self
 
     @property
     def window(self):
@@ -296,9 +315,7 @@ class MatrixOperator:
     @property
     def entries(self):
         if self._entries is None:
-            m = self._expand()
-            m.setflags(write=False)
-            self._entries = m
+            self._entries = _owned(self._expand(), copy=False)
         return self._entries
 
     @property
@@ -345,20 +362,19 @@ class StateOperator(MatrixOperator):
     """
 
     def __init__(self, window, entries):
-        m = np.array(entries, dtype=complex)
+        m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolationError(f"state entries must be square, got {m.shape}")
-        m = _hermitian_part(m, "state")
+        m = _hermitian_part(m, "state")  # the one copy of the caller's entries
         _at_most(abs(np.trace(m).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
         _at_least(min_eigenvalue(m), -EPS_PSD, "state not positive: min eigenvalue")
-        super().__init__(window, m)
+        self._adopt(window, m)
 
     @staticmethod
     def maximally_mixed(window):
         """I / d; its spectrum is known, so no eigensolve checks it or solves it (eig_hermitian)."""
         d = window.dimension
-        state = StateOperator.__new__(StateOperator)
-        MatrixOperator.__init__(state, window, np.eye(d) / d)
+        state = StateOperator.__new__(StateOperator)._adopt(window, (np.eye(d) / d).astype(complex))
         state._mixed = True
         return state
 
@@ -392,41 +408,38 @@ def _checked_trace(x, what):
         return np.vdot(x.u, x.u).real * np.vdot(x.v, x.v).real
 
 
-def _init_factored(op, window, factor):
-    """Make op the operator X X^dag of the d x m factor X, checked on X alone.
+def _init_factored(op, window, factor, copy=False):
+    """Make op, an operator or the class of a new one, X X^dag of the d x m factor X; return it.
 
-    An array or a SectorFactor is checked by _checked_trace: finite, and of
-    trace within EPS_TRACE of 1 for a StateOperator. Any other factor with
-    a shape and a dense() is kept unformed, its maker's to gate. X X^dag is
-    positive by construction, so no eigensolve runs; the d x d entries are
-    built on first access, with exact zeros as +0.0.
+    An array or a SectorFactor is _owned (copied if copy is set) and checked
+    by _checked_trace: finite, and of trace within EPS_TRACE of 1 for a
+    StateOperator. Any other factor with a shape and a dense() is kept
+    unformed, its maker's to gate. X X^dag is positive by construction, so no
+    eigensolve runs; the d x d entries are built on first access, with exact
+    zeros as +0.0.
     """
-    sectors = isinstance(factor, SectorFactor)
-    x = factor if hasattr(factor, "dense") else np.array(factor, dtype=complex)
+    op = op.__new__(op) if isinstance(op, type) else op
+    owned = isinstance(factor, SectorFactor) or not hasattr(factor, "dense")
+    x = _owned(factor, complex, copy) if owned else factor
     if len(x.shape) != 2 or x.shape[0] != window.dimension:
         raise WindowMismatchError(
             f"factor shape {x.shape} does not match window dimension {window.dimension}")
-    if sectors or isinstance(x, np.ndarray):
+    if owned:
         trace = _checked_trace(x, "factor")
         if isinstance(op, StateOperator):
             _at_most(abs(trace - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
-        for stored in (x.offset, x.u, x.v) if sectors else (x,):
-            stored.setflags(write=False)
     op._window, op._entries, op._factor = window, None, x
-
-
-def factored_operator(window, factor):
-    """The positive operator X X^dag of a d x m factor X, which it keeps as its factor."""
-    op = MatrixOperator.__new__(MatrixOperator)
-    _init_factored(op, window, factor)
     return op
 
 
+def factored_operator(window, factor):
+    """The positive operator X X^dag of a d x m factor X, which it keeps as its own copy."""
+    return _init_factored(MatrixOperator, window, factor, copy=True)
+
+
 def factored_state(window, factor):
-    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its factor."""
-    state = StateOperator.__new__(StateOperator)
-    _init_factored(state, window, factor)
-    return state
+    """The state X X^dag of a d x m factor X with ||X||_F = 1, kept as its own copy."""
+    return _init_factored(StateOperator, window, factor, copy=True)
 
 
 def lowest_eigenvalue(op):
@@ -465,10 +478,8 @@ class PureVector:
                 norm = float(np.linalg.norm(v))
         if not 0.0 < norm < np.inf:  # all zero, or a NaN or inf part
             raise InvariantViolationError(f"pure vector needs a finite nonzero norm, got {norm!r}")
-        v = v / norm
-        v.setflags(write=False)
-        self._window = window
-        self._amplitudes = v
+        v /= norm  # in place: v is already this vector's one copy
+        self._window, self._amplitudes = window, _owned(v, copy=False)
 
     @property
     def window(self):
@@ -480,7 +491,7 @@ class PureVector:
 
     def projector(self):
         """Rank-one density operator |psi><psi|, factored by psi itself."""
-        return factored_state(self._window, self._amplitudes[:, None])
+        return _init_factored(StateOperator, self._window, self._amplitudes[:, None])
 
     def __repr__(self):
         return f"PureVector(window={self._window})"
@@ -531,7 +542,7 @@ def partial_transpose(op):
     w = _require_product(op)
     d1, d2 = w.left.dimension, w.right.dimension
     pt = op.entries.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
-    return MatrixOperator(w, pt)
+    return MatrixOperator.__new__(MatrixOperator)._adopt(w, pt)
 
 
 def eig_hermitian(op):

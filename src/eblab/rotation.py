@@ -41,9 +41,9 @@ from .hilbert import (
     _at_least,
     _difference_eigenvalues,
     _finite,
+    _init_factored,
     _unit_columns,
     basis_vector,
-    factored_state,
     trace_norm_distance,
 )
 from .channels import ChannelBlocks, HolevoForm
@@ -233,7 +233,7 @@ def rho12(phi1, phi2):
     exactly 0.
     """
     factor = _sector_factor(_charges(phi1.window), phi2.window, phi1.amplitudes, phi2.amplitudes)
-    return factored_state(ProductWindow(phi1.window, phi2.window), factor)
+    return _init_factored(StateOperator, ProductWindow(phi1.window, phi2.window), factor)
 
 
 def rho12_probe(phi1, phi2, alpha, beta):
@@ -295,7 +295,7 @@ def rho12_n(phi1, phi2, n):
     nodes = _partial_orbit_nodes(int(np.ptp(_charges(window))) + 1, n)
     v = np.kron(phi1.amplitudes, phi2.amplitudes)
     rotated = _orbit(window, v, _nodes(nodes, 2.0 * np.pi / n))  # row g: V_{x_g} x V_{x_g} v
-    return factored_state(window, rotated.T / np.sqrt(nodes))
+    return _init_factored(StateOperator, window, rotated.T / np.sqrt(nodes))
 
 
 def rho12_n_distance(state, n):
