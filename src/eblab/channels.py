@@ -55,6 +55,7 @@ from .hilbert import (
     ProductWindow,
     SectorFactor,
     StateOperator,
+    _adopt,
     _at_least,
     _at_most,
     _checked_trace,
@@ -103,9 +104,8 @@ class ChannelBlocks:
                      "block family not Hermitian: max |B_ij - B_ji^dag|")
             _at_most(float(np.abs(np.einsum("ijkk->ij", b) - np.eye(d_in)).max()), EPS_TRACE,
                      "block family not trace preserving: max |Tr B_ij - delta_ij|")
-        stacked = b.transpose(0, 2, 1, 3).copy()  # the one copy of the caller's blocks, row-major
-        self._stacked = MatrixOperator.__new__(MatrixOperator)._adopt(
-            ProductWindow(in_window, out_window), stacked.reshape(d_in * d_out, -1))
+        stacked = b.transpose(0, 2, 1, 3).copy().reshape(d_in * d_out, -1)  # one row-major copy
+        self._stacked = _adopt(MatrixOperator, ProductWindow(in_window, out_window), stacked)
         self._transposed = None
 
     @classmethod
@@ -180,14 +180,11 @@ class ChannelBlocks:
 def _traced_out(x, d_in):
     """Tr_out X X^dag, d_in x d_in, of a factor whose rows (i, k) run i-major.
 
-    On a SectorFactor u x v with d_in distinct offsets, as the rotation
-    channel's factors are, X X^dag has no entry between rows (i, k) and
-    (j, k) for i != j, so the partial trace is diagonal: |u_i|^2 |v|^2.
+    On a SectorFactor u x v it is u_i conj(u_j) |v|^2 where rows (i, k) and (j, k) share a
+    sector, offset_i = offset_j, else 0: diagonal for the rotation channel's distinct offsets.
     """
     if isinstance(x, SectorFactor):
-        if len(x.u) == d_in and (np.diff(np.sort(x.offset)) > 0).all():
-            return np.diag(np.abs(x.u) ** 2 * np.vdot(x.v, x.v).real)
-        x = x.dense()
+        return np.outer(x.u, x.u.conj()) * (x.offset[:, None] == x.offset) * np.vdot(x.v, x.v).real
     rows = x.reshape(d_in, -1)  # row i holds X[(i, k), t] over (k, t)
     return rows @ rows.conj().T
 
@@ -214,7 +211,7 @@ def apply_matrix(channel, op):
     if op.window != channel.in_window:
         raise WindowMismatchError("operator window differs from the channel input window")
     out = np.einsum("ij,ijkl->kl", op.entries, channel.blocks)
-    return MatrixOperator(channel.out_window, out)
+    return _adopt(MatrixOperator, channel.out_window, out)
 
 
 def apply(channel, rho):

@@ -284,11 +284,22 @@ def _sector_cells(x):
     return rows[order], cols[order], values[order]
 
 
+def _adopt(op, window, m):
+    """op, or a new one if op is a class, keeping eblab's own square array m uncopied on window."""
+    op = op.__new__(op) if isinstance(op, type) else op
+    if m.shape[0] != window.dimension:
+        raise WindowMismatchError(
+            f"entries shape {m.shape} does not match window dimension {window.dimension}")
+    op._window, op._entries = window, _owned(m, copy=False)
+    return op
+
+
 class MatrixOperator:
     """Dense complex matrix tied to a mode window.
 
-    An operator built from a factor X (factored_operator, factored_state)
-    is X X^dag, positive by construction: it keeps X, checks no
+    The constructor copies a caller's entries once; eblab's own arrays come in
+    through _adopt, uncopied. An operator built from a factor X (factored_operator,
+    factored_state) is X X^dag, positive by construction: it keeps X, checks no
     eigenvalue and builds its entries only on first access.
     """
 
@@ -298,15 +309,7 @@ class MatrixOperator:
         m = np.array(entries, dtype=complex)  # the one copy of the caller's entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolationError(f"operator entries must be square, got {m.shape}")
-        self._adopt(window, m)
-
-    def _adopt(self, window, m):
-        """Keep eblab's own square complex array m as the entries on window, without a copy."""
-        if m.shape[0] != window.dimension:
-            raise WindowMismatchError(
-                f"entries shape {m.shape} does not match window dimension {window.dimension}")
-        self._window, self._entries = window, _owned(m, copy=False)
-        return self
+        _adopt(self, window, m)
 
     @property
     def window(self):
@@ -368,13 +371,13 @@ class StateOperator(MatrixOperator):
         m = _hermitian_part(m, "state")  # the one copy of the caller's entries
         _at_most(abs(np.trace(m).real - 1.0), EPS_TRACE, "state trace defect |Tr - 1|")
         _at_least(min_eigenvalue(m), -EPS_PSD, "state not positive: min eigenvalue")
-        self._adopt(window, m)
+        _adopt(self, window, m)
 
     @staticmethod
     def maximally_mixed(window):
         """I / d; its spectrum is known, so no eigensolve checks it or solves it (eig_hermitian)."""
         d = window.dimension
-        state = StateOperator.__new__(StateOperator)._adopt(window, (np.eye(d) / d).astype(complex))
+        state = _adopt(StateOperator, window, (np.eye(d) / d).astype(complex))
         state._mixed = True
         return state
 
@@ -511,16 +514,7 @@ def basis_vector(window, k):
 
 def tensor(a, b):
     """Kronecker product on the product window, rows lexicographic in (left, right)."""
-    return MatrixOperator(ProductWindow(a.window, b.window), np.kron(a.entries, b.entries))
-
-
-def _partial_trace_matrix(entries, d_left, d_right, side):
-    r4 = entries.reshape(d_left, d_right, d_left, d_right)
-    if side == "first":
-        return np.trace(r4, axis1=0, axis2=2)
-    if side == "second":
-        return np.trace(r4, axis1=1, axis2=3)
-    raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    return _adopt(MatrixOperator, ProductWindow(a.window, b.window), np.kron(a.entries, b.entries))
 
 
 def partial_trace(op, side):
@@ -530,11 +524,15 @@ def partial_trace(op, side):
     StateOperator inputs yield StateOperator outputs.
     """
     w = _require_product(op)
-    reduced = _partial_trace_matrix(op.entries, w.left.dimension, w.right.dimension, side)
+    if side not in ("first", "second"):
+        raise ValueError(f"side must be 'first' or 'second', got {side!r}")
+    d_left, d_right = w.left.dimension, w.right.dimension
+    axes = (0, 2) if side == "first" else (1, 3)
+    reduced = np.trace(op.entries.reshape(d_left, d_right, d_left, d_right), 0, *axes)
     remaining = w.right if side == "first" else w.left
     if isinstance(op, StateOperator):
         return StateOperator(remaining, reduced)
-    return MatrixOperator(remaining, reduced)
+    return _adopt(MatrixOperator, remaining, reduced)
 
 
 def partial_transpose(op):
@@ -542,7 +540,7 @@ def partial_transpose(op):
     w = _require_product(op)
     d1, d2 = w.left.dimension, w.right.dimension
     pt = op.entries.reshape(d1, d2, d1, d2).transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
-    return MatrixOperator.__new__(MatrixOperator)._adopt(w, pt)
+    return _adopt(MatrixOperator, w, pt)
 
 
 def eig_hermitian(op):

@@ -35,6 +35,7 @@ from .hilbert import (
     ProductWindow,
     PureVector,
     StateOperator,
+    _adopt,
     _sector_cells,
 )
 from .channels import ChannelBlocks, HolevoForm
@@ -213,16 +214,20 @@ def read_json(path):
     return loads(text, path)
 
 
-def _complex_from_json(cell, context):
-    """One [re, im] cell; anything but two finite numbers (bools excluded) is a SchemaError."""
-    if isinstance(cell, list) and len(cell) == 2 and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in cell):
+def _complex_row(row, context):
+    """A JSON row of [re, im] cells as a complex vector, in a fixed number of numpy calls.
+
+    A three-part or nested cell, a bool, string or null, an integer past the
+    float range, NaN or an infinity fails its shape, type, cast or finiteness check.
+    """
+    cells = np.array(row, dtype=object)
+    if (cells.shape == (len(row), 2) or not row) and set(map(type, cells.flat)) <= {int, float}:
         try:
-            re_part, im_part = float(cell[0]), float(cell[1])
+            values = cells.astype(float)
         except OverflowError:  # an integer literal beyond the float range
-            re_part = im_part = math.inf
-        if math.isfinite(re_part) and math.isfinite(im_part):
-            return complex(re_part, im_part)
+            values = np.array(math.inf)
+        if np.isfinite(values).all():
+            return values.view(complex).ravel()
     raise SchemaError(f"{context}: each cell must be a [re, im] pair of finite numbers")
 
 
@@ -237,12 +242,12 @@ def _built(context, make, *args):
 def _entries_from_json(raw, context):
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{context}: 'entries' must be a non-empty array of rows")
-    rows = []
-    for row in raw:
+    m = np.empty((len(raw),) * 2, dtype=complex)
+    for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != len(raw):
             raise SchemaError(f"{context}: entries must be square")
-        rows.append([_complex_from_json(cell, context) for cell in row])
-    return np.array(rows, dtype=complex)
+        m[i] = _complex_row(row, context)
+    return m
 
 
 def window_to_json(window):
@@ -280,7 +285,8 @@ def operator_from_json(raw, context="operator"):
     if "entries" not in raw:
         raise SchemaError(f"{context}: missing 'entries'")
     window = window_from_json(raw, context)
-    return _built(context, MatrixOperator, window, _entries_from_json(raw["entries"], context))
+    entries = _entries_from_json(raw["entries"], context)
+    return _built(context, _adopt, MatrixOperator, window, entries)
 
 
 def state_from_json(raw, context="state"):
@@ -300,8 +306,7 @@ def pure_vector_from_json(raw, context="pure vector"):
     window = window_from_json(raw, context)
     if not isinstance(raw["amplitudes"], list):
         raise SchemaError(f"{context}: 'amplitudes' must be an array of [re, im] pairs")
-    return _built(context, PureVector, window,
-                  [_complex_from_json(cell, context) for cell in raw["amplitudes"]])
+    return _built(context, PureVector, window, _complex_row(raw["amplitudes"], context))
 
 
 def channel_to_json(channel):
@@ -309,7 +314,7 @@ def channel_to_json(channel):
     return {
         "in": window_to_json(channel.in_window),
         "out": window_to_json(out_window),
-        "blocks": [[operator_to_json(MatrixOperator(out_window, block)) for block in row]
+        "blocks": [[operator_to_json(_adopt(MatrixOperator, out_window, block)) for block in row]
                    for row in channel.blocks],
     }
 

@@ -49,6 +49,12 @@ def _vector(v, half):
             "amplitudes": [[float(z.real), float(z.imag)] for z in v]}
 
 
+def _with_first_cell(doc, cell):
+    """An operator document whose first entry is cell, written as it stands."""
+    doc["entries"][0][0] = cell
+    return doc
+
+
 def _complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -115,6 +121,9 @@ def write_inputs(directory):
         "wide_out_blocks.json": {"in": {"k_min": 0, "k_max": 0},
                                  "out": {"k_min": -50000, "k_max": 50000},
                                  "blocks": [[_operator(np.eye(1), 0)]]},
+        # a JSON true, and an integer literal past the float range, where a number belongs
+        "true_cell_state1.json": _with_first_cell(_operator(np.eye(3) / 3, 1), [1 / 3, True]),
+        "huge_cell_state1.json": _with_first_cell(_operator(np.eye(3) / 3, 1), [10 ** 400, 0]),
         # B - B^dag overflows to inf at the double range's edge
         "edge_blocks.json": {"in": {"k_min": 0, "k_max": 0}, "out": {"k_min": 0, "k_max": 1},
                              "blocks": [[{"k_min": 0, "k_max": 1, "entries": [
@@ -180,6 +189,10 @@ CALLS = [
     ("exit3_probe", ["probe", "--phi", "geometric(0.3)", "--k", "1000"]),
     ("exit2_blocks_out_window", ["eb-report", "--channel", "@wide_out_blocks.json"]),
     ("exit3_blocks_edge", ["eb-report", "--channel", "@edge_blocks.json"]),
+    ("exit2_state_true_cell", ["channel-apply", "--k", "1", "--phi", "two-mode",
+                               "--state", "@true_cell_state1.json"]),
+    ("exit2_state_huge_integer", ["channel-apply", "--k", "1", "--phi", "two-mode",
+                                  "--state", "@huge_cell_state1.json"]),
 ]
 
 

@@ -178,6 +178,28 @@ def per_cell_json(obj):
     raise TypeError(f"cannot write {type(obj).__name__}")
 
 
+def json_cell(cell):
+    """One parsed JSON [re, im] cell as a complex, or None when it is not two finite numbers.
+
+    It reads the cell alone, one part at a time: bools are not numbers, and an
+    integer past the float range is not finite.
+    """
+    if not (isinstance(cell, list) and len(cell) == 2):
+        return None
+    parts = []
+    for part in cell:
+        if isinstance(part, bool) or not isinstance(part, (int, float)):
+            return None
+        try:
+            value = float(part)
+        except OverflowError:
+            return None
+        if value != value or value in (float("inf"), float("-inf")):
+            return None
+        parts.append(value)
+    return complex(parts[0], parts[1])
+
+
 def orbit_outputs(phi_amps, modes, grid):
     """Rows V_{2 pi j / grid} phi, one per grid phase."""
     return np.array([np.exp(1j * (2.0 * np.pi * j / grid) * np.asarray(modes, dtype=float))
